@@ -7,21 +7,31 @@ The raw input is a delimited text file with one transfer per line:
     source_lat, source_lon, dest_lat, dest_lon
 
 Coordinates may be empty.  Amounts are integer yen; a valid transfer moves
-at least 1 yen.  Ingestion is a pure streaming transform: parse each line,
-drop records that fail the enabled filter predicates, then collapse all
-transfers of each ordered account pair (i, j) into a single link carrying
-the total flow and the transfer count.
+at least 1 yen.  Transfers are held in a :class:`TransferTable`, one array
+per field over a sorted account-id vocabulary, so no step builds an object
+per event.  :func:`parse_log` reads the log in chunks of lines: lines of
+the canonical shape the generator writes are split and validated column by
+column, and every other line goes through the per-line parser, which owns
+the rejection reasons.  Filtering is a mask over the table; aggregation
+collapses all transfers of each ordered account pair (i, j) into a single
+link carrying the total flow and the transfer count.
 """
 
 from __future__ import annotations
 
 import csv
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime
-from typing import IO, Iterable, Sequence
+from itertools import count, islice, repeat
+from typing import IO, Iterable, Iterator
+
+import numpy as np
 
 __all__ = [
     "TransferRecord",
+    "TransferTable",
     "FilterPolicy",
     "AggregatedLink",
     "RejectedLine",
@@ -29,6 +39,7 @@ __all__ = [
     "parse_log",
     "filter_records",
     "aggregate",
+    "write_records",
     "write_links",
     "read_links",
     "collect_node_coords",
@@ -37,6 +48,9 @@ __all__ = [
 ]
 
 KINDS = ("firm", "household", "external")
+_KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+_FIRM = _KIND_CODE["firm"]
+_EXTERNAL = _KIND_CODE["external"]
 
 COLUMNS = (
     "timestamp",
@@ -50,6 +64,14 @@ COLUMNS = (
     "dest_lat",
     "dest_lon",
 )
+
+INT64_MAX = 2**63 - 1
+TIME_DTYPE = np.dtype("datetime64[us]")
+
+# Lines per parse chunk and rows per write or iteration chunk: large enough
+# that per-chunk numpy overhead vanishes, small enough that the transient
+# strings of one chunk stay a few MB.
+CHUNK_LINES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,6 +93,243 @@ class TransferRecord:
     destination_coord: tuple[float, float] | None = None
 
 
+_COLUMN_DTYPES = {
+    "src": np.int32,
+    "dst": np.int32,
+    "amount": np.int64,
+    "timestamp": TIME_DTYPE,
+    "src_kind": np.int8,
+    "dst_kind": np.int8,
+    "src_coord": np.float64,
+    "dst_coord": np.float64,
+    "src_has_coord": np.bool_,
+    "dst_has_coord": np.bool_,
+}
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class TransferTable(Sequence):
+    """Transfers as one read-only array per field, in log order.
+
+    ``ids`` is the sorted account-id vocabulary (an object array of str),
+    and ``src``/``dst`` are int32 codes into it, so code order is id
+    order.  ``amount`` is int64 yen, ``timestamp`` naive datetime64[us],
+    ``src_kind``/``dst_kind`` int8 codes into :data:`KINDS`.  Coordinates
+    are float64 (n, 2) lat/lon arrays with a presence mask; a missing
+    coordinate is stored as (0.0, 0.0) with its mask False, so it stays
+    distinct from a parsed nan.
+
+    The table is a read-only sequence of :class:`TransferRecord`: ``len``,
+    iteration, indexing and ``==`` against any sequence of records work
+    as on a list (a slice is a table).  Two tables compare column by
+    column, with nan coordinates equal.  :meth:`from_records` turns a list
+    of records into a table.
+    """
+
+    ids: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    amount: np.ndarray
+    timestamp: np.ndarray
+    src_kind: np.ndarray
+    dst_kind: np.ndarray
+    src_coord: np.ndarray
+    dst_coord: np.ndarray
+    src_has_coord: np.ndarray
+    dst_has_coord: np.ndarray
+
+    def __post_init__(self):
+        ids = np.asarray(self.ids, dtype=object).reshape(-1)
+        if ids.size > 1 and not np.all(ids[:-1] < ids[1:]):
+            raise ValueError("account ids must be sorted and distinct")
+        object.__setattr__(self, "ids", ids)
+        n = np.asarray(self.src).shape[0]
+        for name, dtype in _COLUMN_DTYPES.items():
+            col = np.asarray(getattr(self, name), dtype=dtype)
+            shape = (n, 2) if name in ("src_coord", "dst_coord") else (n,)
+            if col.shape != shape:
+                raise ValueError(f"column {name} has shape {col.shape}, expected {shape}")
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        ids.flags.writeable = False
+
+    @classmethod
+    def from_codes(cls, ids: Sequence[str], src, dst, **columns) -> TransferTable:
+        """Table over distinct ``ids`` in any order, codes indexing them.
+
+        Keeps the ids the codes use, sorts them and renumbers the codes.
+        """
+        ids = np.array(list(ids), dtype=object).reshape(-1)
+        src = np.asarray(src)
+        dst = np.asarray(dst)
+        used = np.zeros(ids.size, dtype=bool)
+        used[src] = True
+        used[dst] = True
+        kept = np.flatnonzero(used)
+        order = kept[np.argsort(ids[kept])]
+        code = np.zeros(ids.size, dtype=np.int32)
+        code[order] = np.arange(order.size, dtype=np.int32)
+        return cls(ids=ids[order], src=code[src], dst=code[dst], **columns)
+
+    @classmethod
+    def from_records(cls, records: Iterable[TransferRecord]) -> TransferTable:
+        """The table of ``records`` in order; a table is returned as is.
+
+        Raises ValueError for what a table cannot hold: an unknown kind, an
+        amount outside int64 or a timestamp with a UTC offset.
+        """
+        if isinstance(records, TransferTable):
+            return records
+        vocab = _Vocabulary()
+        return vocab.table(**_record_columns(list(records), vocab))
+
+    def take(self, rows) -> TransferTable:
+        """The rows selected by an index array or boolean mask, same ids."""
+        return TransferTable(
+            ids=self.ids, **{name: getattr(self, name)[rows] for name in _COLUMN_DTYPES}
+        )
+
+    def __len__(self) -> int:
+        return self.src.shape[0]
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return self.take(item)
+        row = range(len(self))[item]
+        return next(self._records(row, row + 1))
+
+    def __iter__(self) -> Iterator[TransferRecord]:
+        for lo in range(0, len(self), CHUNK_LINES):
+            yield from self._records(lo, lo + CHUNK_LINES)
+
+    def _records(self, lo: int, hi: int) -> Iterator[TransferRecord]:
+        rows = slice(lo, hi)
+        kinds = np.array(KINDS, dtype=object)
+        for ts, s, d, amount, sk, dk, sc, dc, sh, dh in zip(
+            self.timestamp[rows].tolist(),
+            self.ids[self.src[rows]].tolist(),
+            self.ids[self.dst[rows]].tolist(),
+            self.amount[rows].tolist(),
+            kinds[self.src_kind[rows]].tolist(),
+            kinds[self.dst_kind[rows]].tolist(),
+            self.src_coord[rows].tolist(),
+            self.dst_coord[rows].tolist(),
+            self.src_has_coord[rows].tolist(),
+            self.dst_has_coord[rows].tolist(),
+        ):
+            yield TransferRecord(
+                timestamp=ts,
+                source=s,
+                destination=d,
+                amount=amount,
+                source_kind=sk,
+                destination_kind=dk,
+                source_coord=tuple(sc) if sh else None,
+                destination_coord=tuple(dc) if dh else None,
+            )
+
+    def __eq__(self, other):
+        if isinstance(other, TransferTable):
+            return self._same_columns(other)
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def _same_columns(self, other: TransferTable) -> bool:
+        if len(self) != len(other):
+            return False
+        if self.ids.shape == other.ids.shape and np.all(self.ids == other.ids):
+            src, dst = self.src, self.dst
+        else:
+            pos = {name: k for k, name in enumerate(other.ids.tolist())}
+            code = np.array([pos.get(name, -1) for name in self.ids.tolist()], dtype=np.int64)
+            src, dst = code[self.src], code[self.dst]
+        same = (
+            np.array_equal(src, other.src)
+            and np.array_equal(dst, other.dst)
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("amount", "timestamp", "src_kind", "dst_kind",
+                             "src_has_coord", "dst_has_coord")
+            )
+        )
+        for coord, has in (("src_coord", "src_has_coord"), ("dst_coord", "dst_has_coord")):
+            mask = getattr(self, has)
+            same = same and np.array_equal(
+                getattr(self, coord)[mask], getattr(other, coord)[mask], equal_nan=True
+            )
+        return same
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"TransferTable({len(self)} transfers, {self.ids.size} accounts)"
+
+
+class _Vocabulary:
+    """Account ids seen so far, each with a distinct int32 code.
+
+    Codes come from one counter that also advances on ids already seen,
+    which keeps coding a C-level loop; they are distinct but not dense, and
+    :meth:`table` compacts them.
+    """
+
+    def __init__(self):
+        self._code_of: dict[str, int] = {}
+        self._counter = count()
+        self._checked = 0
+        self._bad: list[int] = []
+
+    def codes(self, ids: Sequence[str]) -> np.ndarray:
+        return np.fromiter(
+            map(self._code_of.setdefault, ids, self._counter), dtype=np.int32, count=len(ids)
+        )
+
+    def noncanonical(self) -> np.ndarray:
+        """Codes of the ids so far that are empty or padded with whitespace."""
+        for name, code in islice(self._code_of.items(), self._checked, None):
+            if not name or name != name.strip():
+                self._bad.append(code)
+        self._checked = len(self._code_of)
+        return np.array(self._bad, dtype=np.int32)
+
+    def table(self, **columns) -> TransferTable:
+        ids = np.empty(max(self._code_of.values(), default=-1) + 1, dtype=object)
+        ids[list(self._code_of.values())] = list(self._code_of)
+        return TransferTable.from_codes(ids, **columns)
+
+
+def _record_columns(records: list[TransferRecord], vocab: _Vocabulary) -> dict:
+    """Table columns of ``records``, coding ids through ``vocab``."""
+    try:
+        src_kind = [_KIND_CODE[r.source_kind] for r in records]
+        dst_kind = [_KIND_CODE[r.destination_kind] for r in records]
+    except KeyError as exc:
+        raise ValueError(f"unknown party kind {exc.args[0]!r}") from None
+    stamps = [r.timestamp for r in records]
+    if any(ts.tzinfo is not None for ts in stamps):
+        raise ValueError("a timestamp with a UTC offset does not fit the table")
+    try:
+        amount = np.array([r.amount for r in records], dtype=np.int64)
+    except OverflowError:
+        raise ValueError("an amount exceeds the int64 range of the table") from None
+    columns = {
+        "src": vocab.codes([r.source for r in records]),
+        "dst": vocab.codes([r.destination for r in records]),
+        "amount": amount,
+        "timestamp": np.array(stamps, dtype=TIME_DTYPE),
+        "src_kind": src_kind,
+        "dst_kind": dst_kind,
+    }
+    for side, attr in (("src", "source_coord"), ("dst", "destination_coord")):
+        coords = [getattr(r, attr) for r in records]
+        columns[f"{side}_has_coord"] = [c is not None for c in coords]
+        columns[f"{side}_coord"] = np.array(
+            [(0.0, 0.0) if c is None else c for c in coords], dtype=np.float64
+        ).reshape(-1, 2)
+    return {name: np.asarray(columns[name], dtype=dtype) for name, dtype in _COLUMN_DTYPES.items()}
+
+
 @dataclass(frozen=True)
 class FilterPolicy:
     """Which record-level predicates are enforced.
@@ -83,19 +342,6 @@ class FilterPolicy:
     require_intra_bank: bool = True
     require_firm_both_ends: bool = True
     drop_self_loops: bool = True
-
-    def keeps(self, rec: TransferRecord) -> bool:
-        if self.require_intra_bank and (
-            rec.source_kind == "external" or rec.destination_kind == "external"
-        ):
-            return False
-        if self.require_firm_both_ends and (
-            rec.source_kind != "firm" or rec.destination_kind != "firm"
-        ):
-            return False
-        if self.drop_self_loops and rec.source == rec.destination:
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -135,9 +381,13 @@ def _parse_coord(lat_s: str, lon_s: str) -> tuple[float, float] | None:
 
 
 def _parse_line(parts: Sequence[str]) -> TransferRecord:
+    """The reference parse of one split line; raises ValueError with the reason."""
     if len(parts) != len(COLUMNS):
         raise ValueError(f"expected {len(COLUMNS)} fields, got {len(parts)}")
-    ts = datetime.fromisoformat(parts[0].strip())
+    ts_s = parts[0].strip()
+    ts = datetime.fromisoformat(ts_s)
+    if ts.tzinfo is not None:
+        raise ValueError(f"timestamp {ts_s!r} has a UTC offset; only naive times are accepted")
     source = parts[1].strip()
     destination = parts[2].strip()
     if not source or not destination:
@@ -149,6 +399,8 @@ def _parse_line(parts: Sequence[str]) -> TransferRecord:
         raise ValueError(f"non-integer amount {amount_s!r}") from None
     if amount < 1:
         raise ValueError(f"amount must be >= 1 yen, got {amount}")
+    if amount > INT64_MAX:
+        raise ValueError(f"amount {amount} exceeds the int64 range")
     source_kind = parts[4].strip()
     destination_kind = parts[5].strip()
     for kind in (source_kind, destination_kind):
@@ -166,42 +418,261 @@ def _parse_line(parts: Sequence[str]) -> TransferRecord:
     )
 
 
+class _ChunkedLines:
+    """A stream's lines, taken a chunk at a time.
+
+    Iterating yields the rest of the current chunk from ``pos`` on, then
+    the stream itself, so a csv reader over it can continue a quoted
+    field past the end of a chunk.
+    """
+
+    def __init__(self, stream: Iterable[str]):
+        self._stream = iter(stream)
+        self.chunk: list[str] = []
+        self.pos = 0
+
+    def next_chunk(self, size: int) -> list[str]:
+        self.chunk = list(islice(self._stream, size))
+        self.pos = 0
+        return self.chunk
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        if self.pos < len(self.chunk):
+            self.pos += 1
+            return self.chunk[self.pos - 1]
+        return next(self._stream)
+
+
+# Character positions of a YYYY-MM-DDTHH:MM:SS timestamp.
+_TS_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
+_TS_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
+_DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _lengths(col: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(len, col), dtype=np.int64, count=len(col))
+
+
+def _canonical_times(col: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """datetime64 values of YYYY-MM-DDTHH:MM:SS strings naming a real time."""
+    m = len(col)
+    chars = np.array(col, dtype="U19").view(np.uint32).reshape(m, 19).astype(np.int64)
+    ok = _lengths(col) == 19
+    for pos, sep in _TS_SEPARATORS.items():
+        ok &= chars[:, pos] == ord(sep)
+    digits = chars[:, _TS_DIGITS] - ord("0")
+    ok &= ((digits >= 0) & (digits <= 9)).all(axis=1)
+    year = digits[:, 0] * 1000 + digits[:, 1] * 100 + digits[:, 2] * 10 + digits[:, 3]
+    month, day, hour, minute, second = (
+        digits[:, k] * 10 + digits[:, k + 1] for k in range(4, 14, 2)
+    )
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _DAYS_IN_MONTH[np.clip(month, 1, 12) - 1] + ((month == 2) & leap)
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
+    months = np.where(ok, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
+    stamps = months.astype("datetime64[D]") + np.where(ok, day - 1, 0)
+    seconds = np.where(ok, (hour * 60 + minute) * 60 + second, 0)
+    return stamps.astype(TIME_DTYPE) + seconds.astype("timedelta64[s]"), ok
+
+
+def _canonical_amounts(col: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """int64 values of 1-18 ASCII digits without a leading zero."""
+    lengths = _lengths(col)
+    chars = np.array(col, dtype="U18").view(np.uint32).reshape(len(col), 18)
+    digits = chars.astype(np.int64) - ord("0")
+    is_digit = (digits >= 0) & (digits <= 9)
+    ok = (lengths >= 1) & (lengths <= 18) & (is_digit.sum(axis=1) == lengths) & (digits[:, 0] != 0)
+    values = np.zeros(len(col), dtype=np.int64)
+    for k in range(18):
+        values = np.where(k < lengths, values * 10 + digits[:, k], values)
+    return np.where(ok, values, 0), ok
+
+
+def _coordinate_field(col: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, present, ok) of one coordinate column.
+
+    A field is present when nonempty and ok when empty or parsed by
+    float(), which ignores surrounding whitespace as the per-line parser's
+    strip does.  Each distinct string is parsed once: coordinates repeat
+    with their account.
+    """
+    first: dict[str, int] = {}
+    at = np.fromiter(map(first.setdefault, col, count()), dtype=np.intp, count=len(col))
+    values = np.zeros(len(col))
+    present = np.zeros(len(col), dtype=bool)
+    ok = np.ones(len(col), dtype=bool)
+    for text, k in first.items():
+        if text:
+            present[k] = True
+            try:
+                values[k] = float(text)
+            except ValueError:
+                ok[k] = False
+    return values[at], present[at], ok[at]
+
+
+def _canonical_coords(lat_col, lon_col) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coords, present, ok): both fields empty, or both parsed by float()."""
+    lat, lat_present, lat_ok = _coordinate_field(lat_col)
+    lon, lon_present, lon_ok = _coordinate_field(lon_col)
+    ok = lat_ok & lon_ok & (lat_present == lon_present)
+    return np.column_stack([lat, lon]), lat_present & ok, ok
+
+
+def _canonical_chunk(
+    chunk: list[str], delimiter: str, vocab: _Vocabulary
+) -> tuple[dict, np.ndarray]:
+    """Columns of the canonical lines of a chunk, and the mask of those lines.
+
+    A canonical line has exactly 10 fields, no quote or carriage return,
+    no more characters than csv's field size limit, ids without
+    surrounding whitespace, an ASCII-digit amount, a naive
+    YYYY-MM-DDTHH:MM:SS timestamp, known kinds, and coordinates both
+    present or both empty.  Without quotes and line breaks, csv splits it
+    exactly where ``str.split`` does.
+    """
+    n = len(chunk)
+    if not chunk[-1].endswith("\n"):
+        chunk = chunk[:-1] + [chunk[-1] + "\n"]  # a log without a final newline
+    text = "".join(chunk)
+    ok = np.fromiter(map(str.count, chunk, repeat(delimiter)), dtype=np.int64, count=n) == 9
+    # csv refuses fields over its size limit; such lines take its path
+    ok &= _lengths(chunk) <= csv.field_size_limit()
+    ends = np.fromiter(map(str.endswith, chunk, repeat("\n")), dtype=bool, count=n)
+    if '"' in text or "\r" in text or not ends.all() or text.count("\n") != n:
+        ok &= np.array(
+            [not ('"' in x or "\r" in x or x.find("\n") != len(x) - 1) for x in chunk],
+            dtype=bool,
+        )
+    picked = np.flatnonzero(ok)
+    if picked.size == 0:
+        return {}, ok
+    if picked.size < n:
+        text = "".join([chunk[k] for k in picked.tolist()])
+    # every picked line is ten fields and one newline
+    fields = text.replace("\n", delimiter).split(delimiter)
+    fields.pop()
+    ts, src, dst, amount, src_kind, dst_kind, src_lat, src_lon, dst_lat, dst_lon = (
+        fields[k :: len(COLUMNS)] for k in range(len(COLUMNS))
+    )
+
+    src_codes = vocab.codes(src)
+    dst_codes = vocab.codes(dst)
+    bad_ids = vocab.noncanonical()
+    stamps, good = _canonical_times(ts)
+    values, good_amount = _canonical_amounts(amount)
+    good &= good_amount
+    if bad_ids.size:
+        good &= ~np.isin(src_codes, bad_ids) & ~np.isin(dst_codes, bad_ids)
+    kinds = []
+    for col in (src_kind, dst_kind):
+        code = np.fromiter(map(_KIND_CODE.get, col, repeat(-1)), dtype=np.int8, count=len(col))
+        good &= code >= 0
+        kinds.append(code)
+    src_coord, src_has, good_src = _canonical_coords(src_lat, src_lon)
+    dst_coord, dst_has, good_dst = _canonical_coords(dst_lat, dst_lon)
+    good &= good_src & good_dst
+
+    ok[picked] = good
+    columns = {
+        "src": src_codes, "dst": dst_codes, "amount": values, "timestamp": stamps,
+        "src_kind": kinds[0], "dst_kind": kinds[1],
+        "src_coord": src_coord, "dst_coord": dst_coord,
+        "src_has_coord": src_has, "dst_has_coord": dst_has,
+    }
+    return {name: col[good] for name, col in columns.items()}, ok
+
+
 def parse_log(
     stream: IO[str] | Iterable[str],
     *,
     delimiter: str = ",",
     strict: bool = False,
-) -> tuple[list[TransferRecord], list[RejectedLine]]:
-    """Parse a transfer log into records, reporting rejected lines.
+) -> tuple[TransferTable, list[RejectedLine]]:
+    """Parse a transfer log into a table, reporting rejected lines.
 
-    Returns ``(records, rejected)`` where records appear in file order and
+    Returns ``(table, rejected)`` where transfers appear in file order and
     each rejected line carries its 1-based line number and a reason.  In
     strict mode the first malformed line raises :class:`ParseError` instead.
     Blank lines and a leading header line (first field "timestamp") are
     skipped silently.
+
+    Lines are read in chunks of :data:`CHUNK_LINES`, so any iterable of
+    lines works and the log is never held whole as strings.  Within a
+    chunk, lines of the canonical shape (see ``_canonical_chunk``) are
+    split and validated column by column; every other line is read by
+    ``csv`` and parsed by the per-line parser, so quoting, padding,
+    ``int()``-style amounts such as ``1_000``, and every rejection reason
+    behave as a plain per-line loop would.  A line whose timestamp has a
+    UTC offset, or whose amount exceeds the int64 range, is rejected with
+    its own reason because the table cannot hold it.
     """
-    records: list[TransferRecord] = []
+    lines = _ChunkedLines(stream)
+    reader = csv.reader(lines, delimiter=delimiter)
+    vocab = _Vocabulary()
+    parts_of: list[dict] = []
     rejected: list[RejectedLine] = []
-    reader = csv.reader(stream, delimiter=delimiter)
-    for line_no, parts in enumerate(reader, start=1):
-        if not parts or (len(parts) == 1 and not parts[0].strip()):
-            continue
-        if line_no == 1 and parts[0].strip() == "timestamp":
-            continue
-        try:
-            records.append(_parse_line(parts))
-        except ValueError as exc:
-            if strict:
-                raise ParseError(f"line {line_no}: {exc}") from exc
-            rejected.append(RejectedLine(line_no=line_no, reason=str(exc)))
-    return records, rejected
+    line_no = 0
+    while chunk := lines.next_chunk(CHUNK_LINES):
+        columns, canonical = _canonical_chunk(chunk, delimiter, vocab)
+        taken = canonical.copy()
+        records: list[TransferRecord] = []
+        at: list[int] = []
+        done = 0
+        for k in np.flatnonzero(~canonical).tolist():
+            if k < done:
+                continue  # read already, inside a quoted field spanning lines
+            line_no += k - done + 1
+            lines.pos = k
+            parts = next(reader)
+            done = lines.pos
+            taken[k + 1 : done] = False
+            if not parts or (len(parts) == 1 and not parts[0].strip()):
+                continue
+            if line_no == 1 and parts[0].strip() == "timestamp":
+                continue
+            try:
+                records.append(_parse_line(parts))
+                at.append(k)
+            except ValueError as exc:
+                if strict:
+                    raise ParseError(f"line {line_no}: {exc}") from exc
+                rejected.append(RejectedLine(line_no=line_no, reason=str(exc)))
+        line_no += len(chunk) - done
+        part = {name: col[taken[canonical]] for name, col in columns.items()}
+        if records:
+            # put the per-line records back among the column-wise ones
+            slow = _record_columns(records, vocab)
+            if part:
+                order = np.argsort(np.concatenate([np.flatnonzero(taken), at]), kind="stable")
+                slow = {name: np.concatenate([part[name], slow[name]])[order] for name in slow}
+            part = slow
+        if part:
+            parts_of.append(part)
+    merged = {
+        name: np.concatenate([p[name] for p in parts_of] or [empty])
+        for name, empty in _record_columns([], vocab).items()
+    }
+    return vocab.table(**merged), rejected
 
 
 def filter_records(
     records: Iterable[TransferRecord], policy: FilterPolicy
-) -> list[TransferRecord]:
-    """Keep exactly the records satisfying all enabled predicates, in order."""
-    return [rec for rec in records if policy.keeps(rec)]
+) -> TransferTable:
+    """Keep exactly the transfers satisfying all enabled predicates, in order."""
+    table = TransferTable.from_records(records)
+    keep = np.ones(len(table), dtype=bool)
+    if policy.require_intra_bank:
+        keep &= (table.src_kind != _EXTERNAL) & (table.dst_kind != _EXTERNAL)
+    if policy.require_firm_both_ends:
+        keep &= (table.src_kind == _FIRM) & (table.dst_kind == _FIRM)
+    if policy.drop_self_loops:
+        keep &= table.src != table.dst
+    return table.take(keep)
 
 
 def aggregate(records: Iterable[TransferRecord]) -> list[AggregatedLink]:
@@ -210,20 +681,131 @@ def aggregate(records: Iterable[TransferRecord]) -> list[AggregatedLink]:
     Each link carries flow = sum of amounts and frequency = transfer count.
     Pairs with transfers in both directions yield two links.  Output is
     sorted by (source, destination) so the link set is order-independent.
+    Flows are exact integers: int64 sums, or Python ints when an int64 sum
+    could overflow.
     """
-    acc: dict[tuple[str, str], list[int]] = {}
-    for rec in records:
-        key = (rec.source, rec.destination)
-        slot = acc.get(key)
-        if slot is None:
-            acc[key] = [rec.amount, 1]
-        else:
-            slot[0] += rec.amount
-            slot[1] += 1
+    table = TransferTable.from_records(records)
+    if not len(table):
+        return []
+    n_ids = table.ids.size
+    key = table.src.astype(np.int64) * n_ids + table.dst
+    order = np.argsort(key, kind="stable")
+    pairs, starts, frequency = np.unique(key[order], return_index=True, return_counts=True)
+    amounts = table.amount[order]
+    if amounts.size:
+        largest = max(int(amounts.max()), -int(amounts.min()))
+        if largest * int(frequency.max()) > INT64_MAX:
+            amounts = amounts.astype(object)
+    flow = np.add.reduceat(amounts, starts)
     return [
-        AggregatedLink(source=src, destination=dst, flow=flow, frequency=freq)
-        for (src, dst), (flow, freq) in sorted(acc.items())
+        AggregatedLink(source=s, destination=d, flow=f, frequency=q)
+        for s, d, f, q in zip(
+            table.ids[pairs // n_ids].tolist(),
+            table.ids[pairs % n_ids].tolist(),
+            flow.tolist(),
+            frequency.tolist(),
+        )
     ]
+
+
+_NEEDS_QUOTES = re.compile(r'[",\r\n]').search
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as a csv field: quoted, quotes doubled, if it holds a comma,
+    quote or line break.
+
+    ``csv.writer`` with a "\\n" line terminator leaves a carriage return
+    unquoted, which a reader then takes for a line break.
+    """
+    if _NEEDS_QUOTES(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _endpoints(table: TransferTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(accounts, coords, present) of both endpoints of every transfer.
+
+    Event order, source before destination, as a record loop visits them.
+    """
+    n = len(table)
+    accounts = np.empty(2 * n, dtype=np.int32)
+    coords = np.empty((2 * n, 2))
+    present = np.empty(2 * n, dtype=bool)
+    for arr, src, dst in (
+        (accounts, table.src, table.dst),
+        (coords, table.src_coord, table.dst_coord),
+        (present, table.src_has_coord, table.dst_has_coord),
+    ):
+        arr[0::2] = src
+        arr[1::2] = dst
+    return accounts, coords, present
+
+
+def _first_coords(accounts: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(accounts with a coordinate, endpoint index of each one's first)."""
+    rows = np.flatnonzero(present)
+    codes, first = np.unique(accounts[rows], return_index=True)
+    return codes, rows[first]
+
+
+def _coordinate_text(table: TransferTable) -> list[np.ndarray]:
+    """Per-transfer ``lat,lon,`` source and ``lat,lon\\n`` destination text.
+
+    Each account's first coordinate is formatted once, by ``repr``; an
+    endpoint whose coordinate differs from it bit for bit is formatted on
+    its own, and a missing one is empty.
+    """
+    accounts, coords, present = _endpoints(table)
+    codes, first = _first_coords(accounts, present)
+    bits = coords.view(np.int64)
+    ref = np.zeros((table.ids.size, 2), dtype=np.int64)
+    ref[codes] = bits[first]
+    own = np.flatnonzero(present & (bits != ref[accounts]).any(axis=1))
+    texts = []
+    for side, end in enumerate((",", "\n")):
+        per_account = np.empty(table.ids.size, dtype=object)
+        per_account[codes] = [f"{lat!r},{lon!r}{end}" for lat, lon in coords[first].tolist()]
+        text = per_account[accounts[side::2]]
+        text[~present[side::2]] = "," + end
+        mine = own[own % 2 == side]
+        text[mine // 2] = [f"{lat!r},{lon!r}{end}" for lat, lon in coords[mine].tolist()]
+        texts.append(text)
+    return texts
+
+
+def write_records(records: Iterable[TransferRecord], stream: IO[str]) -> None:
+    """Emit transfers in the ingest log format, byte-stable for fixed input.
+
+    Ids are written with csv quoting.  Account ids and coordinates are
+    formatted once per account and the lines of a chunk joined in one go.
+    """
+    table = TransferTable.from_records(records)
+    stream.write(",".join(COLUMNS) + "\n")
+    ids = np.array([_csv_field(name) + "," for name in table.ids.tolist()], dtype=object)
+    kinds = np.array([kind + "," for kind in KINDS], dtype=object)
+    src_coord, dst_coord = _coordinate_text(table)
+    # datetime.isoformat() shows microseconds only when they are nonzero
+    fractional = table.timestamp.astype(np.int64) % 1_000_000 != 0
+    for lo in range(0, len(table), CHUNK_LINES):
+        rows = slice(lo, lo + CHUNK_LINES)
+        stamps = np.datetime_as_string(table.timestamp[rows], unit="s")
+        if fractional[rows].any():
+            stamps = np.where(
+                fractional[rows], np.datetime_as_string(table.timestamp[rows], unit="us"), stamps
+            )
+        # ten tokens a line; the commas after the timestamp and the amount
+        # are the tokens left at their default
+        tokens = [","] * (10 * stamps.size)
+        tokens[0::10] = stamps.tolist()
+        tokens[2::10] = ids[table.src[rows]].tolist()
+        tokens[3::10] = ids[table.dst[rows]].tolist()
+        tokens[4::10] = map(str, table.amount[rows].tolist())
+        tokens[6::10] = kinds[table.src_kind[rows]].tolist()
+        tokens[7::10] = kinds[table.dst_kind[rows]].tolist()
+        tokens[8::10] = src_coord[rows].tolist()
+        tokens[9::10] = dst_coord[rows].tolist()
+        stream.write("".join(tokens))
 
 
 LINK_COLUMNS = ("source_id", "destination_id", "flow_yen", "frequency")
@@ -233,7 +815,10 @@ def write_links(links: Iterable[AggregatedLink], stream: IO[str]) -> None:
     """Write the link table as delimited text with a header line."""
     stream.write(",".join(LINK_COLUMNS) + "\n")
     for link in links:
-        stream.write(f"{link.source},{link.destination},{link.flow},{link.frequency}\n")
+        stream.write(
+            f"{_csv_field(link.source)},{_csv_field(link.destination)},"
+            f"{link.flow},{link.frequency}\n"
+        )
 
 
 def read_links(stream: IO[str] | Iterable[str]) -> list[AggregatedLink]:
@@ -263,24 +848,20 @@ def collect_node_coords(
 ) -> tuple[dict[str, tuple[float, float]], int]:
     """Map each account to its coordinate, first occurrence wins.
 
-    Returns the mapping plus the number of records whose coordinates
-    conflicted with an earlier occurrence of the same account.
+    Returns the mapping plus the number of endpoints whose coordinates
+    differ (by float comparison, so nan never matches) from the first
+    occurrence of the same account.
     """
-    coords: dict[str, tuple[float, float]] = {}
-    conflicts = 0
-    for rec in records:
-        for node, coord in (
-            (rec.source, rec.source_coord),
-            (rec.destination, rec.destination_coord),
-        ):
-            if coord is None:
-                continue
-            seen = coords.get(node)
-            if seen is None:
-                coords[node] = coord
-            elif seen != coord:
-                conflicts += 1
-    return coords, conflicts
+    table = TransferTable.from_records(records)
+    accounts, coords, present = _endpoints(table)
+    codes, first = _first_coords(accounts, present)
+    ref = np.zeros((table.ids.size, 2))
+    ref[codes] = coords[first]
+    differs = present & (coords != ref[accounts]).any(axis=1)
+    differs[first] = False
+    order = np.argsort(first)
+    names = table.ids[codes[order]].tolist()
+    return dict(zip(names, map(tuple, coords[first[order]].tolist()))), int(differs.sum())
 
 
 def write_node_coords(coords: dict[str, tuple[float, float]], stream: IO[str]) -> None:
@@ -288,7 +869,7 @@ def write_node_coords(coords: dict[str, tuple[float, float]], stream: IO[str]) -
     stream.write("node_id,lat,lon\n")
     for node in sorted(coords):
         lat, lon = coords[node]
-        stream.write(f"{node},{lat!r},{lon!r}\n")
+        stream.write(f"{_csv_field(node)},{lat!r},{lon!r}\n")
 
 
 def read_node_coords(stream: IO[str] | Iterable[str]) -> dict[str, tuple[float, float]]:

@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as _sps
 
 from .ingest import AggregatedLink
 
@@ -278,6 +277,10 @@ def degree_correlation(net: FlowNetwork) -> tuple[float, float]:
     Tau-b is the tie-corrected variant; integer degrees tie heavily.
     Returns (nan, nan) when either margin has zero variance.
     """
+    # scipy.stats costs most of the package's import time and only this
+    # function needs it, so it is imported on first use
+    from scipy import stats
+
     if net.n_nodes < 2:
         raise ValueError("degree correlation requires at least 2 nodes")
     in_deg, out_deg, _ = degree_stats(net)
@@ -288,5 +291,5 @@ def degree_correlation(net: FlowNetwork) -> tuple[float, float]:
     sx = x - x.mean()
     sy = y - y.mean()
     r = float(np.dot(sx, sy) / np.sqrt(np.dot(sx, sx) * np.dot(sy, sy)))
-    tau = float(_sps.kendalltau(x, y, variant="b").statistic)
+    tau = float(stats.kendalltau(x, y, variant="b").statistic)
     return (r, tau)

@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime
-from typing import IO, Iterable
 
 import numpy as np
 
 from .geonmf import DEFAULT_BOUNDS
-from .ingest import COLUMNS, TransferRecord
+from .ingest import TIME_DTYPE, TransferTable, write_records
 
 __all__ = [
     "MONTHS_IN_WINDOW",
@@ -44,12 +42,7 @@ MONTHS_IN_WINDOW = 29  # March 2017 through July 2019
 MONTHLY_EVENTS = MONTHS_IN_WINDOW
 BIWEEKLY_EVENTS = 2 * MONTHS_IN_WINDOW
 
-_WINDOW_START = (2017, 3)
-
-
-def _month_of(idx: int) -> tuple[int, int]:
-    total = _WINDOW_START[1] - 1 + idx
-    return _WINDOW_START[0] + total // 12, total % 12 + 1
+_WINDOW_START = np.datetime64("2017-03", "M")
 
 
 @dataclass(frozen=True)
@@ -399,8 +392,8 @@ def _assign_coords(spec: ScenarioSpec, rng) -> tuple[np.ndarray, np.ndarray]:
     return coords, city_of
 
 
-def generate(spec: ScenarioSpec) -> tuple[list[TransferRecord], GroundTruth]:
-    """Deterministically expand a spec into transfer records + ground truth."""
+def generate(spec: ScenarioSpec) -> tuple[TransferTable, GroundTruth]:
+    """Deterministically expand a spec into a transfer table + ground truth."""
     rng = np.random.default_rng(spec.seed)
     coords, city_of = _assign_coords(spec, rng)
 
@@ -441,70 +434,72 @@ def generate(spec: ScenarioSpec) -> tuple[list[TransferRecord], GroundTruth]:
                 periodic[k] = True
                 biweekly[k] = False
 
-    rec_src: list[int] = []
-    rec_dst: list[int] = []
-    months: list[np.ndarray] = []
-    days: list[np.ndarray] = []
-    hours: list[np.ndarray] = []
-    minutes: list[np.ndarray] = []
-    month_range = np.arange(MONTHS_IN_WINDOW)
-    for k, (s, t) in enumerate(edge_list):
-        if periodic[k]:
-            day = int(rng.integers(1, 15 if biweekly[k] else 29))
+    # Only the rng calls stay in the per-edge loop, in their original order;
+    # the schedules are laid out afterwards, event by event in edge order.
+    events_per_edge = np.empty(m, dtype=np.int64)
+    fixed: list[tuple[int, int, int]] = []
+    drawn: list[list[np.ndarray]] = [[], [], [], []]
+    for k, (is_periodic, is_biweekly) in enumerate(zip(periodic.tolist(), biweekly.tolist())):
+        if is_periodic:
+            day = int(rng.integers(1, 15 if is_biweekly else 29))
             hour = int(rng.integers(0, 24))
             minute = int(rng.integers(0, 60))
-            if biweekly[k]:
-                n_ev = BIWEEKLY_EVENTS
-                months.append(np.repeat(month_range, 2))
-                days.append(np.tile([day, day + 14], MONTHS_IN_WINDOW))
-            else:
-                n_ev = MONTHLY_EVENTS
-                months.append(month_range)
-                days.append(np.full(n_ev, day))
-            hours.append(np.full(n_ev, hour))
-            minutes.append(np.full(n_ev, minute))
+            fixed.append((day, hour, minute))
+            events_per_edge[k] = BIWEEKLY_EVENTS if is_biweekly else MONTHLY_EVENTS
         else:
             n_ev = int(rng.geometric(0.75))
-            months.append(rng.integers(0, MONTHS_IN_WINDOW, size=n_ev))
-            days.append(rng.integers(1, 29, size=n_ev))
-            hours.append(rng.integers(0, 24, size=n_ev))
-            minutes.append(rng.integers(0, 60, size=n_ev))
-        rec_src.extend([s] * n_ev)
-        rec_dst.extend([t] * n_ev)
+            events_per_edge[k] = n_ev
+            drawn[0].append(rng.integers(0, MONTHS_IN_WINDOW, size=n_ev))
+            drawn[1].append(rng.integers(1, 29, size=n_ev))
+            drawn[2].append(rng.integers(0, 24, size=n_ev))
+            drawn[3].append(rng.integers(0, 60, size=n_ev))
 
-    month_arr = np.concatenate(months)
-    day_arr = np.concatenate(days)
-    hour_arr = np.concatenate(hours)
-    minute_arr = np.concatenate(minutes)
-    src_arr = np.asarray(rec_src)
-    dst_arr = np.asarray(rec_dst)
-    n_events = src_arr.size
+    edge_of = np.repeat(np.arange(m), events_per_edge)
+    n_events = edge_of.size
+    schedule = np.zeros((4, n_events), dtype=np.int64)  # month, day, hour, minute
+    one_off = ~periodic[edge_of]
+    for row, parts in zip(schedule, drawn):
+        if parts:
+            row[one_off] = np.concatenate(parts)
+    # a periodic edge fires every month at its fixed day, hour and minute,
+    # a biweekly one on that day and 14 days later
+    on_schedule = ~one_off
+    first_event = np.cumsum(events_per_edge) - events_per_edge
+    nth = (np.arange(n_events) - first_event[edge_of])[on_schedule]
+    bi = biweekly[edge_of[on_schedule]]
+    day, hour, minute = np.array(fixed, dtype=np.int64).reshape(-1, 3)[
+        (np.cumsum(periodic) - 1)[edge_of[on_schedule]]
+    ].T
+    schedule[:, on_schedule] = (np.where(bi, nth // 2, nth), day + 14 * (nth % 2) * bi, hour, minute)
+    month_arr, day_arr, hour_arr, minute_arr = schedule
+    edge_arr = np.array(edge_list, dtype=np.int64).reshape(-1, 2)
+    src_arr = edge_arr[edge_of, 0]
+    dst_arr = edge_arr[edge_of, 1]
     amounts = np.maximum(
         1, rng.lognormal(spec.amount_log_mean, spec.amount_log_sigma, n_events)
     ).astype(np.int64)
 
     order = np.lexsort((amounts, dst_arr, src_arr, minute_arr, hour_arr, day_arr, month_arr))
-    records: list[TransferRecord] = []
+    days = (_WINDOW_START + month_arr[order]).astype("datetime64[D]") + (day_arr[order] - 1)
+    minutes = (hour_arr[order] * 60 + minute_arr[order]).astype("timedelta64[m]")
+    src_arr = src_arr[order]
+    dst_arr = dst_arr[order]
     names = [_node_name(i) for i in range(spec.n_nodes)]
-    coord_tuples = [(float(a), float(b)) for a, b in coords]
-    for e in order.tolist():
-        year, month = _month_of(int(month_arr[e]))
-        s = int(src_arr[e])
-        t = int(dst_arr[e])
-        records.append(
-            TransferRecord(
-                timestamp=datetime(
-                    year, month, int(day_arr[e]), int(hour_arr[e]), int(minute_arr[e])
-                ),
-                source=names[s],
-                destination=names[t],
-                amount=int(amounts[e]),
-                source_kind="firm",
-                destination_kind="firm",
-                source_coord=coord_tuples[s],
-                destination_coord=coord_tuples[t],
-            )
-        )
+    firm = np.zeros(n_events, dtype=np.int8)
+    present = np.ones(n_events, dtype=bool)
+    records = TransferTable.from_codes(
+        names,
+        src_arr,
+        dst_arr,
+        amount=amounts[order],
+        timestamp=days.astype(TIME_DTYPE) + minutes,
+        src_kind=firm,
+        dst_kind=firm,
+        src_coord=coords[src_arr],
+        dst_coord=coords[dst_arr],
+        src_has_coord=present,
+        dst_has_coord=present,
+    )
 
     truth = GroundTruth(
         mode=mode,
@@ -520,23 +515,6 @@ def generate(spec: ScenarioSpec) -> tuple[list[TransferRecord], GroundTruth]:
         component_counts=counts,
     )
     return records, truth
-
-
-def _fmt_coord(coord: tuple[float, float] | None) -> str:
-    if coord is None:
-        return ","
-    return f"{coord[0]!r},{coord[1]!r}"
-
-
-def write_records(records: Iterable[TransferRecord], stream: IO[str]) -> None:
-    """Emit records in the ingest log format, byte-stable for fixed input."""
-    stream.write(",".join(COLUMNS) + "\n")
-    for r in records:
-        stream.write(
-            f"{r.timestamp.isoformat()},{r.source},{r.destination},{r.amount},"
-            f"{r.source_kind},{r.destination_kind},"
-            f"{_fmt_coord(r.source_coord)},{_fmt_coord(r.destination_coord)}\n"
-        )
 
 
 def walnut_scenario(n_nodes: int = 2000, seed: int = 0, **overrides) -> ScenarioSpec:

@@ -1,14 +1,17 @@
+import csv
 import io
 from datetime import datetime
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moneyflow import (
     FilterPolicy,
     ParseError,
     TransferRecord,
+    TransferTable,
     aggregate,
     collect_node_coords,
     filter_records,
@@ -18,6 +21,8 @@ from moneyflow import (
     write_links,
     write_node_coords,
 )
+from moneyflow import ingest as ingest_module
+from moneyflow.ingest import KINDS, RejectedLine, _parse_line
 
 
 def _rec(src, dst, amount=100, skind="firm", dkind="firm", ts=None, sc=None, dc=None):
@@ -198,3 +203,275 @@ class TestRoundTrips:
         parsed, rejected = parse_log(io.StringIO(buf.getvalue()))
         assert rejected == []
         assert parsed == records
+
+
+class TestNewRejections:
+    @pytest.mark.parametrize(
+        "line,reason_part",
+        [
+            ("2017-03-02T09:15:00+09:00,F1,F2,100,firm,firm,,,,", "UTC offset"),
+            ("2017-03-02T09:15:00,F1,F2,9223372036854775808,firm,firm,,,,", "int64"),
+        ],
+    )
+    def test_values_the_table_cannot_hold(self, line, reason_part):
+        records, rejected = parse_log(io.StringIO(GOOD_LINE + "\n" + line))
+        assert len(records) == 1
+        (bad,) = rejected
+        assert bad.line_no == 2 and reason_part in bad.reason
+
+    def test_largest_int64_amount_parses(self):
+        line = "2017-03-02T09:15:00,F1,F2,9223372036854775807,firm,firm,,,,"
+        records, rejected = parse_log(io.StringIO(line))
+        assert rejected == [] and records[0].amount == 2**63 - 1
+
+
+class TestTransferTable:
+    def test_sequence_of_records(self):
+        records = [_rec("b", "a", 5), _rec("a", "c", 7, sc=(1.0, 2.0)), _rec("c", "b", 9)]
+        table = TransferTable.from_records(records)
+        assert len(table) == 3
+        assert list(table) == records
+        assert table == records and records == table
+        assert table[1] == records[1] and table[-1] == records[-1]
+        assert table[1:] == records[1:] and isinstance(table[1:], TransferTable)
+        assert table != records[:2]
+        assert list(table.ids) == ["a", "b", "c"]
+        assert TransferTable.from_records(table) is table
+        with pytest.raises(IndexError):
+            table[3]
+
+    def test_read_only(self):
+        table = TransferTable.from_records([_rec("a", "b")])
+        with pytest.raises(ValueError):
+            table.amount[0] = 5
+
+    def test_missing_coordinate_is_not_nan(self):
+        nan = float("nan")
+        table = TransferTable.from_records([_rec("a", "b", sc=(nan, nan))])
+        assert table.src_has_coord.tolist() == [True]
+        assert table.dst_has_coord.tolist() == [False]
+        assert table[0].destination_coord is None
+
+    def test_tables_compare_across_vocabularies(self):
+        records = [_rec("a", "b"), _rec("x", "y")]
+        whole = TransferTable.from_records(records)
+        assert filter_records(whole, FilterPolicy())[1:] == TransferTable.from_records(records[1:])
+
+    def test_unrepresentable_records(self):
+        with pytest.raises(ValueError, match="kind"):
+            TransferTable.from_records([_rec("a", "b", skind="bank")])
+        with pytest.raises(ValueError, match="int64"):
+            TransferTable.from_records([_rec("a", "b", 2**63)])
+
+
+def test_aggregate_exact_above_float_precision():
+    # 20 transfers of ~1e15 yen: the link total passes 2**53, where a
+    # float64 sum would round
+    amounts = [10**15 + 2 * k + 1 for k in range(20)]
+    links = aggregate([_rec("a", "b", amt) for amt in amounts])
+    assert links[0].flow == sum(amounts) and sum(amounts) > 2**53
+    # past int64 the sum is still exact
+    big = [2**63 - 1, 2**63 - 3]
+    (link,) = aggregate([_rec("a", "b", amt) for amt in big])
+    assert link.flow == sum(big) and type(link.flow) is int
+
+
+class TestIdQuotingRoundTrips:
+    IDS = ['ACME, Inc', 'say "hi"', "Ōsaka 大阪", "line\nbreak", "car\rriage", "plain"]
+
+    def _records(self):
+        return [
+            _rec(s, d, 10 + k, sc=(34.5, 135.5 + k), dc=(34.0, 135.0))
+            for k, (s, d) in enumerate(zip(self.IDS, self.IDS[1:] + self.IDS[:1]))
+        ]
+
+    def test_log_round_trip(self):
+        from moneyflow import write_records
+
+        records = self._records()
+        buf = io.StringIO()
+        write_records(records, buf)
+        parsed, rejected = parse_log(io.StringIO(buf.getvalue(), newline=""))
+        assert rejected == []
+        assert parsed == records
+        again = io.StringIO()
+        write_records(parsed, again)
+        assert again.getvalue() == buf.getvalue()
+
+    def test_links_and_nodes_round_trip(self):
+        records = self._records()
+        links = aggregate(records)
+        buf = io.StringIO()
+        write_links(links, buf)
+        assert read_links(io.StringIO(buf.getvalue(), newline="")) == links
+        coords, _ = collect_node_coords(records)
+        buf = io.StringIO()
+        write_node_coords(coords, buf)
+        assert read_node_coords(io.StringIO(buf.getvalue(), newline="")) == coords
+
+    def test_plain_ids_unquoted(self):
+        buf = io.StringIO()
+        write_links(aggregate([_rec("a", "b", 3)]), buf)
+        assert buf.getvalue() == "source_id,destination_id,flow_yen,frequency\na,b,3,1\n"
+
+
+# ---------------------------------------------------------------------------
+# The chunked, column-wise parse against a plain per-line loop
+
+
+def _reference_parse(lines, delimiter=",", strict=False):
+    """The per-line parse: csv rows through _parse_line, one at a time."""
+    records, rejected = [], []
+    for line_no, parts in enumerate(csv.reader(lines, delimiter=delimiter), start=1):
+        if not parts or (len(parts) == 1 and not parts[0].strip()):
+            continue
+        if line_no == 1 and parts[0].strip() == "timestamp":
+            continue
+        try:
+            records.append(_parse_line(parts))
+        except ValueError as exc:
+            if strict:
+                raise ParseError(f"line {line_no}: {exc}") from exc
+            rejected.append(RejectedLine(line_no=line_no, reason=str(exc)))
+    return records, rejected
+
+
+_FIELDS = ("2017-03-02T09:15:00", "F1", "F2", "35000", "firm", "household", "34.5", "135.5", "", "")
+
+# Each variant rewrites some fields of a canonical line; a few give whole lines.
+_VARIANTS = {
+    "canonical": {},
+    "other_ids": {1: "F3", 2: "ACME"},
+    "nan_coord": {8: "nan", 9: "nan"},
+    "inf_coord": {6: "-inf", 7: "1e-05"},
+    "underscore_coord": {6: "3_4.5"},
+    "half_coord": {9: "135.0"},
+    "blank_coord": {6: " ", 7: " "},
+    "bad_coord": {6: "north", 7: "1"},
+    "zero": {3: "0"},
+    "negative": {3: "-5"},
+    "underscore": {3: "1_000"},
+    "signed_padded": {3: " +7 "},
+    "leading_zero": {3: "007"},
+    "huge": {3: "9223372036854775808"},
+    "big": {3: "999999999999999999"},
+    "fraction": {3: "12.5"},
+    "arabic_digits": {3: "٣٤"},
+    "padded_id": {1: " F1 "},
+    "empty_id": {2: ""},
+    "quoted_id": {1: '"ACME, Inc"'},
+    "nul_id": {2: "F\x00"},
+    "padded_kind": {4: " firm"},
+    "bad_kind": {5: "bank"},
+    "fractional_seconds": {0: "2017-03-02T09:15:00.5"},
+    "utc_offset": {0: "2017-03-02T09:15:00+09:00"},
+    "date_only": {0: "2017-03-02"},
+    "space_separator": {0: "2017-03-02 09:15:00"},
+    "bad_date": {0: "2017-02-29T09:15:00"},
+    "leap_day": {0: "2016-02-29T23:59:59"},
+    "bad_hour": {0: "2017-03-02T24:00:00"},
+    "year_zero": {0: "0000-03-02T09:15:00"},
+    "padded_time": {0: " 2017-03-02T09:15:00"},
+    "timestamp_word": {0: "timestamp"},
+}
+_WHOLE_LINES = {
+    "blank": "",
+    "spaces": "   ",
+    "header": ",".join(
+        ("timestamp", "source_id", "destination_id", "amount_yen", "source_kind",
+         "destination_kind", "source_lat", "source_lon", "dest_lat", "dest_lon")
+    ),
+    "short": "2017-03-02T09:15:00,F1,F2,5,firm,firm,34.2,135.1",
+    "long": ",".join(_FIELDS) + ",extra",
+    # a quoted id may span lines: csv joins the lines up to the closing quote
+    "open_quote": '2017-03-02T09:15:00,"F1',
+    "close_quote": 'X",F2,5,firm,firm,,,,',
+}
+_CANONICAL = ",".join(_FIELDS) + "\n"
+
+
+@st.composite
+def _log_lines(draw):
+    names = draw(st.lists(
+        st.sampled_from(sorted(_VARIANTS) + sorted(_WHOLE_LINES)), min_size=0, max_size=14
+    ))
+    lines = []
+    for name in names:
+        if name in _WHOLE_LINES:
+            text = _WHOLE_LINES[name]
+        else:
+            fields = list(_FIELDS)
+            for k, value in _VARIANTS[name].items():
+                fields[k] = value
+            text = ",".join(fields)
+        lines.append(text + draw(st.sampled_from(["\n", "\n", "\r\n"])))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")  # no final newline
+    return lines
+
+
+@given(_log_lines(), st.integers(min_value=1, max_value=5), st.booleans())
+@example([_WHOLE_LINES["open_quote"] + "\n", _CANONICAL, _WHOLE_LINES["close_quote"] + "\n",
+          _CANONICAL], 2, False)
+@settings(max_examples=300, deadline=None)
+def test_fast_path_matches_per_line_parse(lines, chunk_lines, strict):
+    with mock.patch.object(ingest_module, "CHUNK_LINES", chunk_lines):
+        try:
+            expected = _reference_parse(list(lines), strict=strict)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_log(iter(lines), strict=strict)
+            assert str(got.value) == str(exc)
+            return
+        table, rejected = parse_log(iter(lines), strict=strict)
+    assert rejected == expected[1]
+    assert table == TransferTable.from_records(expected[0])
+
+
+def test_field_over_csv_limit_fails_as_in_csv():
+    line = "2017-03-02T09:15:00," + "F" * (csv.field_size_limit() + 1) + ",F2,5,firm,firm,,,,\n"
+    with pytest.raises(csv.Error, match="field limit"):
+        _reference_parse([line])
+    with pytest.raises(csv.Error, match="field limit"):
+        parse_log([line])
+
+
+def test_fast_path_with_other_delimiters():
+    lines = [GOOD_LINE.replace(",", ";") + "\n", "2017-03-02T09:15:00;F1;F2;0;firm;firm;;;;\n"]
+    records, rejected = _reference_parse(lines, delimiter=";")
+    table, got = parse_log(lines, delimiter=";")
+    assert table == TransferTable.from_records(records) and got == rejected
+    assert len(table) == 1 and len(rejected) == 1
+
+
+_ids = st.text(min_size=1, max_size=6).filter(lambda s: s == s.strip())
+_coords = st.none() | st.tuples(
+    st.floats(allow_nan=True, allow_infinity=True), st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+@given(st.lists(
+    st.builds(
+        TransferRecord,
+        timestamp=st.datetimes(),
+        source=_ids,
+        destination=_ids,
+        amount=st.integers(min_value=1, max_value=2**63 - 1),
+        source_kind=st.sampled_from(KINDS),
+        destination_kind=st.sampled_from(KINDS),
+        source_coord=_coords,
+        destination_coord=_coords,
+    ),
+    max_size=12,
+))
+@settings(max_examples=150, deadline=None)
+def test_write_then_parse_is_identity(records):
+    from moneyflow import write_records
+
+    table = TransferTable.from_records(records)
+    buf = io.StringIO()
+    write_records(table, buf)
+    with mock.patch.object(ingest_module, "CHUNK_LINES", 3):
+        parsed, rejected = parse_log(io.StringIO(buf.getvalue()))
+    assert rejected == []
+    assert parsed == table

@@ -1,5 +1,6 @@
 """Generator contracts: determinism, planted truth, schedules, guard rails."""
 
+import hashlib
 import io
 from collections import Counter
 from datetime import datetime
@@ -9,19 +10,29 @@ import pytest
 
 from moneyflow import (
     CitySpec,
+    FilterPolicy,
     ScenarioSpec,
     aggregate,
     blocks_scenario,
     build_network,
     cities_scenario,
     classify_bowtie,
+    collect_node_coords,
     distance_profile,
+    filter_records,
     generate,
+    parse_log,
     walnut_scenario,
+    write_links,
+    write_node_coords,
     write_records,
 )
 from moneyflow.bowtie import COMPONENT_NAMES
 from moneyflow.synth import BIWEEKLY_EVENTS, MONTHLY_EVENTS, MONTHS_IN_WINDOW
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def render(records):
@@ -49,6 +60,45 @@ class TestDeterminism:
         a, _ = generate(walnut_scenario(n_nodes=300, seed=3))
         b, _ = generate(walnut_scenario(n_nodes=300, seed=4))
         assert render(a) != render(b)
+
+    # sha256 of the log, of the filtered link table and of the node table,
+    # as the record-per-object implementation wrote them; a change to the
+    # generator's draws or to any of the three formats breaks these
+    PINNED = {
+        "walnut": (
+            lambda: walnut_scenario(n_nodes=300, seed=3),
+            "f5c065a7075fef611363a672d65ce9fa24b8f1ef3e6de259c362dea66168102e",
+            "57e56ed63315458792454b2045d415ac9d62c20c6977bb89c8ea615252bf791e",
+            "5280acf33a8bb4df55866fe5d3bf8d84f052516110d83753760b82673a46c9ad",
+        ),
+        "cities": (
+            lambda: cities_scenario(n_nodes=400, seed=1, hub=True),
+            "0361aaba21dc0bee9dbb08370eea06b742f68d0a73dcba040d697ca46c06d88e",
+            "a56e1fa854bdd07cfb69d321a2f57008ba89b49e4ddc8d070fb214fe841f2aad",
+            "1add89519694e6835966ef14710bc17c1a3f79fdf1f2c10f60205ef98c83713b",
+        ),
+        "blocks": (
+            lambda: blocks_scenario(n_nodes=120, seed=2, n_blocks=4),
+            "36a7f71ef5c905031585889c78afd5617fb162d1a5eba399d9c6a3a1bece7f56",
+            "5974b1b5c374bff1d162e91a19d6af16df761c44f76d7333bb13df29c5697a15",
+            "cb7857c1aaca6c2ef7e84b66a495d056aaf950ecb98cfaacb118de2308235e85",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_artifact_bytes_pinned(self, name):
+        spec, log_sha, links_sha, nodes_sha = self.PINNED[name]
+        records, _ = generate(spec())
+        log = render(records)
+        parsed, rejected = parse_log(io.StringIO(log))
+        assert rejected == []
+        links = io.StringIO()
+        write_links(aggregate(filter_records(parsed, FilterPolicy())), links)
+        nodes = io.StringIO()
+        write_node_coords(collect_node_coords(parsed)[0], nodes)
+        assert [_sha256(log), _sha256(links.getvalue()), _sha256(nodes.getvalue())] == [
+            log_sha, links_sha, nodes_sha
+        ]
 
 
 class TestRecordShape:
