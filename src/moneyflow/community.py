@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .network import FlowNetwork, _csr_from_edges
+from .network import FlowNetwork
 
 __all__ = [
     "TAU",
@@ -87,20 +87,26 @@ def build_walk(
     tol: float = 1e-14,
     max_iter: int = 10_000,
 ) -> Walk:
-    """Power-iterate the teleporting walk to its stationary distribution."""
+    """Power-iterate the teleporting walk to its stationary distribution.
+
+    Link steps are accumulated per node with np.bincount.  The optimizer
+    builds its search state (adjacency lists, per-node lists, singleton
+    module terms) from the returned walk once and shares it across all
+    restarts; each aggregated walk of a restart gets a state of its own.
+    """
     if net.n_links == 0:
         raise ValueError("network has no links; the walk is undefined")
     n = net.n_nodes
     w = net.weights(kind).astype(np.float64)
-    s = np.zeros(n)
-    np.add.at(s, net.src, w)
+    s = np.bincount(net.src, weights=w, minlength=n)
     t = s / s.sum()
     tau_eff = np.where(s > 0, tau, 1.0)
     out_norm = w / s[net.src]
     p = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        link = np.zeros(n)
-        np.add.at(link, net.dst, p[net.src] * (1.0 - tau) * out_norm)
+        link = np.bincount(
+            net.dst, weights=p[net.src] * (1.0 - tau) * out_norm, minlength=n
+        )
         p_new = link + t * float(p @ tau_eff)
         p_new /= p_new.sum()
         delta = float(np.abs(p_new - p).sum())
@@ -181,16 +187,70 @@ def map_equation_value(
     return _value_for(build_walk(net, kind=kind, tau=tau), labels)
 
 
-def _csr_lists(heads: np.ndarray, tails: np.ndarray, vals: np.ndarray, n: int):
-    indptr, nbrs, order = _csr_from_edges(heads, tails, n)
-    return indptr.tolist(), nbrs.tolist(), vals[order].tolist()
+def _adjacency(heads: np.ndarray, tails: np.ndarray, flow: np.ndarray, n: int):
+    """Per-node lists of (neighbour, flow), neighbours ascending."""
+    order = np.lexsort((tails, heads))
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for h, u, f in zip(
+        heads[order].tolist(), tails[order].tolist(), flow[order].tolist()
+    ):
+        adj[h].append((u, f))
+    return adj
+
+
+class _Search:
+    """Search state of one walk, built once and shared by every restart.
+
+    Holds the out- and in-adjacency as per-node (neighbour, flow) lists,
+    the per-node p/a/t/out-flow lists and the module state of the
+    all-singletons partition, so a restart only copies lists.
+    """
+
+    __slots__ = ("walk", "out_adj", "in_adj", "p", "a", "t", "fout", "singletons")
+
+    def __init__(self, walk: Walk):
+        n = walk.n
+        self.walk = walk
+        self.out_adj = _adjacency(walk.src, walk.dst, walk.flow, n)
+        self.in_adj = _adjacency(walk.dst, walk.src, walk.flow, n)
+        self.p = walk.p.tolist()
+        self.a = walk.a.tolist()
+        self.t = walk.t.tolist()
+        self.fout = np.bincount(walk.src, weights=walk.flow, minlength=n).tolist()
+        self.singletons = self.modules(np.arange(n))
+
+    def modules(self, labels: np.ndarray) -> tuple[tuple[list, ...], float]:
+        """Per-module lists (P, A, T, OUT, q, plogp q, plogp(q + P), size)
+        for the given labels, and q_tot."""
+        walk = self.walk
+        n = walk.n
+        P = np.bincount(labels, weights=walk.p, minlength=n)
+        A = np.bincount(labels, weights=walk.a, minlength=n)
+        T = np.bincount(labels, weights=walk.t, minlength=n)
+        ext = labels[walk.src] != labels[walk.dst]
+        OUT = np.bincount(
+            labels[walk.src[ext]], weights=walk.flow[ext], minlength=n
+        )
+        q = A * (1.0 - T) + OUT
+        qP = (q + P).tolist()
+        q_tot = float(q.sum())
+        q = q.tolist()
+        lists = (
+            P.tolist(),
+            A.tolist(),
+            T.tolist(),
+            OUT.tolist(),
+            q,
+            [_plogp(x) for x in q],
+            [_plogp(x) for x in qP],
+            np.bincount(labels, minlength=n).tolist(),
+        )
+        return lists, q_tot
 
 
 def _local_moves(
-    walk: Walk,
-    out_csr,
-    in_csr,
-    labels: np.ndarray,
+    search: _Search,
+    labels: np.ndarray | None,
     value: float,
     rng: np.random.Generator,
     history: list[float],
@@ -198,90 +258,100 @@ def _local_moves(
 ) -> tuple[np.ndarray, float]:
     """Greedy single-node moves until a full pass makes no improvement.
 
-    Mutates labels in place; every accepted move strictly lowers the
+    labels=None starts from singletons, whose module state the shared
+    search already holds; other labels get their module state computed.
+    plogp(q_m), plogp(q_m + P_m) and plogp(q_tot) are cached and updated
+    on each accepted move, so a candidate costs three log2 calls (its new
+    q_m, q_m + P_m and q_tot).  Each delta adds the same terms in the
+    same order as a full recomputation would, so the result does not
+    depend on the caching.  Every accepted move strictly lowers the
     running value, which is appended to history move by move.
     """
-    n = walk.n
-    optr, onbr, oflow = out_csr
-    iptr, inbr, iflow = in_csr
-    p = walk.p.tolist()
-    a = walk.a.tolist()
-    t = walk.t.tolist()
-    fout_total = np.zeros(n)
-    np.add.at(fout_total, walk.src, walk.flow)
-    fout_total = fout_total.tolist()
-
-    P = np.bincount(labels, weights=walk.p, minlength=n)
-    A = np.bincount(labels, weights=walk.a, minlength=n)
-    T = np.bincount(labels, weights=walk.t, minlength=n)
-    ext = labels[walk.src] != labels[walk.dst]
-    OUT = np.bincount(labels[walk.src[ext]], weights=walk.flow[ext], minlength=n)
-    size = np.bincount(labels, minlength=n)
-    q = A * (1.0 - T) + OUT
-    q_tot = float(q.sum())
-    P, A, T, OUT, q = (arr.tolist() for arr in (P, A, T, OUT, q))
-    size = size.tolist()
+    n = search.walk.n
+    out_adj = search.out_adj
+    in_adj = search.in_adj
+    p, a, t, fout = search.p, search.a, search.t, search.fout
+    if labels is None:
+        lists, q_tot = search.singletons
+        lab = list(range(n))
+    else:
+        lists, q_tot = search.modules(labels)
+        lab = labels.tolist()
+    P, A, T, OUT, q, Lq, Lqp, size = (list(x) for x in lists)
+    l_tot = _plogp(q_tot)
     free = [m for m in range(n - 1, -1, -1) if size[m] == 0]
-    lab = labels.tolist()
 
     for _ in range(max_passes):
         moved = 0
         for v in rng.permutation(n).tolist():
             alpha = lab[v]
+            # flows are >= +0.0, so starting a sum at f equals 0.0 + f
             fo: dict[int, float] = {}
-            for k in range(optr[v], optr[v + 1]):
-                m = lab[onbr[k]]
-                fo[m] = fo.get(m, 0.0) + oflow[k]
+            for u, f in out_adj[v]:
+                m = lab[u]
+                if m in fo:
+                    fo[m] += f
+                else:
+                    fo[m] = f
             fi: dict[int, float] = {}
-            for k in range(iptr[v], iptr[v + 1]):
-                m = lab[inbr[k]]
-                fi[m] = fi.get(m, 0.0) + iflow[k]
-            cands = set(fo) | set(fi)
+            for u, f in in_adj[v]:
+                m = lab[u]
+                if m in fi:
+                    fi[m] += f
+                else:
+                    fi[m] = f
+            cands = fo.keys() | fi.keys()
             cands.discard(alpha)
             if size[alpha] > 1 and free:
                 cands.add(free[-1])
             if not cands:
                 continue
 
-            lone = size[alpha] == 1
-            if lone:
+            p_v, a_v, t_v, f_v = p[v], a[v], t[v], fout[v]
+            if size[alpha] == 1:
                 P_a1 = A_a1 = T_a1 = OUT_a1 = q_a1 = 0.0
+                l_a1 = lp_a1 = 0.0
             else:
-                P_a1 = P[alpha] - p[v]
-                A_a1 = A[alpha] - a[v]
-                T_a1 = T[alpha] - t[v]
-                OUT_a1 = OUT[alpha] - fout_total[v] + fo.get(alpha, 0.0) + fi.get(alpha, 0.0)
+                P_a1 = P[alpha] - p_v
+                A_a1 = A[alpha] - a_v
+                T_a1 = T[alpha] - t_v
+                OUT_a1 = OUT[alpha] - f_v + fo.get(alpha, 0.0) + fi.get(alpha, 0.0)
                 q_a1 = A_a1 * (1.0 - T_a1) + OUT_a1
-            removed = (
-                -2.0 * _plogp(q_a1)
-                + _plogp(q_a1 + P_a1)
-                + 2.0 * _plogp(q[alpha])
-                - _plogp(q[alpha] + P[alpha])
-            )
+                x = q_a1 + P_a1
+                l_a1 = q_a1 * log2(q_a1) if q_a1 > 0.0 else 0.0
+                lp_a1 = x * log2(x) if x > 0.0 else 0.0
+            removed = -2.0 * l_a1 + lp_a1 + 2.0 * Lq[alpha] - Lqp[alpha]
+            rest = q_tot - q[alpha]
 
             best_delta = -_MIN_GAIN
             best_beta = alpha
             best_state = None
             for beta in sorted(cands):
-                P_b1 = P[beta] + p[v]
-                A_b1 = A[beta] + a[v]
-                T_b1 = T[beta] + t[v]
-                OUT_b1 = OUT[beta] + fout_total[v] - fo.get(beta, 0.0) - fi.get(beta, 0.0)
+                P_b1 = P[beta] + p_v
+                A_b1 = A[beta] + a_v
+                T_b1 = T[beta] + t_v
+                OUT_b1 = OUT[beta] + f_v - fo.get(beta, 0.0) - fi.get(beta, 0.0)
                 q_b1 = A_b1 * (1.0 - T_b1) + OUT_b1
-                q_tot1 = q_tot - q[alpha] - q[beta] + q_a1 + q_b1
+                q_tot1 = rest - q[beta] + q_a1 + q_b1
+                x = q_b1 + P_b1
+                l_b1 = q_b1 * log2(q_b1) if q_b1 > 0.0 else 0.0
+                lp_b1 = x * log2(x) if x > 0.0 else 0.0
+                l_tot1 = q_tot1 * log2(q_tot1) if q_tot1 > 0.0 else 0.0
                 delta = (
                     removed
-                    - 2.0 * _plogp(q_b1)
-                    + _plogp(q_b1 + P_b1)
-                    + 2.0 * _plogp(q[beta])
-                    - _plogp(q[beta] + P[beta])
-                    + _plogp(q_tot1)
-                    - _plogp(q_tot)
+                    - 2.0 * l_b1
+                    + lp_b1
+                    + 2.0 * Lq[beta]
+                    - Lqp[beta]
+                    + l_tot1
+                    - l_tot
                 )
                 if delta < best_delta:
                     best_delta = delta
                     best_beta = beta
-                    best_state = (P_b1, A_b1, T_b1, OUT_b1, q_b1, q_tot1)
+                    best_state = (
+                        P_b1, A_b1, T_b1, OUT_b1, q_b1, l_b1, lp_b1, q_tot1, l_tot1
+                    )
 
             if best_beta == alpha:
                 continue
@@ -289,11 +359,14 @@ def _local_moves(
             if size[beta] == 0:
                 free.pop()
             P[alpha], A[alpha], T[alpha] = P_a1, A_a1, T_a1
-            OUT[alpha], q[alpha] = OUT_a1, q_a1
+            OUT[alpha], q[alpha], Lq[alpha], Lqp[alpha] = OUT_a1, q_a1, l_a1, lp_a1
             size[alpha] -= 1
             if size[alpha] == 0:
                 free.append(alpha)
-            P[beta], A[beta], T[beta], OUT[beta], q[beta], q_tot = best_state
+            (
+                P[beta], A[beta], T[beta], OUT[beta], q[beta], Lq[beta], Lqp[beta],
+                q_tot, l_tot,
+            ) = best_state
             size[beta] += 1
             lab[v] = beta
             value += best_delta
@@ -301,8 +374,7 @@ def _local_moves(
             moved += 1
         if moved == 0:
             break
-    labels[:] = lab
-    return labels, value
+    return np.array(lab, dtype=np.int64), value
 
 
 def _aggregate(walk: Walk, inv: np.ndarray, k: int) -> Walk:
@@ -329,32 +401,24 @@ def _aggregate(walk: Walk, inv: np.ndarray, k: int) -> Walk:
 
 
 def _optimize_once(
-    walk: Walk, out_csr, in_csr, rng: np.random.Generator
+    search: _Search, value: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, float, list[float]]:
-    """One restart: move/aggregate cycles plus a final flat refinement."""
-    history: list[float] = []
-    node_to_module = np.arange(walk.n)
-    g = walk
-    g_out, g_in = out_csr, in_csr
-    labels = np.arange(g.n)
-    value = _value_for(g, labels)
-    history.append(value)
+    """One restart from singletons (worth value): move/aggregate cycles
+    plus a final flat refinement."""
+    history = [value]
+    node_to_module = np.arange(search.walk.n)
+    g = search
     while True:
-        labels, value = _local_moves(g, g_out, g_in, labels, value, rng, history)
+        labels, value = _local_moves(g, None, value, rng, history)
         uniq, inv = np.unique(labels, return_inverse=True)
         node_to_module = inv[node_to_module]
-        if uniq.size == g.n:
+        if uniq.size == g.walk.n:
             break
-        g = _aggregate(g, inv, uniq.size)
-        g_out = _csr_lists(g.src, g.dst, g.flow, g.n)
-        g_in = _csr_lists(g.dst, g.src, g.flow, g.n)
-        labels = np.arange(g.n)
-    if g.n != walk.n:
-        labels = node_to_module.copy()
-        labels, value = _local_moves(walk, out_csr, in_csr, labels, value, rng, history)
-        _, labels = np.unique(labels, return_inverse=True)
-    else:
-        labels = node_to_module
+        g = _Search(_aggregate(g.walk, inv, uniq.size))
+    if g is search:
+        return node_to_module, value, history
+    labels, value = _local_moves(search, node_to_module, value, rng, history)
+    _, labels = np.unique(labels, return_inverse=True)
     return labels, value, history
 
 
@@ -362,12 +426,12 @@ def _best_partition(
     walk: Walk, entropy: tuple[int, ...], trials: int
 ) -> tuple[np.ndarray, float, list[float]]:
     """Best of seeded restarts; ties keep the lowest trial index."""
-    out_csr = _csr_lists(walk.src, walk.dst, walk.flow, walk.n)
-    in_csr = _csr_lists(walk.dst, walk.src, walk.flow, walk.n)
+    search = _Search(walk)
+    single = _value_for(walk, np.arange(walk.n))
     best = None
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy + (trial,)))
-        labels, value, history = _optimize_once(walk, out_csr, in_csr, rng)
+        labels, value, history = _optimize_once(search, single, rng)
         if best is None or value < best[1]:
             best = (labels, value, history)
     labels, _, history = best

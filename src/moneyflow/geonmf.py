@@ -18,12 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ingest import AggregatedLink, TransferRecord
+
+# scipy.sparse is imported inside the functions that build sparse matrices,
+# so importing the package does not load it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "EARTH_RADIUS_KM",
@@ -162,6 +166,8 @@ def bin_transfers(
     count their full frequency.  Events with an endpoint out of bounds
     (or missing from ``coords``) are excluded and tallied.
     """
+    import scipy.sparse as sp
+
     n = grid.n_cells
     counts: dict[tuple[int, int], int] = {}
     included = 0
@@ -206,6 +212,8 @@ class NmfFactorization:
 
 
 def _as_matrix(V) -> sp.csr_matrix | np.ndarray:
+    import scipy.sparse as sp
+
     if isinstance(V, GeoFlowMatrix):
         return V.V
     if sp.issparse(V):
@@ -239,7 +247,7 @@ def nmf(
     rng = np.random.default_rng(seed)
     W = np.maximum(rng.uniform(size=(n_rows, d)), 1e-12)
     H = np.maximum(rng.uniform(size=(d, n_cols)), 1e-12)
-    if sp.issparse(A):
+    if not isinstance(A, np.ndarray):
         norm_v2 = float(A.multiply(A).sum())
     else:
         norm_v2 = float((A * A).sum())
@@ -279,6 +287,8 @@ def _radius_matrix(grid: GeoGrid, radius_km: float) -> sp.csr_matrix:
     latitude rows and the longitude offset, so one K x K x K table covers
     all K^4 pairs.
     """
+    import scipy.sparse as sp
+
     k = grid.k
     lats, lons = grid.centers()
     dlon = lons[1] - lons[0] if k > 1 else 0.0
@@ -487,6 +497,8 @@ def write_sparse_matrix(path, M: sp.spmatrix) -> None:
 
 
 def read_sparse_matrix(path) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     with open(path, "r", encoding="utf-8") as fh:
         rows, cols, nnz = (int(x) for x in fh.readline().split())
         i = np.empty(nnz, dtype=np.int64)

@@ -18,12 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bowtie import GSCC, IN, OUT, TE, BowtiePartition
 from .network import FlowNetwork, degree_stats, net_flow_per_node
+
+# scipy.sparse is imported inside the functions that build sparse matrices,
+# so importing the package does not load it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "WEIGHT_KINDS",
@@ -83,6 +88,8 @@ class HodgeProblem:
 
 def assemble_problem(net: FlowNetwork, kind: str = "frequency") -> HodgeProblem:
     """Build F, w, L and the divergence vector for the chosen weight."""
+    import scipy.sparse as sp
+
     if net.n_nodes == 0:
         raise ValueError("cannot assemble a Hodge problem for an empty network")
     if kind not in WEIGHT_KINDS:
@@ -213,6 +220,8 @@ class HodgeDecomposition:
 
 def decompose(problem: HodgeProblem, phi: np.ndarray) -> HodgeDecomposition:
     """Split F into the gradient flow of phi and the circular remainder."""
+    import scipy.sparse as sp
+
     coo = problem.w.tocoo()
     grad_data = coo.data * (phi[coo.row] - phi[coo.col])
     gradient = sp.csr_matrix((grad_data, (coo.row, coo.col)), shape=(problem.n, problem.n))

@@ -723,6 +723,20 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
+def _id_field(name: str) -> str:
+    """An account id as a csv field, refusing one that would not read back.
+
+    The readers strip every field, so an empty id or one with leading or
+    trailing whitespace would come back changed.
+    """
+    if not name or name != name.strip():
+        raise ValueError(
+            f"account id {name!r} is empty or padded with whitespace; "
+            "it would not read back unchanged"
+        )
+    return _csv_field(name)
+
+
 def _endpoints(table: TransferTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(accounts, coords, present) of both endpoints of every transfer.
 
@@ -777,12 +791,13 @@ def _coordinate_text(table: TransferTable) -> list[np.ndarray]:
 def write_records(records: Iterable[TransferRecord], stream: IO[str]) -> None:
     """Emit transfers in the ingest log format, byte-stable for fixed input.
 
-    Ids are written with csv quoting.  Account ids and coordinates are
-    formatted once per account and the lines of a chunk joined in one go.
+    Ids are written with csv quoting; an empty or whitespace-padded id
+    raises ValueError.  Account ids and coordinates are formatted once per
+    account and the lines of a chunk joined in one go.
     """
     table = TransferTable.from_records(records)
     stream.write(",".join(COLUMNS) + "\n")
-    ids = np.array([_csv_field(name) + "," for name in table.ids.tolist()], dtype=object)
+    ids = np.array([_id_field(name) + "," for name in table.ids.tolist()], dtype=object)
     kinds = np.array([kind + "," for kind in KINDS], dtype=object)
     src_coord, dst_coord = _coordinate_text(table)
     # datetime.isoformat() shows microseconds only when they are nonzero
@@ -812,11 +827,14 @@ LINK_COLUMNS = ("source_id", "destination_id", "flow_yen", "frequency")
 
 
 def write_links(links: Iterable[AggregatedLink], stream: IO[str]) -> None:
-    """Write the link table as delimited text with a header line."""
+    """Write the link table as delimited text with a header line.
+
+    Raises ValueError on an empty or whitespace-padded id.
+    """
     stream.write(",".join(LINK_COLUMNS) + "\n")
     for link in links:
         stream.write(
-            f"{_csv_field(link.source)},{_csv_field(link.destination)},"
+            f"{_id_field(link.source)},{_id_field(link.destination)},"
             f"{link.flow},{link.frequency}\n"
         )
 
@@ -865,11 +883,14 @@ def collect_node_coords(
 
 
 def write_node_coords(coords: dict[str, tuple[float, float]], stream: IO[str]) -> None:
-    """Write per-account coordinates (node_id, lat, lon) sorted by id."""
+    """Write per-account coordinates (node_id, lat, lon) sorted by id.
+
+    Raises ValueError on an empty or whitespace-padded id.
+    """
     stream.write("node_id,lat,lon\n")
     for node in sorted(coords):
         lat, lon = coords[node]
-        stream.write(f"{_csv_field(node)},{lat!r},{lon!r}\n")
+        stream.write(f"{_id_field(node)},{lat!r},{lon!r}\n")
 
 
 def read_node_coords(stream: IO[str] | Iterable[str]) -> dict[str, tuple[float, float]]:

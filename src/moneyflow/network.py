@@ -271,16 +271,65 @@ def summary(values: Iterable[float] | np.ndarray) -> SummaryStats:
     )
 
 
+def _discordant_pairs(y: np.ndarray) -> int:
+    """Pairs i < j with y[i] > y[j], by bottom-up merging of sorted runs.
+
+    y holds non-negative ints.  At run width w, each element of a right
+    run counts the elements of its left run that exceed it with one
+    searchsorted over keys (pair index, value); the pair is then merged
+    by sorting the same keys.
+    """
+    n = y.size
+    stride = int(y.max()) + 1
+    pos = np.arange(n, dtype=np.int64)
+    vals = y.astype(np.int64)
+    dis = 0
+    width = 1
+    while width < n:
+        pair = pos // (2 * width)
+        keys = pair * stride + vals
+        right = (pos // width) % 2 == 1
+        left_keys = keys[~right]
+        at_most = np.searchsorted(left_keys, keys[right], side="right")
+        dis += int((width - (at_most - pair[right] * width)).sum())
+        vals = np.sort(keys) - pair * stride
+        width *= 2
+    return dis
+
+
+def _tie_pairs(counts: np.ndarray) -> int:
+    """Pairs within groups of the given sizes."""
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
+    """Kendall tau-b of two integer arrays from exact pair counts.
+
+    The final expression is scipy.stats.kendalltau's, so the value is the
+    same float; only the counting differs.
+    """
+    # sorted by x, then y: a pair is discordant exactly when y strictly falls
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    _, y_rank, y_counts = np.unique(y, return_inverse=True, return_counts=True)
+    dis = _discordant_pairs(y_rank[order])
+    run_starts = np.r_[True, (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]), True]
+    ntie = _tie_pairs(np.diff(np.flatnonzero(run_starts)))
+    xtie = _tie_pairs(np.unique(x, return_counts=True)[1])
+    ytie = _tie_pairs(y_counts)
+    size = x.size
+    tot = size * (size - 1) // 2
+    con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(np.minimum(1.0, max(-1.0, tau)))
+
+
 def degree_correlation(net: FlowNetwork) -> tuple[float, float]:
     """(Pearson r, Kendall tau-b) between per-node in- and out-degree.
 
     Tau-b is the tie-corrected variant; integer degrees tie heavily.
     Returns (nan, nan) when either margin has zero variance.
     """
-    # scipy.stats costs most of the package's import time and only this
-    # function needs it, so it is imported on first use
-    from scipy import stats
-
     if net.n_nodes < 2:
         raise ValueError("degree correlation requires at least 2 nodes")
     in_deg, out_deg, _ = degree_stats(net)
@@ -291,5 +340,4 @@ def degree_correlation(net: FlowNetwork) -> tuple[float, float]:
     sx = x - x.mean()
     sy = y - y.mean()
     r = float(np.dot(sx, sy) / np.sqrt(np.dot(sx, sx) * np.dot(sy, sy)))
-    tau = float(stats.kendalltau(x, y, variant="b").statistic)
-    return (r, tau)
+    return (r, _kendall_tau_b(in_deg, out_deg))

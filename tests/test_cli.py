@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import moneyflow
 from moneyflow.cli import main
 
 
@@ -192,3 +197,18 @@ class TestManifests:
         run_pipeline(out)
         second = {p.name: p.read_bytes() for p in out.glob("manifest_*.json")}
         assert second == first
+
+
+def test_cli_import_loads_no_scipy_sparse_or_stats():
+    # the stages that need them import them; a fresh interpreter shows
+    # what importing the command line module alone loads
+    code = (
+        "import sys, moneyflow.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.sparse', 'scipy.stats'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(moneyflow.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"

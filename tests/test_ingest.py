@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from datetime import datetime
 from unittest import mock
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moneyflow import (
+    AggregatedLink,
     FilterPolicy,
     ParseError,
     TransferRecord,
@@ -313,6 +315,33 @@ class TestIdQuotingRoundTrips:
         buf = io.StringIO()
         write_links(aggregate([_rec("a", "b", 3)]), buf)
         assert buf.getvalue() == "source_id,destination_id,flow_yen,frequency\na,b,3,1\n"
+
+
+class TestUnreadableIdsRefused:
+    """The readers strip fields, so the writers refuse ids that would change."""
+
+    BAD = ["", " a", "a ", "\ta", "a\n", " "]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_write_links(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            write_links([AggregatedLink(bad, "b", 5, 1)], io.StringIO())
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            write_links([AggregatedLink("b", bad, 5, 1)], io.StringIO())
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_write_node_coords(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            write_node_coords({"b": (34.5, 135.5), bad: (34.0, 135.0)}, io.StringIO())
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_write_records(self, bad):
+        from moneyflow import write_records
+
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            write_records([_rec("b", bad)], io.StringIO())
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            write_records([_rec(bad, "b")], io.StringIO())
 
 
 # ---------------------------------------------------------------------------

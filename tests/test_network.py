@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moneyflow import (
@@ -12,6 +12,8 @@ from moneyflow import (
     net_flow_per_node,
     summary,
 )
+
+from moneyflow.network import _kendall_tau_b
 
 from conftest import make_links, net_from_edges, random_edges
 from oracles import ccdf_points, kendall_tau_b, moments, pearson_r
@@ -148,6 +150,34 @@ class TestDegreeCorrelation:
         net = net_from_edges(2, [(0, 1), (1, 0)])
         r, tau = degree_correlation(net)
         assert np.isnan(r) and np.isnan(tau)
+
+
+_tied_ints = st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=80)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_kendall_tau_b_is_scipys_value(data):
+    # pair counting in numpy must give scipy's float bit for bit
+    from scipy import stats
+
+    x = np.array(data.draw(_tied_ints))
+    y = np.array(data.draw(st.lists(
+        st.integers(min_value=0, max_value=6), min_size=x.size, max_size=x.size
+    )))
+    assume(np.ptp(x) > 0 and np.ptp(y) > 0)
+    want = float(stats.kendalltau(x.astype(float), y.astype(float), variant="b").statistic)
+    assert _kendall_tau_b(x, y) == want
+
+
+def test_kendall_tau_b_is_scipys_value_at_scale():
+    from scipy import stats
+
+    rng = np.random.default_rng(5)
+    x = rng.zipf(2.0, 50_000) % 500
+    y = (x + rng.integers(0, 4, x.size)) * (rng.random(x.size) < 0.7)
+    want = float(stats.kendalltau(x.astype(float), y.astype(float), variant="b").statistic)
+    assert _kendall_tau_b(x, y) == want
 
 
 class TestSubnetwork:
