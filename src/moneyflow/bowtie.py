@@ -6,19 +6,25 @@ exactly one of four classes: the largest strongly connected component
 reaches (OUT), and the remaining tendrils (TE).  Nodes outside the GWCC
 get their own label and are excluded from component reports.
 
-All algorithms run on the unweighted adjacency.  SCCs come from an
-iterative Tarjan pass (explicit stacks, no recursion), weak components
-from the same pass on the symmetrized adjacency, and IN/OUT membership
-plus hop distances from multi-source BFS out of the GSCC.
+All algorithms run on the unweighted adjacency with the
+``scipy.sparse.csgraph`` primitives: strong and weak components from
+``connected_components``, and IN/OUT membership plus hop distances from
+an unweighted multi-source ``dijkstra`` (a BFS) out of the GSCC along
+forward and reversed links.  csgraph is imported inside the functions
+that use it, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .network import FlowNetwork, _csr_from_edges
+from .network import FlowNetwork
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "GSCC",
@@ -39,68 +45,24 @@ GSCC, IN, OUT, TE, OUTSIDE = 0, 1, 2, 3, 4
 COMPONENT_NAMES = ("GSCC", "IN", "OUT", "TE", "outside_GWCC")
 
 
-def _tarjan_scc(indptr: list[int], nbrs: list[int], n: int) -> tuple[np.ndarray, int]:
-    """Strongly connected components of a CSR adjacency, iteratively.
+def _numbered_by_smallest_member(labels: np.ndarray, ncomp: int) -> tuple[np.ndarray, int]:
+    """Renumber classes 0..ncomp-1 in order of their smallest member index.
 
-    Returns (component id per node, component count).  Ids are normalized
-    so that components are numbered by their smallest member index.
+    csgraph numbers classes in an order of its own; this one makes labels
+    deterministic, and ``_largest_class`` breaks ties by it.
     """
-    UNSET = -1
-    disc = [UNSET] * n
-    low = [0] * n
-    on_stack = bytearray(n)
-    comp = [UNSET] * n
-    scc_stack: list[int] = []
-    counter = 0
-    ncomp = 0
-    for root in range(n):
-        if disc[root] != UNSET:
-            continue
-        work: list[list[int]] = [[root, indptr[root]]]
-        disc[root] = low[root] = counter
-        counter += 1
-        scc_stack.append(root)
-        on_stack[root] = 1
-        while work:
-            frame = work[-1]
-            v, ptr = frame
-            if ptr < indptr[v + 1]:
-                frame[1] = ptr + 1
-                w = nbrs[ptr]
-                if disc[w] == UNSET:
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    scc_stack.append(w)
-                    on_stack[w] = 1
-                    work.append([w, indptr[w]])
-                elif on_stack[w] and disc[w] < low[v]:
-                    low[v] = disc[w]
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                if low[v] == disc[v]:
-                    while True:
-                        w = scc_stack.pop()
-                        on_stack[w] = 0
-                        comp[w] = ncomp
-                        if w == v:
-                            break
-                    ncomp += 1
-    # renumber components in order of their minimum node index
-    labels = np.asarray(comp, dtype=np.int64)
-    first = np.full(ncomp, n, dtype=np.int64)
-    np.minimum.at(first, labels, np.arange(n, dtype=np.int64))
+    first = np.unique(labels, return_index=True)[1]
     remap = np.empty(ncomp, dtype=np.int64)
-    remap[np.argsort(first, kind="stable")] = np.arange(ncomp)
+    remap[np.argsort(first)] = np.arange(ncomp)
     return remap[labels], ncomp
 
 
-def _adjacency_lists(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[list[int], list[int]]:
-    indptr, nbrs, _ = _csr_from_edges(src, dst, n)
-    return indptr.tolist(), nbrs.tolist()
+def _components(adj: sp.spmatrix, **kwargs) -> tuple[np.ndarray, int]:
+    """``connected_components(adj, **kwargs)`` as (labels, count), renumbered."""
+    from scipy.sparse.csgraph import connected_components
+
+    ncomp, labels = connected_components(adj, **kwargs)
+    return _numbered_by_smallest_member(labels, ncomp)
 
 
 def strongly_connected_components(net: FlowNetwork) -> tuple[np.ndarray, int]:
@@ -109,16 +71,12 @@ def strongly_connected_components(net: FlowNetwork) -> tuple[np.ndarray, int]:
     Labels are normalized by smallest member index, so the output is
     deterministic for a given network.
     """
-    indptr, nbrs = _adjacency_lists(net.src, net.dst, net.n_nodes)
-    return _tarjan_scc(indptr, nbrs, net.n_nodes)
+    return _components(net.adjacency, connection="strong")
 
 
 def weakly_connected_components(net: FlowNetwork) -> tuple[np.ndarray, int]:
     """Connected classes of the symmetrized adjacency: (labels, count)."""
-    heads = np.concatenate([net.src, net.dst])
-    tails = np.concatenate([net.dst, net.src])
-    indptr, nbrs = _adjacency_lists(heads, tails, net.n_nodes)
-    return _tarjan_scc(indptr, nbrs, net.n_nodes)
+    return _components(net.adjacency, connection="weak")
 
 
 def _largest_class(labels: np.ndarray, ncomp: int, member_mask: np.ndarray | None = None) -> int:
@@ -127,33 +85,16 @@ def _largest_class(labels: np.ndarray, ncomp: int, member_mask: np.ndarray | Non
     Because ids are ordered by minimum member index, the tie winner is the
     class containing the smallest node index.
     """
-    if member_mask is None:
-        sizes = np.bincount(labels, minlength=ncomp)
-    else:
-        sizes = np.bincount(labels[member_mask], minlength=ncomp)
-    return int(np.argmax(sizes))
+    members = labels if member_mask is None else labels[member_mask]
+    return int(np.argmax(np.bincount(members, minlength=ncomp)))
 
 
-def _bfs_levels(
-    indptr: list[int], nbrs: list[int], sources: np.ndarray, n: int
-) -> np.ndarray:
-    """Multi-source BFS hop distance; unreachable nodes get -1."""
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[sources] = 0
-    frontier = sources.tolist()
-    level = 0
-    dist_l = dist.tolist()
-    while frontier:
-        level += 1
-        nxt: list[int] = []
-        for v in frontier:
-            for k in range(indptr[v], indptr[v + 1]):
-                w = nbrs[k]
-                if dist_l[w] < 0:
-                    dist_l[w] = level
-                    nxt.append(w)
-        frontier = nxt
-    return np.asarray(dist_l, dtype=np.int64)
+def _hops(adj: sp.spmatrix, sources: np.ndarray) -> np.ndarray:
+    """Multi-source hop distance along the links of adj; unreachable -1."""
+    from scipy.sparse.csgraph import dijkstra
+
+    dist = dijkstra(adj, indices=sources, unweighted=True, min_only=True)
+    return np.where(np.isinf(dist), -1, dist).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -201,10 +142,8 @@ def classify_bowtie(net: FlowNetwork) -> BowtiePartition:
     gscc_id = _largest_class(scc, n_scc, member_mask=in_gwcc)
     gscc_nodes = np.flatnonzero(scc == gscc_id)
 
-    fwd_ptr, fwd_nbr = _adjacency_lists(net.src, net.dst, n)
-    rev_ptr, rev_nbr = _adjacency_lists(net.dst, net.src, n)
-    dist_from_gscc = _bfs_levels(fwd_ptr, fwd_nbr, gscc_nodes, n)
-    dist_to_gscc = _bfs_levels(rev_ptr, rev_nbr, gscc_nodes, n)
+    dist_from_gscc = _hops(net.adjacency, gscc_nodes)
+    dist_to_gscc = _hops(net.adjacency.T, gscc_nodes)
 
     labels = np.full(n, OUTSIDE, dtype=np.int8)
     labels[in_gwcc] = TE
@@ -247,12 +186,9 @@ def distance_profile(net: FlowNetwork, partition: BowtiePartition) -> DistancePr
     the GSCC (so a hop count along reversed links equals the forward-path
     length into the core); OUT distances from the forward BFS.
     """
-    n = net.n_nodes
     gscc_nodes = partition.members(GSCC)
-    fwd_ptr, fwd_nbr = _adjacency_lists(net.src, net.dst, n)
-    rev_ptr, rev_nbr = _adjacency_lists(net.dst, net.src, n)
-    dist_to = _bfs_levels(rev_ptr, rev_nbr, gscc_nodes, n)
-    dist_from = _bfs_levels(fwd_ptr, fwd_nbr, gscc_nodes, n)
+    dist_to = _hops(net.adjacency.T, gscc_nodes)
+    dist_from = _hops(net.adjacency, gscc_nodes)
 
     def _hist(nodes: np.ndarray, dist: np.ndarray) -> dict[int, int]:
         values, counts = np.unique(dist[nodes], return_counts=True)

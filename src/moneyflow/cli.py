@@ -46,6 +46,7 @@ from .geonmf import (
 from .hodge import ConvergenceError, hodge_decompose, potential_histograms, potential_vs_net
 from .ingest import (
     FilterPolicy,
+    _id_field,
     aggregate,
     collect_node_coords,
     filter_records,
@@ -337,7 +338,7 @@ def _cmd_bowtie(args) -> None:
     with open(table_path, "w", encoding="utf-8") as fh:
         fh.write("node_id,component\n")
         for i, node in enumerate(net.node_ids):
-            fh.write(f"{node},{part.component_name(i)}\n")
+            fh.write(f"{_id_field(node)},{part.component_name(i)}\n")
 
     sizes = part.sizes
     gwcc = part.gwcc_size
@@ -379,7 +380,7 @@ def _cmd_hodge(args) -> None:
         fh.write("node_id,phi,net_degree,net_flow\n")
         for i, node in enumerate(net.node_ids):
             fh.write(
-                f"{node},{repr(float(decomp.phi[i]))},"
+                f"{_id_field(node)},{repr(float(decomp.phi[i]))},"
                 f"{int(corr.net_degree[i])},{int(corr.net_flow[i])}\n"
             )
 
@@ -388,7 +389,8 @@ def _cmd_hodge(args) -> None:
         fh.write("source_id,destination_id,f_net,f_gradient,f_circular\n")
         for src, dst, f_net, f_grad, f_circ in decomp.link_table(net):
             fh.write(
-                f"{src},{dst},{repr(f_net)},{repr(f_grad)},{repr(f_circ)}\n"
+                f"{_id_field(src)},{_id_field(dst)},"
+                f"{repr(f_net)},{repr(f_grad)},{repr(f_circ)}\n"
             )
 
     total = float((decomp.problem.F.data ** 2).sum())
@@ -434,8 +436,8 @@ def _cmd_communities(args) -> None:
 
     flat_path = out / "communities_flat.csv"
     with open(flat_path, "w", encoding="utf-8") as fh:
-        for row in flat_table(tree):
-            fh.write(",".join(row) + "\n")
+        for node, *ids in flat_table(tree):
+            fh.write(",".join([_id_field(node), *ids]) + "\n")
 
     report_path = out / "community_report.json"
     _write_json(report_path, report.as_dict())

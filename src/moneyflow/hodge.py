@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bowtie import GSCC, IN, OUT, TE, BowtiePartition
-from .network import FlowNetwork, degree_stats, net_flow_per_node
+from .bowtie import GSCC, IN, OUT, TE, BowtiePartition, _components
+from .network import FlowNetwork, _pearson, degree_stats, net_flow_per_node
 
 # scipy.sparse is imported inside the functions that build sparse matrices,
 # so importing the package does not load it
@@ -76,14 +76,11 @@ class HodgeProblem:
 
     @cached_property
     def components(self) -> tuple[np.ndarray, int]:
-        """Weak-connectivity labels of the w graph (isolated nodes allowed)."""
-        from .bowtie import _adjacency_lists, _tarjan_scc
+        """Weak-connectivity labels of the w graph (isolated nodes allowed).
 
-        coo = self.w.tocoo()
-        indptr, nbrs = _adjacency_lists(
-            coo.row.astype(np.int64), coo.col.astype(np.int64), self.n
-        )
-        return _tarjan_scc(indptr, nbrs, self.n)
+        Numbered by smallest member index, as the bowtie components are.
+        """
+        return _components(self.w, directed=False)
 
 
 def assemble_problem(net: FlowNetwork, kind: str = "frequency") -> HodgeProblem:
@@ -97,7 +94,7 @@ def assemble_problem(net: FlowNetwork, kind: str = "frequency") -> HodgeProblem:
     n = net.n_nodes
     b_data = net.weights(kind).astype(np.float64)
     B = sp.csr_matrix((b_data, (net.src, net.dst)), shape=(n, n))
-    A = sp.csr_matrix((np.ones(net.n_links), (net.src, net.dst)), shape=(n, n))
+    A = net.adjacency
     F = (B - B.T).tocsr()
     w = (A + A.T).tocsr()
     deg = np.asarray(w.sum(axis=1)).ravel()
@@ -205,17 +202,18 @@ class HodgeDecomposition:
     def link_table(self, net: FlowNetwork) -> list[tuple[str, str, float, float, float]]:
         """(source, destination, F, F_gradient, F_circular) per directed link."""
         b = net.weights(self.problem.weight_kind).astype(np.float64)
-        fwd = {(int(s), int(d)): k for k, (s, d) in enumerate(zip(net.src, net.dst))}
-        rows = []
-        for k in range(net.n_links):
-            i = int(net.src[k])
-            j = int(net.dst[k])
-            rev = fwd.get((j, i))
-            f_net = b[k] - (b[rev] if rev is not None else 0.0)
-            w_ij = 2.0 if rev is not None else 1.0
-            grad = w_ij * (self.phi[i] - self.phi[j])
-            rows.append((net.node_ids[i], net.node_ids[j], f_net, grad, f_net - grad))
-        return rows
+        # links are sorted by (src, dst), so their pair keys are sorted too
+        key = net.src * net.n_nodes + net.dst
+        rev_key = net.dst * net.n_nodes + net.src
+        rev = np.minimum(np.searchsorted(key, rev_key), key.size - 1)
+        has_rev = key[rev] == rev_key
+        f_net = b - np.where(has_rev, b[rev], 0.0)
+        grad = np.where(has_rev, 2.0, 1.0) * (self.phi[net.src] - self.phi[net.dst])
+        names = np.asarray(net.node_ids, dtype=object)
+        return list(zip(
+            names[net.src].tolist(), names[net.dst].tolist(),
+            f_net.tolist(), grad.tolist(), (f_net - grad).tolist(),
+        ))
 
 
 def decompose(problem: HodgeProblem, phi: np.ndarray) -> HodgeDecomposition:
@@ -303,17 +301,6 @@ class PotentialCorrelations:
     net_flow: np.ndarray
     r_net_degree: float
     r_net_flow: float
-
-
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    if x.size < 2:
-        return float("nan")
-    sx = x - x.mean()
-    sy = y - y.mean()
-    denom = np.sqrt(float(sx @ sx) * float(sy @ sy))
-    if denom == 0.0:
-        return float("nan")
-    return float(sx @ sy) / denom
 
 
 def potential_vs_net(phi: np.ndarray, net: FlowNetwork) -> PotentialCorrelations:

@@ -15,11 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .ingest import AggregatedLink
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "FlowNetwork",
@@ -36,17 +39,6 @@ __all__ = [
 
 class DuplicateLinkError(ValueError):
     """An ordered pair appeared more than once in the link set."""
-
-
-def _csr_from_edges(
-    heads: np.ndarray, tails: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group edges by head node: (indptr, neighbor array, edge-id array)."""
-    order = np.lexsort((tails, heads))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, heads + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, tails[order], order
 
 
 @dataclass(frozen=True)
@@ -78,30 +70,12 @@ class FlowNetwork:
         return {name: i for i, name in enumerate(self.node_ids)}
 
     @cached_property
-    def _pair_set(self) -> set[tuple[int, int]]:
-        return set(zip(self.src.tolist(), self.dst.tolist()))
+    def adjacency(self) -> sp.csr_matrix:
+        """Unweighted adjacency A as an N x N float64 CSR matrix of ones."""
+        import scipy.sparse as sp
 
-    def has_link(self, i: int, j: int) -> bool:
-        """Adjacency predicate A_ij for node indices i, j."""
-        return (i, j) in self._pair_set
-
-    @cached_property
-    def out_adj(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, dst, link_id) grouped by source node."""
-        return _csr_from_edges(self.src, self.dst, self.n_nodes)
-
-    @cached_property
-    def in_adj(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, src, link_id) grouped by destination node."""
-        return _csr_from_edges(self.dst, self.src, self.n_nodes)
-
-    def out_neighbors(self, i: int) -> np.ndarray:
-        indptr, nbrs, _ = self.out_adj
-        return nbrs[indptr[i] : indptr[i + 1]]
-
-    def in_neighbors(self, i: int) -> np.ndarray:
-        indptr, nbrs, _ = self.in_adj
-        return nbrs[indptr[i] : indptr[i + 1]]
+        n = self.n_nodes
+        return sp.csr_matrix((np.ones(self.n_links), (self.src, self.dst)), shape=(n, n))
 
     def weights(self, kind: str) -> np.ndarray:
         """Per-link weight array B: 'flow' -> f_ij, 'frequency' -> g_ij."""
@@ -324,6 +298,18 @@ def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.minimum(1.0, max(-1.0, tau)))
 
 
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson r of two float64 arrays; nan below 2 values or at zero variance."""
+    if x.size < 2:
+        return float("nan")
+    sx = x - x.mean()
+    sy = y - y.mean()
+    denom = np.sqrt(float(sx @ sx) * float(sy @ sy))
+    if denom == 0.0:
+        return float("nan")
+    return float(sx @ sy) / denom
+
+
 def degree_correlation(net: FlowNetwork) -> tuple[float, float]:
     """(Pearson r, Kendall tau-b) between per-node in- and out-degree.
 
@@ -337,7 +323,4 @@ def degree_correlation(net: FlowNetwork) -> tuple[float, float]:
     y = out_deg.astype(np.float64)
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         return (float("nan"), float("nan"))
-    sx = x - x.mean()
-    sy = y - y.mean()
-    r = float(np.dot(sx, sy) / np.sqrt(np.dot(sx, sx) * np.dot(sy, sy)))
-    return (r, _kendall_tau_b(in_deg, out_deg))
+    return (_pearson(x, y), _kendall_tau_b(in_deg, out_deg))

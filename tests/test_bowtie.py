@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moneyflow import classify_bowtie, distance_profile
+from moneyflow import build_network, classify_bowtie, distance_profile
 from moneyflow.bowtie import (
     COMPONENT_NAMES,
     GSCC,
@@ -72,6 +72,48 @@ class TestComponents:
             for i in range(n):
                 for j in range(n):
                     assert (labels[i] == labels[j]) == bool(R[i, j])
+
+    def test_labels_numbered_by_smallest_member(self, rng):
+        # csgraph numbers classes in an order of its own; the tie-breaks
+        # below and the per-component Hodge solve rely on this numbering
+        for _ in range(20):
+            n = int(rng.integers(3, 40))
+            edges = random_edges(rng, n, int(rng.integers(1, 2 * n)))
+            net = net_from_edges(n, edges)
+            for find in (strongly_connected_components, weakly_connected_components):
+                labels, count = find(net)
+                assert labels.dtype == np.int64
+                assert sorted(set(labels.tolist())) == list(range(count))
+                firsts = [int(np.flatnonzero(labels == k)[0]) for k in range(count)]
+                assert firsts == sorted(firsts)
+
+    def test_empty_network(self):
+        net = build_network([])
+        for find in (strongly_connected_components, weakly_connected_components):
+            labels, count = find(net)
+            assert labels.dtype == np.int64 and labels.size == 0
+            assert count == 0
+
+
+class TestTieBreaks:
+    """Equal-size classes: the one holding the smallest node index wins."""
+
+    def test_gscc_tie_core_upstream(self):
+        # SCCs {0, 3} and {1, 2} of equal size; {0, 3} feeds {1, 2}
+        net = net_from_edges(4, [(0, 3), (3, 0), (1, 2), (2, 1), (3, 2)])
+        part = classify_bowtie(net)
+        assert part.labels.tolist() == [GSCC, OUT, OUT, GSCC]
+
+    def test_gscc_tie_core_downstream(self):
+        # same SCCs, now {1, 2} feeds {0, 3}
+        net = net_from_edges(4, [(0, 3), (3, 0), (1, 2), (2, 1), (1, 0)])
+        part = classify_bowtie(net)
+        assert part.labels.tolist() == [GSCC, IN, IN, GSCC]
+
+    def test_gwcc_tie(self):
+        net = net_from_edges(4, [(0, 3), (3, 0), (1, 2), (2, 1)])
+        part = classify_bowtie(net)
+        assert part.labels.tolist() == [GSCC, OUTSIDE, OUTSIDE, GSCC]
 
 
 class TestClassification:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line pipeline, run in process."""
 
+import csv
 import hashlib
 import json
 import os
@@ -178,6 +179,64 @@ class TestArtifacts:
             "--max-iters", "200",
         ]
         assert main(argv) == 0
+
+    def test_hodge_links_are_numeric(self, ws):
+        with open(ws / "hodge_links.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["source_id", "destination_id", "f_net", "f_gradient", "f_circular"]
+        assert len(rows) > 1
+        for row in rows[1:]:
+            f_net, f_grad, f_circ = (float(v) for v in row[2:])
+            scale = max(abs(f_net), abs(f_grad), abs(f_circ))
+            assert abs(f_net - (f_grad + f_circ)) <= 1e-9 * scale
+
+
+# sha256 of the analysis artifacts of the pipeline above, recorded before
+# the graph layer moved onto scipy.sparse.csgraph; a change to labels,
+# distances, potentials or their formatting shows up here
+ARTIFACT_SHA256 = {
+    "stats.json": "89595cb95a3e69494500b06f9af8d9f34f6b86324d8777a4b73c63924757b185",
+    "bowtie.csv": "012fe8a0ed9e31f17be15e57796752fc882950760a002df4d436bd26729417ba",
+    "bowtie_summary.json": "2c5a898f3eed52cdc0bcf27ee8e5bcd31d4bc9ddf6371bcadf190d9178e64861",
+    "hodge_potentials.csv": "8d2a705eef4a4289978a230949042d0e795e0552469a74daadf91d8ef21f7bf7",
+    "hodge_summary.json": "3f1959fe8cf44ff9a57f5e3404f9db5bd67d0c0d744779ef03604379b40ed8cb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
+def test_pinned_artifact_hash(ws, name):
+    assert hashlib.sha256((ws / name).read_bytes()).hexdigest() == ARTIFACT_SHA256[name]
+
+
+def test_id_with_comma_survives_every_stage(tmp_path):
+    out = tmp_path / "ws"
+    steps = pipeline_steps(out)
+    assert main(steps[0]) == 0
+    # rename one account in the generated log; csv quotes the new id
+    log = out / "synthetic_log.csv"
+    with open(log, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    old_id, new_id = rows[1][1], "ACME, Inc"
+    with open(log, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [[new_id if f == old_id else f for f in row] for row in rows]
+        )
+    for argv in steps[1:]:
+        assert main(argv) == 0, f"step {argv[0]} failed"
+    for name, columns in (
+        ("bowtie.csv", 2),
+        ("hodge_potentials.csv", 4),
+        ("hodge_links.csv", 5),
+        ("communities_flat.csv", None),
+    ):
+        with open(out / name, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        ids = {row[0] for row in rows}
+        if name == "hodge_links.csv":
+            ids |= {row[1] for row in rows}
+        assert new_id in ids and old_id not in ids, name
+        if columns is not None:
+            assert {len(row) for row in rows} == {columns}, name
 
 
 class TestManifests:

@@ -10,9 +10,10 @@ from moneyflow import (
     potential_vs_net,
     solve_potentials,
 )
+from moneyflow.bowtie import weakly_connected_components
 from moneyflow.hodge import ConvergenceError, DisconnectedGraphError
 
-from conftest import net_from_edges, random_connected_edges
+from conftest import net_from_edges, random_connected_edges, random_edges
 from oracles import hodge_dense, pearson_r
 
 
@@ -137,6 +138,22 @@ class TestSolve:
         assert exc_info.value.residual > 0
 
 
+class TestComponents:
+    def test_match_bowtie_weak_components(self, rng):
+        # often disconnected: few links over many nodes
+        for _ in range(20):
+            n = int(rng.integers(3, 40))
+            edges = random_edges(rng, n, int(rng.integers(1, 2 * n)))
+            net = net_from_edges(n, edges)
+            labels, count = assemble_problem(net).components
+            want_labels, want_count = weakly_connected_components(net)
+            assert count == want_count
+            assert labels.dtype == want_labels.dtype
+            assert labels.tolist() == want_labels.tolist()
+            firsts = [int(np.flatnonzero(labels == k)[0]) for k in range(count)]
+            assert firsts == sorted(firsts)
+
+
 class TestLinkTable:
     def test_rows_consistent_with_matrices(self, rng):
         n = 12
@@ -152,6 +169,21 @@ class TestLinkTable:
             assert f_net == pytest.approx(decomp.problem.F[i, j], abs=1e-12)
             assert grad == pytest.approx(decomp.gradient[i, j], abs=1e-12)
             assert circ == pytest.approx(f_net - grad, abs=1e-12)
+
+    def test_one_way_and_mutual_links(self):
+        # 0 <-> 1 is mutual (w = 2), 1 -> 2 one-way (w = 1)
+        net = net_from_edges(3, [(0, 1), (1, 0), (1, 2)], freqs=[3, 1, 2])
+        decomp = hodge_decompose(net)
+        phi = decomp.phi
+        rows = decomp.link_table(net)
+        assert [r[:3] for r in rows] == [
+            ("n0000", "n0001", 2.0), ("n0001", "n0000", -2.0), ("n0001", "n0002", 2.0),
+        ]
+        assert rows[0][3] == 2.0 * (phi[0] - phi[1])
+        assert rows[1][3] == 2.0 * (phi[1] - phi[0])
+        assert rows[2][3] == 1.0 * (phi[1] - phi[2])
+        # Python floats, so the CLI's repr() writes plain numbers
+        assert all(type(v) is float for row in rows for v in row[2:])
 
 
 class TestAgainstStructure:
