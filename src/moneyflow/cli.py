@@ -35,6 +35,7 @@ from .geonmf import (
     GAMMA_THRESHOLD,
     SIMILARITY_THRESHOLD,
     GeoGrid,
+    _sweep_row,
     bin_transfers,
     d_sweep,
     localization,
@@ -133,28 +134,46 @@ def _write_manifest(
     _write_json(out / f"manifest_{name}.json", manifest)
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class _Stage:
+    """Workspace of one subcommand; records the files its manifest hashes."""
 
+    def __init__(self, out: Path):
+        out.mkdir(parents=True, exist_ok=True)
+        self.out = out
+        self.inputs: dict[str, Path] = {}
+        self.outputs: list[Path] = []
 
-def _require(out: Path, filename: str, producer: str) -> Path:
-    path = out / filename
-    if not path.is_file():
-        raise DataError(
-            f"missing {filename} in {out}; run the '{producer}' subcommand first"
-        )
-    return path
+    def require(self, filename: str, producer: str) -> Path:
+        path = self.out / filename
+        if not path.is_file():
+            raise DataError(
+                f"missing {filename} in {self.out}; run the '{producer}' subcommand first"
+            )
+        self.inputs[filename] = path
+        return path
 
+    def output(self, name: str) -> Path:
+        path = self.out / name
+        self.outputs.append(path)
+        return path
 
-def _load_network(out: Path):
-    path = _require(out, "links.csv", "ingest")
-    with open(path, "r", encoding="utf-8") as fh:
-        links = read_links(fh)
-    if not links:
-        raise DataError(f"{path} contains no links")
-    return build_network(links), path
+    def write_text(self, name: str, text: str) -> Path:
+        path = self.output(name)
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def write_json(self, name: str, obj) -> Path:
+        path = self.output(name)
+        _write_json(path, obj)
+        return path
+
+    def load_network(self):
+        path = self.require("links.csv", "ingest")
+        with open(path, "r", encoding="utf-8") as fh:
+            links = read_links(fh)
+        if not links:
+            raise DataError(f"{path} contains no links")
+        return build_network(links)
 
 
 def _num(x) -> str:
@@ -163,12 +182,10 @@ def _num(x) -> str:
     return str(int(f)) if f.is_integer() and abs(f) < 1e15 else repr(f)
 
 
-def _write_ccdf(path: Path, values) -> None:
+def _ccdf_text(values) -> str:
     dist = ccdf(values)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("value\tfraction\n")
-        for v, frac in zip(dist.values, dist.fractions):
-            fh.write(f"{_num(v)}\t{repr(float(frac))}\n")
+    rows = [f"{_num(v)}\t{repr(float(frac))}\n" for v, frac in zip(dist.values, dist.fractions)]
+    return "value\tfraction\n" + "".join(rows)
 
 
 def _read_ccdf(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -177,11 +194,10 @@ def _read_ccdf(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each runs in a _Stage and returns (manifest config, message)
 
 
-def _cmd_synth(args) -> None:
-    out = _outdir(args)
+def _cmd_synth(args, stage: _Stage) -> tuple[dict, str]:
     scenarios = {
         "walnut": lambda: walnut_scenario(
             n_nodes=args.nodes or 2000, seed=args.seed
@@ -202,11 +218,10 @@ def _cmd_synth(args) -> None:
     spec = scenarios[args.scenario]()
     records, truth = generate(spec)
 
-    log_path = out / "synthetic_log.csv"
+    log_path = stage.output("synthetic_log.csv")
     with open(log_path, "w", encoding="utf-8") as fh:
         write_records(records, fh)
-    truth_path = out / "ground_truth.json"
-    _write_json(truth_path, truth.as_dict())
+    stage.write_json("ground_truth.json", truth.as_dict())
 
     config = {
         "scenario": args.scenario,
@@ -215,15 +230,14 @@ def _cmd_synth(args) -> None:
         "blocks": args.blocks if args.scenario == "blocks" else None,
         "nested": args.nested if args.scenario == "blocks" else None,
     }
-    _write_manifest(out, "synth", config, {}, [log_path, truth_path])
-    print(f"synth: {len(records)} transfers over {spec.n_nodes} accounts -> {log_path}")
+    return config, f"synth: {len(records)} transfers over {spec.n_nodes} accounts -> {log_path}"
 
 
-def _cmd_ingest(args) -> None:
-    out = _outdir(args)
+def _cmd_ingest(args, stage: _Stage) -> tuple[dict, str]:
     src = Path(args.input)
     if not src.is_file():
         raise DataError(f"input log not found: {src}")
+    stage.inputs[str(args.input)] = src
     policy = FilterPolicy(
         require_intra_bank=not args.keep_external,
         require_firm_both_ends=not args.keep_nonfirm,
@@ -235,21 +249,15 @@ def _cmd_ingest(args) -> None:
     links = aggregate(kept)
     coords, conflicts = collect_node_coords(kept)
 
-    links_path = out / "links.csv"
-    with open(links_path, "w", encoding="utf-8") as fh:
+    with open(stage.output("links.csv"), "w", encoding="utf-8") as fh:
         write_links(links, fh)
-    nodes_path = out / "nodes.csv"
-    with open(nodes_path, "w", encoding="utf-8") as fh:
+    with open(stage.output("nodes.csv"), "w", encoding="utf-8") as fh:
         write_node_coords(coords, fh)
-
-    outputs = [links_path, nodes_path]
     if rejected:
-        rej_path = out / "rejected.csv"
-        with open(rej_path, "w", encoding="utf-8", newline="") as fh:
+        with open(stage.output("rejected.csv"), "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["line_no", "reason"])
             writer.writerows((r.line_no, r.reason) for r in rejected)
-        outputs.append(rej_path)
 
     node_set = {l.source for l in links} | {l.destination for l in links}
     summary_obj = {
@@ -267,9 +275,7 @@ def _cmd_ingest(args) -> None:
             "drop_self_loops": policy.drop_self_loops,
         },
     }
-    summary_path = out / "ingest_summary.json"
-    _write_json(summary_path, summary_obj)
-    outputs.append(summary_path)
+    stage.write_json("ingest_summary.json", summary_obj)
 
     config = {
         "input": str(args.input),
@@ -279,16 +285,14 @@ def _cmd_ingest(args) -> None:
         "keep_nonfirm": args.keep_nonfirm,
         "keep_self_loops": args.keep_self_loops,
     }
-    _write_manifest(out, "ingest", config, {str(args.input): src}, outputs)
-    print(
+    return config, (
         f"ingest: kept {len(kept)}/{len(records)} transfers, "
         f"{len(links)} links over {len(node_set)} accounts"
     )
 
 
-def _cmd_stats(args) -> None:
-    out = _outdir(args)
-    net, links_path = _load_network(out)
+def _cmd_stats(args, stage: _Stage) -> tuple[dict, str]:
+    net = stage.load_network()
     in_deg, out_deg, _ = degree_stats(net)
     flow = net.weights("flow")
     freq = net.weights("frequency")
@@ -310,35 +314,25 @@ def _cmd_stats(args) -> None:
             "frequency_sum": int(net_flow_per_node(net, "frequency").sum()),
         },
     }
-    stats_path = out / "stats.json"
-    _write_json(stats_path, stats_obj)
-
-    outputs = [stats_path]
+    stats_path = stage.write_json("stats.json", stats_obj)
     for name, values in (
         ("ccdf_flow.tsv", flow),
         ("ccdf_frequency.tsv", freq),
         ("ccdf_in_degree.tsv", in_deg),
         ("ccdf_out_degree.tsv", out_deg),
     ):
-        path = out / name
-        _write_ccdf(path, values)
-        outputs.append(path)
+        stage.write_text(name, _ccdf_text(values))
 
-    _write_manifest(out, "stats", {}, {"links.csv": links_path}, outputs)
-    print(f"stats: {net.n_nodes} nodes, {net.n_links} links -> {stats_path}")
+    return {}, f"stats: {net.n_nodes} nodes, {net.n_links} links -> {stats_path}"
 
 
-def _cmd_bowtie(args) -> None:
-    out = _outdir(args)
-    net, links_path = _load_network(out)
+def _cmd_bowtie(args, stage: _Stage) -> tuple[dict, str]:
+    net = stage.load_network()
     part = classify_bowtie(net)
     profile = distance_profile(net, part)
 
-    table_path = out / "bowtie.csv"
-    with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write("node_id,component\n")
-        for i, node in enumerate(net.node_ids):
-            fh.write(f"{_id_field(node)},{part.component_name(i)}\n")
+    rows = [f"{_id_field(node)},{part.component_name(i)}\n" for i, node in enumerate(net.node_ids)]
+    stage.write_text("bowtie.csv", "node_id,component\n" + "".join(rows))
 
     sizes = part.sizes
     gwcc = part.gwcc_size
@@ -357,73 +351,59 @@ def _cmd_bowtie(args) -> None:
         "in_distance_ratios": {str(d): r for d, r in profile.in_ratios().items()},
         "out_distance_ratios": {str(d): r for d, r in profile.out_ratios().items()},
     }
-    summary_path = out / "bowtie_summary.json"
-    _write_json(summary_path, summary_obj)
+    summary_path = stage.write_json("bowtie_summary.json", summary_obj)
 
-    _write_manifest(
-        out, "bowtie", {}, {"links.csv": links_path}, [table_path, summary_path]
-    )
     shares = ", ".join(
         f"{name} {sizes[name]}" for name in COMPONENT_NAMES
     )
-    print(f"bowtie: {shares} -> {summary_path}")
+    return {}, f"bowtie: {shares} -> {summary_path}"
 
 
-def _cmd_hodge(args) -> None:
-    out = _outdir(args)
-    net, links_path = _load_network(out)
+def _cmd_hodge(args, stage: _Stage) -> tuple[dict, str]:
+    net = stage.load_network()
     decomp = hodge_decompose(net, kind=args.weight, tol=args.tol)
     corr = potential_vs_net(decomp.phi, net)
 
-    pot_path = out / "hodge_potentials.csv"
-    with open(pot_path, "w", encoding="utf-8") as fh:
-        fh.write("node_id,phi,net_degree,net_flow\n")
-        for i, node in enumerate(net.node_ids):
-            fh.write(
-                f"{_id_field(node)},{repr(float(decomp.phi[i]))},"
-                f"{int(corr.net_degree[i])},{int(corr.net_flow[i])}\n"
-            )
+    rows = [
+        f"{_id_field(node)},{repr(float(decomp.phi[i]))},"
+        f"{int(corr.net_degree[i])},{int(corr.net_flow[i])}\n"
+        for i, node in enumerate(net.node_ids)
+    ]
+    stage.write_text("hodge_potentials.csv", "node_id,phi,net_degree,net_flow\n" + "".join(rows))
 
-    link_path = out / "hodge_links.csv"
-    with open(link_path, "w", encoding="utf-8") as fh:
-        fh.write("source_id,destination_id,f_net,f_gradient,f_circular\n")
-        for src, dst, f_net, f_grad, f_circ in decomp.link_table(net):
-            fh.write(
-                f"{_id_field(src)},{_id_field(dst)},"
-                f"{repr(f_net)},{repr(f_grad)},{repr(f_circ)}\n"
-            )
+    rows = [
+        f"{_id_field(src)},{_id_field(dst)},"
+        f"{repr(f_net)},{repr(f_grad)},{repr(f_circ)}\n"
+        for src, dst, f_net, f_grad, f_circ in decomp.link_table(net)
+    ]
+    header = "source_id,destination_id,f_net,f_gradient,f_circular\n"
+    stage.write_text("hodge_links.csv", header + "".join(rows))
 
     total = float((decomp.problem.F.data ** 2).sum())
     circ = float((decomp.circular.data ** 2).sum())
+    share = circ / total if total > 0 else None
     summary_obj = {
         "weight": args.weight,
         "tol": args.tol,
         "n_weak_components": decomp.problem.components[1],
         "r_phi_net_degree": corr.r_net_degree,
         "r_phi_net_flow": corr.r_net_flow,
-        "circular_share": (circ / total if total > 0 else None),
+        "circular_share": share,
         "max_abs_circular_divergence": float(
             np.abs(decomp.circular_divergence()).max()
         ),
     }
-    summary_path = out / "hodge_summary.json"
-    _write_json(summary_path, summary_obj)
+    stage.write_json("hodge_summary.json", summary_obj)
 
     config = {"weight": args.weight, "tol": args.tol}
-    _write_manifest(
-        out, "hodge", config, {"links.csv": links_path},
-        [pot_path, link_path, summary_path],
-    )
-    share = summary_obj["circular_share"]
-    print(
+    return config, (
         f"hodge: r(phi, net degree) = {corr.r_net_degree:+.4f}, "
         f"circular share = {'n/a' if share is None else format(share, '.4f')}"
     )
 
 
-def _cmd_communities(args) -> None:
-    out = _outdir(args)
-    net, links_path = _load_network(out)
+def _cmd_communities(args, stage: _Stage) -> tuple[dict, str]:
+    net = stage.load_network()
     tree = detect_communities(
         net, seed=args.seed, trials=args.trials, kind=args.weight
     )
@@ -431,37 +411,22 @@ def _cmd_communities(args) -> None:
 
     tree_obj = tree.as_dict()
     tree_obj["history"] = list(tree.history)
-    tree_path = out / "communities.json"
-    _write_json(tree_path, tree_obj)
-
-    flat_path = out / "communities_flat.csv"
-    with open(flat_path, "w", encoding="utf-8") as fh:
-        for node, *ids in flat_table(tree):
-            fh.write(",".join([_id_field(node), *ids]) + "\n")
-
-    report_path = out / "community_report.json"
-    _write_json(report_path, report.as_dict())
+    stage.write_json("communities.json", tree_obj)
+    rows = [",".join([_id_field(node), *ids]) + "\n" for node, *ids in flat_table(tree)]
+    stage.write_text("communities_flat.csv", "".join(rows))
+    stage.write_json("community_report.json", report.as_dict())
 
     config = {"seed": args.seed, "trials": args.trials, "weight": args.weight}
-    _write_manifest(
-        out, "communities", config, {"links.csv": links_path},
-        [tree_path, flat_path, report_path],
-    )
-    top = len(tree.children)
-    leaves = len(tree.leaves())
-    print(
-        f"communities: {top} top-level, {leaves} irreducible, "
+    return config, (
+        f"communities: {len(tree.children)} top-level, {len(tree.leaves())} irreducible, "
         f"codelength {tree.value:.4f} bits"
     )
 
 
-def _cmd_nmf(args) -> None:
-    out = _outdir(args)
-    links_path = _require(out, "links.csv", "ingest")
-    nodes_path = _require(out, "nodes.csv", "ingest")
-    with open(links_path, "r", encoding="utf-8") as fh:
+def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
+    with open(stage.require("links.csv", "ingest"), "r", encoding="utf-8") as fh:
         links = read_links(fh)
-    with open(nodes_path, "r", encoding="utf-8") as fh:
+    with open(stage.require("nodes.csv", "ingest"), "r", encoding="utf-8") as fh:
         coords = read_node_coords(fh)
 
     grid = GeoGrid(*args.bounds, k=args.grid_k)
@@ -475,35 +440,26 @@ def _cmd_nmf(args) -> None:
     fact = nmf(gfm, args.nmf_d, seed=args.seed, max_iters=args.max_iters, tol=args.tol)
     loc = localization(fact, grid, radius_km=args.radius_km)
     sims = similarity_matrix(fact)
-    diag = [float(sims[i, i]) for i in range(fact.d)]
+    counts = _sweep_row(fact, loc, sims, GAMMA_THRESHOLD, SIMILARITY_THRESHOLD)
 
-    outputs = []
-    v_path = out / "V.txt"
-    write_sparse_matrix(v_path, gfm.V)
-    w_path = out / "W.txt"
-    write_matrix(w_path, fact.W)
-    h_path = out / "H.txt"
-    write_matrix(h_path, fact.H)
-    outputs += [v_path, w_path, h_path]
+    write_sparse_matrix(stage.output("V.txt"), gfm.V)
+    write_matrix(stage.output("W.txt"), fact.W)
+    write_matrix(stage.output("H.txt"), fact.H)
 
     for side, results in (("origin", loc.origin), ("destination", loc.destination)):
         for res in results:
             stem = f"heatmap_{side}_{res.index + 1:02d}"
-            tsv = out / f"{stem}.tsv"
-            with open(tsv, "w", encoding="utf-8") as fh:
-                for row in res.heatmap:
-                    fh.write("\t".join(repr(float(v)) for v in row) + "\n")
-            svg = out / f"{stem}.svg"
-            svg.write_text(
+            rows = ["\t".join(repr(float(v)) for v in row) + "\n" for row in res.heatmap]
+            stage.write_text(f"{stem}.tsv", "".join(rows))
+            stage.write_text(
+                f"{stem}.svg",
                 heatmap_svg(
                     res.heatmap,
                     title=f"{side} pattern {res.index + 1} "
                     f"(gamma {res.gamma:.3f})" if res.gamma is not None
                     else f"{side} pattern {res.index + 1}",
                 ),
-                encoding="utf-8",
             )
-            outputs += [tsv, svg]
 
     def loc_entry(res):
         return {
@@ -528,23 +484,13 @@ def _cmd_nmf(args) -> None:
             "origin": [loc_entry(r) for r in loc.origin],
             "destination": [loc_entry(r) for r in loc.destination],
         },
-        "localized_origin": sum(
-            1 for r in loc.origin if r.gamma is not None and r.gamma > GAMMA_THRESHOLD
-        ),
-        "localized_destination": sum(
-            1
-            for r in loc.destination
-            if r.gamma is not None and r.gamma > GAMMA_THRESHOLD
-        ),
-        "diagonal_similarity": diag,
-        "matched_pairs": sum(
-            1 for s in diag if np.isfinite(s) and s >= SIMILARITY_THRESHOLD
-        ),
+        "localized_origin": counts.localized_origin,
+        "localized_destination": counts.localized_destination,
+        "diagonal_similarity": counts.diagonal_similarity,
+        "matched_pairs": counts.matched_pairs,
         "similarity": sims,
     }
-    summary_path = out / "nmf_summary.json"
-    _write_json(summary_path, summary_obj)
-    outputs.append(summary_path)
+    stage.write_json("nmf_summary.json", summary_obj)
 
     config = {
         "grid_k": args.grid_k,
@@ -557,7 +503,7 @@ def _cmd_nmf(args) -> None:
         "d_range": list(args.nmf_d_range) if args.nmf_d_range else None,
     }
     if args.nmf_d_range:
-        rows = d_sweep(
+        sweep = d_sweep(
             gfm,
             args.nmf_d_range,
             seed=args.seed,
@@ -565,31 +511,24 @@ def _cmd_nmf(args) -> None:
             max_iters=args.max_iters,
             tol=args.tol,
         )
-        sweep_path = out / "sweep.json"
-        _write_json(sweep_path, [row.as_dict() for row in rows])
-        outputs.append(sweep_path)
+        stage.write_json("sweep.json", [row.as_dict() for row in sweep])
 
-    _write_manifest(
-        out, "nmf", config,
-        {"links.csv": links_path, "nodes.csv": nodes_path}, outputs,
-    )
-    print(
-        f"nmf: d={fact.d}, localized origin {summary_obj['localized_origin']}, "
-        f"destination {summary_obj['localized_destination']}, "
-        f"matched pairs {summary_obj['matched_pairs']}"
+    return config, (
+        f"nmf: d={fact.d}, localized origin {counts.localized_origin}, "
+        f"destination {counts.localized_destination}, "
+        f"matched pairs {counts.matched_pairs}"
     )
 
 
-def _read_csv_dict(path: Path, key_col: int = 0):
-    """Rows of a small comma file as {first column: remaining columns}."""
+def _read_csv_dict(path: Path) -> dict[str, list[str]]:
+    """Rows of a small comma file, header skipped, as {first column: the rest}."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        return header, {row[key_col]: row[1:] for row in reader if row}
+        next(reader)
+        return {row[0]: row[1:] for row in reader if row}
 
 
-def _cmd_report(args) -> None:
-    out = _outdir(args)
+def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
     needed = {
         "stats.json": "stats",
         "ccdf_flow.tsv": "stats",
@@ -603,21 +542,15 @@ def _cmd_report(args) -> None:
         "community_report.json": "communities",
         "nmf_summary.json": "nmf",
     }
-    inputs = {name: _require(out, name, producer) for name, producer in needed.items()}
+    inputs = {name: stage.require(name, producer) for name, producer in needed.items()}
 
-    rep_dir = out / "report"
+    rep_dir = stage.out / "report"
     rep_dir.mkdir(exist_ok=True)
-    outputs = []
-
-    def emit(name: str, svg_text: str) -> None:
-        path = rep_dir / name
-        path.write_text(svg_text, encoding="utf-8")
-        outputs.append(path)
 
     for stem, label in (("flow", "flow [yen]"), ("frequency", "frequency")):
         xs, ys = _read_ccdf(inputs[f"ccdf_{stem}.tsv"])
-        emit(
-            f"ccdf_{stem}.svg",
+        stage.write_text(
+            f"report/ccdf_{stem}.svg",
             line_plot(
                 [(stem, xs, ys)],
                 title=f"Link {stem} CCDF",
@@ -631,8 +564,8 @@ def _cmd_report(args) -> None:
     for stem in ("in_degree", "out_degree"):
         xs, ys = _read_ccdf(inputs[f"ccdf_{stem}.tsv"])
         deg_series.append((stem.replace("_", " "), xs, ys))
-    emit(
-        "ccdf_degrees.svg",
+    stage.write_text(
+        "report/ccdf_degrees.svg",
         line_plot(
             deg_series,
             title="Degree CCDF",
@@ -644,8 +577,8 @@ def _cmd_report(args) -> None:
     )
 
     # potential histogram per walnut class; join phi and labels by node id
-    _, pot_rows = _read_csv_dict(inputs["hodge_potentials.csv"])
-    _, comp_rows = _read_csv_dict(inputs["bowtie.csv"])
+    pot_rows = _read_csv_dict(inputs["hodge_potentials.csv"])
+    comp_rows = _read_csv_dict(inputs["bowtie.csv"])
     if set(pot_rows) != set(comp_rows):
         raise DataError(
             "hodge_potentials.csv and bowtie.csv disagree on the node set; "
@@ -658,8 +591,8 @@ def _cmd_report(args) -> None:
     part = BowtiePartition(labels=labels)
     if part.gwcc_size > 0:
         edges, counts = potential_histograms(phi, part, bins=50)
-        emit(
-            "potential_histogram.svg",
+        stage.write_text(
+            "report/potential_histogram.svg",
             step_histogram(
                 edges,
                 counts,
@@ -672,8 +605,8 @@ def _cmd_report(args) -> None:
     size_rank = [row["size"] for row in community.get("size_rank", [])]
     if size_rank:
         ranks = np.arange(1, len(size_rank) + 1, dtype=float)
-        emit(
-            "community_size_rank.svg",
+        stage.write_text(
+            "report/community_size_rank.svg",
             line_plot(
                 [("communities", ranks, np.array(size_rank, dtype=float))],
                 title="Irreducible community sizes",
@@ -692,8 +625,8 @@ def _cmd_report(args) -> None:
         ],
         dtype=float,
     )
-    emit(
-        "similarity.svg",
+    stage.write_text(
+        "report/similarity.svg",
         heatmap_svg(
             sims,
             title="Origin/destination factor similarity",
@@ -734,15 +667,11 @@ def _cmd_report(args) -> None:
             "localized_destination": nmf_summary["localized_destination"],
             "matched_pairs": nmf_summary["matched_pairs"],
         },
-        "figures": sorted(p.name for p in outputs),
+        "figures": sorted(p.name for p in stage.outputs),
     }
-    report_path = rep_dir / "report.json"
-    _write_json(report_path, report_obj)
-    outputs.append(report_path)
+    stage.write_json("report/report.json", report_obj)
 
-    manifest_outputs = [p for p in outputs]
-    _write_manifest(out, "report", {}, inputs, manifest_outputs)
-    print(f"report: {len(outputs)} files -> {rep_dir}")
+    return {}, f"report: {len(stage.outputs)} files -> {rep_dir}"
 
 
 # ---------------------------------------------------------------------------
@@ -880,11 +809,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.func(args)
-    except DataError as exc:
-        print(f"moneyflow {args.command}: error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+        stage = _Stage(Path(args.out))
+        config, message = args.func(args, stage)
+        _write_manifest(stage.out, args.command, config, stage.inputs, stage.outputs)
+        print(message)
+    except (DataError, ValueError, OSError) as exc:
         print(f"moneyflow {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -416,6 +416,29 @@ class SweepRow:
         }
 
 
+def _sweep_row(
+    fact: NmfFactorization,
+    loc: LocalizationSummary,
+    sims: np.ndarray,
+    gamma_threshold: float,
+    similarity_threshold: float,
+) -> SweepRow:
+    """Localized factors per side and matched pairs of one factorization."""
+    diag = tuple(float(sims[i, i]) for i in range(fact.d))
+    g_o = tuple(r.gamma for r in loc.origin)
+    g_d = tuple(r.gamma for r in loc.destination)
+    return SweepRow(
+        d=fact.d,
+        objective=fact.objective,
+        gamma_origin=g_o,
+        gamma_destination=g_d,
+        localized_origin=sum(1 for g in g_o if g is not None and g > gamma_threshold),
+        localized_destination=sum(1 for g in g_d if g is not None and g > gamma_threshold),
+        matched_pairs=sum(1 for s in diag if np.isfinite(s) and s >= similarity_threshold),
+        diagonal_similarity=diag,
+    )
+
+
 def d_sweep(
     gfm: GeoFlowMatrix,
     d_range: tuple[int, int],
@@ -442,27 +465,7 @@ def d_sweep(
         fact = nmf(gfm, d, seed=sub_seed, max_iters=max_iters, tol=tol)
         loc = localization(fact, gfm.grid, radius_km=radius_km)
         sims = similarity_matrix(fact)
-        diag = tuple(float(sims[i, i]) for i in range(d))
-        g_o = tuple(r.gamma for r in loc.origin)
-        g_d = tuple(r.gamma for r in loc.destination)
-        rows.append(
-            SweepRow(
-                d=d,
-                objective=fact.objective,
-                gamma_origin=g_o,
-                gamma_destination=g_d,
-                localized_origin=sum(
-                    1 for g in g_o if g is not None and g > gamma_threshold
-                ),
-                localized_destination=sum(
-                    1 for g in g_d if g is not None and g > gamma_threshold
-                ),
-                matched_pairs=sum(
-                    1 for s in diag if np.isfinite(s) and s >= similarity_threshold
-                ),
-                diagonal_similarity=diag,
-            )
-        )
+        rows.append(_sweep_row(fact, loc, sims, gamma_threshold, similarity_threshold))
     return tuple(rows)
 
 

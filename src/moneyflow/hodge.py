@@ -245,21 +245,25 @@ def hodge_decompose(
     if ncomp <= 1:
         phi = solve_potentials(problem, tol=tol, max_iter=max_iter)
         return decompose(problem, phi)
+    # group the nodes by component once (ascending within each), so every
+    # component's block of the permuted Laplacian is a contiguous slice
+    order = np.argsort(labels, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=ncomp))))
+    laplacian = problem.laplacian[order][:, order]
+    divergence = problem.divergence[order]
     phi = np.zeros(problem.n)
     for comp in range(ncomp):
-        nodes = np.flatnonzero(labels == comp)
-        if nodes.size == 1:
+        lo, hi = int(starts[comp]), int(starts[comp + 1])
+        if hi - lo == 1:
             continue
-        sub_L = problem.laplacian[nodes][:, nodes].tocsr()
-        sub_b = problem.divergence[nodes]
-        cap = max_iter if max_iter is not None else max(20 * nodes.size, 100)
-        sub_phi, rel_res, _ = _cg_zero_mean(sub_L, sub_b, tol, cap)
+        cap = max_iter if max_iter is not None else max(20 * (hi - lo), 100)
+        sub_phi, rel_res, _ = _cg_zero_mean(laplacian[lo:hi, lo:hi], divergence[lo:hi], tol, cap)
         if rel_res > tol:
             raise ConvergenceError(
                 f"CG stalled on component {comp} at relative residual {rel_res:.3e}",
                 residual=rel_res,
             )
-        phi[nodes] = sub_phi
+        phi[order[lo:hi]] = sub_phi
     return decompose(problem, phi)
 
 

@@ -47,6 +47,8 @@ def net_from_edges(n, edges, flows=None, freqs=None):
 
 def random_edges(rng: np.random.Generator, n: int, m: int) -> list[tuple[int, int]]:
     """m distinct directed edges, no self-loops, every node touched."""
+    if m > n * (n - 1):
+        raise ValueError(f"{m} edges exceed the {n * (n - 1)} distinct pairs of {n} nodes")
     edges = set()
     while len(edges) < m:
         s, t = rng.integers(0, n, size=2)
@@ -65,6 +67,10 @@ def random_connected_edges(
     rng: np.random.Generator, n: int, extra: int
 ) -> list[tuple[int, int]]:
     """Weakly connected digraph: random spanning tree plus extra edges."""
+    if n - 1 + extra > n * (n - 1):
+        raise ValueError(
+            f"{n - 1 + extra} edges exceed the {n * (n - 1)} distinct pairs of {n} nodes"
+        )
     edges = set()
     order = rng.permutation(n)
     for k in range(1, n):

@@ -239,6 +239,78 @@ def test_id_with_comma_survives_every_stage(tmp_path):
             assert {len(row) for row in rows} == {columns}, name
 
 
+# config, input labels and output names of each manifest of the pipeline
+# above, recorded before the subcommands shared one stage runner; ingest's
+# input path depends on the workspace and is checked on its own
+MANIFESTS = {
+    "synth": (
+        {"blocks": None, "nested": None, "nodes": 300, "scenario": "full", "seed": 1},
+        [],
+        ["ground_truth.json", "synthetic_log.csv"],
+    ),
+    "ingest": (
+        {
+            "delimiter": ",", "keep_external": False, "keep_nonfirm": False,
+            "keep_self_loops": False, "strict": False,
+        },
+        None,
+        ["ingest_summary.json", "links.csv", "nodes.csv"],
+    ),
+    "stats": (
+        {},
+        ["links.csv"],
+        [
+            "ccdf_flow.tsv", "ccdf_frequency.tsv", "ccdf_in_degree.tsv",
+            "ccdf_out_degree.tsv", "stats.json",
+        ],
+    ),
+    "bowtie": ({}, ["links.csv"], ["bowtie.csv", "bowtie_summary.json"]),
+    "hodge": (
+        {"tol": 1e-10, "weight": "frequency"},
+        ["links.csv"],
+        ["hodge_links.csv", "hodge_potentials.csv", "hodge_summary.json"],
+    ),
+    "communities": (
+        {"seed": 0, "trials": 2, "weight": "frequency"},
+        ["links.csv"],
+        ["communities.json", "communities_flat.csv", "community_report.json"],
+    ),
+    "nmf": (
+        {
+            "bounds": [34.0, 35.0, 135.0, 136.0], "d_range": None, "grid_k": 20,
+            "max_iters": 200, "nmf_d": 3, "radius_km": 10.0, "seed": 0, "tol": 1e-12,
+        },
+        ["links.csv", "nodes.csv"],
+        ["H.txt", "V.txt", "W.txt"]
+        + [f"heatmap_{side}_0{k}.{ext}" for side in ("destination", "origin")
+           for k in (1, 2, 3) for ext in ("svg", "tsv")]
+        + ["nmf_summary.json"],
+    ),
+    "report": (
+        {},
+        [
+            "bowtie.csv", "bowtie_summary.json", "ccdf_flow.tsv", "ccdf_frequency.tsv",
+            "ccdf_in_degree.tsv", "ccdf_out_degree.tsv", "community_report.json",
+            "hodge_potentials.csv", "hodge_summary.json", "nmf_summary.json", "stats.json",
+        ],
+        [
+            "ccdf_degrees.svg", "ccdf_flow.svg", "ccdf_frequency.svg",
+            "community_size_rank.svg", "potential_histogram.svg", "report.json",
+            "similarity.svg",
+        ],
+    ),
+}
+
+
+def assert_hashes_match(out, manifest):
+    """Every input and output a manifest lists hashes to what it records."""
+    out_dir = out / "report" if manifest["subcommand"] == "report" else out
+    files = [(out / label, d) for label, d in manifest["inputs"].items()]
+    files += [(out_dir / name, d) for name, d in manifest["outputs"].items()]
+    for path, digest in files:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path
+
+
 class TestManifests:
     def test_manifest_hashes_match_files(self, ws):
         manifest = json.loads((ws / "manifest_bowtie.json").read_text())
@@ -248,6 +320,36 @@ class TestManifests:
             assert actual == digest
         assert set(manifest["versions"]) == {"python", "numpy", "scipy", "moneyflow"}
 
+    @pytest.mark.parametrize("step", list(MANIFESTS))
+    def test_every_manifest_lists_its_files(self, ws, step):
+        manifest = json.loads((ws / f"manifest_{step}.json").read_text())
+        config, inputs, outputs = MANIFESTS[step]
+        assert manifest["subcommand"] == step
+        if step == "ingest":
+            log = str(ws / "synthetic_log.csv")
+            assert manifest["config"].pop("input") == log
+            inputs = [log]
+        assert manifest["config"] == config
+        assert sorted(manifest["inputs"]) == inputs
+        assert sorted(manifest["outputs"]) == outputs
+        assert_hashes_match(ws, manifest)
+
+    def test_ingest_manifest_lists_rejected_lines(self, ws, tmp_path):
+        lines = (ws / "synthetic_log.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        log = tmp_path / "mixed.csv"
+        log.write_text("".join(lines[:50]) + "only,two\n" + "".join(lines[50:100]), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--input", str(log)]) == 0
+        manifest = json.loads((out / "manifest_ingest.json").read_text())
+        assert list(manifest["inputs"]) == [str(log)]
+        assert sorted(manifest["outputs"]) == [
+            "ingest_summary.json", "links.csv", "nodes.csv", "rejected.csv",
+        ]
+        assert_hashes_match(out, manifest)
+        with open(out / "rejected.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["line_no", "reason"], ["51", "expected 10 fields, got 2"]]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "ws"
         run_pipeline(out)
@@ -256,6 +358,43 @@ class TestManifests:
         run_pipeline(out)
         second = {p.name: p.read_bytes() for p in out.glob("manifest_*.json")}
         assert second == first
+
+
+# the moneyflow.cli names that perfbench/cli_stage.py replaces with traced
+# wrappers; stage code must look them up on the module when it runs, or a
+# traced benchmark run loses the spans of the layers it calls
+TRACED_NAMES = (
+    "generate", "write_records", "parse_log", "filter_records", "aggregate",
+    "collect_node_coords", "write_links", "read_links", "build_network",
+    "degree_correlation", "classify_bowtie", "distance_profile", "hodge_decompose",
+    "detect_communities", "community_report", "flat_table", "bin_transfers", "nmf",
+    "localization",
+)
+
+
+def test_stages_call_the_traced_names(tmp_path, monkeypatch):
+    import moneyflow.cli as cli
+    from moneyflow.hodge import HodgeDecomposition
+
+    calls = dict.fromkeys((*TRACED_NAMES, "link_table"), 0)
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in TRACED_NAMES:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    monkeypatch.setattr(
+        HodgeDecomposition, "link_table",
+        counting("link_table", HodgeDecomposition.link_table),
+    )
+    run_pipeline(tmp_path)
+    # links.csv is read by the five stages after ingest; nmf bins it
+    # without building a network
+    expected = dict.fromkeys(calls, 1) | {"read_links": 5, "build_network": 4}
+    assert calls == expected
 
 
 def test_cli_import_loads_no_scipy_sparse_or_stats():

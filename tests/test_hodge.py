@@ -129,6 +129,25 @@ class TestSolve:
         # per-component gauge; second dyad carries frequency 2, so F = 2, w = 1
         assert decomp.phi == pytest.approx([0.5, -0.5, 1.0, -1.0], abs=1e-10)
 
+    def test_interleaved_components_match_separate_solves(self, rng):
+        # each node joins one of four components at random, so every
+        # component's indices are scattered over the whole node range
+        n = 80
+        owner = rng.permutation(np.arange(n) % 4)
+        edges = []
+        for comp in range(4):
+            members = np.flatnonzero(owner == comp)
+            for s, t in random_connected_edges(rng, members.size, members.size):
+                edges.append((int(members[s]), int(members[t])))
+        net = net_from_edges(n, edges)
+        for kind in ("frequency", "flow"):
+            decomp = hodge_decompose(net, kind=kind)
+            assert decomp.problem.components[1] == 4
+            for comp in range(4):
+                sub, nodes = net.subnetwork(np.flatnonzero(owner == comp))
+                phi = solve_potentials(assemble_problem(sub, kind))
+                assert decomp.phi[nodes].tobytes() == phi.tobytes()
+
     def test_convergence_error_carries_residual(self, rng):
         edges = random_connected_edges(rng, 120, 240)
         net = net_from_edges(120, edges)

@@ -15,7 +15,7 @@ from moneyflow import (
 
 from moneyflow.network import _kendall_tau_b
 
-from conftest import make_links, net_from_edges, random_edges
+from conftest import make_links, net_from_edges, random_connected_edges, random_edges
 from oracles import ccdf_points, kendall_tau_b, moments, pearson_r
 
 
@@ -204,3 +204,17 @@ class TestSubnetwork:
         net = net_from_edges(4, [(0, 1), (1, 2), (2, 3)], flows=[5, 7, 9])
         sub, _ = net.subnetwork(np.array([1, 2]))
         assert sub.weights("flow").tolist() == [7]
+
+
+def test_edge_helpers_refuse_more_edges_than_pairs():
+    # n nodes hold n(n-1) distinct non-loop pairs; asking for more used
+    # to make the helpers draw forever
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        random_edges(rng, 2, 3)
+    with pytest.raises(ValueError):
+        random_connected_edges(rng, 1, 1)
+    with pytest.raises(ValueError):
+        random_connected_edges(rng, 3, 5)
+    assert len(random_edges(rng, 3, 6)) == 6
+    assert len(random_connected_edges(rng, 3, 4)) == 6
