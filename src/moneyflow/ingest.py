@@ -280,6 +280,9 @@ class _Vocabulary:
         self._checked = 0
         self._bad: list[int] = []
 
+    def __len__(self) -> int:
+        return len(self._code_of)
+
     def codes(self, ids: Sequence[str]) -> np.ndarray:
         return np.fromiter(
             map(self._code_of.setdefault, ids, self._counter), dtype=np.int32, count=len(ids)
@@ -492,39 +495,87 @@ def _canonical_amounts(col: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ok, values, 0), ok
 
 
-def _coordinate_field(col: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, present, ok) of one coordinate column.
+class _CoordinateText:
+    """Coordinate strings of a whole log, each parsed by float() once.
 
     A field is present when nonempty and ok when empty or parsed by
     float(), which ignores surrounding whitespace as the per-line parser's
-    strip does.  Each distinct string is parsed once: coordinates repeat
-    with their account.
+    strip does.  Coordinates repeat with their account, so the map holds
+    at most two strings per account of ``vocab`` and the empty one; it
+    starts over whenever it holds more, which bounds it for logs whose
+    coordinates do not repeat.
     """
-    first: dict[str, int] = {}
-    at = np.fromiter(map(first.setdefault, col, count()), dtype=np.intp, count=len(col))
-    values = np.zeros(len(col))
-    present = np.zeros(len(col), dtype=bool)
-    ok = np.ones(len(col), dtype=bool)
-    for text, k in first.items():
-        if text:
-            present[k] = True
-            try:
-                values[k] = float(text)
-            except ValueError:
-                ok[k] = False
-    return values[at], present[at], ok[at]
+
+    def __init__(self, vocab: _Vocabulary):
+        self._vocab = vocab
+        self._start_over()
+
+    def _start_over(self):
+        self._code_of: dict[str, int] = {"": 0}
+        self._value = np.zeros(1)
+        self._ok = np.ones(1, dtype=bool)
+
+    def field(self, col: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values, present, ok) of one coordinate column."""
+        if len(self._code_of) > 2 * len(self._vocab) + 1:
+            self._start_over()
+        code_of = self._code_of
+        codes = np.fromiter(map(code_of.get, col, repeat(-1)), dtype=np.intp, count=len(col))
+        missing = np.flatnonzero(codes < 0).tolist()
+        if missing:
+            texts = list(map(col.__getitem__, missing))
+            value, ok = [], []
+            for text in dict.fromkeys(texts):
+                code_of[text] = len(code_of)
+                try:
+                    value.append(float(text))
+                    ok.append(True)
+                except ValueError:
+                    value.append(0.0)
+                    ok.append(False)
+            self._value = np.concatenate([self._value, value])
+            self._ok = np.concatenate([self._ok, ok])
+            codes[missing] = np.fromiter(map(code_of.__getitem__, texts), dtype=np.intp, count=len(texts))
+        return self._value[codes], codes != 0, self._ok[codes]
+
+    def pair(self, lat_col, lon_col) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(coords, present, ok): both fields empty, or both parsed by float()."""
+        lat, lat_present, lat_ok = self.field(lat_col)
+        lon, lon_present, lon_ok = self.field(lon_col)
+        ok = lat_ok & lon_ok & (lat_present == lon_present)
+        return np.column_stack([lat, lon]), lat_present & ok, ok
 
 
-def _canonical_coords(lat_col, lon_col) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coords, present, ok): both fields empty, or both parsed by float()."""
-    lat, lat_present, lat_ok = _coordinate_field(lat_col)
-    lon, lon_present, lon_ok = _coordinate_field(lon_col)
-    ok = lat_ok & lon_ok & (lat_present == lon_present)
-    return np.column_stack([lat, lon]), lat_present & ok, ok
+def _line_counts(chars: np.ndarray, ends: np.ndarray, char: str) -> np.ndarray:
+    """How often ``char`` occurs in each line; line k ends before ``ends[k]``."""
+    at = np.flatnonzero(chars == ord(char))
+    return np.diff(np.searchsorted(at, ends), prepend=0)
+
+
+def _canonical_lines(chunk: list[str], text: str, delimiter: str) -> np.ndarray:
+    """Mask of the lines of 10 fields ending in their one line break.
+
+    Such a line holds no quote or carriage return and no more characters
+    than csv's field size limit (csv refuses longer fields; such lines take
+    its path).  The checks run on the code points of the joined ``text``.
+    """
+    lengths = _lengths(chunk)
+    ends = np.cumsum(lengths)
+    if text.isascii():
+        chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        chars = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    ok = (_line_counts(chars, ends, delimiter) == 9) & (lengths <= csv.field_size_limit())
+    # nine delimiters make a line nonempty, so ends - 1 is its last character
+    ok &= (chars[ends - 1] == ord("\n")) & (_line_counts(chars, ends, "\n") == 1)
+    for char in '"\r':
+        if char in text:
+            ok &= _line_counts(chars, ends, char) == 0
+    return ok
 
 
 def _canonical_chunk(
-    chunk: list[str], delimiter: str, vocab: _Vocabulary
+    chunk: list[str], delimiter: str, vocab: _Vocabulary, coords: _CoordinateText
 ) -> tuple[dict, np.ndarray]:
     """Columns of the canonical lines of a chunk, and the mask of those lines.
 
@@ -539,15 +590,7 @@ def _canonical_chunk(
     if not chunk[-1].endswith("\n"):
         chunk = chunk[:-1] + [chunk[-1] + "\n"]  # a log without a final newline
     text = "".join(chunk)
-    ok = np.fromiter(map(str.count, chunk, repeat(delimiter)), dtype=np.int64, count=n) == 9
-    # csv refuses fields over its size limit; such lines take its path
-    ok &= _lengths(chunk) <= csv.field_size_limit()
-    ends = np.fromiter(map(str.endswith, chunk, repeat("\n")), dtype=bool, count=n)
-    if '"' in text or "\r" in text or not ends.all() or text.count("\n") != n:
-        ok &= np.array(
-            [not ('"' in x or "\r" in x or x.find("\n") != len(x) - 1) for x in chunk],
-            dtype=bool,
-        )
+    ok = _canonical_lines(chunk, text, delimiter)
     picked = np.flatnonzero(ok)
     if picked.size == 0:
         return {}, ok
@@ -573,8 +616,8 @@ def _canonical_chunk(
         code = np.fromiter(map(_KIND_CODE.get, col, repeat(-1)), dtype=np.int8, count=len(col))
         good &= code >= 0
         kinds.append(code)
-    src_coord, src_has, good_src = _canonical_coords(src_lat, src_lon)
-    dst_coord, dst_has, good_dst = _canonical_coords(dst_lat, dst_lon)
+    src_coord, src_has, good_src = coords.pair(src_lat, src_lon)
+    dst_coord, dst_has, good_dst = coords.pair(dst_lat, dst_lon)
     good &= good_src & good_dst
 
     ok[picked] = good
@@ -614,11 +657,12 @@ def parse_log(
     lines = _ChunkedLines(stream)
     reader = csv.reader(lines, delimiter=delimiter)
     vocab = _Vocabulary()
+    coords = _CoordinateText(vocab)
     parts_of: list[dict] = []
     rejected: list[RejectedLine] = []
     line_no = 0
     while chunk := lines.next_chunk(CHUNK_LINES):
-        columns, canonical = _canonical_chunk(chunk, delimiter, vocab)
+        columns, canonical = _canonical_chunk(chunk, delimiter, vocab, coords)
         taken = canonical.copy()
         records: list[TransferRecord] = []
         at: list[int] = []

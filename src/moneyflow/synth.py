@@ -424,15 +424,15 @@ def generate(spec: ScenarioSpec) -> tuple[TransferTable, GroundTruth]:
             hub_edges.add((0, int(t)))
         edges |= hub_edges
 
-    edge_list = sorted(edges)
-    m = len(edge_list)
+    edge_arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    m = len(edge_arr)
     periodic = rng.random(m) < spec.periodic_share
     biweekly = periodic & (rng.random(m) < spec.biweekly_fraction)
     if hub_edges:
-        for k, e in enumerate(edge_list):
-            if e in hub_edges:
-                periodic[k] = True
-                biweekly[k] = False
+        # every hub edge leaves node 0; it pays monthly
+        on_hub = (edge_arr[:, 0] == 0) & np.isin(edge_arr[:, 1], [t for _, t in hub_edges])
+        periodic[on_hub] = True
+        biweekly[on_hub] = False
 
     # Only the rng calls stay in the per-edge loop, in their original order;
     # the schedules are laid out afterwards, event by event in edge order.
@@ -472,18 +472,20 @@ def generate(spec: ScenarioSpec) -> tuple[TransferTable, GroundTruth]:
     ].T
     schedule[:, on_schedule] = (np.where(bi, nth // 2, nth), day + 14 * (nth % 2) * bi, hour, minute)
     month_arr, day_arr, hour_arr, minute_arr = schedule
-    edge_arr = np.array(edge_list, dtype=np.int64).reshape(-1, 2)
-    src_arr = edge_arr[edge_of, 0]
-    dst_arr = edge_arr[edge_of, 1]
     amounts = np.maximum(
         1, rng.lognormal(spec.amount_log_mean, spec.amount_log_sigma, n_events)
     ).astype(np.int64)
 
-    order = np.lexsort((amounts, dst_arr, src_arr, minute_arr, hour_arr, day_arr, month_arr))
-    days = (_WINDOW_START + month_arr[order]).astype("datetime64[D]") + (day_arr[order] - 1)
-    minutes = (hour_arr[order] * 60 + minute_arr[order]).astype("timedelta64[m]")
-    src_arr = src_arr[order]
-    dst_arr = dst_arr[order]
+    stamps = (
+        (_WINDOW_START + month_arr).astype("datetime64[m]")
+        + ((day_arr - 1) * 24 + hour_arr) * 60
+        + minute_arr
+    )
+    # rows sorted by (time, src, dst, amount): edges are sorted by (src, dst),
+    # so the edge index orders pairs, and lexsort is stable, so rows equal in
+    # all three keys stay in edge order
+    order = np.lexsort((amounts, edge_of, stamps.view(np.int64)))
+    src_arr, dst_arr = edge_arr[edge_of[order]].T
     names = [_node_name(i) for i in range(spec.n_nodes)]
     firm = np.zeros(n_events, dtype=np.int8)
     present = np.ones(n_events, dtype=bool)
@@ -492,7 +494,7 @@ def generate(spec: ScenarioSpec) -> tuple[TransferTable, GroundTruth]:
         src_arr,
         dst_arr,
         amount=amounts[order],
-        timestamp=days.astype(TIME_DTYPE) + minutes,
+        timestamp=stamps[order].astype(TIME_DTYPE),
         src_kind=firm,
         dst_kind=firm,
         src_coord=coords[src_arr],

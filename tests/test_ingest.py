@@ -417,12 +417,20 @@ _WHOLE_LINES = {
     "close_quote": 'X",F2,5,firm,firm,,,,',
 }
 _CANONICAL = ",".join(_FIELDS) + "\n"
+# Coordinate texts drawn per field, so that each, valid or not, recurs in
+# later chunks and under more strings than the accounts can hold
+_COORD_TEXTS = (
+    "34.5", "135.5", "", " ", " 34.5", "135.5 ", "\t34.5", "nan", " nan ", "NaN",
+    "north", "3_4.5", "1e-05", "-inf", "٣٤",
+)
 
 
 @st.composite
 def _log_lines(draw):
     names = draw(st.lists(
-        st.sampled_from(sorted(_VARIANTS) + sorted(_WHOLE_LINES)), min_size=0, max_size=14
+        st.sampled_from(sorted(_VARIANTS) + sorted(_WHOLE_LINES) + ["drawn_coords"]),
+        min_size=0,
+        max_size=14,
     ))
     lines = []
     for name in names:
@@ -430,8 +438,11 @@ def _log_lines(draw):
             text = _WHOLE_LINES[name]
         else:
             fields = list(_FIELDS)
-            for k, value in _VARIANTS[name].items():
+            for k, value in _VARIANTS.get(name, {}).items():
                 fields[k] = value
+            if name == "drawn_coords":
+                fields[1] = draw(st.sampled_from(["F1", "F2", "F3"]))
+                fields[6:] = [draw(st.sampled_from(_COORD_TEXTS)) for _ in range(4)]
             text = ",".join(fields)
         lines.append(text + draw(st.sampled_from(["\n", "\n", "\r\n"])))
     if lines and draw(st.booleans()):
@@ -442,6 +453,8 @@ def _log_lines(draw):
 @given(_log_lines(), st.integers(min_value=1, max_value=5), st.booleans())
 @example([_WHOLE_LINES["open_quote"] + "\n", _CANONICAL, _WHOLE_LINES["close_quote"] + "\n",
           _CANONICAL], 2, False)
+@example([_CANONICAL.replace("34.5,135.5", coords) for coords in
+          ("nan, 1", " , ", "north,1", "1 ,\t2", "nan, 1", " , ", "north,1", "1 ,\t2")], 2, False)
 @settings(max_examples=300, deadline=None)
 def test_fast_path_matches_per_line_parse(lines, chunk_lines, strict):
     with mock.patch.object(ingest_module, "CHUNK_LINES", chunk_lines):
