@@ -434,44 +434,34 @@ def generate(spec: ScenarioSpec) -> tuple[TransferTable, GroundTruth]:
         periodic[on_hub] = True
         biweekly[on_hub] = False
 
-    # Only the rng calls stay in the per-edge loop, in their original order;
-    # the schedules are laid out afterwards, event by event in edge order.
-    events_per_edge = np.empty(m, dtype=np.int64)
-    fixed: list[tuple[int, int, int]] = []
-    drawn: list[list[np.ndarray]] = [[], [], [], []]
-    for k, (is_periodic, is_biweekly) in enumerate(zip(periodic.tolist(), biweekly.tolist())):
-        if is_periodic:
-            day = int(rng.integers(1, 15 if is_biweekly else 29))
-            hour = int(rng.integers(0, 24))
-            minute = int(rng.integers(0, 60))
-            fixed.append((day, hour, minute))
-            events_per_edge[k] = BIWEEKLY_EVENTS if is_biweekly else MONTHLY_EVENTS
-        else:
-            n_ev = int(rng.geometric(0.75))
-            events_per_edge[k] = n_ev
-            drawn[0].append(rng.integers(0, MONTHS_IN_WINDOW, size=n_ev))
-            drawn[1].append(rng.integers(1, 29, size=n_ev))
-            drawn[2].append(rng.integers(0, 24, size=n_ev))
-            drawn[3].append(rng.integers(0, 60, size=n_ev))
+    # Each schedule column is one draw over all edges: the fixed day, hour
+    # and minute of the periodic edges, the event count of the one-off ones,
+    # then the month, day, hour and minute of every one-off event.
+    n_periodic = int(periodic.sum())
+    fixed = np.zeros((3, m), dtype=np.int64)  # day, hour, minute
+    fixed[:, periodic] = (
+        rng.integers(1, np.where(biweekly[periodic], 15, 29)),
+        rng.integers(0, 24, size=n_periodic),
+        rng.integers(0, 60, size=n_periodic),
+    )
+    events_per_edge = np.where(biweekly, BIWEEKLY_EVENTS, MONTHLY_EVENTS)
+    events_per_edge[~periodic] = rng.geometric(0.75, size=m - n_periodic)
 
     edge_of = np.repeat(np.arange(m), events_per_edge)
     n_events = edge_of.size
-    schedule = np.zeros((4, n_events), dtype=np.int64)  # month, day, hour, minute
-    one_off = ~periodic[edge_of]
-    for row, parts in zip(schedule, drawn):
-        if parts:
-            row[one_off] = np.concatenate(parts)
     # a periodic edge fires every month at its fixed day, hour and minute,
     # a biweekly one on that day and 14 days later
-    on_schedule = ~one_off
-    first_event = np.cumsum(events_per_edge) - events_per_edge
-    nth = (np.arange(n_events) - first_event[edge_of])[on_schedule]
-    bi = biweekly[edge_of[on_schedule]]
-    day, hour, minute = np.array(fixed, dtype=np.int64).reshape(-1, 3)[
-        (np.cumsum(periodic) - 1)[edge_of[on_schedule]]
-    ].T
-    schedule[:, on_schedule] = (np.where(bi, nth // 2, nth), day + 14 * (nth % 2) * bi, hour, minute)
-    month_arr, day_arr, hour_arr, minute_arr = schedule
+    nth = np.arange(n_events) - (np.cumsum(events_per_edge) - events_per_edge)[edge_of]
+    bi = biweekly[edge_of]
+    month_arr = np.where(bi, nth // 2, nth)
+    day_arr, hour_arr, minute_arr = fixed[:, edge_of]
+    day_arr += 14 * (nth % 2) * bi
+    one_off = ~periodic[edge_of]
+    n_one_off = int(one_off.sum())
+    for column, low, high in (
+        (month_arr, 0, MONTHS_IN_WINDOW), (day_arr, 1, 29), (hour_arr, 0, 24), (minute_arr, 0, 60)
+    ):
+        column[one_off] = rng.integers(low, high, size=n_one_off)
     amounts = np.maximum(
         1, rng.lognormal(spec.amount_log_mean, spec.amount_log_sigma, n_events)
     ).astype(np.int64)

@@ -191,15 +191,18 @@ class TestArtifacts:
             assert abs(f_net - (f_grad + f_circ)) <= 1e-9 * scale
 
 
-# sha256 of the analysis artifacts of the pipeline above, recorded before
-# the graph layer moved onto scipy.sparse.csgraph; a change to labels,
-# distances, potentials or their formatting shows up here
+# sha256 of the analysis artifacts of the pipeline above; a change to
+# labels, distances, potentials or their formatting shows up here.  The
+# bowtie pins date from before the graph layer moved onto
+# scipy.sparse.csgraph; the statistics and Hodge pins were re-pinned when
+# the generator's schedule draws changed the link weights, which leave the
+# wiring, and so the bowtie, as it was
 ARTIFACT_SHA256 = {
-    "stats.json": "89595cb95a3e69494500b06f9af8d9f34f6b86324d8777a4b73c63924757b185",
+    "stats.json": "6399af04c60d5fd8f37764354f61eed0aab25e28f694082f8d27ec66f16466d8",
     "bowtie.csv": "012fe8a0ed9e31f17be15e57796752fc882950760a002df4d436bd26729417ba",
     "bowtie_summary.json": "2c5a898f3eed52cdc0bcf27ee8e5bcd31d4bc9ddf6371bcadf190d9178e64861",
-    "hodge_potentials.csv": "8d2a705eef4a4289978a230949042d0e795e0552469a74daadf91d8ef21f7bf7",
-    "hodge_summary.json": "3f1959fe8cf44ff9a57f5e3404f9db5bd67d0c0d744779ef03604379b40ed8cb",
+    "hodge_potentials.csv": "0a17bce49b7d47282378fcb9df72df23d94cbc228d7dd9465240fa8adff56bf3",
+    "hodge_summary.json": "a4a8894fac8b2132499e05141cc7ba3549af71761fc13735a1d616864bdf9aa0",
 }
 
 

@@ -186,19 +186,20 @@ def test_running_value_matches_exact_value(net, seed, trials):
 
 
 # sha256 of the tree and history at seed 0, trials 10; any change to the
-# optimizer's arithmetic or move order shows up here
+# optimizer's arithmetic or move order shows up here.  Re-pinned when the
+# generator's schedule draws changed, which moves the link weights
 PINNED_TREES = [
     (
         cities_scenario(n_nodes=300, seed=1, hub=True),
-        "c3ba6cb0804152b731f08d732c4bd497592d5e25f80182680b807008ce63998e",
+        "5cc0eabff982d8be06eb507e1702c921a2d5c95589046852250e5aa0788dbd48",
     ),
     (
         blocks_scenario(n_nodes=240, seed=0, n_blocks=12, nested=True),
-        "3e106aaf5e454bbf31c5553c8804c088219b1fb64346e6199059265ef77ce07d",
+        "5bd22bc853350139e1ce0e17bca8be86dfed11133282d6478b280ca5dca87925",
     ),
     (
         walnut_scenario(n_nodes=300, seed=3),
-        "07b527462ba7584a311aa1ef95c1854acec214b1f96da49cc62a272d1ace2494",
+        "f4647e88990700bb1ba21c1aed84b585df4c0ae3d66f69421dc3be44e1491bce",
     ),
 ]
 

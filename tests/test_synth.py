@@ -61,26 +61,28 @@ class TestDeterminism:
         b, _ = generate(walnut_scenario(n_nodes=300, seed=4))
         assert render(a) != render(b)
 
-    # sha256 of the log, of the filtered link table and of the node table,
-    # as the record-per-object implementation wrote them; a change to the
-    # generator's draws or to any of the three formats breaks these
+    # sha256 of the log, of the filtered link table and of the node table.
+    # Log and links were re-pinned when the schedules came to be drawn one
+    # column for all edges; the node table, drawn before, kept its pin.  A
+    # change to the generator's draws or to any of the three formats breaks
+    # these
     PINNED = {
         "walnut": (
             lambda: walnut_scenario(n_nodes=300, seed=3),
-            "f5c065a7075fef611363a672d65ce9fa24b8f1ef3e6de259c362dea66168102e",
-            "57e56ed63315458792454b2045d415ac9d62c20c6977bb89c8ea615252bf791e",
+            "dda6560b1402c4edee1e89818636bf66e3d8164a84f83270b4c11fe8c23ca42f",
+            "abfe68c57e2bdf239c8f3bb2d39e862a3415ab4ff264406570c2b00634d2ae6d",
             "5280acf33a8bb4df55866fe5d3bf8d84f052516110d83753760b82673a46c9ad",
         ),
         "cities": (
             lambda: cities_scenario(n_nodes=400, seed=1, hub=True),
-            "0361aaba21dc0bee9dbb08370eea06b742f68d0a73dcba040d697ca46c06d88e",
-            "a56e1fa854bdd07cfb69d321a2f57008ba89b49e4ddc8d070fb214fe841f2aad",
+            "68529205d9cf5a53bb07834a6cc4d2eca8a3884e92ee13f1442f6c5f3ef14dff",
+            "03e4157bd276a4d02065a90ff430d8aa695e49653fb61be6c69334a3da4be269",
             "1add89519694e6835966ef14710bc17c1a3f79fdf1f2c10f60205ef98c83713b",
         ),
         "blocks": (
             lambda: blocks_scenario(n_nodes=120, seed=2, n_blocks=4),
-            "36a7f71ef5c905031585889c78afd5617fb162d1a5eba399d9c6a3a1bece7f56",
-            "5974b1b5c374bff1d162e91a19d6af16df761c44f76d7333bb13df29c5697a15",
+            "629174cb0514e5a07018a404efd239fdedefc4e7cb4eddce8dddc3244c165b56",
+            "7e3469ea388b739ce876bd13d88f451c05250a495d19ac76f0a81cc08ce0cac6",
             "cb7857c1aaca6c2ef7e84b66a495d056aaf950ecb98cfaacb118de2308235e85",
         ),
     }
