@@ -44,7 +44,7 @@ from .geonmf import (
     write_matrix,
     write_sparse_matrix,
 )
-from .hodge import ConvergenceError, hodge_decompose, potential_histograms, potential_vs_net
+from .hodge import hodge_decompose, potential_histograms, potential_vs_net
 from .ingest import (
     FilterPolicy,
     _id_field,
@@ -816,14 +816,7 @@ def main(argv=None) -> int:
     except (DataError, ValueError, OSError) as exc:
         print(f"moneyflow {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(
-            f"moneyflow {args.command}: failed to converge: {exc} "
-            f"(residual {exc.residual:.3e})",
-            file=sys.stderr,
-        )
-        return 3
-    except RuntimeError as exc:
+    except RuntimeError as exc:  # ConvergenceError's message holds the residual
         print(f"moneyflow {args.command}: failed to converge: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -413,26 +413,24 @@ def generate(spec: ScenarioSpec) -> tuple[TransferTable, GroundTruth]:
         hub_pool_hi = n_core
 
     hub_node = None
-    hub_edges: set[tuple[int, int]] = set()
+    hub_targets = np.empty(0, dtype=np.int64)
     if spec.hub_outflow:
         hub_node = 0
         lat_min, lat_max, lon_min, lon_max = spec.bounds
         coords[0] = ((lat_min + lat_max) / 2.0, (lon_min + lon_max) / 2.0)
         pool = np.arange(1, hub_pool_hi)
         take = min(spec.hub_links, pool.size)
-        for t in rng.choice(pool, size=take, replace=False).tolist():
-            hub_edges.add((0, int(t)))
-        edges |= hub_edges
+        hub_targets = rng.choice(pool, size=take, replace=False)
+        edges.update((0, t) for t in hub_targets.tolist())
 
     edge_arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
     m = len(edge_arr)
     periodic = rng.random(m) < spec.periodic_share
     biweekly = periodic & (rng.random(m) < spec.biweekly_fraction)
-    if hub_edges:
-        # every hub edge leaves node 0; it pays monthly
-        on_hub = (edge_arr[:, 0] == 0) & np.isin(edge_arr[:, 1], [t for _, t in hub_edges])
-        periodic[on_hub] = True
-        biweekly[on_hub] = False
+    # the hub pays each of its targets monthly
+    on_hub = (edge_arr[:, 0] == 0) & np.isin(edge_arr[:, 1], hub_targets)
+    periodic[on_hub] = True
+    biweekly[on_hub] = False
 
     # Each schedule column is one draw over all edges: the fixed day, hour
     # and minute of the periodic edges, the event count of the one-off ones,
@@ -501,7 +499,7 @@ def generate(spec: ScenarioSpec) -> tuple[TransferTable, GroundTruth]:
         communities={_node_name(v): p for v, p in paths.items()} if paths else None,
         city={names[v]: int(city_of[v]) for v in range(spec.n_nodes)},
         hub=names[hub_node] if hub_node is not None else None,
-        hub_targets=len(hub_edges),
+        hub_targets=len(hub_targets),
         monthly_links=int((periodic & ~biweekly).sum()),
         biweekly_links=int(biweekly.sum()),
         component_counts=counts,

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +95,13 @@ class TestDataErrors:
         # must report failed convergence rather than bogus success
         assert main(["hodge", "--out", str(ws), "--tol=-1"]) == 3
         assert "converge" in capsys.readouterr().err
+
+    def test_convergence_failure_names_the_residual_once(self, ws, capsys):
+        assert main(["hodge", "--out", str(ws), "--tol=-1"]) == 3
+        err = capsys.readouterr().err
+        residuals = re.findall(r"residual ([-+.e\d]+)", err)
+        assert len(residuals) == 1, err
+        assert err.count(residuals[0]) == 1, err
 
 
 class TestArtifacts:

@@ -390,6 +390,7 @@ _VARIANTS = {
     "empty_id": {2: ""},
     "quoted_id": {1: '"ACME, Inc"'},
     "nul_id": {2: "F\x00"},
+    "surrogate_id": {1: "F\udc80"},
     "padded_kind": {4: " firm"},
     "bad_kind": {5: "bank"},
     "fractional_seconds": {0: "2017-03-02T09:15:00.5"},

@@ -7,6 +7,8 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from moneyflow import (
     CitySpec,
@@ -101,6 +103,66 @@ class TestDeterminism:
         assert [_sha256(log), _sha256(links.getvalue()), _sha256(nodes.getvalue())] == [
             log_sha, links_sha, nodes_sha
         ]
+
+
+@st.composite
+def _small_specs(draw):
+    """Small walnut, cities and blocks specs with periodic links drawn often."""
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    shares = dict(
+        periodic_share=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+        biweekly_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+    kind = draw(st.sampled_from(["walnut", "cities", "blocks"]))
+    if kind == "walnut":
+        return walnut_scenario(n_nodes=draw(st.integers(20, 120)), seed=seed, **shares)
+    if kind == "cities":
+        return cities_scenario(
+            n_nodes=draw(st.integers(40, 150)), seed=seed, n_cities=draw(st.integers(1, 4)),
+            hub=draw(st.booleans()), **shares,
+        )
+    n_blocks = draw(st.sampled_from([2, 4]))
+    return blocks_scenario(
+        n_nodes=n_blocks * draw(st.integers(5, 20)), seed=seed, n_blocks=n_blocks,
+        nested=draw(st.booleans()), **shares,
+    )
+
+
+class TestScheduleProperties:
+    @given(_small_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_schedule(self, spec):
+        try:
+            records, truth = generate(spec)
+        except ValueError:  # a walnut size that leaves one node outside, say
+            assume(False)
+        again, truth_again = generate(spec)
+        assert again == records and truth_again == truth
+
+        rows = [(r.timestamp, r.source, r.destination, r.amount) for r in records]
+        assert rows == sorted(rows)
+        by_link: dict[tuple[str, str], list[datetime]] = {}
+        for stamp, src, dst, _ in rows:
+            assert datetime(2017, 3, 1) <= stamp < datetime(2019, 8, 1)
+            assert stamp.second == 0 and stamp.microsecond == 0 and stamp.day <= 28
+            by_link.setdefault((src, dst), []).append(stamp)
+
+        # a one-off link fires geometric(0.75) times, so 29 or 58 events
+        # come from a periodic schedule
+        monthly = [s for s in by_link.values() if len(s) == MONTHLY_EVENTS]
+        biweekly = [s for s in by_link.values() if len(s) == BIWEEKLY_EVENTS]
+        assert (len(monthly), len(biweekly)) == (truth.monthly_links, truth.biweekly_links)
+        for stamps in monthly:
+            assert len({(t.day, t.hour, t.minute) for t in stamps}) == 1
+            assert len({(t.year, t.month) for t in stamps}) == MONTHS_IN_WINDOW
+        for stamps in biweekly:
+            assert len({(t.hour, t.minute) for t in stamps}) == 1
+            first, second = sorted({t.day for t in stamps})
+            assert second == first + 14
+            assert Counter((t.year, t.month) for t in stamps) == {
+                ym: 2 for ym in {(t.year, t.month) for t in stamps}
+            }
+            assert len({(t.year, t.month) for t in stamps}) == MONTHS_IN_WINDOW
 
 
 class TestRecordShape:
