@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -690,6 +691,16 @@ def _parse_bounds(text: str) -> tuple[float, float, float, float]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, not {text!r}")
+    return value
+
+
 def _parse_d_range(text: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
@@ -766,7 +777,7 @@ def build_parser() -> _Parser:
         help="link weight entering the flow matrix (default: frequency)",
     )
     p.add_argument(
-        "--tol", type=float, default=1e-10,
+        "--tol", type=_positive_float, default=1e-10,
         help="relative residual target for the potential solve",
     )
 

@@ -5,13 +5,13 @@ flow is F_ij = B_ij - B_ji and the symmetric pair weight is
 w_ij = A_ij + A_ji, so w is 2 on mutual links and 1 on one-way links.
 The decomposition F = F_circ + F_grad writes the gradient part as
 F_grad_ij = w_ij (phi_i - phi_j) with per-node potentials phi solving the
-graph-Laplacian system L phi = div F under the zero-mean gauge
-sum_i phi_i = 0; the circular remainder is divergence-free at every node.
+graph-Laplacian system L phi = div F; the circular remainder is
+divergence-free at every node.
 
-The solver is conjugate gradients on the positive-semidefinite L with
-Jacobi preconditioning and the constant zero mode projected out of every
-iterate.  It requires a weakly connected graph; :func:`hodge_decompose`
-dispatches per component, giving each component its own gauge.
+L is block-diagonal over the weak components and its kernel holds the
+constants on each of them, so every component gets its own zero-mean
+gauge.  One Jacobi-preconditioned conjugate-gradient solve over the
+whole graph finds all the components' potentials at once.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "HodgeProblem",
     "HodgeDecomposition",
     "ConvergenceError",
-    "DisconnectedGraphError",
     "assemble_problem",
     "solve_potentials",
     "decompose",
@@ -53,10 +52,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-
-
-class DisconnectedGraphError(ValueError):
-    """The weighted graph has several components; solve them separately."""
 
 
 @dataclass(frozen=True)
@@ -105,80 +100,44 @@ def assemble_problem(net: FlowNetwork, kind: str = "frequency") -> HodgeProblem:
     )
 
 
-def _cg_zero_mean(
-    L: sp.csr_matrix,
-    b: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, float, int]:
-    """Preconditioned CG for L x = b restricted to the mean-zero subspace.
-
-    Returns (x, relative residual, iterations).  Assumes b is mean-zero
-    (it is, exactly, for a divergence of an antisymmetric F) and L has the
-    constant vector as its only kernel direction.
-    """
-    n = b.shape[0]
-    b = b - b.mean()
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return np.zeros(n), 0.0, 0
-    diag = L.diagonal()
-    inv_diag = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0)
-    x = np.zeros(n)
-    r = b.copy()
-    z = inv_diag * r
-    z -= z.mean()
-    p = z.copy()
-    rz = float(r @ z)
-    res = b_norm
-    for it in range(1, max_iter + 1):
-        Ap = L @ p
-        Ap -= Ap.mean()
-        denom = float(p @ Ap)
-        if denom <= 0.0:
-            break
-        alpha = rz / denom
-        x += alpha * p
-        r -= alpha * Ap
-        r -= r.mean()
-        res = float(np.linalg.norm(r))
-        if res <= tol * b_norm:
-            x -= x.mean()
-            return x, res / b_norm, it
-        z = inv_diag * r
-        z -= z.mean()
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x - x.mean(), res / b_norm, max_iter
-
-
 def solve_potentials(
     problem: HodgeProblem,
     tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> np.ndarray:
-    """Solve L phi = div F on a connected graph, zero-mean gauge.
+    """Solve L phi = div F with a zero-mean gauge on every weak component.
 
-    Raises :class:`DisconnectedGraphError` when the weighted graph has
-    more than one component (use :func:`hodge_decompose` for per-component
-    dispatch) and :class:`ConvergenceError` when the iteration cap
-    (default 20 N) is hit above the requested relative residual.
+    L is block-diagonal over the components, so one Jacobi-preconditioned
+    CG solves them all.  Each component's right-hand side is centred and
+    scaled to unit norm first, so a residual of at most tol on the whole
+    scaled system bounds every component's relative residual by tol.
+    Raises :class:`ConvergenceError`, carrying the worst component's
+    relative residual, when the iteration cap (default 20 N) is hit first.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import cg
+
     labels, ncomp = problem.components
-    if ncomp > 1:
-        raise DisconnectedGraphError(
-            f"graph has {ncomp} weakly connected components; "
-            "solve each component separately"
-        )
+    size = np.bincount(labels, minlength=ncomp)
+    b = problem.divergence - (np.bincount(labels, problem.divergence, ncomp) / size)[labels]
+    norm = np.sqrt(np.bincount(labels, b * b, ncomp))
+    scale = np.where(norm > 0.0, norm, 1.0)[labels]
+    b /= scale
+    L = problem.laplacian
+    diag = L.diagonal()
+    inv_diag = np.divide(1.0, diag, out=np.ones_like(diag), where=diag > 0.0)
     cap = max_iter if max_iter is not None else max(20 * problem.n, 100)
-    phi, rel_res, _ = _cg_zero_mean(problem.laplacian, problem.divergence, tol, cap)
-    if rel_res > tol:
+    x, info = cg(L, b, rtol=0.0, atol=tol, maxiter=cap, M=sp.diags(inv_diag))
+    if info != 0:
+        r = b - L @ x
+        worst = float(np.sqrt(np.bincount(labels, r * r, ncomp).max()))
         raise ConvergenceError(
-            f"CG stalled at relative residual {rel_res:.3e} (target {tol:.1e})",
-            residual=rel_res,
+            f"CG stalled at relative residual {worst:.3e} (target {tol:.1e})",
+            residual=worst,
         )
-    return phi
+    x *= scale
+    x -= (np.bincount(labels, x, ncomp) / size)[labels]
+    return x
 
 
 @dataclass(frozen=True)
@@ -235,36 +194,9 @@ def hodge_decompose(
     tol: float = 1e-10,
     max_iter: int | None = None,
 ) -> HodgeDecomposition:
-    """Assemble and solve, dispatching per weakly connected component.
-
-    Each component gets its own zero-mean gauge, so the global phi sums to
-    zero component by component.
-    """
+    """Assemble, solve and split; phi sums to zero on each weak component."""
     problem = assemble_problem(net, kind)
-    labels, ncomp = problem.components
-    if ncomp <= 1:
-        phi = solve_potentials(problem, tol=tol, max_iter=max_iter)
-        return decompose(problem, phi)
-    # group the nodes by component once (ascending within each), so every
-    # component's block of the permuted Laplacian is a contiguous slice
-    order = np.argsort(labels, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=ncomp))))
-    laplacian = problem.laplacian[order][:, order]
-    divergence = problem.divergence[order]
-    phi = np.zeros(problem.n)
-    for comp in range(ncomp):
-        lo, hi = int(starts[comp]), int(starts[comp + 1])
-        if hi - lo == 1:
-            continue
-        cap = max_iter if max_iter is not None else max(20 * (hi - lo), 100)
-        sub_phi, rel_res, _ = _cg_zero_mean(laplacian[lo:hi, lo:hi], divergence[lo:hi], tol, cap)
-        if rel_res > tol:
-            raise ConvergenceError(
-                f"CG stalled on component {comp} at relative residual {rel_res:.3e}",
-                residual=rel_res,
-            )
-        phi[order[lo:hi]] = sub_phi
-    return decompose(problem, phi)
+    return decompose(problem, solve_potentials(problem, tol=tol, max_iter=max_iter))
 
 
 def potential_histograms(

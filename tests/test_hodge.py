@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moneyflow import (
     assemble_problem,
@@ -11,7 +13,7 @@ from moneyflow import (
     solve_potentials,
 )
 from moneyflow.bowtie import weakly_connected_components
-from moneyflow.hodge import ConvergenceError, DisconnectedGraphError
+from moneyflow.hodge import WEIGHT_KINDS, ConvergenceError
 
 from conftest import net_from_edges, random_connected_edges, random_edges
 from oracles import hodge_dense, pearson_r
@@ -120,16 +122,14 @@ class TestSolve:
         total = decomp.gradient.toarray() + decomp.circular.toarray()
         assert np.allclose(total, decomp.problem.F.toarray(), atol=1e-12)
 
-    def test_disconnected_problem_raises_but_wrapper_splits(self):
+    def test_disconnected_problem_solves_per_component(self):
         net = net_from_edges(4, [(0, 1), (2, 3)])
-        problem = assemble_problem(net)
-        with pytest.raises(DisconnectedGraphError):
-            solve_potentials(problem)
-        decomp = hodge_decompose(net)
+        phi = solve_potentials(assemble_problem(net))
         # per-component gauge; second dyad carries frequency 2, so F = 2, w = 1
-        assert decomp.phi == pytest.approx([0.5, -0.5, 1.0, -1.0], abs=1e-10)
+        assert phi == pytest.approx([0.5, -0.5, 1.0, -1.0], abs=1e-10)
+        assert phi.tobytes() == hodge_decompose(net).phi.tobytes()
 
-    def test_interleaved_components_match_separate_solves(self, rng):
+    def test_interleaved_components_match_dense_oracle(self, rng):
         # each node joins one of four components at random, so every
         # component's indices are scattered over the whole node range
         n = 80
@@ -140,13 +140,15 @@ class TestSolve:
             for s, t in random_connected_edges(rng, members.size, members.size):
                 edges.append((int(members[s]), int(members[t])))
         net = net_from_edges(n, edges)
+        pairs = list(zip(net.src.tolist(), net.dst.tolist()))
         for kind in ("frequency", "flow"):
             decomp = hodge_decompose(net, kind=kind)
             assert decomp.problem.components[1] == 4
+            phi_ref = hodge_dense(n, pairs, net.weights(kind).astype(float))[0]
             for comp in range(4):
-                sub, nodes = net.subnetwork(np.flatnonzero(owner == comp))
-                phi = solve_potentials(assemble_problem(sub, kind))
-                assert decomp.phi[nodes].tobytes() == phi.tobytes()
+                nodes = owner == comp
+                scale = max(1.0, float(np.abs(phi_ref[nodes]).max()))
+                assert np.abs(decomp.phi[nodes] - phi_ref[nodes]).max() / scale < 1e-8
 
     def test_convergence_error_carries_residual(self, rng):
         edges = random_connected_edges(rng, 120, 240)
@@ -155,6 +157,37 @@ class TestSolve:
         with pytest.raises(ConvergenceError) as exc_info:
             solve_potentials(problem, tol=1e-10, max_iter=2)
         assert exc_info.value.residual > 0
+
+
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    links_per_node=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(WEIGHT_KINDS),
+)
+@settings(max_examples=150, deadline=None)
+def test_split_on_random_digraphs(n, links_per_node, seed, kind):
+    # at most one link per node, so many draws have several weak components
+    rng = np.random.default_rng(seed)
+    edges = random_edges(rng, n, max(1, min(n * (n - 1), int(links_per_node * n))))
+    m = len(edges)
+    net = net_from_edges(
+        n, edges, flows=rng.integers(1, 10**6, size=m), freqs=rng.integers(1, 40, size=m)
+    )
+    decomp = hodge_decompose(net, kind=kind)
+    F = decomp.problem.F.toarray()
+    f_scale = max(1.0, float(np.abs(F).max()))
+    split = decomp.gradient.toarray() + decomp.circular.toarray()
+    assert np.abs(split - F).max() <= 1e-12 * f_scale
+    assert np.abs(decomp.circular_divergence()).max() <= 1e-6 * f_scale
+    pairs = list(zip(net.src.tolist(), net.dst.tolist()))
+    phi_ref = hodge_dense(n, pairs, net.weights(kind).astype(float))[0]
+    labels, count = decomp.problem.components
+    for comp in range(count):
+        nodes = labels == comp
+        scale = max(1.0, float(np.abs(phi_ref[nodes]).max()))
+        assert abs(decomp.phi[nodes].sum()) <= 1e-10 * scale
+        assert np.abs(decomp.phi[nodes] - phi_ref[nodes]).max() / scale < 1e-8
 
 
 class TestComponents:
