@@ -701,6 +701,21 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, not {text!r}")
+        return value
+
+    return parse
+
+
 def _parse_d_range(text: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
@@ -782,8 +797,10 @@ def build_parser() -> _Parser:
     )
 
     p = add("communities", "hierarchical map-equation partition", _cmd_communities)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10, help="optimizer restarts")
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument(
+        "--trials", type=_int_at_least(1), default=10, help="optimizer restarts"
+    )
     p.add_argument(
         "--weight", choices=("flow", "frequency"), default="frequency",
         help="link weight driving the random walk (default: frequency)",

@@ -12,12 +12,19 @@ where p_i are stationary visit rates and q_m is the rate of leaving
 module m (link steps and teleport steps both count).  The optimizer is a
 greedy node-mover with module aggregation and seeded restarts, applied
 recursively inside each community to build a hierarchy; a community that
-no split improves is irreducible.
+no split improves is irreducible.  The node-mover is queue-driven, as in
+Leiden's fast local move: a pass visits every node in random order and
+re-queues the neighbours of each node that moves.  Walks of at most
+_EXACT_MAX nodes skip both the power iteration and the search: their
+stationary vector comes from one dense linear solve and their partition
+from scoring every set partition at once.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from math import log2
 from typing import Iterable, Iterator, Sequence
 
@@ -42,6 +49,9 @@ __all__ = [
 
 TAU = 0.15
 _MIN_GAIN = 1e-12
+# walks of at most this many nodes are solved directly and partitioned
+# exhaustively (Bell(8) = 4,140 set partitions)
+_EXACT_MAX = 8
 
 
 class EmptyModuleError(ValueError):
@@ -87,12 +97,15 @@ def build_walk(
     tol: float = 1e-14,
     max_iter: int = 10_000,
 ) -> Walk:
-    """Power-iterate the teleporting walk to its stationary distribution.
+    """Stationary distribution of the teleporting walk.
 
-    Link steps are accumulated per node with np.bincount.  The optimizer
-    builds its search state (adjacency lists, per-node lists, singleton
-    module terms) from the returned walk once and shares it across all
-    restarts; each aggregated walk of a restart gets a state of its own.
+    Walks of at most _EXACT_MAX nodes solve the dense n x n step matrix
+    directly (one row replaced by the normalisation sum(p) = 1); larger
+    ones power-iterate, accumulating link steps per node with np.bincount.
+    The optimizer builds its search state (adjacency lists, per-node
+    lists, singleton module terms) from the returned walk once and shares
+    it across all restarts; each aggregated walk of a restart gets a state
+    of its own.
     """
     if net.n_links == 0:
         raise ValueError("network has no links; the walk is undefined")
@@ -102,19 +115,29 @@ def build_walk(
     t = s / s.sum()
     tau_eff = np.where(s > 0, tau, 1.0)
     out_norm = w / s[net.src]
-    p = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        link = np.bincount(
-            net.dst, weights=p[net.src] * (1.0 - tau) * out_norm, minlength=n
-        )
-        p_new = link + t * float(p @ tau_eff)
-        p_new /= p_new.sum()
-        delta = float(np.abs(p_new - p).sum())
-        p = p_new
-        if delta < tol:
-            break
+    if n <= _EXACT_MAX:
+        # step[j, i]: probability of stepping from i to j
+        step = np.outer(t, tau_eff)
+        np.add.at(step, (net.dst, net.src), (1.0 - tau) * out_norm)
+        system = step - np.eye(n)
+        system[-1] = 1.0
+        rhs = np.zeros(n)
+        rhs[-1] = 1.0
+        p = np.linalg.solve(system, rhs)
     else:
-        raise RuntimeError("stationary distribution did not converge")
+        p = np.full(n, 1.0 / n)
+        for _ in range(max_iter):
+            link = np.bincount(
+                net.dst, weights=p[net.src] * (1.0 - tau) * out_norm, minlength=n
+            )
+            p_new = link + t * float(p @ tau_eff)
+            p_new /= p_new.sum()
+            delta = float(np.abs(p_new - p).sum())
+            p = p_new
+            if delta < tol:
+                break
+        else:
+            raise RuntimeError("stationary distribution did not converge")
     flow = p[net.src] * (1.0 - tau) * out_norm
     return Walk(
         n=n,
@@ -160,7 +183,12 @@ def _coerce_labels(net: FlowNetwork, partition) -> np.ndarray:
             if len(group) == 0:
                 raise EmptyModuleError(f"module {m} is empty")
             for name in group:
-                labels[net.index_of[name]] = m
+                i = net.index_of.get(name)
+                if i is None:
+                    raise ValueError(f"partition names unknown node id {name!r}")
+                if labels[i] >= 0:
+                    raise ValueError(f"partition lists node id {name!r} twice")
+                labels[i] = m
         if np.any(labels < 0):
             raise ValueError("partition does not cover all nodes")
         return labels
@@ -258,6 +286,11 @@ def _local_moves(
 ) -> tuple[np.ndarray, float]:
     """Greedy single-node moves until a full pass makes no improvement.
 
+    Each pass queues every node in random order; when a node moves to
+    module beta, its in- and out-neighbours that are neither queued nor
+    in beta join the back of the queue, and the pass ends when the queue
+    is empty.  The loop stops after a pass, re-queued visits included,
+    that moves no node, so the result is a local optimum.
     labels=None starts from singletons, whose module state the shared
     search already holds; other labels get their module state computed.
     plogp(q_m), plogp(q_m + P_m) and plogp(q_tot) are cached and updated
@@ -283,7 +316,11 @@ def _local_moves(
 
     for _ in range(max_passes):
         moved = 0
-        for v in rng.permutation(n).tolist():
+        queue = deque(rng.permutation(n).tolist())
+        queued = [True] * n
+        while queue:
+            v = queue.popleft()
+            queued[v] = False
             alpha = lab[v]
             # flows are >= +0.0, so starting a sum at f equals 0.0 + f
             fo: dict[int, float] = {}
@@ -372,6 +409,11 @@ def _local_moves(
             value += best_delta
             history.append(value)
             moved += 1
+            for adj in (out_adj[v], in_adj[v]):
+                for u, _ in adj:
+                    if not queued[u] and lab[u] != beta:
+                        queued[u] = True
+                        queue.append(u)
         if moved == 0:
             break
     return np.array(lab, dtype=np.int64), value
@@ -422,10 +464,59 @@ def _optimize_once(
     return labels, value, history
 
 
+@lru_cache(maxsize=_EXACT_MAX)
+def _set_partitions(n: int) -> np.ndarray:
+    """Every set partition of n >= 1 items as a restricted-growth label
+    row (labels[0] = 0, labels[i] <= max(labels[:i]) + 1), rows in
+    lexicographic order, so the last row is the all-singletons one."""
+    rows = [(0,)]
+    for _ in range(n - 1):
+        rows = [r + (m,) for r in rows for m in range(max(r) + 2)]
+    out = np.array(rows, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def _exact_partition(walk: Walk) -> tuple[np.ndarray, float, list[float]]:
+    """Lowest-value set partition of a tiny walk; ties keep the first row.
+
+    All rows are scored at once by np.bincount over row * n + label.  The
+    history runs from the all-singletons row (the last) to the best one.
+    """
+    rows = _set_partitions(walk.n)
+    r, n = rows.shape
+    keys = rows + n * np.arange(r)[:, None]
+
+    def per_module(index: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        weights = np.broadcast_to(weights, index.shape)
+        return np.bincount(
+            index.ravel(), weights=weights.ravel(), minlength=r * n
+        ).reshape(r, n)
+
+    P = per_module(keys, walk.p)
+    A = per_module(keys, walk.a)
+    T = per_module(keys, walk.t)
+    ext = rows[:, walk.src] != rows[:, walk.dst]
+    OUT = per_module(keys[:, walk.src], walk.flow * ext)
+    q = A * (1.0 - T) + OUT
+    values = (
+        _plogp_vec(q.sum(axis=1))
+        - 2.0 * _plogp_vec(q).sum(axis=1)
+        + _plogp_vec(q + P).sum(axis=1)
+        - walk.node_term
+    )
+    best = int(np.argmin(values))
+    labels = rows[best]
+    return labels, _value_for(walk, labels), [float(values[-1]), float(values[best])]
+
+
 def _best_partition(
     walk: Walk, entropy: tuple[int, ...], trials: int
 ) -> tuple[np.ndarray, float, list[float]]:
-    """Best of seeded restarts; ties keep the lowest trial index."""
+    """Best of seeded restarts; ties keep the lowest trial index.  Walks
+    of at most _EXACT_MAX nodes take the exact optimum instead."""
+    if walk.n <= _EXACT_MAX:
+        return _exact_partition(walk)
     search = _Search(walk)
     single = _value_for(walk, np.arange(walk.n))
     best = None
@@ -525,6 +616,8 @@ def detect_communities(
         raise ValueError("cannot detect communities in an empty network")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     all_nodes = tuple(range(net.n_nodes))
     if net.n_links == 0:
         root = Community(level=1, members=all_nodes, irreducible=True)

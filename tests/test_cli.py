@@ -68,6 +68,13 @@ class TestUsage:
         assert "--tol" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--trials=0", "--trials=-1", "--seed=-1"])
+    def test_communities_counts_must_be_in_range(self, tmp_path, flag, capsys):
+        out = tmp_path / "ws"
+        assert main(["communities", "--out", str(out), flag]) == 1
+        assert flag.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDataErrors:
     def test_missing_producer_is_named(self, tmp_path, capsys):
