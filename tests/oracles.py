@@ -424,3 +424,39 @@ def brute_localization(vec, centers, radius_km: float):
             best_gamma = gamma
             best_pq = pq
     return best_gamma, best_pq
+
+
+def grid_bin_counts(links, coords, bounds, k: int):
+    """Cell-pair event counts of weighted links by a plain loop over links.
+
+    links are (source, destination, weight) triples and coords maps an id
+    to (lat, lon).  A point belongs to the grid when it lies inside the
+    closed box; its cell is (p - 1) + (q - 1) k with p counting longitude
+    steps and q latitude steps, the top and right edges folded into the
+    last cell.  Returns ({(origin, destination): count}, included,
+    excluded), where an event is excluded when either endpoint has no
+    coordinate or falls outside the box.
+    """
+    lat_min, lat_max, lon_min, lon_max = bounds
+
+    def cell(point):
+        if point is None:
+            return None
+        lat, lon = point
+        if not (lat_min <= lat <= lat_max and lon_min <= lon <= lon_max):
+            return None
+        p = min(math.floor((lon - lon_min) / (lon_max - lon_min) * k), k - 1)
+        q = min(math.floor((lat - lat_min) / (lat_max - lat_min) * k), k - 1)
+        return p + q * k
+
+    counts: dict[tuple[int, int], int] = {}
+    included = excluded = 0
+    for source, destination, weight in links:
+        origin = cell(coords.get(source))
+        target = cell(coords.get(destination))
+        if origin is None or target is None:
+            excluded += weight
+            continue
+        counts[(origin, target)] = counts.get((origin, target), 0) + weight
+        included += weight
+    return counts, included, excluded

@@ -6,6 +6,8 @@ from datetime import datetime
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moneyflow import (
     GeoGrid,
@@ -28,7 +30,7 @@ from moneyflow.geonmf import (
 )
 from moneyflow.ingest import AggregatedLink, TransferRecord
 
-from oracles import brute_localization, haversine_reference
+from oracles import brute_localization, grid_bin_counts, haversine_reference
 
 
 def fake_fact(W, H):
@@ -210,6 +212,51 @@ class TestBinning:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             bin_transfers([("a", "b", 1)], self.grid, coords={})
+
+
+BIN_BOUNDS = (0.0, 2.0, 10.0, 13.0)
+
+
+def _axis(lo, hi):
+    """Values on one axis: both edges, just outside them, inner cell
+    boundaries of small grids, nan, and anything near the box."""
+    width = hi - lo
+    special = [lo, hi, lo - 1e-9, hi + 1e-9, math.nan]
+    special += [lo + width * j / n for n in (2, 3, 4) for j in range(1, n)]
+    return st.sampled_from(special) | st.floats(lo - 0.5 * width, hi + 0.5 * width)
+
+
+# "f" never has a coordinate; the others may lack one too
+@given(
+    links=st.lists(
+        st.tuples(st.sampled_from("abcdef"), st.sampled_from("abcdef"), st.integers(1, 4)),
+        max_size=25,
+    ),
+    coords=st.dictionaries(
+        st.sampled_from("abcde"), st.tuples(_axis(*BIN_BOUNDS[:2]), _axis(*BIN_BOUNDS[2:]))
+    ),
+    k=st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_binning_matches_per_link_oracle(links, coords, k):
+    # duplicate pairs and self-loops are binned like any other link; the
+    # same events as records, one per unit of frequency, bin the same way
+    grid = GeoGrid(*BIN_BOUNDS, k=k)
+    counts, included, excluded = grid_bin_counts(links, coords, BIN_BOUNDS, k)
+    ts = datetime(2018, 1, 5, 10, 30)
+    agg = [AggregatedLink(s, d, flow=7 * w, frequency=w) for s, d, w in links]
+    records = [
+        TransferRecord(ts, s, d, 7, source_coord=coords.get(s), destination_coord=coords.get(d))
+        for s, d, w in links
+        for _ in range(w)
+    ]
+    for gfm in (bin_transfers(agg, grid, coords=coords), bin_transfers(records, grid)):
+        alpha = gfm.alpha.tocoo()
+        got = {(int(i), int(j)): int(v) for i, j, v in zip(alpha.row, alpha.col, alpha.data)}
+        assert got == counts
+        assert (gfm.included, gfm.excluded) == (included, excluded)
+        dense = gfm.alpha.toarray().astype(np.float64)
+        assert np.array_equal(gfm.V.toarray(), np.log(np.maximum(1.0, dense)))
 
 
 class TestNmf:

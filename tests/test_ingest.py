@@ -518,3 +518,17 @@ def test_write_then_parse_is_identity(records):
         parsed, rejected = parse_log(io.StringIO(buf.getvalue()))
     assert rejected == []
     assert parsed == table
+
+
+@given(st.dictionaries(
+    st.tuples(_ids, _ids),
+    st.tuples(st.integers(min_value=1, max_value=2**70), st.integers(min_value=1, max_value=2**63 - 1)),
+    max_size=12,
+))
+@settings(max_examples=150, deadline=None)
+def test_links_write_then_read_is_identity(pairs):
+    # any ids the writer accepts, flows past int64, links in file order
+    links = [AggregatedLink(s, d, flow, freq) for (s, d), (flow, freq) in pairs.items()]
+    buf = io.StringIO()
+    write_links(links, buf)
+    assert read_links(io.StringIO(buf.getvalue(), newline="")) == links
