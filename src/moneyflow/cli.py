@@ -199,24 +199,17 @@ def _read_ccdf(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_synth(args, stage: _Stage) -> tuple[dict, str]:
-    scenarios = {
-        "walnut": lambda: walnut_scenario(
-            n_nodes=args.nodes or 2000, seed=args.seed
-        ),
-        "cities": lambda: cities_scenario(
-            n_nodes=args.nodes or 3000, seed=args.seed, hub=False
-        ),
-        "full": lambda: cities_scenario(
-            n_nodes=args.nodes or 3000, seed=args.seed, hub=True
-        ),
-        "blocks": lambda: blocks_scenario(
-            n_nodes=args.nodes or 240,
-            seed=args.seed,
-            n_blocks=args.blocks,
-            nested=args.nested,
-        ),
-    }
-    spec = scenarios[args.scenario]()
+    nodes = args.nodes
+    if nodes is None:
+        nodes = {"walnut": 2000, "blocks": 240}.get(args.scenario, 3000)
+    if args.scenario == "walnut":
+        spec = walnut_scenario(n_nodes=nodes, seed=args.seed)
+    elif args.scenario == "blocks":
+        spec = blocks_scenario(
+            n_nodes=nodes, seed=args.seed, n_blocks=args.blocks, nested=args.nested
+        )
+    else:
+        spec = cities_scenario(n_nodes=nodes, seed=args.seed, hub=args.scenario == "full")
     records, truth = generate(spec)
 
     log_path = stage.output("synthetic_log.csv")
@@ -260,15 +253,15 @@ def _cmd_ingest(args, stage: _Stage) -> tuple[dict, str]:
             writer.writerow(["line_no", "reason"])
             writer.writerows((r.line_no, r.reason) for r in rejected)
 
-    node_set = {l.source for l in links} | {l.destination for l in links}
     summary_obj = {
         "records_parsed": len(records),
         "records_rejected": len(rejected),
         "records_kept": len(kept),
         "links": len(links),
-        "nodes": len(node_set),
-        "flow_total_yen": sum(l.flow for l in links),
-        "frequency_total": sum(l.frequency for l in links),
+        "nodes": links.n_nodes,
+        # Python ints: an int64 sum would wrap past 2**63 - 1
+        "flow_total_yen": sum(links.flow.tolist()),
+        "frequency_total": sum(links.freq.tolist()),
         "coordinate_conflicts": conflicts,
         "filters": {
             "require_intra_bank": policy.require_intra_bank,
@@ -288,7 +281,7 @@ def _cmd_ingest(args, stage: _Stage) -> tuple[dict, str]:
     }
     return config, (
         f"ingest: kept {len(kept)}/{len(records)} transfers, "
-        f"{len(links)} links over {len(node_set)} accounts"
+        f"{len(links)} links over {links.n_nodes} accounts"
     )
 
 
@@ -757,8 +750,8 @@ def build_parser() -> _Parser:
         help="walnut structure, geographic cities, planted blocks, "
         "or cities plus a prefecture-wide hub",
     )
-    p.add_argument("--nodes", type=int, default=None, help="account count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nodes", type=_int_at_least(1), default=None, help="account count")
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--blocks", type=int, default=4, help="block count (blocks scenario)")
     p.add_argument(
         "--nested", action="store_true",
@@ -814,8 +807,8 @@ def build_parser() -> _Parser:
         help="additionally sweep factor counts LO..HI into sweep.json",
     )
     p.add_argument("--radius-km", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=500)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--max-iters", type=_int_at_least(1), default=500)
     p.add_argument(
         "--tol", type=float, default=1e-12,
         help="relative objective change that stops the updates",

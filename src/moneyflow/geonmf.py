@@ -18,11 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .ingest import AggregatedLink, TransferRecord
+from .ingest import TransferRecord, TransferTable
+from .network import AggregatedLink, FlowNetwork
 
 # scipy.sparse is imported inside the functions that build sparse matrices,
 # so importing the package does not load it
@@ -95,15 +97,20 @@ class GeoGrid:
     def n_cells(self) -> int:
         return self.k * self.k
 
+    def cells(self, lat, lon) -> np.ndarray:
+        """Flat 0-based cell index per point; -1 when out of bounds or nan."""
+        lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
+        inside = (self.lat_min <= lat) & (lat <= self.lat_max)
+        inside &= (self.lon_min <= lon) & (lon <= self.lon_max)
+        p = (np.where(inside, lon, self.lon_min) - self.lon_min) / (self.lon_max - self.lon_min)
+        q = (np.where(inside, lat, self.lat_min) - self.lat_min) / (self.lat_max - self.lat_min)
+        p, q = (np.minimum((x * self.k).astype(np.int64), self.k - 1) for x in (p, q))
+        return np.where(inside, p + q * self.k, -1)
+
     def cell_of(self, lat: float, lon: float) -> tuple[int, int] | None:
         """(p, q) of the containing cell, or None when out of bounds."""
-        if not (self.lat_min <= lat <= self.lat_max):
-            return None
-        if not (self.lon_min <= lon <= self.lon_max):
-            return None
-        p = min(int((lon - self.lon_min) / (self.lon_max - self.lon_min) * self.k), self.k - 1)
-        q = min(int((lat - self.lat_min) / (self.lat_max - self.lat_min) * self.k), self.k - 1)
-        return p + 1, q + 1
+        m = int(self.cells(lat, lon))
+        return None if m < 0 else (m % self.k + 1, m // self.k + 1)
 
     def flat_index(self, p: int, q: int) -> int:
         if not (1 <= p <= self.k and 1 <= q <= self.k):
@@ -141,53 +148,50 @@ class GeoFlowMatrix:
     excluded: int
 
 
-def _iter_events(data, coords: Mapping[str, tuple[float, float]] | None):
-    """Yield (src latlon, dst latlon, weight) per link or record."""
-    for item in data:
-        if isinstance(item, TransferRecord):
-            yield item.source_coord, item.destination_coord, 1
-        elif isinstance(item, AggregatedLink):
-            if coords is None:
-                raise ValueError("aggregated links need a node coordinate table")
-            yield coords.get(item.source), coords.get(item.destination), item.frequency
-        else:
-            raise TypeError(f"cannot bin {type(item).__name__} objects")
-
-
 def bin_transfers(
-    data: Iterable[TransferRecord] | Iterable[AggregatedLink],
+    data: FlowNetwork | Iterable[AggregatedLink] | Iterable[TransferRecord],
     grid: GeoGrid,
     coords: Mapping[str, tuple[float, float]] | None = None,
 ) -> GeoFlowMatrix:
     """Accumulate transfer frequency between grid cells.
 
-    Records carry their own endpoint coordinates and count one event
-    each; aggregated links draw endpoint coordinates from ``coords`` and
-    count their full frequency.  Events with an endpoint out of bounds
-    (or missing from ``coords``) are excluded and tallied.
+    Links (a network or a list) draw endpoint coordinates from ``coords``,
+    looked up once per account, and count their full frequency; records
+    (a table or a list) carry their own and count one event each.  Events
+    with an endpoint out of bounds or without a coordinate are excluded
+    and tallied.  Counts are exact int64 sums over sorted cell pairs.
     """
     import scipy.sparse as sp
 
-    n = grid.n_cells
-    counts: dict[tuple[int, int], int] = {}
-    included = 0
-    excluded = 0
-    for src_ll, dst_ll, weight in _iter_events(data, coords):
-        cell_s = grid.cell_of(*src_ll) if src_ll is not None else None
-        cell_d = grid.cell_of(*dst_ll) if dst_ll is not None else None
-        if cell_s is None or cell_d is None:
-            excluded += weight
-            continue
-        key = (grid.flat_index(*cell_s), grid.flat_index(*cell_d))
-        counts[key] = counts.get(key, 0) + weight
-        included += weight
-    if counts:
-        keys = np.array(sorted(counts), dtype=np.int64)
-        vals = np.array([counts[tuple(k)] for k in keys], dtype=np.int64)
-        rows, cols = keys[:, 0], keys[:, 1]
+    if not isinstance(data, (FlowNetwork, TransferTable)):
+        data = list(data)
+        if all(isinstance(item, TransferRecord) for item in data):
+            data = TransferTable.from_records(data)
+        elif all(isinstance(item, AggregatedLink) for item in data):
+            data = FlowNetwork.from_links(data)
+        else:
+            raise TypeError("bin_transfers takes links or transfer records")
+    if isinstance(data, TransferTable):
+        src, dst = (
+            np.where(has, grid.cells(ll[:, 0], ll[:, 1]), -1)
+            for ll, has in ((data.src_coord, data.src_has_coord), (data.dst_coord, data.dst_has_coord))
+        )
+        weight = np.ones(len(data), dtype=np.int64)
+    elif coords is None:
+        raise ValueError("aggregated links need a node coordinate table")
     else:
-        rows = cols = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0, dtype=np.int64)
+        missing = repeat((np.nan, np.nan))
+        ll = np.array(list(map(coords.get, data.node_ids, missing)), dtype=np.float64).reshape(-1, 2)
+        node_cell = grid.cells(ll[:, 0], ll[:, 1])
+        src, dst, weight = node_cell[data.src], node_cell[data.dst], data.freq
+    n = grid.n_cells
+    ok = (src >= 0) & (dst >= 0)
+    included, excluded = int(weight[ok].sum()), int(weight[~ok].sum())
+    key = src[ok] * n + dst[ok]
+    order = np.argsort(key, kind="stable")
+    keys, starts = np.unique(key[order], return_index=True)
+    vals = np.add.reduceat(weight[ok][order], starts) if keys.size else keys
+    rows, cols = keys // n, keys % n
     alpha = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     logvals = np.log(np.maximum(1.0, vals.astype(np.float64)))
     V = sp.csr_matrix((logvals, (rows, cols)), shape=(n, n))

@@ -14,7 +14,8 @@ the canonical shape the generator writes are split and validated column by
 column, and every other line goes through the per-line parser, which owns
 the rejection reasons.  Filtering is a mask over the table; aggregation
 collapses all transfers of each ordered account pair (i, j) into a single
-link carrying the total flow and the transfer count.
+link carrying the total flow and the transfer count.  Links are held in a
+:class:`~moneyflow.network.FlowNetwork`, the link table.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from itertools import count, islice, repeat
 from typing import IO, Iterable, Iterator
 
 import numpy as np
+
+from .network import AggregatedLink, FlowNetwork, _exact_ints
 
 __all__ = [
     "TransferRecord",
@@ -160,16 +163,8 @@ class TransferTable(Sequence):
         Keeps the ids the codes use, sorts them and renumbers the codes.
         """
         ids = np.array(list(ids), dtype=object).reshape(-1)
-        src = np.asarray(src)
-        dst = np.asarray(dst)
-        used = np.zeros(ids.size, dtype=bool)
-        used[src] = True
-        used[dst] = True
-        kept = np.flatnonzero(used)
-        order = kept[np.argsort(ids[kept])]
-        code = np.zeros(ids.size, dtype=np.int32)
-        code[order] = np.arange(order.size, dtype=np.int32)
-        return cls(ids=ids[order], src=code[src], dst=code[dst], **columns)
+        ids, src, dst = _compact(ids, np.asarray(src), np.asarray(dst))
+        return cls(ids=ids, src=src, dst=dst, **columns)
 
     @classmethod
     def from_records(cls, records: Iterable[TransferRecord]) -> TransferTable:
@@ -181,7 +176,8 @@ class TransferTable(Sequence):
         if isinstance(records, TransferTable):
             return records
         vocab = _Vocabulary()
-        return vocab.table(**_record_columns(list(records), vocab))
+        columns = _record_columns(list(records), vocab)
+        return cls.from_codes(vocab.ids(), **columns)
 
     def take(self, rows) -> TransferTable:
         """The rows selected by an index array or boolean mask, same ids."""
@@ -236,29 +232,17 @@ class TransferTable(Sequence):
         return NotImplemented
 
     def _same_columns(self, other: TransferTable) -> bool:
-        if len(self) != len(other):
+        names = ("amount", "timestamp", "src_kind", "dst_kind", "src_has_coord", "dst_has_coord")
+        if not all(np.array_equal(a, b) for a, b in (
+            (self.ids[self.src], other.ids[other.src]),
+            (self.ids[self.dst], other.ids[other.dst]),
+            *((getattr(self, name), getattr(other, name)) for name in names),
+        )):
             return False
-        if self.ids.shape == other.ids.shape and np.all(self.ids == other.ids):
-            src, dst = self.src, self.dst
-        else:
-            pos = {name: k for k, name in enumerate(other.ids.tolist())}
-            code = np.array([pos.get(name, -1) for name in self.ids.tolist()], dtype=np.int64)
-            src, dst = code[self.src], code[self.dst]
-        same = (
-            np.array_equal(src, other.src)
-            and np.array_equal(dst, other.dst)
-            and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in ("amount", "timestamp", "src_kind", "dst_kind",
-                             "src_has_coord", "dst_has_coord")
-            )
+        return all(
+            np.array_equal(getattr(self, coord)[mask], getattr(other, coord)[mask], equal_nan=True)
+            for coord, mask in (("src_coord", self.src_has_coord), ("dst_coord", self.dst_has_coord))
         )
-        for coord, has in (("src_coord", "src_has_coord"), ("dst_coord", "dst_has_coord")):
-            mask = getattr(self, has)
-            same = same and np.array_equal(
-                getattr(self, coord)[mask], getattr(other, coord)[mask], equal_nan=True
-            )
-        return same
 
     __hash__ = None
 
@@ -266,12 +250,24 @@ class TransferTable(Sequence):
         return f"TransferTable({len(self)} transfers, {self.ids.size} accounts)"
 
 
+def _compact(ids: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """(the ids the codes use, sorted; src and dst renumbered into them)."""
+    used = np.zeros(ids.size, dtype=bool)
+    used[src] = True
+    used[dst] = True
+    kept = np.flatnonzero(used)
+    order = kept[np.argsort(ids[kept], kind="stable")]
+    code = np.zeros(ids.size, dtype=np.int64)
+    code[order] = np.arange(order.size)
+    return ids[order], code[src], code[dst]
+
+
 class _Vocabulary:
     """Account ids seen so far, each with a distinct int32 code.
 
     Codes come from one counter that also advances on ids already seen,
     which keeps coding a C-level loop; they are distinct but not dense, and
-    :meth:`table` compacts them.
+    :func:`_compact` compacts them.
     """
 
     def __init__(self):
@@ -296,10 +292,11 @@ class _Vocabulary:
         self._checked = len(self._code_of)
         return np.array(self._bad, dtype=np.int32)
 
-    def table(self, **columns) -> TransferTable:
+    def ids(self) -> np.ndarray:
+        """The ids seen so far at their codes; unused codes hold None."""
         ids = np.empty(max(self._code_of.values(), default=-1) + 1, dtype=object)
         ids[list(self._code_of.values())] = list(self._code_of)
-        return TransferTable.from_codes(ids, **columns)
+        return ids
 
 
 def _record_columns(records: list[TransferRecord], vocab: _Vocabulary) -> dict:
@@ -345,20 +342,6 @@ class FilterPolicy:
     require_intra_bank: bool = True
     require_firm_both_ends: bool = True
     drop_self_loops: bool = True
-
-
-@dataclass(frozen=True)
-class AggregatedLink:
-    """Aggregate of all transfers for one ordered account pair.
-
-    flow is the summed amount in yen, frequency the number of transfers;
-    flow >= frequency >= 1 because every transfer moves at least 1 yen.
-    """
-
-    source: str
-    destination: str
-    flow: int
-    frequency: int
 
 
 @dataclass(frozen=True)
@@ -701,7 +684,7 @@ def parse_log(
         name: np.concatenate([p[name] for p in parts_of] or [empty])
         for name, empty in _record_columns([], vocab).items()
     }
-    return vocab.table(**merged), rejected
+    return TransferTable.from_codes(vocab.ids(), **merged), rejected
 
 
 def filter_records(
@@ -719,37 +702,29 @@ def filter_records(
     return table.take(keep)
 
 
-def aggregate(records: Iterable[TransferRecord]) -> list[AggregatedLink]:
+def aggregate(records: Iterable[TransferRecord]) -> FlowNetwork:
     """Collapse transfers into one link per ordered (source, destination) pair.
 
     Each link carries flow = sum of amounts and frequency = transfer count.
-    Pairs with transfers in both directions yield two links.  Output is
-    sorted by (source, destination) so the link set is order-independent.
-    Flows are exact integers: int64 sums, or Python ints when an int64 sum
-    could overflow.
+    Pairs with transfers in both directions yield two links.  The network
+    holds the accounts the links use and is sorted by (source,
+    destination), so the link set is order-independent.  Flows are exact:
+    int64 sums, or Python ints when a sum exceeds int64.  Self-loops stay
+    when the records hold them; :func:`build_network` refuses them.
     """
     table = TransferTable.from_records(records)
-    if not len(table):
-        return []
-    n_ids = table.ids.size
+    n_ids = max(table.ids.size, 1)
     key = table.src.astype(np.int64) * n_ids + table.dst
     order = np.argsort(key, kind="stable")
     pairs, starts, frequency = np.unique(key[order], return_index=True, return_counts=True)
-    amounts = table.amount[order]
-    if amounts.size:
-        largest = max(int(amounts.max()), -int(amounts.min()))
+    flow = table.amount[order]
+    if flow.size:
+        largest = max(int(flow.max()), -int(flow.min()))
         if largest * int(frequency.max()) > INT64_MAX:
-            amounts = amounts.astype(object)
-    flow = np.add.reduceat(amounts, starts)
-    return [
-        AggregatedLink(source=s, destination=d, flow=f, frequency=q)
-        for s, d, f, q in zip(
-            table.ids[pairs // n_ids].tolist(),
-            table.ids[pairs % n_ids].tolist(),
-            flow.tolist(),
-            frequency.tolist(),
-        )
-    ]
+            flow = flow.astype(object)
+        flow = np.add.reduceat(flow, starts)
+    ids, src, dst = _compact(table.ids, pairs // n_ids, pairs % n_ids)
+    return FlowNetwork(tuple(ids.tolist()), src, dst, _exact_ints(flow), frequency)
 
 
 _NEEDS_QUOTES = re.compile(r'[",\r\n]').search
@@ -870,39 +845,46 @@ def write_records(records: Iterable[TransferRecord], stream: IO[str]) -> None:
 LINK_COLUMNS = ("source_id", "destination_id", "flow_yen", "frequency")
 
 
-def write_links(links: Iterable[AggregatedLink], stream: IO[str]) -> None:
+def write_links(links: FlowNetwork | Iterable[AggregatedLink], stream: IO[str]) -> None:
     """Write the link table as delimited text with a header line.
 
-    Raises ValueError on an empty or whitespace-padded id.
+    Ids are formatted once per account.  Raises ValueError on an empty or
+    whitespace-padded id.
     """
+    net = FlowNetwork.from_links(links)
+    ids = np.array([_id_field(name) for name in net.node_ids], dtype=object)
+    columns = (ids[net.src], ids[net.dst], net.flow, net.freq)
     stream.write(",".join(LINK_COLUMNS) + "\n")
-    for link in links:
-        stream.write(
-            f"{_id_field(link.source)},{_id_field(link.destination)},"
-            f"{link.flow},{link.frequency}\n"
-        )
+    stream.write("".join(map("{},{},{},{}\n".format, *(col.tolist() for col in columns))))
 
 
-def read_links(stream: IO[str] | Iterable[str]) -> list[AggregatedLink]:
-    """Read a link table written by :func:`write_links`."""
-    links: list[AggregatedLink] = []
-    reader = csv.reader(stream)
-    for line_no, parts in enumerate(reader, start=1):
+def read_links(stream: IO[str] | Iterable[str]) -> FlowNetwork:
+    """Read a link table written by :func:`write_links`, in file order.
+
+    Blank lines and header lines are skipped and every field is stripped.
+    Raises ValueError on a line without four fields, a non-integer weight
+    or a frequency beyond int64; a flow beyond int64 reads back exactly.
+    """
+    # one flat list of field strings: rows kept as lists would be tracked,
+    # and traversed, by every garbage collection while the table is read
+    fields: list[str] = []
+    for line_no, parts in enumerate(csv.reader(stream), start=1):
         if not parts or (len(parts) == 1 and not parts[0].strip()):
             continue
         if parts[0].strip() == "source_id":
             continue
         if len(parts) != 4:
             raise ValueError(f"link table line {line_no}: expected 4 fields")
-        links.append(
-            AggregatedLink(
-                source=parts[0].strip(),
-                destination=parts[1].strip(),
-                flow=int(parts[2]),
-                frequency=int(parts[3]),
-            )
-        )
-    return links
+        fields.extend(parts)
+    vocab = _Vocabulary()
+    src, dst = (vocab.codes(list(map(str.strip, fields[k::4]))) for k in (0, 1))
+    ids, src, dst = _compact(vocab.ids(), src, dst)
+    flow, freq = (list(map(int, fields[k::4])) for k in (2, 3))
+    try:
+        freq = np.array(freq, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("link table: a frequency exceeds the int64 range") from None
+    return FlowNetwork(tuple(ids.tolist()), src, dst, _exact_ints(flow), freq)
 
 
 def collect_node_coords(

@@ -1,9 +1,10 @@
 """Weighted directed flow network and its descriptive statistics.
 
-A :class:`FlowNetwork` indexes the accounts appearing in an aggregated link
-set and stores the links as parallel integer arrays (source index,
-destination index, flow in yen, transfer frequency).  The adjacency is
-unweighted and self-loop free; both weights live on the link arrays.
+A :class:`FlowNetwork` is the link table: the accounts appearing in an
+aggregated link set, and the links as parallel arrays (source index,
+destination index, flow in yen, transfer frequency).  :func:`build_network`
+checks that a table is fit for analysis.  The adjacency is unweighted and
+self-loop free; both weights live on the link arrays.
 
 Statistics follow the population convention throughout: moments divide by
 n, skewness is m3 / m2^1.5 and kurtosis is the non-excess m4 / m2^2 (a
@@ -13,18 +14,18 @@ observed values with inclusive comparison, fraction(v) = P(x >= v).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
-
-from .ingest import AggregatedLink
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 __all__ = [
+    "AggregatedLink",
     "FlowNetwork",
     "SummaryStats",
     "Ccdf",
@@ -42,13 +43,37 @@ class DuplicateLinkError(ValueError):
 
 
 @dataclass(frozen=True)
-class FlowNetwork:
-    """Immutable node-indexed weighted directed graph.
+class AggregatedLink:
+    """Aggregate of all transfers for one ordered account pair.
 
-    node_ids maps index -> account identifier (sorted lexicographically);
-    src/dst/flow/freq are parallel int64 arrays of length M sorted by
-    (src, dst).  M is the number of directed links, N the number of
-    distinct accounts.
+    flow is the summed amount in yen, frequency the number of transfers;
+    flow >= frequency >= 1 because every transfer moves at least 1 yen.
+    """
+
+    source: str
+    destination: str
+    flow: int
+    frequency: int
+
+
+def _exact_ints(values) -> np.ndarray:
+    """int64 array, or an object array of Python ints past int64."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class FlowNetwork(Sequence):
+    """The link table: node-indexed weighted directed links.
+
+    node_ids maps index -> account id (sorted lexicographically); src/dst/
+    freq are int64 arrays of length M, flow int64 yen or, past int64, an
+    object array of Python ints.  :func:`build_network` checks a network
+    for analysis.  The network is a read-only sequence of
+    :class:`AggregatedLink`: ``len``, iteration, indexing and ``==``
+    against a network or any sequence of links work as on a list.
     """
 
     node_ids: tuple[str, ...]
@@ -57,6 +82,22 @@ class FlowNetwork:
     flow: np.ndarray
     freq: np.ndarray
 
+    @classmethod
+    def from_links(cls, links: Iterable[AggregatedLink]) -> FlowNetwork:
+        """The network of ``links`` in order; a network is returned as is."""
+        if isinstance(links, FlowNetwork):
+            return links
+        links = list(links)
+        names = sorted({l.source for l in links} | {l.destination for l in links})
+        index = {name: i for i, name in enumerate(names)}
+        return cls(
+            node_ids=tuple(names),
+            src=np.array([index[l.source] for l in links], dtype=np.int64),
+            dst=np.array([index[l.destination] for l in links], dtype=np.int64),
+            flow=_exact_ints([l.flow for l in links]),
+            freq=np.array([l.frequency for l in links], dtype=np.int64),
+        )
+
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
@@ -64,6 +105,38 @@ class FlowNetwork:
     @property
     def n_links(self) -> int:
         return int(self.src.shape[0])
+
+    def __len__(self) -> int:
+        return self.n_links
+
+    def __getitem__(self, item):
+        rows = range(self.n_links)[item]
+        return list(self._links(rows)) if isinstance(rows, range) else next(self._links([rows]))
+
+    def __iter__(self) -> Iterator[AggregatedLink]:
+        return self._links(slice(None))
+
+    def _links(self, rows) -> Iterator[AggregatedLink]:
+        ids = self.node_ids
+        columns = (col[rows].tolist() for col in (self.src, self.dst, self.flow, self.freq))
+        for s, d, f, q in zip(*columns):
+            yield AggregatedLink(source=ids[s], destination=ids[d], flow=f, frequency=q)
+
+    def __eq__(self, other):
+        if isinstance(other, FlowNetwork):
+            ids, other_ids = (np.array(net.node_ids, dtype=object) for net in (self, other))
+            return all(np.array_equal(a, b) for a, b in (
+                (ids[self.src], other_ids[other.src]), (ids[self.dst], other_ids[other.dst]),
+                (self.flow, other.flow), (self.freq, other.freq),
+            ))
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"FlowNetwork({self.n_links} links, {self.n_nodes} accounts)"
 
     @cached_property
     def index_of(self) -> dict[str, int]:
@@ -105,37 +178,36 @@ class FlowNetwork:
         return sub, nodes
 
 
-def build_network(links: Sequence[AggregatedLink] | Iterable[AggregatedLink]) -> FlowNetwork:
-    """Index an aggregated link set into a :class:`FlowNetwork`.
+def build_network(links: FlowNetwork | Iterable[AggregatedLink]) -> FlowNetwork:
+    """The link table checked for analysis and sorted by (src, dst).
 
-    Raises :class:`DuplicateLinkError` on a repeated ordered pair (broken
-    aggregation upstream) and ValueError on a self-loop.
+    A network that already passes is returned unchanged.  Raises
+    :class:`DuplicateLinkError` on a repeated ordered pair (broken
+    aggregation upstream) and ValueError on a self-loop or a flow beyond
+    int64.
     """
-    links = list(links)
-    names = sorted({l.source for l in links} | {l.destination for l in links})
-    index = {name: i for i, name in enumerate(names)}
-    m = len(links)
-    src = np.empty(m, dtype=np.int64)
-    dst = np.empty(m, dtype=np.int64)
-    flow = np.empty(m, dtype=np.int64)
-    freq = np.empty(m, dtype=np.int64)
-    for k, link in enumerate(links):
-        if link.source == link.destination:
-            raise ValueError(f"self-loop link {link.source!r} -> itself")
-        src[k] = index[link.source]
-        dst[k] = index[link.destination]
-        flow[k] = link.flow
-        freq[k] = link.frequency
-    order = np.lexsort((dst, src))
-    src, dst, flow, freq = src[order], dst[order], flow[order], freq[order]
-    if m > 1:
-        dup = (np.diff(src) == 0) & (np.diff(dst) == 0)
-        if dup.any():
-            k = int(np.flatnonzero(dup)[0])
-            raise DuplicateLinkError(
-                f"duplicate link {names[src[k]]!r} -> {names[dst[k]]!r}"
-            )
-    return FlowNetwork(node_ids=tuple(names), src=src, dst=dst, flow=flow, freq=freq)
+    net = FlowNetwork.from_links(links)
+    ids = net.node_ids
+    loops = np.flatnonzero(net.src == net.dst)
+    if loops.size:
+        raise ValueError(f"self-loop link {ids[net.src[loops[0]]]!r} -> itself")
+    try:
+        flow = np.asarray(net.flow, dtype=np.int64)
+    except OverflowError:
+        k = next(k for k, f in enumerate(net.flow.tolist()) if not -(2**63) <= f < 2**63)
+        raise ValueError(
+            f"link {ids[net.src[k]]!r} -> {ids[net.dst[k]]!r}: "
+            f"flow {net.flow[k]} exceeds the int64 range"
+        ) from None
+    key = net.src * max(net.n_nodes, 1) + net.dst
+    if np.all(key[1:] > key[:-1]):
+        return net if flow is net.flow else replace(net, flow=flow)
+    order = np.argsort(key, kind="stable")
+    dup = np.flatnonzero(np.diff(key[order]) == 0)
+    if dup.size:
+        k = order[dup[0]]
+        raise DuplicateLinkError(f"duplicate link {ids[net.src[k]]!r} -> {ids[net.dst[k]]!r}")
+    return FlowNetwork(ids, net.src[order], net.dst[order], flow[order], net.freq[order])
 
 
 def degree_stats(net: FlowNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

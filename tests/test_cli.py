@@ -68,10 +68,17 @@ class TestUsage:
         assert "--tol" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--trials=0", "--trials=-1", "--seed=-1"])
-    def test_communities_counts_must_be_in_range(self, tmp_path, flag, capsys):
+    @pytest.mark.parametrize("command, flag", [
+        *(pytest.param("communities", flag, id=flag)
+          for flag in ("--trials=0", "--trials=-1", "--seed=-1")),
+        *(pytest.param(command, flag, id=f"{command}{flag}")
+          for command, flag in (("synth", "--nodes=0"), ("synth", "--seed=-1"),
+                                ("nmf", "--seed=-1"), ("nmf", "--max-iters=0"))),
+    ])
+    def test_communities_counts_must_be_in_range(self, tmp_path, command, flag, capsys):
+        # counts and seeds out of range are usage errors in every stage
         out = tmp_path / "ws"
-        assert main(["communities", "--out", str(out), flag]) == 1
+        assert main([command, "--out", str(out), flag]) == 1
         assert flag.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
 
@@ -103,6 +110,21 @@ class TestDataErrors:
             "--scenario", "blocks", "--nested", "--blocks", "3",
         ]
         assert main(argv) == 2
+
+    def test_flow_beyond_int64(self, tmp_path, capsys):
+        # two transfers of the largest int64 amount sum past int64: ingest
+        # keeps the exact total, stats refuses the link as invalid data
+        line = "2018-01-05T10:30:00,F1,F2,9223372036854775807,firm,firm,,,,\n"
+        log = tmp_path / "log.csv"
+        log.write_text(line * 2, encoding="utf-8")
+        out = tmp_path / "ws"
+        assert main(["ingest", "--out", str(out), "--input", str(log)]) == 0
+        summary = json.loads((out / "ingest_summary.json").read_text())
+        assert summary["flow_total_yen"] == 2 * (2**63 - 1)
+        assert main(["stats", "--out", str(out)]) == 2
+        assert "'F1' -> 'F2': flow 18446744073709551614 exceeds the int64 range" in (
+            capsys.readouterr().err
+        )
 
     def test_unattainable_tolerance(self, ws, capsys):
         # a target below double rounding: no residual within the

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from moneyflow import (
     AggregatedLink,
     FilterPolicy,
+    FlowNetwork,
     ParseError,
     TransferRecord,
     TransferTable,
@@ -531,4 +532,5 @@ def test_links_write_then_read_is_identity(pairs):
     links = [AggregatedLink(s, d, flow, freq) for (s, d), (flow, freq) in pairs.items()]
     buf = io.StringIO()
     write_links(links, buf)
-    assert read_links(io.StringIO(buf.getvalue(), newline="")) == links
+    back = read_links(io.StringIO(buf.getvalue(), newline=""))
+    assert back == FlowNetwork.from_links(links) and back == links

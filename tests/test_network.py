@@ -1,16 +1,26 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moneyflow import (
+    AggregatedLink,
     DuplicateLinkError,
+    FlowNetwork,
+    GeoGrid,
+    TransferRecord,
+    aggregate,
+    bin_transfers,
     build_network,
     ccdf,
     degree_correlation,
     degree_stats,
     net_flow_per_node,
+    read_links,
     summary,
+    write_links,
 )
 
 from moneyflow.network import _kendall_tau_b
@@ -48,6 +58,84 @@ class TestBuild:
         net = net_from_edges(2, [(0, 1)])
         with pytest.raises(ValueError):
             net.weights("volume")
+
+    def test_checked_network_returned_unchanged(self):
+        net = net_from_edges(3, [(2, 0), (0, 1), (1, 2)])
+        assert build_network(net) is net
+
+    def test_unsorted_network_is_sorted(self):
+        net = FlowNetwork.from_links(make_links([(1, 0), (0, 2), (0, 1)], flows=[5, 6, 7]))
+        built = build_network(net)
+        assert built.src.tolist() == [0, 0, 1] and built.dst.tolist() == [1, 2, 0]
+        assert built.flow.tolist() == [7, 6, 5]
+        assert built == sorted(net, key=lambda l: (l.source, l.destination))
+
+    def test_self_loop_rejected(self):
+        net = FlowNetwork.from_links(make_links([(0, 1), (1, 1)]))
+        with pytest.raises(ValueError, match="self-loop link 'n0001' -> itself"):
+            build_network(net)
+
+    def test_flow_beyond_int64_names_the_link(self):
+        links = make_links([(0, 1), (1, 0)], flows=[2**64, 3])
+        with pytest.raises(ValueError, match="'n0000' -> 'n0001': flow 18446744073709551616"):
+            build_network(links)
+
+    def test_object_flow_within_int64_becomes_int64(self):
+        net = FlowNetwork.from_links(make_links([(0, 1)]))
+        wide = FlowNetwork(net.node_ids, net.src, net.dst, net.flow.astype(object), net.freq)
+        built = build_network(wide)
+        assert built.flow.dtype == np.int64 and built == net
+
+
+class TestLinkTable:
+    """A network is a read-only sequence of AggregatedLink."""
+
+    LINKS = [
+        AggregatedLink("b", "a", 5, 1),
+        AggregatedLink("a", "c", 2**70, 3),
+        AggregatedLink("c", "c", 9, 2),
+    ]
+
+    def test_sequence_of_links(self):
+        net = FlowNetwork.from_links(self.LINKS)
+        assert len(net) == 3 and net.n_nodes == 3
+        assert list(net) == self.LINKS
+        assert net[1] == self.LINKS[1] and net[-1] == self.LINKS[-1]
+        assert net[::2] == self.LINKS[::2]
+        assert net == self.LINKS and net != self.LINKS[:2]
+        with pytest.raises(IndexError):
+            net[3]
+
+    def test_networks_compare_link_by_link(self):
+        net = FlowNetwork.from_links(self.LINKS)
+        assert FlowNetwork.from_links(net) is net
+        # the same links over a vocabulary with an unused account
+        wide = FlowNetwork(("a", "b", "c", "d"), net.src, net.dst, net.flow, net.freq)
+        assert wide == net
+        assert FlowNetwork.from_links(self.LINKS[::-1]) != net
+        assert type(net[1].flow) is int
+
+
+def test_link_layer_builds_no_link_objects(monkeypatch):
+    # aggregate, write_links, read_links, build_network and bin_transfers
+    # work on the columns
+    from datetime import datetime
+
+    records = [
+        TransferRecord(datetime(2018, 1, 5), s, d, amount)
+        for s, d, amount in (("a", "b", 3), ("b", "c", 4), ("a", "b", 5), ("c", "a", 1))
+    ]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an AggregatedLink was built")
+
+    monkeypatch.setattr(AggregatedLink, "__init__", refuse)
+    net = aggregate(records)
+    buf = io.StringIO()
+    write_links(net, buf)
+    back = build_network(read_links(io.StringIO(buf.getvalue())))
+    gfm = bin_transfers(back, GeoGrid(0.0, 1.0, 0.0, 1.0, k=2), coords={"a": (0.2, 0.2)})
+    assert back.flow.tolist() == [8, 4, 1] and gfm.excluded == 4
 
 
 class TestDegrees:
