@@ -434,7 +434,7 @@ def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
     fact = nmf(gfm, args.nmf_d, seed=args.seed, max_iters=args.max_iters, tol=args.tol)
     loc = localization(fact, grid, radius_km=args.radius_km)
     sims = similarity_matrix(fact)
-    counts = _sweep_row(fact, loc, sims, GAMMA_THRESHOLD, SIMILARITY_THRESHOLD)
+    counts = _sweep_row(fact, loc, sims)
 
     write_sparse_matrix(stage.output("V.txt"), gfm.V)
     write_matrix(stage.output("W.txt"), fact.W)
@@ -752,7 +752,9 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--nodes", type=_int_at_least(1), default=None, help="account count")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--blocks", type=int, default=4, help="block count (blocks scenario)")
+    p.add_argument(
+        "--blocks", type=_int_at_least(1), default=4, help="block count (blocks scenario)"
+    )
     p.add_argument(
         "--nested", action="store_true",
         help="pair blocks into a two-level hierarchy (blocks scenario)",
@@ -800,17 +802,17 @@ def build_parser() -> _Parser:
     )
 
     p = add("nmf", "geographic origin-destination factorization", _cmd_nmf)
-    p.add_argument("--grid-k", type=int, default=100, help="cells per axis")
-    p.add_argument("--nmf-d", type=int, default=10, help="factor count")
+    p.add_argument("--grid-k", type=_int_at_least(1), default=100, help="cells per axis")
+    p.add_argument("--nmf-d", type=_int_at_least(1), default=10, help="factor count")
     p.add_argument(
         "--nmf-d-range", type=_parse_d_range, default=None, metavar="LO:HI",
         help="additionally sweep factor counts LO..HI into sweep.json",
     )
-    p.add_argument("--radius-km", type=float, default=10.0)
+    p.add_argument("--radius-km", type=_positive_float, default=10.0)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--max-iters", type=_int_at_least(1), default=500)
     p.add_argument(
-        "--tol", type=float, default=1e-12,
+        "--tol", type=_positive_float, default=1e-12,
         help="relative objective change that stops the updates",
     )
     p.add_argument(
@@ -834,7 +836,7 @@ def main(argv=None) -> int:
         config, message = args.func(args, stage)
         _write_manifest(stage.out, args.command, config, stage.inputs, stage.outputs)
         print(message)
-    except (DataError, ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError, csv.Error) as exc:
         print(f"moneyflow {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # ConvergenceError's message holds the residual

@@ -48,6 +48,13 @@ __all__ = [
 ]
 
 TAU = 0.15
+# power iteration stops when the L1 change drops below _WALK_TOL
+_WALK_TOL = 1e-14
+_WALK_MAX_ITER = 10_000
+# deepest community level: level-1 communities split down to level 5
+_MAX_DEPTH = 5
+# local-move passes per call; the loop ends earlier once a pass moves nothing
+_MAX_PASSES = 200
 _MIN_GAIN = 1e-12
 # walks of at most this many nodes are solved directly and partitioned
 # exhaustively (Bell(8) = 4,140 set partitions)
@@ -90,13 +97,7 @@ class Walk:
     node_term: float
 
 
-def build_walk(
-    net: FlowNetwork,
-    kind: str = "frequency",
-    tau: float = TAU,
-    tol: float = 1e-14,
-    max_iter: int = 10_000,
-) -> Walk:
+def build_walk(net: FlowNetwork, kind: str = "frequency") -> Walk:
     """Stationary distribution of the teleporting walk.
 
     Walks of at most _EXACT_MAX nodes solve the dense n x n step matrix
@@ -113,12 +114,12 @@ def build_walk(
     w = net.weights(kind).astype(np.float64)
     s = np.bincount(net.src, weights=w, minlength=n)
     t = s / s.sum()
-    tau_eff = np.where(s > 0, tau, 1.0)
+    tau_eff = np.where(s > 0, TAU, 1.0)
     out_norm = w / s[net.src]
     if n <= _EXACT_MAX:
         # step[j, i]: probability of stepping from i to j
         step = np.outer(t, tau_eff)
-        np.add.at(step, (net.dst, net.src), (1.0 - tau) * out_norm)
+        np.add.at(step, (net.dst, net.src), (1.0 - TAU) * out_norm)
         system = step - np.eye(n)
         system[-1] = 1.0
         rhs = np.zeros(n)
@@ -126,19 +127,19 @@ def build_walk(
         p = np.linalg.solve(system, rhs)
     else:
         p = np.full(n, 1.0 / n)
-        for _ in range(max_iter):
+        for _ in range(_WALK_MAX_ITER):
             link = np.bincount(
-                net.dst, weights=p[net.src] * (1.0 - tau) * out_norm, minlength=n
+                net.dst, weights=p[net.src] * (1.0 - TAU) * out_norm, minlength=n
             )
             p_new = link + t * float(p @ tau_eff)
             p_new /= p_new.sum()
             delta = float(np.abs(p_new - p).sum())
             p = p_new
-            if delta < tol:
+            if delta < _WALK_TOL:
                 break
         else:
             raise RuntimeError("stationary distribution did not converge")
-    flow = p[net.src] * (1.0 - tau) * out_norm
+    flow = p[net.src] * (1.0 - TAU) * out_norm
     return Walk(
         n=n,
         p=p,
@@ -151,20 +152,23 @@ def build_walk(
     )
 
 
+def _module_sums(walk: Walk, labels: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """Per-module P, A, T, exit flow OUT and exit rate q over m module ids."""
+    P = np.bincount(labels, weights=walk.p, minlength=m)
+    A = np.bincount(labels, weights=walk.a, minlength=m)
+    T = np.bincount(labels, weights=walk.t, minlength=m)
+    ext = labels[walk.src] != labels[walk.dst]
+    OUT = np.bincount(labels[walk.src[ext]], weights=walk.flow[ext], minlength=m)
+    return P, A, T, OUT, A * (1.0 - T) + OUT
+
+
 def _value_for(walk: Walk, labels: np.ndarray) -> float:
     """Exact four-term evaluation of the map equation for given labels."""
     nmod = int(labels.max()) + 1 if labels.size else 0
     sizes = np.bincount(labels, minlength=nmod)
     if np.any(sizes == 0):
         raise EmptyModuleError("partition assigns no nodes to some module id")
-    P = np.bincount(labels, weights=walk.p, minlength=nmod)
-    A = np.bincount(labels, weights=walk.a, minlength=nmod)
-    T = np.bincount(labels, weights=walk.t, minlength=nmod)
-    ext = labels[walk.src] != labels[walk.dst]
-    OUT = np.bincount(
-        labels[walk.src[ext]], weights=walk.flow[ext], minlength=nmod
-    )
-    q = A * (1.0 - T) + OUT
+    P, _, _, _, q = _module_sums(walk, labels, nmod)
     q_tot = float(q.sum())
     return (
         _plogp(q_tot)
@@ -200,19 +204,14 @@ def _coerce_labels(net: FlowNetwork, partition) -> np.ndarray:
     return labels
 
 
-def map_equation_value(
-    net: FlowNetwork,
-    partition,
-    kind: str = "frequency",
-    tau: float = TAU,
-) -> float:
+def map_equation_value(net: FlowNetwork, partition, kind: str = "frequency") -> float:
     """Description length (bits) of the walk under the given partition.
 
     partition is either an int label per node (aligned with net.node_ids)
     or an iterable of node-id groups covering every node exactly once.
     """
     labels = _coerce_labels(net, partition)
-    return _value_for(build_walk(net, kind=kind, tau=tau), labels)
+    return _value_for(build_walk(net, kind), labels)
 
 
 def _adjacency(heads: np.ndarray, tails: np.ndarray, flow: np.ndarray, n: int):
@@ -250,16 +249,8 @@ class _Search:
     def modules(self, labels: np.ndarray) -> tuple[tuple[list, ...], float]:
         """Per-module lists (P, A, T, OUT, q, plogp q, plogp(q + P), size)
         for the given labels, and q_tot."""
-        walk = self.walk
-        n = walk.n
-        P = np.bincount(labels, weights=walk.p, minlength=n)
-        A = np.bincount(labels, weights=walk.a, minlength=n)
-        T = np.bincount(labels, weights=walk.t, minlength=n)
-        ext = labels[walk.src] != labels[walk.dst]
-        OUT = np.bincount(
-            labels[walk.src[ext]], weights=walk.flow[ext], minlength=n
-        )
-        q = A * (1.0 - T) + OUT
+        n = self.walk.n
+        P, A, T, OUT, q = _module_sums(self.walk, labels, n)
         qP = (q + P).tolist()
         q_tot = float(q.sum())
         q = q.tolist()
@@ -282,7 +273,6 @@ def _local_moves(
     value: float,
     rng: np.random.Generator,
     history: list[float],
-    max_passes: int = 200,
 ) -> tuple[np.ndarray, float]:
     """Greedy single-node moves until a full pass makes no improvement.
 
@@ -314,7 +304,7 @@ def _local_moves(
     l_tot = _plogp(q_tot)
     free = [m for m in range(n - 1, -1, -1) if size[m] == 0]
 
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         moved = 0
         queue = deque(rng.permutation(n).tolist())
         queued = [True] * n
@@ -602,15 +592,13 @@ def detect_communities(
     seed: int = 0,
     trials: int = 10,
     kind: str = "frequency",
-    tau: float = TAU,
-    max_depth: int = 5,
 ) -> CommunityTree:
     """Hierarchical partition of the network, deterministic per seed.
 
     Level 1 is the best-of-restarts top partition; each community is then
     re-optimized on its induced subnetwork and split while a strictly
-    lower value exists, down to max_depth.  A network with no links (or a
-    single node) is a single irreducible community.
+    lower value exists, down to level _MAX_DEPTH.  A network with no links
+    (or a single node) is a single irreducible community.
     """
     if net.n_nodes == 0:
         raise ValueError("cannot detect communities in an empty network")
@@ -624,7 +612,7 @@ def detect_communities(
         return CommunityTree(
             node_ids=net.node_ids, value=0.0, children=(root,), history=(0.0,)
         )
-    walk = build_walk(net, kind=kind, tau=tau)
+    walk = build_walk(net, kind)
     labels, value, history = _best_partition(walk, (seed,), trials)
 
     def build(
@@ -640,10 +628,10 @@ def detect_communities(
             members = tuple(int(to_root[i]) for i in idx)
             children: tuple[Community, ...] = ()
             irreducible = True
-            if len(idx) > 1 and level < max_depth:
+            if len(idx) > 1 and level < _MAX_DEPTH:
                 sub, sub_nodes = parent_net.subnetwork(idx)
                 if sub.n_links > 0:
-                    sub_walk = build_walk(sub, kind=kind, tau=tau)
+                    sub_walk = build_walk(sub, kind)
                     sub_labels, sub_value, _ = _best_partition(
                         sub_walk, (seed, *path, m), trials
                     )

@@ -303,29 +303,20 @@ def _radius_matrix(grid: GeoGrid, radius_km: float) -> sp.csr_matrix:
         lats[None, :, None],
         dp[None, None, :],
     )
-    ok = dist <= radius_km
-    p = np.arange(k, dtype=np.int64)
-    rows_acc: list[np.ndarray] = []
-    cols_acc: list[np.ndarray] = []
-    for q1 in range(k):
-        base1 = q1 * k
-        for q2 in range(k):
-            base2 = q2 * k
-            for off in np.flatnonzero(ok[q1, q2]).tolist():
-                if off == 0:
-                    rows_acc.append(p + base1)
-                    cols_acc.append(p + base2)
-                else:
-                    left = p[: k - off]
-                    rows_acc.append(left + base1)
-                    cols_acc.append(left + off + base2)
-                    rows_acc.append(left + off + base1)
-                    cols_acc.append(left + base2)
-    rows = np.concatenate(rows_acc) if rows_acc else np.zeros(0, np.int64)
-    cols = np.concatenate(cols_acc) if cols_acc else np.zeros(0, np.int64)
-    data = np.ones(rows.size)
+    # each (q1, q2, off) within the radius covers the k - off cell pairs
+    # (p, q1) -> (p + off, q2), and for off > 0 their mirror images too
+    q1, q2, off = np.nonzero(dist <= radius_km)
+    length = k - off
+    run = np.repeat(np.arange(off.size), length)
+    p = np.arange(run.size) - (np.cumsum(length) - length)[run]
+    shift = off[run]
+    rows = q1[run] * k + p
+    cols = q2[run] * k + p + shift
+    back = shift > 0
+    rows = np.concatenate((rows, rows[back] + shift[back]))
+    cols = np.concatenate((cols, cols[back] - shift[back]))
     n = grid.n_cells
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -424,8 +415,6 @@ def _sweep_row(
     fact: NmfFactorization,
     loc: LocalizationSummary,
     sims: np.ndarray,
-    gamma_threshold: float,
-    similarity_threshold: float,
 ) -> SweepRow:
     """Localized factors per side and matched pairs of one factorization."""
     diag = tuple(float(sims[i, i]) for i in range(fact.d))
@@ -436,9 +425,9 @@ def _sweep_row(
         objective=fact.objective,
         gamma_origin=g_o,
         gamma_destination=g_d,
-        localized_origin=sum(1 for g in g_o if g is not None and g > gamma_threshold),
-        localized_destination=sum(1 for g in g_d if g is not None and g > gamma_threshold),
-        matched_pairs=sum(1 for s in diag if np.isfinite(s) and s >= similarity_threshold),
+        localized_origin=sum(1 for g in g_o if g is not None and g > GAMMA_THRESHOLD),
+        localized_destination=sum(1 for g in g_d if g is not None and g > GAMMA_THRESHOLD),
+        matched_pairs=sum(1 for s in diag if np.isfinite(s) and s >= SIMILARITY_THRESHOLD),
         diagonal_similarity=diag,
     )
 
@@ -450,8 +439,6 @@ def d_sweep(
     radius_km: float = 10.0,
     max_iters: int = 500,
     tol: float = 1e-12,
-    gamma_threshold: float = GAMMA_THRESHOLD,
-    similarity_threshold: float = SIMILARITY_THRESHOLD,
 ) -> tuple[SweepRow, ...]:
     """Run nmf + localization + similarity for each d in [d_min, d_max].
 
@@ -469,7 +456,7 @@ def d_sweep(
         fact = nmf(gfm, d, seed=sub_seed, max_iters=max_iters, tol=tol)
         loc = localization(fact, gfm.grid, radius_km=radius_km)
         sims = similarity_matrix(fact)
-        rows.append(_sweep_row(fact, loc, sims, gamma_threshold, similarity_threshold))
+        rows.append(_sweep_row(fact, loc, sims))
     return tuple(rows)
 
 
@@ -497,10 +484,10 @@ def write_sparse_matrix(path, M: sp.spmatrix) -> None:
     """Triplet text export: 'rows cols nnz' header, then 'i j value' lines."""
     coo = M.tocoo()
     order = np.lexsort((coo.col, coo.row))
+    triplets = zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{int(i)} {int(j)} {repr(float(v))}\n")
+        fh.write("".join(f"{i} {j} {v!r}\n" for i, j, v in triplets))
 
 
 def read_sparse_matrix(path) -> sp.csr_matrix:
@@ -508,10 +495,9 @@ def read_sparse_matrix(path) -> sp.csr_matrix:
 
     with open(path, "r", encoding="utf-8") as fh:
         rows, cols, nnz = (int(x) for x in fh.readline().split())
-        i = np.empty(nnz, dtype=np.int64)
-        j = np.empty(nnz, dtype=np.int64)
-        v = np.empty(nnz, dtype=np.float64)
-        for k in range(nnz):
-            parts = fh.readline().split()
-            i[k], j[k], v[k] = int(parts[0]), int(parts[1]), float(parts[2])
-    return sp.csr_matrix((v, (i, j)), shape=(rows, cols))
+        # loadtxt warns on an empty table, so nnz = 0 skips it
+        T = np.loadtxt(fh, ndmin=2) if nnz else np.zeros((0, 3))
+    if T.shape != (nnz, 3):
+        raise ValueError(f"triplet table shape {T.shape} does not match nnz {nnz}")
+    i, j = T[:, 0].astype(np.int64), T[:, 1].astype(np.int64)
+    return sp.csr_matrix((T[:, 2], (i, j)), shape=(rows, cols))

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bowtie import GSCC, IN, OUT, TE, BowtiePartition, _components
+from .bowtie import COMPONENT_NAMES, GSCC, IN, OUT, OUTSIDE, TE, BowtiePartition, _components
 from .network import FlowNetwork, _pearson, degree_stats, net_flow_per_node
 
 # scipy.sparse is imported inside the functions that build sparse matrices,
@@ -189,14 +189,11 @@ def decompose(problem: HodgeProblem, phi: np.ndarray) -> HodgeDecomposition:
 
 
 def hodge_decompose(
-    net: FlowNetwork,
-    kind: str = "frequency",
-    tol: float = 1e-10,
-    max_iter: int | None = None,
+    net: FlowNetwork, kind: str = "frequency", tol: float = 1e-10
 ) -> HodgeDecomposition:
     """Assemble, solve and split; phi sums to zero on each weak component."""
     problem = assemble_problem(net, kind)
-    return decompose(problem, solve_potentials(problem, tol=tol, max_iter=max_iter))
+    return decompose(problem, solve_potentials(problem, tol=tol))
 
 
 def potential_histograms(
@@ -209,9 +206,7 @@ def potential_histograms(
     Returns (bin edges, {component name: counts}) for the four walnut
     classes; the binning spans [min phi, max phi] over the GWCC.
     """
-    from .bowtie import COMPONENT_NAMES
-
-    gwcc_mask = partition.labels != 4  # OUTSIDE
+    gwcc_mask = partition.labels != OUTSIDE
     values = phi[gwcc_mask]
     if values.size == 0:
         raise ValueError("partition has an empty GWCC")

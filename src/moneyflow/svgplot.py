@@ -21,6 +21,10 @@ _MARGIN_L = 64.0
 _MARGIN_R = 18.0
 _MARGIN_T = 30.0
 _MARGIN_B = 46.0
+# pixel sizes of the plots and of the heatmaps
+_WIDTH = 640
+_HEIGHT = 460
+_HEATMAP_WIDTH = 520
 
 
 def _fmt(x: float) -> str:
@@ -30,9 +34,8 @@ def _fmt(x: float) -> str:
 class _Axes:
     """Data-to-pixel mapping with optional log scales."""
 
-    def __init__(self, xs, ys, logx: bool, logy: bool, width: int, height: int):
+    def __init__(self, xs, ys, logx: bool, logy: bool):
         self.logx, self.logy = logx, logy
-        self.width, self.height = width, height
         xs = [math.log10(x) for x in xs] if logx else list(xs)
         ys = [math.log10(y) for y in ys] if logy else list(ys)
         self.x_lo, self.x_hi = self._pad(min(xs), max(xs))
@@ -48,12 +51,12 @@ class _Axes:
     def px(self, x: float) -> float:
         v = math.log10(x) if self.logx else x
         frac = (v - self.x_lo) / (self.x_hi - self.x_lo)
-        return _MARGIN_L + frac * (self.width - _MARGIN_L - _MARGIN_R)
+        return _MARGIN_L + frac * (_WIDTH - _MARGIN_L - _MARGIN_R)
 
     def py(self, y: float) -> float:
         v = math.log10(y) if self.logy else y
         frac = (v - self.y_lo) / (self.y_hi - self.y_lo)
-        return self.height - _MARGIN_B - frac * (self.height - _MARGIN_T - _MARGIN_B)
+        return _HEIGHT - _MARGIN_B - frac * (_HEIGHT - _MARGIN_T - _MARGIN_B)
 
     def ticks(self, lo: float, hi: float, log: bool) -> list[tuple[float, str]]:
         if log:
@@ -78,7 +81,7 @@ class _Axes:
 
 
 def _frame(ax: _Axes, title: str, xlabel: str, ylabel: str) -> list[str]:
-    w, h = ax.width, ax.height
+    w, h = _WIDTH, _HEIGHT
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}" font-family="sans-serif" font-size="11">',
@@ -125,11 +128,11 @@ def line_plot(
     ylabel: str = "",
     logx: bool = False,
     logy: bool = False,
-    markers: bool = True,
-    width: int = 640,
-    height: int = 460,
 ) -> str:
-    """Polyline plot of (label, xs, ys) series; log axes drop non-positives."""
+    """Polyline plot of (label, xs, ys) series; log axes drop non-positives.
+
+    Series of at most 400 points also mark each point.
+    """
     cleaned = []
     for label, xs, ys in series:
         pts = [
@@ -143,7 +146,7 @@ def line_plot(
         raise ValueError("nothing to plot")
     all_x = [x for _, pts in cleaned for x, _ in pts]
     all_y = [y for _, pts in cleaned for _, y in pts]
-    ax = _Axes(all_x, all_y, logx, logy, width, height)
+    ax = _Axes(all_x, all_y, logx, logy)
     parts = _frame(ax, title, xlabel, ylabel)
     for i, (label, pts) in enumerate(cleaned):
         color = PALETTE[i % len(PALETTE)]
@@ -154,14 +157,14 @@ def line_plot(
         parts.append(
             f'<path d="{path}" fill="none" stroke="{color}" stroke-width="1.4"/>'
         )
-        if markers and len(pts) <= 400:
+        if len(pts) <= 400:
             for x, y in pts:
                 parts.append(
                     f'<circle cx="{_fmt(ax.px(x))}" cy="{_fmt(ax.py(y))}" '
                     f'r="2.2" fill="{color}"/>'
                 )
         parts.append(
-            f'<text x="{_fmt(width - _MARGIN_R - 6)}" '
+            f'<text x="{_fmt(_WIDTH - _MARGIN_R - 6)}" '
             f'y="{_fmt(_MARGIN_T + 14 + 14 * i)}" text-anchor="end" '
             f'fill="{color}">{escape(label)}</text>'
         )
@@ -174,18 +177,12 @@ def step_histogram(
     counts_by_label: dict[str, np.ndarray],
     title: str = "",
     xlabel: str = "",
-    ylabel: str = "count",
-    width: int = 640,
-    height: int = 460,
 ) -> str:
-    """Outline histograms over shared bin edges, one color per label."""
+    """Outline histograms of counts over shared bin edges, one color per label."""
     edges = np.asarray(edges, dtype=np.float64)
     top = max((int(np.max(c)) if len(c) else 0) for c in counts_by_label.values())
-    ax = _Axes(
-        [float(edges[0]), float(edges[-1])], [0.0, float(max(top, 1))],
-        False, False, width, height,
-    )
-    parts = _frame(ax, title, xlabel, ylabel)
+    ax = _Axes([float(edges[0]), float(edges[-1])], [0.0, float(max(top, 1))], False, False)
+    parts = _frame(ax, title, xlabel, "count")
     for i, (label, counts) in enumerate(counts_by_label.items()):
         color = PALETTE[i % len(PALETTE)]
         pieces = [f"M{_fmt(ax.px(float(edges[0])))},{_fmt(ax.py(0.0))}"]
@@ -198,7 +195,7 @@ def step_histogram(
             'stroke-width="1.3"/>'
         )
         parts.append(
-            f'<text x="{_fmt(width - _MARGIN_R - 6)}" '
+            f'<text x="{_fmt(_WIDTH - _MARGIN_R - 6)}" '
             f'y="{_fmt(_MARGIN_T + 14 + 14 * i)}" text-anchor="end" '
             f'fill="{color}">{escape(label)}</text>'
         )
@@ -220,8 +217,6 @@ def heatmap_svg(
     title: str = "",
     annotate: bool = False,
     flip_rows: bool = True,
-    cell_px: float | None = None,
-    width: int = 520,
 ) -> str:
     """Grid heatmap; with flip_rows the first matrix row draws at the bottom.
 
@@ -232,8 +227,7 @@ def heatmap_svg(
         raise ValueError("heatmap needs a 2-d matrix")
     rows, cols = M.shape
     peak = float(np.nanmax(M)) if np.isfinite(M).any() else 0.0
-    if cell_px is None:
-        cell_px = max(2.0, (width - 40.0) / max(rows, cols))
+    cell_px = max(2.0, (_HEATMAP_WIDTH - 40.0) / max(rows, cols))
     w = cols * cell_px + 40.0
     h = rows * cell_px + 50.0
     parts = [

@@ -561,6 +561,8 @@ def blocks_scenario(
     **overrides,
 ) -> ScenarioSpec:
     """Equal community blocks; nested=True groups them pairwise."""
+    if n_blocks < 1:
+        raise ValueError("blocks scenario needs at least one block")
     if n_nodes % n_blocks:
         raise ValueError("node count must divide evenly into blocks")
     size = n_nodes // n_blocks

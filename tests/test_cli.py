@@ -74,6 +74,11 @@ class TestUsage:
         *(pytest.param(command, flag, id=f"{command}{flag}")
           for command, flag in (("synth", "--nodes=0"), ("synth", "--seed=-1"),
                                 ("nmf", "--seed=-1"), ("nmf", "--max-iters=0"))),
+        *(pytest.param(command, flag, id=f"{command}{flag}")
+          for command, flag in (("synth", "--blocks=0"), ("synth", "--blocks=-2"),
+                                ("nmf", "--grid-k=0"), ("nmf", "--nmf-d=0"),
+                                ("nmf", "--radius-km=-1"), ("nmf", "--radius-km=nan"),
+                                ("nmf", "--tol=-1"), ("nmf", "--tol=nan"))),
     ])
     def test_communities_counts_must_be_in_range(self, tmp_path, command, flag, capsys):
         # counts and seeds out of range are usage errors in every stage
@@ -125,6 +130,28 @@ class TestDataErrors:
         assert "'F1' -> 'F2': flow 18446744073709551614 exceeds the int64 range" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("command", ["stats", "ingest"])
+    def test_field_over_csv_limit(self, tmp_path, command, capsys):
+        # csv refuses a field past csv.field_size_limit(): invalid data
+        long_id = "F" * 200_000
+        out = tmp_path / "ws"
+        out.mkdir()
+        if command == "stats":
+            (out / "links.csv").write_text(
+                f"source_id,destination_id,flow_yen,frequency\n{long_id},F2,5,1\n",
+                encoding="utf-8",
+            )
+            argv = ["stats", "--out", str(out)]
+        else:
+            log = tmp_path / "log.csv"
+            log.write_text(f"2018-01-05T10:30:00,{long_id},F2,5,firm,firm,,,,\n", encoding="utf-8")
+            argv = ["ingest", "--out", str(out), "--input", str(log)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"moneyflow {command}: error: ") and "field limit" in err
+        assert err.count("\n") == 1
+        assert not list(out.glob("manifest_*.json"))
 
     def test_unattainable_tolerance(self, ws, capsys):
         # a target below double rounding: no residual within the

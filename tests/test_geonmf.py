@@ -1,6 +1,7 @@
 """Grid binning, NMF updates, and localization against brute-force checks."""
 
 import math
+import warnings
 from datetime import datetime
 
 import numpy as np
@@ -23,6 +24,7 @@ from moneyflow.geonmf import (
     GAMMA_THRESHOLD,
     SIMILARITY_THRESHOLD,
     NmfFactorization,
+    _radius_matrix,
     read_matrix,
     read_sparse_matrix,
     write_matrix,
@@ -363,6 +365,26 @@ class TestLocalization:
         assert loc.origin[0].center == (3, 5)
         assert loc.origin[0].heatmap[4, 2] == 4.0  # heatmap is [q-1, p-1]
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_radius_table_matches_pairwise_distances(self, k):
+        # radii: none, between one and two row spacings, the whole box
+        small = GeoGrid(*DEFAULT_BOUNDS, k=k)
+        centers = [ll for _, ll in grid_centers(small)]
+        row_km = haversine_reference(34.0, 135.0, 34.0 + 1.0 / k, 135.0)
+        dist = np.array([
+            [haversine_reference(a[0], a[1], b[0], b[1]) for b in centers]
+            for a in centers
+        ])
+        apart = ~np.eye(k * k, dtype=bool)
+        for radius in (0.0, 1.5 * row_km, 300.0):
+            # the law of cosines is accurate to ~1e-4 km near zero distance
+            assert (np.abs(dist[apart] - radius) > 1e-3).all()
+            want = (dist <= radius + 1e-3).astype(np.float64)
+            got = _radius_matrix(small, radius)
+            np.testing.assert_array_equal(got.toarray(), want)
+            assert got.nnz == int(want.sum())
+        assert want.all()
+
     def test_thresholds(self):
         assert GAMMA_THRESHOLD == 0.23
         assert SIMILARITY_THRESHOLD == 0.9
@@ -479,6 +501,14 @@ class TestMatrixIO:
         M = sp.csr_matrix((3, 3))
         path = tmp_path / "e.txt"
         write_sparse_matrix(path, M)
-        back = read_sparse_matrix(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = read_sparse_matrix(path)
         assert back.nnz == 0
         assert back.shape == (3, 3)
+
+    def test_sparse_nnz_mismatch(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 3 2\n0 1 0.5\n")
+        with pytest.raises(ValueError):
+            read_sparse_matrix(path)

@@ -422,6 +422,9 @@ class TestValidation:
             cities_scenario(n_cities=9)
 
     def test_block_rails(self):
+        for n_blocks in (0, -2):
+            with pytest.raises(ValueError, match="at least one block"):
+                blocks_scenario(n_nodes=100, n_blocks=n_blocks)
         with pytest.raises(ValueError, match="divide evenly"):
             blocks_scenario(n_nodes=100, n_blocks=3)
         with pytest.raises(ValueError, match="pairs blocks"):
