@@ -684,14 +684,20 @@ def _parse_bounds(text: str) -> tuple[float, float, float, float]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if not (0.0 < value < math.inf):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, not {text!r}")
-    return value
+def _finite_float(positive: bool):
+    """argparse type: a finite float, > 0 if positive, else >= 0."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+            kind = "positive" if positive else "non-negative"
+            raise argparse.ArgumentTypeError(f"must be a finite {kind} number, not {text!r}")
+        return value
+
+    return parse
 
 
 def _int_at_least(low: int):
@@ -787,7 +793,7 @@ def build_parser() -> _Parser:
         help="link weight entering the flow matrix (default: frequency)",
     )
     p.add_argument(
-        "--tol", type=_positive_float, default=1e-10,
+        "--tol", type=_finite_float(positive=True), default=1e-10,
         help="relative residual target for the potential solve",
     )
 
@@ -808,11 +814,11 @@ def build_parser() -> _Parser:
         "--nmf-d-range", type=_parse_d_range, default=None, metavar="LO:HI",
         help="additionally sweep factor counts LO..HI into sweep.json",
     )
-    p.add_argument("--radius-km", type=_positive_float, default=10.0)
+    p.add_argument("--radius-km", type=_finite_float(positive=False), default=10.0)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--max-iters", type=_int_at_least(1), default=500)
     p.add_argument(
-        "--tol", type=_positive_float, default=1e-12,
+        "--tol", type=_finite_float(positive=True), default=1e-12,
         help="relative objective change that stops the updates",
     )
     p.add_argument(

@@ -499,5 +499,8 @@ def read_sparse_matrix(path) -> sp.csr_matrix:
         T = np.loadtxt(fh, ndmin=2) if nnz else np.zeros((0, 3))
     if T.shape != (nnz, 3):
         raise ValueError(f"triplet table shape {T.shape} does not match nnz {nnz}")
-    i, j = T[:, 0].astype(np.int64), T[:, 1].astype(np.int64)
+    index = T[:, :2]
+    if not (np.isfinite(index).all() and (index == np.floor(index)).all()):
+        raise ValueError("triplet row or column index is not a whole number")
+    i, j = index.astype(np.int64).T
     return sp.csr_matrix((T[:, 2], (i, j)), shape=(rows, cols))

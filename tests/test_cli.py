@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 import moneyflow
 from moneyflow.cli import main
+from moneyflow.geonmf import read_matrix
 
 
 def pipeline_steps(out):
@@ -251,6 +253,21 @@ class TestArtifacts:
             "--max-iters", "200",
         ]
         assert main(argv) == 0
+
+    def test_radius_zero_scores_peak_cell(self, ws, tmp_path):
+        # radius 0 keeps each cell alone, so gamma is the peak cell's share
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        argv = [
+            "nmf", "--out", str(copy), "--grid-k", "20", "--nmf-d", "3",
+            "--max-iters", "200", "--radius-km", "0",
+        ]
+        assert main(argv) == 0
+        summary = json.loads((copy / "nmf_summary.json").read_text())
+        assert summary["radius_km"] == 0.0
+        W = read_matrix(copy / "W.txt")
+        for entry, col in zip(summary["localization"]["origin"], W.T):
+            assert entry["gamma"] == pytest.approx(col.max() / col.sum(), rel=1e-12)
 
     def test_hodge_links_are_numeric(self, ws):
         with open(ws / "hodge_links.csv", encoding="utf-8", newline="") as fh:

@@ -512,3 +512,10 @@ class TestMatrixIO:
         path.write_text("3 3 2\n0 1 0.5\n")
         with pytest.raises(ValueError):
             read_sparse_matrix(path)
+
+    @pytest.mark.parametrize("row", ["1.5 0 0.5", "0 2.9 0.5", "nan 0 0.5", "0 inf 0.5"])
+    def test_sparse_fractional_index(self, tmp_path, row):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"3 3 1\n{row}\n")
+        with pytest.raises(ValueError):
+            read_sparse_matrix(path)
