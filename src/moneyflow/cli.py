@@ -679,9 +679,11 @@ def _parse_bounds(text: str) -> tuple[float, float, float, float]:
             "bounds must be lat_min:lat_max:lon_min:lon_max"
         )
     try:
-        return tuple(float(p) for p in parts)
+        bounds = tuple(float(p) for p in parts)
+        GeoGrid(*bounds, k=1)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    return bounds
 
 
 def _finite_float(positive: bool):

@@ -9,7 +9,8 @@ V ~ W H (multiplicative Frobenius updates) yields paired patterns: column
 w_k of W lives on origin cells, row h_k of H on destination cells.
 
 Localization scores a pattern by the largest share of its mass inside a
-fixed-radius circle centered on any cell center (great-circle distance);
+fixed-radius circle centered on any cell center (great-circle distance),
+summed as one longitude band per latitude row from cumulative sums;
 cosine similarity between w_k and h_k tells whether a factor moves money
 within one place or between places.
 """
@@ -17,7 +18,6 @@ within one place or between places.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -78,7 +78,8 @@ class GeoGrid:
 
     p in 1..K indexes longitude (west to east), q in 1..K latitude (south
     to north); the flat 0-based index is (p - 1) + (q - 1) K.  Points on
-    the top/right boundary fall into the last cell.
+    the top/right boundary fall into the last cell.  The box is finite,
+    within latitudes [-90, 90] and at most 180 degrees wide.
     """
 
     lat_min: float
@@ -88,8 +89,11 @@ class GeoGrid:
     k: int
 
     def __post_init__(self):
-        if self.lat_max <= self.lat_min or self.lon_max <= self.lon_min:
-            raise ValueError("bounding box must have positive extent")
+        # false for nan and inf too; localization needs the 180 degree cap
+        lat_ok = -90.0 <= self.lat_min < self.lat_max <= 90.0
+        if not (lat_ok and 0.0 < self.lon_max - self.lon_min <= 180.0):
+            box = (self.lat_min, self.lat_max, self.lon_min, self.lon_max)
+            raise ValueError(f"bounding box {box} needs -90 <= S < N <= 90 and 0 < E - W <= 180")
         if self.k < 1:
             raise ValueError("grid needs at least one cell per side")
 
@@ -283,40 +287,30 @@ def nmf(
     )
 
 
-@lru_cache(maxsize=8)
-def _radius_matrix(grid: GeoGrid, radius_km: float) -> sp.csr_matrix:
-    """Cell -> cells-within-radius indicator, built from grid symmetry.
+def _circle_masses(grid: GeoGrid, radius_km: float, X: np.ndarray) -> np.ndarray:
+    """Per cell m, the sums of X's columns over the cells within radius_km of m.
 
-    Great-circle distance between centers depends only on the two
-    latitude rows and the longitude offset, so one K x K x K table covers
-    all K^4 pairs.
+    X holds one K^2 cell vector per column.  Center distance depends only
+    on the two latitude rows and grows with the longitude offset up to 180
+    degrees, so row q2's cells within reach of row q1 form one band
+    |dp| <= L(q1, q2).  A K^3 distance table gives every L, and a
+    cumulative sum along p gives each band's sum as one difference.
     """
-    import scipy.sparse as sp
-
     k = grid.k
     lats, lons = grid.centers()
-    dlon = lons[1] - lons[0] if k > 1 else 0.0
-    dp = np.arange(k) * dlon
-    dist = haversine_km(
-        lats[:, None, None],
-        0.0,
-        lats[None, :, None],
-        dp[None, None, :],
-    )
-    # each (q1, q2, off) within the radius covers the k - off cell pairs
-    # (p, q1) -> (p + off, q2), and for off > 0 their mirror images too
-    q1, q2, off = np.nonzero(dist <= radius_km)
-    length = k - off
-    run = np.repeat(np.arange(off.size), length)
-    p = np.arange(run.size) - (np.cumsum(length) - length)[run]
-    shift = off[run]
-    rows = q1[run] * k + p
-    cols = q2[run] * k + p + shift
-    back = shift > 0
-    rows = np.concatenate((rows, rows[back] + shift[back]))
-    cols = np.concatenate((cols, cols[back] - shift[back]))
-    n = grid.n_cells
-    return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    # dist[q1, q2, p]: from the westmost cell of row q1 to cell p of row q2
+    dist = haversine_km(lats[:, None, None], lons[0], lats[None, :, None], lons)
+    half = (dist <= radius_km).sum(axis=2) - 1  # L(q1, q2); -1: row q2 out of reach
+    X = np.asarray(X, dtype=np.float64).reshape(k, k, -1)
+    csum = np.zeros((k, k + 1, X.shape[2]))
+    np.cumsum(X, axis=1, out=csum[:, 1:])
+    p, q2 = np.arange(k)[:, None], np.arange(k)[None, :]
+    masses = np.empty_like(X)
+    for q1 in range(k):
+        lo = np.maximum(p - half[q1], 0)
+        hi = np.maximum(np.minimum(p + half[q1] + 1, k), lo)
+        masses[q1] = (csum[q2, hi] - csum[q2, lo]).sum(axis=1)
+    return masses.reshape(k * k, -1)
 
 
 @dataclass(frozen=True)
@@ -342,35 +336,34 @@ class LocalizationSummary:
 
 
 def _localize_vector(
-    index: int, vec: np.ndarray, grid: GeoGrid, within: sp.csr_matrix
+    index: int, vec: np.ndarray, grid: GeoGrid, masses: np.ndarray
 ) -> LocalizationResult:
     total = float(vec.sum())
     heat = heatmap_of(vec, grid)
     if total <= 0.0:
         return LocalizationResult(index=index, gamma=None, center=None, heatmap=heat)
-    masses = within @ vec
     best = float(masses.max())
-    ties = np.flatnonzero(masses == best)
     # flat index iterates p fastest; lexicographic (p, q) needs explicit keys
-    cells = [(int(m % grid.k) + 1, int(m // grid.k) + 1) for m in ties]
-    center = min(cells)
-    return LocalizationResult(
-        index=index, gamma=best / total, center=center, heatmap=heat
-    )
+    ties = np.flatnonzero(masses == best).tolist()
+    center = min((m % grid.k + 1, m // grid.k + 1) for m in ties)
+    return LocalizationResult(index=index, gamma=best / total, center=center, heatmap=heat)
 
 
 def localization(
     fact: NmfFactorization, grid: GeoGrid, radius_km: float = 10.0
 ) -> LocalizationSummary:
-    """Score every origin column of W and destination row of H."""
-    within = _radius_matrix(grid, float(radius_km))
-    origin = tuple(
-        _localize_vector(k, fact.W[:, k], grid, within) for k in range(fact.d)
+    """Score every origin column of W and destination row of H.
+
+    All 2d circle masses come from band sums over latitude-row pairs:
+    O(K^3 d) time, no array above K^2 x 2d besides a K^3 distance table.
+    """
+    d = fact.d
+    vectors = [*fact.W.T, *fact.H]  # origin columns, then destination rows
+    masses = _circle_masses(grid, float(radius_km), np.column_stack(vectors))
+    scores = tuple(
+        _localize_vector(j % d, vec, grid, masses[:, j]) for j, vec in enumerate(vectors)
     )
-    destination = tuple(
-        _localize_vector(k, fact.H[k, :], grid, within) for k in range(fact.d)
-    )
-    return LocalizationSummary(origin=origin, destination=destination, radius_km=radius_km)
+    return LocalizationSummary(origin=scores[:d], destination=scores[d:], radius_km=radius_km)
 
 
 def similarity_matrix(fact: NmfFactorization) -> np.ndarray:

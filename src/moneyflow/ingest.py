@@ -25,7 +25,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -858,24 +858,29 @@ def write_links(links: FlowNetwork | Iterable[AggregatedLink], stream: IO[str]) 
     stream.write("".join(map("{},{},{},{}\n".format, *(col.tolist() for col in columns))))
 
 
-def read_links(stream: IO[str] | Iterable[str]) -> FlowNetwork:
-    """Read a link table written by :func:`write_links`, in file order.
-
-    Blank lines and header lines are skipped and every field is stripped.
-    Raises ValueError on a line without four fields, a non-integer weight
-    or a frequency beyond int64; a flow beyond int64 reads back exactly.
-    """
-    # one flat list of field strings: rows kept as lists would be tracked,
-    # and traversed, by every garbage collection while the table is read
-    fields: list[str] = []
+def _table_rows(stream: IO[str] | Iterable[str], header: str, width: int, table: str):
+    """Non-blank csv rows after an optional first-line header; each must be width wide."""
     for line_no, parts in enumerate(csv.reader(stream), start=1):
         if not parts or (len(parts) == 1 and not parts[0].strip()):
             continue
-        if parts[0].strip() == "source_id":
+        if line_no == 1 and parts[0].strip() == header:
             continue
-        if len(parts) != 4:
-            raise ValueError(f"link table line {line_no}: expected 4 fields")
-        fields.extend(parts)
+        if len(parts) != width:
+            raise ValueError(f"{table} line {line_no}: expected {width} fields")
+        yield parts
+
+
+def read_links(stream: IO[str] | Iterable[str]) -> FlowNetwork:
+    """Read a link table written by :func:`write_links`, in file order.
+
+    Blank lines and a first-line header are skipped and every field is
+    stripped.  Raises ValueError on a line without four fields, a
+    non-integer weight or a frequency beyond int64; a flow beyond int64
+    reads back exactly.
+    """
+    # one flat list of field strings: rows kept as lists would be tracked,
+    # and traversed, by every garbage collection while the table is read
+    fields = list(chain.from_iterable(_table_rows(stream, "source_id", 4, "link table")))
     vocab = _Vocabulary()
     src, dst = (vocab.codes(list(map(str.strip, fields[k::4]))) for k in (0, 1))
     ids, src, dst = _compact(vocab.ids(), src, dst)
@@ -920,11 +925,10 @@ def write_node_coords(coords: dict[str, tuple[float, float]], stream: IO[str]) -
 
 
 def read_node_coords(stream: IO[str] | Iterable[str]) -> dict[str, tuple[float, float]]:
-    """Read the coordinate table written by :func:`write_node_coords`."""
-    coords: dict[str, tuple[float, float]] = {}
-    reader = csv.reader(stream)
-    for parts in reader:
-        if not parts or parts[0].strip() == "node_id":
-            continue
-        coords[parts[0].strip()] = (float(parts[1]), float(parts[2]))
-    return coords
+    """Read the coordinate table written by :func:`write_node_coords`.
+
+    Blank lines and a first-line header are skipped.  Raises ValueError on
+    a line without three fields or with a coordinate that is not a number.
+    """
+    rows = _table_rows(stream, "node_id", 3, "node table")
+    return {parts[0].strip(): (float(parts[1]), float(parts[2])) for parts in rows}

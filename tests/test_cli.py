@@ -81,6 +81,9 @@ class TestUsage:
                                 ("nmf", "--grid-k=0"), ("nmf", "--nmf-d=0"),
                                 ("nmf", "--radius-km=-1"), ("nmf", "--radius-km=nan"),
                                 ("nmf", "--tol=-1"), ("nmf", "--tol=nan"))),
+        *(pytest.param("nmf", f"--bounds={box}", id=f"nmf--bounds={box}")
+          for box in ("34:35:135:inf", "35:34:135:136", "nan:35:135:136",
+                      "-100:100:135:136", "34:35:0:181")),
     ])
     def test_communities_counts_must_be_in_range(self, tmp_path, command, flag, capsys):
         # counts and seeds out of range are usage errors in every stage
@@ -153,6 +156,20 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"moneyflow {command}: error: ") and "field limit" in err
         assert err.count("\n") == 1
+        assert not list(out.glob("manifest_*.json"))
+
+    def test_short_nodes_row(self, tmp_path, capsys):
+        out = tmp_path / "ws"
+        out.mkdir()
+        (out / "links.csv").write_text(
+            "source_id,destination_id,flow_yen,frequency\nF1,F2,5,1\n", encoding="utf-8"
+        )
+        (out / "nodes.csv").write_text(
+            "node_id,lat,lon\nF1,34.5,135.5\nF2,34.5\n", encoding="utf-8"
+        )
+        assert main(["nmf", "--out", str(out), "--grid-k", "2", "--nmf-d", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "moneyflow nmf: error: node table line 3: expected 3 fields\n"
         assert not list(out.glob("manifest_*.json"))
 
     def test_unattainable_tolerance(self, ws, capsys):

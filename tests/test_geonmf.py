@@ -1,6 +1,7 @@
 """Grid binning, NMF updates, and localization against brute-force checks."""
 
 import math
+import tracemalloc
 import warnings
 from datetime import datetime
 
@@ -24,7 +25,7 @@ from moneyflow.geonmf import (
     GAMMA_THRESHOLD,
     SIMILARITY_THRESHOLD,
     NmfFactorization,
-    _radius_matrix,
+    _circle_masses,
     read_matrix,
     read_sparse_matrix,
     write_matrix,
@@ -116,6 +117,25 @@ class TestGrid:
             GeoGrid(35.0, 34.0, 135.0, 136.0, k=10)
         with pytest.raises(ValueError):
             GeoGrid(34.0, 35.0, 135.0, 136.0, k=0)
+
+    @pytest.mark.parametrize("box", [
+        (34.0, 35.0, 135.0, math.inf),
+        (math.nan, 35.0, 135.0, 136.0),
+        (34.0, 35.0, -math.inf, 136.0),
+        (-100.0, 100.0, 135.0, 136.0),
+        (-90.5, 0.0, 135.0, 136.0),
+        (0.0, 90.5, 135.0, 136.0),
+        (34.0, 35.0, 0.0, 180.5),
+        (34.0, 35.0, -120.0, 120.0),
+    ])
+    def test_rejects_impossible_box(self, box):
+        with pytest.raises(ValueError):
+            GeoGrid(*box, k=3)
+
+    def test_accepts_widest_box(self):
+        # the whole latitude range and half the longitudes are valid
+        grid = GeoGrid(-90.0, 90.0, -90.0, 90.0, k=3)
+        assert grid.cell_of(90.0, 90.0) == (3, 3)
 
     def test_cell_center_consistency(self, rng):
         grid = GeoGrid(*DEFAULT_BOUNDS, k=7)
@@ -326,17 +346,21 @@ class TestLocalization:
             for a in centers
             for b in centers
         }
-        for radius in (12.0, 20.0):
+        for radius in (12.0, 20.0, 300.0):
             assert min(abs(d - radius) for d in dists) > 1e-3
 
-    @pytest.mark.parametrize("radius", [12.0, 20.0])
+    @pytest.mark.parametrize("radius", [12.0, 20.0, 300.0])
     def test_matches_brute_force(self, grid, radius, rng):
         centers = grid_centers(grid)
-        for trial in range(6):
+        for trial in range(12):
             vec = rng.uniform(0.0, 1.0, size=64)
             if trial == 1:
                 vec[:] = 0.0
                 vec[19] = 2.5
+            if trial >= 6:
+                # factor-like: at most 9 of 64 cells nonzero, many tied circles
+                vec[rng.permutation(64)[rng.integers(1, 10):]] = 0.0
+                assert (vec == 0.0).mean() >= 0.85
             g_ref, pq_ref = brute_localization(vec.tolist(), centers, radius)
             loc = localization(fake_fact(vec[:, None], vec[None, :]), grid,
                                radius_km=radius)
@@ -365,6 +389,18 @@ class TestLocalization:
         assert loc.origin[0].center == (3, 5)
         assert loc.origin[0].heatmap[4, 2] == 4.0  # heatmap is [q-1, p-1]
 
+    def test_memory_stays_below_cell_pair_table(self, rng):
+        # a 300 km circle covers the whole k = 40 box: 2.56e6 cell pairs
+        big = GeoGrid(*DEFAULT_BOUNDS, k=40)
+        fact = fake_fact(rng.uniform(size=(1600, 2)), rng.uniform(size=(2, 1600)))
+        tracemalloc.start()
+        try:
+            localization(fact, big, radius_km=300.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     @pytest.mark.parametrize("k", range(1, 7))
     def test_radius_table_matches_pairwise_distances(self, k):
         # radii: none, between one and two row spacings, the whole box
@@ -380,9 +416,9 @@ class TestLocalization:
             # the law of cosines is accurate to ~1e-4 km near zero distance
             assert (np.abs(dist[apart] - radius) > 1e-3).all()
             want = (dist <= radius + 1e-3).astype(np.float64)
-            got = _radius_matrix(small, radius)
-            np.testing.assert_array_equal(got.toarray(), want)
-            assert got.nnz == int(want.sum())
+            # the circle masses of the unit vectors are the indicator itself
+            got = _circle_masses(small, radius, np.eye(k * k))
+            np.testing.assert_array_equal(got, want)
         assert want.all()
 
     def test_thresholds(self):

@@ -488,7 +488,10 @@ def test_fast_path_with_other_delimiters():
     assert len(table) == 1 and len(rejected) == 1
 
 
-_ids = st.text(min_size=1, max_size=6).filter(lambda s: s == s.strip())
+# header words are valid ids: only a table's first line is its header
+_ids = st.sampled_from(["source_id", "destination_id", "node_id", "timestamp"]) | st.text(
+    min_size=1, max_size=6
+).filter(lambda s: s == s.strip())
 _coords = st.none() | st.tuples(
     st.floats(allow_nan=True, allow_infinity=True), st.floats(allow_nan=True, allow_infinity=True)
 )
@@ -526,6 +529,7 @@ def test_write_then_parse_is_identity(records):
     st.tuples(st.integers(min_value=1, max_value=2**70), st.integers(min_value=1, max_value=2**63 - 1)),
     max_size=12,
 ))
+@example({("F1", "F2"): (5, 1), ("source_id", "node_id"): (7, 2)})
 @settings(max_examples=150, deadline=None)
 def test_links_write_then_read_is_identity(pairs):
     # any ids the writer accepts, flows past int64, links in file order
@@ -534,3 +538,30 @@ def test_links_write_then_read_is_identity(pairs):
     write_links(links, buf)
     back = read_links(io.StringIO(buf.getvalue(), newline=""))
     assert back == FlowNetwork.from_links(links) and back == links
+
+
+@given(st.dictionaries(
+    _ids, st.tuples(st.floats(allow_nan=True, allow_infinity=True),
+                    st.floats(allow_nan=True, allow_infinity=True)),
+    max_size=12,
+))
+@example({"A": (34.5, 135.5), "node_id": (34.0, 135.0)})
+@settings(max_examples=150, deadline=None)
+def test_node_coords_write_then_read_is_identity(coords):
+    buf = io.StringIO()
+    write_node_coords(coords, buf)
+    back = read_node_coords(io.StringIO(buf.getvalue(), newline=""))
+    # compared by repr, because nan != nan and -0.0 == 0.0
+    assert {k: tuple(map(repr, v)) for k, v in back.items()} == {
+        k: tuple(map(repr, v)) for k, v in coords.items()
+    }
+
+
+@pytest.mark.parametrize("text", [
+    "node_id,lat,lon\nA,34.5\n",
+    "node_id,lat,lon\nA,34.5,135.5,7\n",
+    "A\n",
+])
+def test_node_coords_field_count(text):
+    with pytest.raises(ValueError, match="expected 3 fields"):
+        read_node_coords(io.StringIO(text))
