@@ -136,10 +136,13 @@ def _write_manifest(
 
 
 class _Stage:
-    """Workspace of one subcommand; records the files its manifest hashes."""
+    """Workspace of one subcommand; records the files its manifest hashes.
+
+    The directory is made at the first output, so a stage that fails its
+    input checks leaves no empty workspace behind.
+    """
 
     def __init__(self, out: Path):
-        out.mkdir(parents=True, exist_ok=True)
         self.out = out
         self.inputs: dict[str, Path] = {}
         self.outputs: list[Path] = []
@@ -154,6 +157,7 @@ class _Stage:
         return path
 
     def output(self, name: str) -> Path:
+        self.out.mkdir(parents=True, exist_ok=True)
         path = self.out / name
         self.outputs.append(path)
         return path

@@ -9,13 +9,20 @@ The raw input is a delimited text file with one transfer per line:
 Coordinates may be empty.  Amounts are integer yen; a valid transfer moves
 at least 1 yen.  Transfers are held in a :class:`TransferTable`, one array
 per field over a sorted account-id vocabulary, so no step builds an object
-per event.  :func:`parse_log` reads the log in chunks of lines: lines of
-the canonical shape the generator writes are split and validated column by
-column, and every other line goes through the per-line parser, which owns
-the rejection reasons.  Filtering is a mask over the table; aggregation
-collapses all transfers of each ordered account pair (i, j) into a single
-link carrying the total flow and the transfer count.  Links are held in a
-:class:`~moneyflow.network.FlowNetwork`, the link table.
+per event.  :func:`parse_log` reads the log in chunks of lines.  Each chunk
+is joined into one string whose code points (one byte each for ASCII,
+UTF-32 otherwise) locate every delimiter.  Lines of the canonical shape
+the generator writes are read at those offsets: timestamp and amount
+digits straight from the code points, and only the two ids and the tail
+``source_kind,...,dest_lon`` as strings.  Ids are coded through one
+vocabulary, and each distinct tail is parsed once through a memo that
+holds about one tail per link and starts over past a bound, so its size
+follows links, not events.  Every other line goes through the per-line
+parser, which owns the rejection reasons.  Filtering is a mask over the
+table; aggregation collapses all transfers of each ordered account pair
+(i, j) into a single link carrying the total flow and the transfer count.
+Links are held in a :class:`~moneyflow.network.FlowNetwork`, the link
+table.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import chain, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -432,25 +439,40 @@ class _ChunkedLines:
         return next(self._stream)
 
 
-# Character positions of a YYYY-MM-DDTHH:MM:SS timestamp.
-_TS_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
 _TS_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
+# Character positions of the digits of a YYYY-MM-DDTHH:MM:SS timestamp.
+_TS_DIGITS = np.array([k for k in range(19) if k not in _TS_SEPARATORS])
 _DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+# Place values of a right-aligned amount of up to 18 digits.
+_AMOUNT_PLACES = 10 ** np.arange(17, -1, -1, dtype=np.int64)
 
 
 def _lengths(col: Sequence[str]) -> np.ndarray:
     return np.fromiter(map(len, col), dtype=np.int64, count=len(col))
 
 
-def _canonical_times(col: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """datetime64 values of YYYY-MM-DDTHH:MM:SS strings naming a real time."""
-    m = len(col)
-    chars = np.array(col, dtype="U19").view(np.uint32).reshape(m, 19).astype(np.int64)
-    ok = _lengths(col) == 19
+def _code_points(text: str) -> np.ndarray:
+    """The code points of ``text``, one array item per ``str`` index."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+def _gather(chars: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """Code points ``starts[k] + 0..width-1`` of each row, clipped to ``chars``."""
+    return np.take(chars, starts[:, None] + np.arange(width), mode="clip")
+
+
+def _canonical_times(chars: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """(datetime64 values, ok) of fields that are YYYY-MM-DDTHH:MM:SS naming a real time."""
+    text = _gather(chars, starts, 19)
+    ok = lengths == 19
     for pos, sep in _TS_SEPARATORS.items():
-        ok &= chars[:, pos] == ord(sep)
-    digits = chars[:, _TS_DIGITS] - ord("0")
-    ok &= ((digits >= 0) & (digits <= 9)).all(axis=1)
+        ok &= text[:, pos] == ord(sep)
+    # unsigned, so every code point that is no ASCII digit reads above 9
+    digits = text[:, _TS_DIGITS] - ord("0")
+    ok &= (digits <= 9).all(axis=1)
+    digits = digits.astype(np.int64)
     year = digits[:, 0] * 1000 + digits[:, 1] * 100 + digits[:, 2] * 10 + digits[:, 3]
     month, day, hour, minute, second = (
         digits[:, k] * 10 + digits[:, k + 1] for k in range(4, 14, 2)
@@ -465,100 +487,150 @@ def _canonical_times(col: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return stamps.astype(TIME_DTYPE) + seconds.astype("timedelta64[s]"), ok
 
 
-def _canonical_amounts(col: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """int64 values of 1-18 ASCII digits without a leading zero."""
-    lengths = _lengths(col)
-    chars = np.array(col, dtype="U18").view(np.uint32).reshape(len(col), 18)
-    digits = chars.astype(np.int64) - ord("0")
-    is_digit = (digits >= 0) & (digits <= 9)
-    ok = (lengths >= 1) & (lengths <= 18) & (is_digit.sum(axis=1) == lengths) & (digits[:, 0] != 0)
-    values = np.zeros(len(col), dtype=np.int64)
-    for k in range(18):
-        values = np.where(k < lengths, values * 10 + digits[:, k], values)
+def _canonical_amounts(chars: np.ndarray, ends: np.ndarray, lengths: np.ndarray):
+    """(int64 values, ok) of fields of 1-18 ASCII digits without a leading zero."""
+    width = int(np.clip(lengths.max(), 1, 18))  # longer fields are not ok
+    digits = _gather(chars, ends - width, width) - ord("0")  # unsigned, as in _canonical_times
+    lead = np.clip(width - lengths, 0, width - 1)
+    inside = np.arange(width) >= lead[:, None]
+    ok = (lengths >= 1) & (lengths <= 18)
+    ok &= ((digits <= 9) | ~inside).all(axis=1)
+    ok &= digits[np.arange(ends.size), lead] != 0
+    values = np.where(inside, digits, 0).astype(np.int64) @ _AMOUNT_PLACES[-width:]
     return np.where(ok, values, 0), ok
 
 
-class _CoordinateText:
-    """Coordinate strings of a whole log, each parsed by float() once.
+def _to_float(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
 
-    A field is present when nonempty and ok when empty or parsed by
-    float(), which ignores surrounding whitespace as the per-line parser's
-    strip does.  Coordinates repeat with their account, so the map holds
-    at most two strings per account of ``vocab`` and the empty one; it
-    starts over whenever it holds more, which bounds it for logs whose
-    coordinates do not repeat.
+
+class _Tails:
+    """Kinds and coordinates of canonical lines, parsed once per distinct tail.
+
+    A tail is a line's text from ``source_kind`` to ``dest_lon``.  It is
+    ok when both kinds are known and each coordinate pair is both empty or
+    both parsed by float(), which ignores surrounding whitespace as the
+    per-line parser's strip does; a coordinate is present when nonempty.
+    Tails repeat with their link, so the memo holds about one per link.
+    It starts over after a chunk leaves it above :meth:`bound`, four tails
+    per account of ``vocab`` plus a chunk's worth, which bounds it on logs
+    whose tails never repeat.
     """
 
-    def __init__(self, vocab: _Vocabulary):
+    def __init__(self, vocab: _Vocabulary, delimiter: str):
         self._vocab = vocab
+        self._delimiter = delimiter
         self._start_over()
 
     def _start_over(self):
-        self._code_of: dict[str, int] = {"": 0}
-        self._value = np.zeros(1)
-        self._ok = np.ones(1, dtype=bool)
+        self._row_of: dict[str, int] = {}
+        self._kinds = np.empty((0, 2), dtype=np.int8)
+        self._coords = np.empty((0, 4))
+        self._present = np.empty((0, 2), dtype=bool)
+        self._ok = np.empty(0, dtype=bool)
 
-    def field(self, col: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(values, present, ok) of one coordinate column."""
-        if len(self._code_of) > 2 * len(self._vocab) + 1:
-            self._start_over()
-        code_of = self._code_of
-        codes = np.fromiter(map(code_of.get, col, repeat(-1)), dtype=np.intp, count=len(col))
-        missing = np.flatnonzero(codes < 0).tolist()
+    def __len__(self) -> int:
+        return len(self._row_of)
+
+    def bound(self) -> int:
+        return 4 * len(self._vocab) + CHUNK_LINES
+
+    def _add(self, tails: list[str]) -> None:
+        m = len(tails)
+        fields = self._delimiter.join(tails).split(self._delimiter)
+        kinds = np.column_stack([
+            np.fromiter(map(_KIND_CODE.get, fields[k::6], repeat(-1)), dtype=np.int8, count=m)
+            for k in (0, 1)
+        ])
+        known = (kinds >= 0).all(axis=1)
+        # the four coordinate columns one after another; those of tails
+        # with an unknown kind, such as a header's, are not read
+        texts = list(chain.from_iterable(fields[k::6] for k in range(2, 6)))
+        present = np.fromiter(map(bool, texts), dtype=bool, count=4 * m)
+        read = present & np.tile(known, 4)
+        filled = list(compress(texts, read))
+        values = np.zeros(4 * m)
+        ok = np.ones(4 * m, dtype=bool)
+        try:
+            values[read] = list(map(float, filled))
+        except ValueError:  # some coordinate text is not a number
+            floats = list(map(_to_float, filled))
+            ok[read] = [v is not None for v in floats]
+            values[read] = [0.0 if v is None else v for v in floats]
+        present, ok = present.reshape(4, m), ok.reshape(4, m)
+        pair_ok = ok[0::2] & ok[1::2] & (present[0::2] == present[1::2])
+        self._kinds = np.concatenate([self._kinds, kinds])
+        self._coords = np.concatenate([self._coords, values.reshape(4, m).T])
+        self._present = np.concatenate([self._present, (present[0::2] & pair_ok).T])
+        self._ok = np.concatenate([self._ok, known & pair_ok.all(axis=0)])
+        self._row_of.update(zip(tails, count(len(self._row_of))))
+
+    def columns(self, tails: list[str]) -> tuple[dict, np.ndarray]:
+        """(kind and coordinate columns, ok) of the tails of a chunk's lines."""
+        row_of = self._row_of
+        rows = np.fromiter(map(row_of.get, tails, repeat(-1)), dtype=np.intp, count=len(tails))
+        missing = np.flatnonzero(rows < 0).tolist()
         if missing:
-            texts = list(map(col.__getitem__, missing))
-            value, ok = [], []
-            for text in dict.fromkeys(texts):
-                code_of[text] = len(code_of)
-                try:
-                    value.append(float(text))
-                    ok.append(True)
-                except ValueError:
-                    value.append(0.0)
-                    ok.append(False)
-            self._value = np.concatenate([self._value, value])
-            self._ok = np.concatenate([self._ok, ok])
-            codes[missing] = np.fromiter(map(code_of.__getitem__, texts), dtype=np.intp, count=len(texts))
-        return self._value[codes], codes != 0, self._ok[codes]
-
-    def pair(self, lat_col, lon_col) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(coords, present, ok): both fields empty, or both parsed by float()."""
-        lat, lat_present, lat_ok = self.field(lat_col)
-        lon, lon_present, lon_ok = self.field(lon_col)
-        ok = lat_ok & lon_ok & (lat_present == lon_present)
-        return np.column_stack([lat, lon]), lat_present & ok, ok
+            texts = list(map(tails.__getitem__, missing))
+            self._add(list(dict.fromkeys(texts)))
+            rows[missing] = np.fromiter(
+                map(row_of.__getitem__, texts), dtype=np.intp, count=len(texts)
+            )
+        kinds, coords, present = self._kinds[rows], self._coords[rows], self._present[rows]
+        columns = {
+            "src_kind": kinds[:, 0], "dst_kind": kinds[:, 1],
+            "src_coord": coords[:, :2], "dst_coord": coords[:, 2:],
+            "src_has_coord": present[:, 0], "dst_has_coord": present[:, 1],
+        }
+        ok = self._ok[rows]
+        if len(self) > self.bound():
+            self._start_over()
+        return columns, ok
 
 
-def _line_counts(chars: np.ndarray, ends: np.ndarray, char: str) -> np.ndarray:
-    """How often ``char`` occurs in each line; line k ends before ``ends[k]``."""
-    at = np.flatnonzero(chars == ord(char))
-    return np.diff(np.searchsorted(at, ends), prepend=0)
-
-
-def _canonical_lines(chunk: list[str], text: str, delimiter: str) -> np.ndarray:
-    """Mask of the lines of 10 fields ending in their one line break.
+def _canonical_lines(chunk: list[str], text: str, delimiter: str):
+    """(mask, bounds, code points) of the lines of 10 fields ending in their one line break.
 
     Such a line holds no quote or carriage return and no more characters
     than csv's field size limit (csv refuses longer fields; such lines take
     its path).  The checks run on the code points of the joined ``text``.
+    Row k of ``bounds`` holds, for the k-th such line, the offsets of the
+    character before its first field, of its nine delimiters and of its
+    line break, so field j spans ``bounds[k, j] + 1`` to ``bounds[k, j + 1]``.
     """
     lengths = _lengths(chunk)
     ends = np.cumsum(lengths)
-    if text.isascii():
-        chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    else:
-        chars = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    ok = (_line_counts(chars, ends, delimiter) == 9) & (lengths <= csv.field_size_limit())
+    chars = _code_points(text)
+
+    def occurrences(char: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(offsets of ``char``, index of each line's first, count in each line)."""
+        at = np.flatnonzero(chars == ord(char))
+        first = np.searchsorted(at, ends - lengths)
+        return at, first, np.diff(first, append=at.size)  # each line ends where the next starts
+
+    delimiters, first, count = occurrences(delimiter)
+    ok = (count == 9) & (lengths <= csv.field_size_limit())
     # nine delimiters make a line nonempty, so ends - 1 is its last character
-    ok &= (chars[ends - 1] == ord("\n")) & (_line_counts(chars, ends, "\n") == 1)
+    last = chars[ends - 1] == ord("\n")
+    ok &= last
+    if np.count_nonzero(chars == ord("\n")) != np.count_nonzero(last):
+        ok &= occurrences("\n")[2] == 1  # some line breaks before its end
     for char in '"\r':
         if char in text:
-            ok &= _line_counts(chars, ends, char) == 0
-    return ok
+            ok &= occurrences(char)[2] == 0
+    picked = np.flatnonzero(ok)
+    bounds = np.empty((picked.size, 11), dtype=np.int64)
+    bounds[:, 0] = ends[picked] - lengths[picked] - 1
+    bounds[:, 1:10] = delimiters[first[picked, None] + np.arange(9)]
+    bounds[:, 10] = ends[picked] - 1
+    return ok, bounds, chars
 
 
 def _canonical_chunk(
-    chunk: list[str], delimiter: str, vocab: _Vocabulary, coords: _CoordinateText
+    chunk: list[str], delimiter: str, vocab: _Vocabulary, tails: _Tails
 ) -> tuple[dict, np.ndarray]:
     """Columns of the canonical lines of a chunk, and the mask of those lines.
 
@@ -567,49 +639,33 @@ def _canonical_chunk(
     surrounding whitespace, an ASCII-digit amount, a naive
     YYYY-MM-DDTHH:MM:SS timestamp, known kinds, and coordinates both
     present or both empty.  Without quotes and line breaks, csv splits it
-    exactly where ``str.split`` does.
+    exactly at its delimiters.  The chunk is joined once and read at the
+    delimiter offsets: timestamp and amount digits from its code points,
+    and only the two ids and the tail (see :class:`_Tails`) as strings.
     """
-    n = len(chunk)
     if not chunk[-1].endswith("\n"):
         chunk = chunk[:-1] + [chunk[-1] + "\n"]  # a log without a final newline
     text = "".join(chunk)
-    ok = _canonical_lines(chunk, text, delimiter)
-    picked = np.flatnonzero(ok)
-    if picked.size == 0:
+    ok, bounds, chars = _canonical_lines(chunk, text, delimiter)
+    if bounds.size == 0:
         return {}, ok
-    if picked.size < n:
-        text = "".join([chunk[k] for k in picked.tolist()])
-    # every picked line is ten fields and one newline
-    fields = text.replace("\n", delimiter).split(delimiter)
-    fields.pop()
-    ts, src, dst, amount, src_kind, dst_kind, src_lat, src_lon, dst_lat, dst_lon = (
-        fields[k :: len(COLUMNS)] for k in range(len(COLUMNS))
-    )
+    starts = bounds + 1
 
-    src_codes = vocab.codes(src)
-    dst_codes = vocab.codes(dst)
+    def strings(field: int, end: int) -> list[str]:
+        return [text[a:b] for a, b in zip(starts[:, field].tolist(), bounds[:, end].tolist())]
+
+    src_codes = vocab.codes(strings(1, 2))
+    dst_codes = vocab.codes(strings(2, 3))
     bad_ids = vocab.noncanonical()
-    stamps, good = _canonical_times(ts)
-    values, good_amount = _canonical_amounts(amount)
-    good &= good_amount
+    columns, good = tails.columns(strings(4, 10))
+    stamps, good_time = _canonical_times(chars, starts[:, 0], bounds[:, 1] - starts[:, 0])
+    values, good_amount = _canonical_amounts(chars, bounds[:, 4], bounds[:, 4] - starts[:, 3])
+    good &= good_time & good_amount
     if bad_ids.size:
         good &= ~np.isin(src_codes, bad_ids) & ~np.isin(dst_codes, bad_ids)
-    kinds = []
-    for col in (src_kind, dst_kind):
-        code = np.fromiter(map(_KIND_CODE.get, col, repeat(-1)), dtype=np.int8, count=len(col))
-        good &= code >= 0
-        kinds.append(code)
-    src_coord, src_has, good_src = coords.pair(src_lat, src_lon)
-    dst_coord, dst_has, good_dst = coords.pair(dst_lat, dst_lon)
-    good &= good_src & good_dst
 
-    ok[picked] = good
-    columns = {
-        "src": src_codes, "dst": dst_codes, "amount": values, "timestamp": stamps,
-        "src_kind": kinds[0], "dst_kind": kinds[1],
-        "src_coord": src_coord, "dst_coord": dst_coord,
-        "src_has_coord": src_has, "dst_has_coord": dst_has,
-    }
+    ok[ok] = good
+    columns.update(src=src_codes, dst=dst_codes, amount=values, timestamp=stamps)
     return {name: col[good] for name, col in columns.items()}, ok
 
 
@@ -630,8 +686,12 @@ def parse_log(
     Lines are read in chunks of :data:`CHUNK_LINES`, so any iterable of
     lines works and the log is never held whole as strings.  Within a
     chunk, lines of the canonical shape (see ``_canonical_chunk``) are
-    split and validated column by column; every other line is read by
-    ``csv`` and parsed by the per-line parser, so quoting, padding,
+    validated column by column at the delimiter offsets of the chunk's
+    code points.  Per line only the two ids and the tail are sliced out as
+    strings; ids are coded by the vocabulary, and the tail's kinds and
+    coordinates come from a bounded memo of the tails seen (see
+    ``_Tails``), so each distinct tail is parsed once.  Every other line
+    is read by ``csv`` and parsed by the per-line parser, so quoting, padding,
     ``int()``-style amounts such as ``1_000``, and every rejection reason
     behave as a plain per-line loop would.  A line whose timestamp has a
     UTC offset, or whose amount exceeds the int64 range, is rejected with
@@ -640,12 +700,12 @@ def parse_log(
     lines = _ChunkedLines(stream)
     reader = csv.reader(lines, delimiter=delimiter)
     vocab = _Vocabulary()
-    coords = _CoordinateText(vocab)
+    tails = _Tails(vocab, delimiter)
     parts_of: list[dict] = []
     rejected: list[RejectedLine] = []
     line_no = 0
     while chunk := lines.next_chunk(CHUNK_LINES):
-        columns, canonical = _canonical_chunk(chunk, delimiter, vocab, coords)
+        columns, canonical = _canonical_chunk(chunk, delimiter, vocab, tails)
         taken = canonical.copy()
         records: list[TransferRecord] = []
         at: list[int] = []
@@ -775,11 +835,15 @@ def _endpoints(table: TransferTable) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return accounts, coords, present
 
 
-def _first_coords(accounts: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(accounts with a coordinate, endpoint index of each one's first)."""
+def _first_coords(
+    accounts: np.ndarray, present: np.ndarray, n_ids: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(accounts with a coordinate, ascending; endpoint index of each one's first)."""
     rows = np.flatnonzero(present)
-    codes, first = np.unique(accounts[rows], return_index=True)
-    return codes, rows[first]
+    first = np.full(n_ids, accounts.size)  # past every endpoint index
+    np.minimum.at(first, accounts[rows], rows)
+    codes = np.flatnonzero(first < accounts.size)
+    return codes, first[codes]
 
 
 def _coordinate_text(table: TransferTable) -> list[np.ndarray]:
@@ -790,15 +854,16 @@ def _coordinate_text(table: TransferTable) -> list[np.ndarray]:
     its own, and a missing one is empty.
     """
     accounts, coords, present = _endpoints(table)
-    codes, first = _first_coords(accounts, present)
+    codes, first = _first_coords(accounts, present, table.ids.size)
     bits = coords.view(np.int64)
     ref = np.zeros((table.ids.size, 2), dtype=np.int64)
     ref[codes] = bits[first]
     own = np.flatnonzero(present & (bits != ref[accounts]).any(axis=1))
+    pairs = np.array([f"{lat!r},{lon!r}" for lat, lon in coords[first].tolist()], dtype=object)
     texts = []
     for side, end in enumerate((",", "\n")):
         per_account = np.empty(table.ids.size, dtype=object)
-        per_account[codes] = [f"{lat!r},{lon!r}{end}" for lat, lon in coords[first].tolist()]
+        per_account[codes] = pairs + end
         text = per_account[accounts[side::2]]
         text[~present[side::2]] = "," + end
         mine = own[own % 2 == side]
@@ -807,31 +872,47 @@ def _coordinate_text(table: TransferTable) -> list[np.ndarray]:
     return texts
 
 
+def _clock_texts() -> np.ndarray:
+    """``HH:MM:SS,`` at each second of a day."""
+    two = [f"{k:02}" for k in range(60)]
+    minutes = np.array([f"{h}:{m}:" for h in two[:24] for m in two], dtype=object)
+    return (minutes[:, None] + np.array([s + "," for s in two], dtype=object)).ravel()
+
+
 def write_records(records: Iterable[TransferRecord], stream: IO[str]) -> None:
     """Emit transfers in the ingest log format, byte-stable for fixed input.
 
     Ids are written with csv quoting; an empty or whitespace-padded id
     raises ValueError.  Account ids and coordinates are formatted once per
-    account and the lines of a chunk joined in one go.
+    account, a timestamp as its day's ``YYYY-MM-DDT`` and its second's
+    ``HH:MM:SS`` from tables, and the lines of a chunk joined in one go.
     """
     table = TransferTable.from_records(records)
     stream.write(",".join(COLUMNS) + "\n")
     ids = np.array([_id_field(name) + "," for name in table.ids.tolist()], dtype=object)
     kinds = np.array([kind + "," for kind in KINDS], dtype=object)
     src_coord, dst_coord = _coordinate_text(table)
-    # datetime.isoformat() shows microseconds only when they are nonzero
-    fractional = table.timestamp.astype(np.int64) % 1_000_000 != 0
+    clock = _clock_texts()
     for lo in range(0, len(table), CHUNK_LINES):
         rows = slice(lo, lo + CHUNK_LINES)
-        stamps = np.datetime_as_string(table.timestamp[rows], unit="s")
-        if fractional[rows].any():
-            stamps = np.where(
-                fractional[rows], np.datetime_as_string(table.timestamp[rows], unit="us"), stamps
+        seconds, micros = np.divmod(table.timestamp[rows].view(np.int64), 1_000_000)
+        days, second_of_day = np.divmod(seconds, 86_400)
+        day, at = np.unique(days, return_inverse=True)
+        dates = [date + "T" for date in np.datetime_as_string(day.astype("datetime64[D]")).tolist()]
+        date_text = np.array(dates, dtype=object)[at]
+        clock_text = clock[second_of_day]
+        # datetime.isoformat() shows microseconds only when they are nonzero
+        fractional = micros != 0
+        if fractional.any():
+            date_text[fractional] = np.datetime_as_string(
+                table.timestamp[rows][fractional], unit="us"
             )
-        # ten tokens a line; the commas after the timestamp and the amount
-        # are the tokens left at their default
-        tokens = [","] * (10 * stamps.size)
-        tokens[0::10] = stamps.tolist()
+            clock_text[fractional] = ","
+        # ten tokens a line; the comma after the amount is the token left at
+        # its default
+        tokens = [","] * (10 * date_text.size)
+        tokens[0::10] = date_text.tolist()
+        tokens[1::10] = clock_text.tolist()
         tokens[2::10] = ids[table.src[rows]].tolist()
         tokens[3::10] = ids[table.dst[rows]].tolist()
         tokens[4::10] = map(str, table.amount[rows].tolist())
@@ -858,16 +939,54 @@ def write_links(links: FlowNetwork | Iterable[AggregatedLink], stream: IO[str]) 
     stream.write("".join(map("{},{},{},{}\n".format, *(col.tolist() for col in columns))))
 
 
-def _table_rows(stream: IO[str] | Iterable[str], header: str, width: int, table: str):
-    """Non-blank csv rows after an optional first-line header; each must be width wide."""
-    for line_no, parts in enumerate(csv.reader(stream), start=1):
-        if not parts or (len(parts) == 1 and not parts[0].strip()):
-            continue
-        if line_no == 1 and parts[0].strip() == header:
-            continue
-        if len(parts) != width:
-            raise ValueError(f"{table} line {line_no}: expected {width} fields")
-        yield parts
+class _Table:
+    """The fields of a csv table in one flat list, row after row.
+
+    Blank lines and a first-line header are skipped; every other row must
+    be ``width`` fields wide.  One flat list of strings, because rows kept
+    as lists would be tracked, and traversed, by every garbage collection
+    while the table is read.  The lines skipped are kept, so that a field
+    that fails to convert can be reported with its line.
+    """
+
+    def __init__(self, stream: IO[str] | Iterable[str], header: str, width: int, name: str):
+        self.name = name
+        self.width = width
+        self._skipped: list[int] = []
+        self.fields = list(chain.from_iterable(self._rows(stream, header)))
+
+    def _rows(self, stream, header: str):
+        for line_no, parts in enumerate(csv.reader(stream), start=1):
+            if not parts or (len(parts) == 1 and not parts[0].strip()) or (
+                line_no == 1 and parts[0].strip() == header
+            ):
+                self._skipped.append(line_no)
+                continue
+            if len(parts) != self.width:
+                raise ValueError(f"{self.name} line {line_no}: expected {self.width} fields")
+            yield parts
+
+    def column(self, k: int) -> list[str]:
+        return self.fields[k :: self.width]
+
+    def numbers(self, k: int, convert: type, label: str) -> list:
+        """Column ``k`` read by ``convert`` (int or float); ValueError names the first bad field."""
+        col = self.column(k)
+        try:
+            return list(map(convert, col))
+        except ValueError:
+            pass
+        for row, text in enumerate(col):
+            try:
+                convert(text)
+            except ValueError:
+                line_no = row + 1
+                for skipped in self._skipped:
+                    line_no += skipped <= line_no
+                kind = "an integer" if convert is int else "a number"
+                raise ValueError(
+                    f"{self.name} line {line_no}: {label} {text.strip()!r} is not {kind}"
+                ) from None
 
 
 def read_links(stream: IO[str] | Iterable[str]) -> FlowNetwork:
@@ -875,16 +994,14 @@ def read_links(stream: IO[str] | Iterable[str]) -> FlowNetwork:
 
     Blank lines and a first-line header are skipped and every field is
     stripped.  Raises ValueError on a line without four fields, a
-    non-integer weight or a frequency beyond int64; a flow beyond int64
-    reads back exactly.
+    non-integer weight (naming its line) or a frequency beyond int64; a
+    flow beyond int64 reads back exactly.
     """
-    # one flat list of field strings: rows kept as lists would be tracked,
-    # and traversed, by every garbage collection while the table is read
-    fields = list(chain.from_iterable(_table_rows(stream, "source_id", 4, "link table")))
+    table = _Table(stream, "source_id", 4, "link table")
     vocab = _Vocabulary()
-    src, dst = (vocab.codes(list(map(str.strip, fields[k::4]))) for k in (0, 1))
+    src, dst = (vocab.codes(list(map(str.strip, table.column(k)))) for k in (0, 1))
     ids, src, dst = _compact(vocab.ids(), src, dst)
-    flow, freq = (list(map(int, fields[k::4])) for k in (2, 3))
+    flow, freq = (table.numbers(k, int, LINK_COLUMNS[k]) for k in (2, 3))
     try:
         freq = np.array(freq, dtype=np.int64)
     except OverflowError:
@@ -903,7 +1020,7 @@ def collect_node_coords(
     """
     table = TransferTable.from_records(records)
     accounts, coords, present = _endpoints(table)
-    codes, first = _first_coords(accounts, present)
+    codes, first = _first_coords(accounts, present, table.ids.size)
     ref = np.zeros((table.ids.size, 2))
     ref[codes] = coords[first]
     differs = present & (coords != ref[accounts]).any(axis=1)
@@ -928,7 +1045,9 @@ def read_node_coords(stream: IO[str] | Iterable[str]) -> dict[str, tuple[float, 
     """Read the coordinate table written by :func:`write_node_coords`.
 
     Blank lines and a first-line header are skipped.  Raises ValueError on
-    a line without three fields or with a coordinate that is not a number.
+    a line without three fields or with a coordinate that is not a number,
+    naming the line.
     """
-    rows = _table_rows(stream, "node_id", 3, "node table")
-    return {parts[0].strip(): (float(parts[1]), float(parts[2])) for parts in rows}
+    table = _Table(stream, "node_id", 3, "node table")
+    lat, lon = (table.numbers(k, float, label) for k, label in ((1, "lat"), (2, "lon")))
+    return dict(zip(map(str.strip, table.column(0)), zip(lat, lon)))

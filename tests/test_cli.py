@@ -172,6 +172,34 @@ class TestDataErrors:
         assert err == "moneyflow nmf: error: node table line 3: expected 3 fields\n"
         assert not list(out.glob("manifest_*.json"))
 
+    @pytest.mark.parametrize("command, name, row, message", [
+        ("stats", "links.csv", "F1,F2,x,1",
+         "link table line 3: flow_yen 'x' is not an integer"),
+        ("nmf", "nodes.csv", "F2,abc,135.5",
+         "node table line 3: lat 'abc' is not a number"),
+    ])
+    def test_non_numeric_field_names_its_line(self, tmp_path, capsys, command, name, row, message):
+        out = tmp_path / "ws"
+        out.mkdir()
+        (out / "links.csv").write_text(
+            "source_id,destination_id,flow_yen,frequency\nF1,F2,5,1\n", encoding="utf-8"
+        )
+        (out / "nodes.csv").write_text("node_id,lat,lon\nF1,34.5,135.5\n", encoding="utf-8")
+        with open(out / name, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        argv = [command, "--out", str(out)]
+        if command == "nmf":
+            argv += ["--grid-k", "2", "--nmf-d", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"moneyflow {command}: error: {message}\n"
+        assert not list(out.glob("manifest_*.json"))
+
+    def test_failed_input_check_leaves_no_workspace(self, tmp_path, capsys):
+        fresh = tmp_path / "fresh"
+        assert main(["nmf", "--out", str(fresh)]) == 2
+        assert "links.csv" in capsys.readouterr().err
+        assert not fresh.exists()
+
     def test_unattainable_tolerance(self, ws, capsys):
         # a target below double rounding: no residual within the
         # iteration cap satisfies it, so the solve must report failed

@@ -404,6 +404,10 @@ _VARIANTS = {
     "year_zero": {0: "0000-03-02T09:15:00"},
     "padded_time": {0: " 2017-03-02T09:15:00"},
     "timestamp_word": {0: "timestamp"},
+    # non-ASCII text makes the chunk's code points UTF-32
+    "unicode_ids": {1: "株式会社A", 2: "Ünïcode"},
+    "unicode_coords": {6: "٣٤.٥", 7: "１３５"},
+    "unicode_bad_coord": {8: "北", 9: "135.5"},
 }
 _WHOLE_LINES = {
     "blank": "",
@@ -425,6 +429,18 @@ _COORD_TEXTS = (
     "34.5", "135.5", "", " ", " 34.5", "135.5 ", "\t34.5", "nan", " nan ", "NaN",
     "north", "3_4.5", "1e-05", "-inf", "٣٤",
 )
+
+
+# Tails, valid and not, that recur in later chunks, between non-ASCII lines
+_RECURRING_TAILS = [
+    _CANONICAL.replace("F1,F2", ids).replace("34.5,135.5", coords)
+    for ids, coords in (
+        ("F1,F2", "34.5,135.5"), ("F2,F1", "north,135.5"), ("株,F2", "34.5,135.5"),
+        ("F1,F2", "34.5,135.5"), ("F3,F1", "٣٤,135.5"), ("F2,F1", "north,135.5"),
+        ("F1,F2", "34.5,135.5"), ("F3,F1", "٣٤,135.5"), ("F2,F1", "north,135.5"),
+        ("F1,F2", ","), ("F1,F2", "34.5,135.5"), ("株,F2", "34.5,135.5"),
+    )
+]
 
 
 @st.composite
@@ -457,6 +473,11 @@ def _log_lines(draw):
           _CANONICAL], 2, False)
 @example([_CANONICAL.replace("34.5,135.5", coords) for coords in
           ("nan, 1", " , ", "north,1", "1 ,\t2", "nan, 1", " , ", "north,1", "1 ,\t2")], 2, False)
+@example(_RECURRING_TAILS, 1, False)
+@example(_RECURRING_TAILS, 2, False)
+@example(_RECURRING_TAILS, 3, False)
+@example(_RECURRING_TAILS, 4, False)
+@example(_RECURRING_TAILS, 5, False)
 @settings(max_examples=300, deadline=None)
 def test_fast_path_matches_per_line_parse(lines, chunk_lines, strict):
     with mock.patch.object(ingest_module, "CHUNK_LINES", chunk_lines):
@@ -472,6 +493,47 @@ def test_fast_path_matches_per_line_parse(lines, chunk_lines, strict):
     assert table == TransferTable.from_records(expected[0])
 
 
+def test_non_ascii_lines_are_read_at_their_offsets():
+    # a chunk with non-ASCII text is read from UTF-32 code points; its
+    # canonical lines must not fall back to the per-line parser
+    vocab = ingest_module._Vocabulary()
+    tails = ingest_module._Tails(vocab, ",")
+    columns, canonical = ingest_module._canonical_chunk(_RECURRING_TAILS, ",", vocab, tails)
+    good = ["north" not in line for line in _RECURRING_TAILS]
+    assert canonical.tolist() == good
+    src = [line.split(",")[1] for line, ok in zip(_RECURRING_TAILS, good) if ok]
+    assert vocab.ids()[columns["src"]].tolist() == src
+    assert columns["src_coord"][:, 0].tolist() == [
+        float(line.split(",")[6] or 0.0) for line, ok in zip(_RECURRING_TAILS, good) if ok
+    ]
+
+
+def test_tail_memo_stays_within_its_bound():
+    # every line has a tail of its own: the memo starts over instead of
+    # growing with the events
+    sizes = []
+
+    class Tails(ingest_module._Tails):
+        def columns(self, tails):
+            got = super().columns(tails)
+            sizes.append((len(self), self.bound()))
+            return got
+
+    lines = [
+        _CANONICAL.replace("34.5,135.5", f"34.{k},135.5") for k in range(200)
+    ]
+    with mock.patch.object(ingest_module, "CHUNK_LINES", 4), \
+            mock.patch.object(ingest_module, "_Tails", Tails):
+        table, rejected = parse_log(lines)
+    expected = _reference_parse(lines)
+    assert rejected == expected[1] == []
+    assert table == TransferTable.from_records(expected[0])
+    assert len(sizes) == 50
+    assert all(size <= bound for size, bound in sizes)
+    assert max(size for size, _ in sizes) == 12  # 4 per account of F1 and F2 plus one chunk
+    assert min(size for size, _ in sizes) < 12  # it started over
+
+
 def test_field_over_csv_limit_fails_as_in_csv():
     line = "2017-03-02T09:15:00," + "F" * (csv.field_size_limit() + 1) + ",F2,5,firm,firm,,,,\n"
     with pytest.raises(csv.Error, match="field limit"):
@@ -480,12 +542,58 @@ def test_field_over_csv_limit_fails_as_in_csv():
         parse_log([line])
 
 
+@pytest.mark.parametrize("inner", [
+    "2017-03-02T09:15:00,F1\nX,F2,5,firm,firm,,,,\n",
+    "2017-03-02T09:15:00,F1,F2,5,firm,firm,,,,\n" * 2,
+])
+def test_line_break_inside_a_line_fails_as_in_csv(inner):
+    # an iterable may yield a string holding a line break before its end:
+    # it is no canonical line, and csv refuses it
+    lines = [_CANONICAL, inner, _CANONICAL]
+    with pytest.raises(csv.Error, match="new-line character"):
+        _reference_parse(lines)
+    with pytest.raises(csv.Error, match="new-line character"):
+        parse_log(lines)
+
+
 def test_fast_path_with_other_delimiters():
     lines = [GOOD_LINE.replace(",", ";") + "\n", "2017-03-02T09:15:00;F1;F2;0;firm;firm;;;;\n"]
     records, rejected = _reference_parse(lines, delimiter=";")
     table, got = parse_log(lines, delimiter=";")
     assert table == TransferTable.from_records(records) and got == rejected
     assert len(table) == 1 and len(rejected) == 1
+
+
+@pytest.mark.parametrize("stamps", [
+    ["0001-01-01T00:00:00"],
+    ["1969-12-31T23:59:59"],
+    ["1970-01-01T00:00:00"],
+    ["2016-02-29T23:59:59"],
+    ["9999-12-31T23:59:59.999999"],
+    ["2017-03-02T09:15:00", "2017-03-02T09:15:00.5", "1969-12-31T23:59:59.000001",
+     "0001-01-01T00:00:00", "2017-03-03T00:00:00.250000", "1999-12-31T23:59:59"],
+])
+def test_write_records_timestamps_match_isoformat(stamps):
+    from moneyflow import write_records
+
+    times = [datetime.fromisoformat(stamp) for stamp in stamps]
+    buf = io.StringIO()
+    with mock.patch.object(ingest_module, "CHUNK_LINES", 4):
+        write_records([_rec("F1", "F2", ts=ts) for ts in times], buf)
+    lines = buf.getvalue().splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == [ts.isoformat() for ts in times]
+
+
+def test_walnut_round_trip_over_several_chunks():
+    from moneyflow import generate, walnut_scenario, write_records
+
+    records, _ = generate(walnut_scenario(n_nodes=6000, seed=2))
+    assert len(records) > 2 * ingest_module.CHUNK_LINES
+    buf = io.StringIO()
+    write_records(records, buf)
+    parsed, rejected = parse_log(io.StringIO(buf.getvalue()))
+    assert rejected == []
+    assert parsed == records
 
 
 # header words are valid ids: only a table's first line is its header
