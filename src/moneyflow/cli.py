@@ -518,12 +518,23 @@ def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
     )
 
 
-def _read_csv_dict(path: Path) -> dict[str, list[str]]:
-    """Rows of a small comma file, header skipped, as {first column: the rest}."""
+def _read_csv_dict(path: Path, width: int) -> dict[str, tuple[int, list[str]]]:
+    """Rows of a small comma file as {first column: (line number, the rest)}.
+
+    The header is skipped; every other nonempty row must be ``width`` wide.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        return {row[0]: row[1:] for row in reader if row}
+        if next(reader, None) is None:
+            raise DataError(f"{path} is empty")
+        rows = {}
+        for row in filter(None, reader):
+            if len(row) != width:
+                raise DataError(
+                    f"{path} line {reader.line_num}: expected {width} fields, got {len(row)}"
+                )
+            rows[row[0]] = (reader.line_num, row[1:])
+        return rows
 
 
 def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
@@ -575,17 +586,22 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
     )
 
     # potential histogram per walnut class; join phi and labels by node id
-    pot_rows = _read_csv_dict(inputs["hodge_potentials.csv"])
-    comp_rows = _read_csv_dict(inputs["bowtie.csv"])
+    pot_rows = _read_csv_dict(inputs["hodge_potentials.csv"], 4)
+    comp_rows = _read_csv_dict(inputs["bowtie.csv"], 2)
     if set(pot_rows) != set(comp_rows):
         raise DataError(
             "hodge_potentials.csv and bowtie.csv disagree on the node set; "
             "rerun both on the current links.csv"
         )
     nodes = sorted(pot_rows)
-    phi = np.array([float(pot_rows[n][0]) for n in nodes])
+    phi = np.array([float(pot_rows[n][1][0]) for n in nodes])
     code_of = {name: code for code, name in enumerate(COMPONENT_NAMES)}
-    labels = np.array([code_of[comp_rows[n][0]] for n in nodes], dtype=np.int8)
+    for line_no, (component,) in comp_rows.values():
+        if component not in code_of:
+            raise DataError(
+                f"{inputs['bowtie.csv']} line {line_no}: unknown component {component!r}"
+            )
+    labels = np.array([code_of[comp_rows[n][1][0]] for n in nodes], dtype=np.int8)
     part = BowtiePartition(labels=labels)
     if part.gwcc_size > 0:
         edges, counts = potential_histograms(phi, part, bins=50)

@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import log2
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -178,39 +178,17 @@ def _value_for(walk: Walk, labels: np.ndarray) -> float:
     )
 
 
-def _coerce_labels(net: FlowNetwork, partition) -> np.ndarray:
-    """Accept labels aligned to node index, or groups of node ids."""
-    seq = list(partition)
-    if seq and isinstance(seq[0], (list, tuple, set, frozenset)):
-        labels = np.full(net.n_nodes, -1, dtype=np.int64)
-        for m, group in enumerate(seq):
-            if len(group) == 0:
-                raise EmptyModuleError(f"module {m} is empty")
-            for name in group:
-                i = net.index_of.get(name)
-                if i is None:
-                    raise ValueError(f"partition names unknown node id {name!r}")
-                if labels[i] >= 0:
-                    raise ValueError(f"partition lists node id {name!r} twice")
-                labels[i] = m
-        if np.any(labels < 0):
-            raise ValueError("partition does not cover all nodes")
-        return labels
-    labels = np.asarray(seq, dtype=np.int64)
+def map_equation_value(net: FlowNetwork, labels, kind: str = "frequency") -> float:
+    """Description length (bits) of the walk under the given partition.
+
+    labels holds a non-negative int module label per node, aligned with
+    net.node_ids.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (net.n_nodes,):
         raise ValueError("label array length must equal the node count")
     if labels.size and labels.min() < 0:
         raise ValueError("module labels must be non-negative")
-    return labels
-
-
-def map_equation_value(net: FlowNetwork, partition, kind: str = "frequency") -> float:
-    """Description length (bits) of the walk under the given partition.
-
-    partition is either an int label per node (aligned with net.node_ids)
-    or an iterable of node-id groups covering every node exactly once.
-    """
-    labels = _coerce_labels(net, partition)
     return _value_for(build_walk(net, kind), labels)
 
 

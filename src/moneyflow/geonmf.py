@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .ingest import TransferRecord, TransferTable
-from .network import AggregatedLink, FlowNetwork
+from .network import FlowNetwork
 
 # scipy.sparse is imported inside the functions that build sparse matrices,
 # so importing the package does not load it
@@ -153,41 +152,21 @@ class GeoFlowMatrix:
 
 
 def bin_transfers(
-    data: FlowNetwork | Iterable[AggregatedLink] | Iterable[TransferRecord],
-    grid: GeoGrid,
-    coords: Mapping[str, tuple[float, float]] | None = None,
+    net: FlowNetwork, grid: GeoGrid, coords: Mapping[str, tuple[float, float]]
 ) -> GeoFlowMatrix:
     """Accumulate transfer frequency between grid cells.
 
-    Links (a network or a list) draw endpoint coordinates from ``coords``,
-    looked up once per account, and count their full frequency; records
-    (a table or a list) carry their own and count one event each.  Events
-    with an endpoint out of bounds or without a coordinate are excluded
-    and tallied.  Counts are exact int64 sums over sorted cell pairs.
+    Links draw endpoint coordinates from ``coords``, looked up once per
+    account, and count their full frequency.  Events with an endpoint out
+    of bounds or without a coordinate are excluded and tallied.  Counts
+    are exact int64 sums over sorted cell pairs.
     """
     import scipy.sparse as sp
 
-    if not isinstance(data, (FlowNetwork, TransferTable)):
-        data = list(data)
-        if all(isinstance(item, TransferRecord) for item in data):
-            data = TransferTable.from_records(data)
-        elif all(isinstance(item, AggregatedLink) for item in data):
-            data = FlowNetwork.from_links(data)
-        else:
-            raise TypeError("bin_transfers takes links or transfer records")
-    if isinstance(data, TransferTable):
-        src, dst = (
-            np.where(has, grid.cells(ll[:, 0], ll[:, 1]), -1)
-            for ll, has in ((data.src_coord, data.src_has_coord), (data.dst_coord, data.dst_has_coord))
-        )
-        weight = np.ones(len(data), dtype=np.int64)
-    elif coords is None:
-        raise ValueError("aggregated links need a node coordinate table")
-    else:
-        missing = repeat((np.nan, np.nan))
-        ll = np.array(list(map(coords.get, data.node_ids, missing)), dtype=np.float64).reshape(-1, 2)
-        node_cell = grid.cells(ll[:, 0], ll[:, 1])
-        src, dst, weight = node_cell[data.src], node_cell[data.dst], data.freq
+    missing = repeat((np.nan, np.nan))
+    ll = np.array(list(map(coords.get, net.node_ids, missing)), dtype=np.float64).reshape(-1, 2)
+    node_cell = grid.cells(ll[:, 0], ll[:, 1])
+    src, dst, weight = node_cell[net.src], node_cell[net.dst], net.freq
     n = grid.n_cells
     ok = (src >= 0) & (dst >= 0)
     included, excluded = int(weight[ok].sum()), int(weight[~ok].sum())

@@ -118,7 +118,7 @@ _COLUMN_DTYPES = {
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class TransferTable(Sequence):
+class TransferTable:
     """Transfers as one read-only array per field, in log order.
 
     ``ids`` is the sorted account-id vocabulary (an object array of str),
@@ -129,11 +129,9 @@ class TransferTable(Sequence):
     coordinate is stored as (0.0, 0.0) with its mask False, so it stays
     distinct from a parsed nan.
 
-    The table is a read-only sequence of :class:`TransferRecord`: ``len``,
-    iteration, indexing and ``==`` against any sequence of records work
-    as on a list (a slice is a table).  Two tables compare column by
-    column, with nan coordinates equal.  :meth:`from_records` turns a list
-    of records into a table.
+    ``len`` is the transfer count and iteration yields one
+    :class:`TransferRecord` per transfer.  Two tables are ``==`` when they
+    compare equal column by column, with nan coordinates equal.
     """
 
     ids: np.ndarray
@@ -173,19 +171,6 @@ class TransferTable(Sequence):
         ids, src, dst = _compact(ids, np.asarray(src), np.asarray(dst))
         return cls(ids=ids, src=src, dst=dst, **columns)
 
-    @classmethod
-    def from_records(cls, records: Iterable[TransferRecord]) -> TransferTable:
-        """The table of ``records`` in order; a table is returned as is.
-
-        Raises ValueError for what a table cannot hold: an unknown kind, an
-        amount outside int64 or a timestamp with a UTC offset.
-        """
-        if isinstance(records, TransferTable):
-            return records
-        vocab = _Vocabulary()
-        columns = _record_columns(list(records), vocab)
-        return cls.from_codes(vocab.ids(), **columns)
-
     def take(self, rows) -> TransferTable:
         """The rows selected by an index array or boolean mask, same ids."""
         return TransferTable(
@@ -194,12 +179,6 @@ class TransferTable(Sequence):
 
     def __len__(self) -> int:
         return self.src.shape[0]
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            return self.take(item)
-        row = range(len(self))[item]
-        return next(self._records(row, row + 1))
 
     def __iter__(self) -> Iterator[TransferRecord]:
         for lo in range(0, len(self), CHUNK_LINES):
@@ -232,13 +211,8 @@ class TransferTable(Sequence):
             )
 
     def __eq__(self, other):
-        if isinstance(other, TransferTable):
-            return self._same_columns(other)
-        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    def _same_columns(self, other: TransferTable) -> bool:
+        if not isinstance(other, TransferTable):
+            return NotImplemented
         names = ("amount", "timestamp", "src_kind", "dst_kind", "src_has_coord", "dst_has_coord")
         if not all(np.array_equal(a, b) for a, b in (
             (self.ids[self.src], other.ids[other.src]),
@@ -307,26 +281,18 @@ class _Vocabulary:
 
 
 def _record_columns(records: list[TransferRecord], vocab: _Vocabulary) -> dict:
-    """Table columns of ``records``, coding ids through ``vocab``."""
-    try:
-        src_kind = [_KIND_CODE[r.source_kind] for r in records]
-        dst_kind = [_KIND_CODE[r.destination_kind] for r in records]
-    except KeyError as exc:
-        raise ValueError(f"unknown party kind {exc.args[0]!r}") from None
-    stamps = [r.timestamp for r in records]
-    if any(ts.tzinfo is not None for ts in stamps):
-        raise ValueError("a timestamp with a UTC offset does not fit the table")
-    try:
-        amount = np.array([r.amount for r in records], dtype=np.int64)
-    except OverflowError:
-        raise ValueError("an amount exceeds the int64 range of the table") from None
+    """Table columns of records from :func:`_parse_line`, coding ids through ``vocab``.
+
+    The parser has refused what a table cannot hold: an unknown kind, an
+    amount outside int64 and a timestamp with a UTC offset.
+    """
     columns = {
         "src": vocab.codes([r.source for r in records]),
         "dst": vocab.codes([r.destination for r in records]),
-        "amount": amount,
-        "timestamp": np.array(stamps, dtype=TIME_DTYPE),
-        "src_kind": src_kind,
-        "dst_kind": dst_kind,
+        "amount": [r.amount for r in records],
+        "timestamp": [r.timestamp for r in records],
+        "src_kind": [_KIND_CODE[r.source_kind] for r in records],
+        "dst_kind": [_KIND_CODE[r.destination_kind] for r in records],
     }
     for side, attr in (("src", "source_coord"), ("dst", "destination_coord")):
         coords = [getattr(r, attr) for r in records]
@@ -747,11 +713,8 @@ def parse_log(
     return TransferTable.from_codes(vocab.ids(), **merged), rejected
 
 
-def filter_records(
-    records: Iterable[TransferRecord], policy: FilterPolicy
-) -> TransferTable:
+def filter_records(table: TransferTable, policy: FilterPolicy) -> TransferTable:
     """Keep exactly the transfers satisfying all enabled predicates, in order."""
-    table = TransferTable.from_records(records)
     keep = np.ones(len(table), dtype=bool)
     if policy.require_intra_bank:
         keep &= (table.src_kind != _EXTERNAL) & (table.dst_kind != _EXTERNAL)
@@ -762,7 +725,7 @@ def filter_records(
     return table.take(keep)
 
 
-def aggregate(records: Iterable[TransferRecord]) -> FlowNetwork:
+def aggregate(table: TransferTable) -> FlowNetwork:
     """Collapse transfers into one link per ordered (source, destination) pair.
 
     Each link carries flow = sum of amounts and frequency = transfer count.
@@ -770,9 +733,8 @@ def aggregate(records: Iterable[TransferRecord]) -> FlowNetwork:
     holds the accounts the links use and is sorted by (source,
     destination), so the link set is order-independent.  Flows are exact:
     int64 sums, or Python ints when a sum exceeds int64.  Self-loops stay
-    when the records hold them; :func:`build_network` refuses them.
+    when the table holds them; :func:`build_network` refuses them.
     """
-    table = TransferTable.from_records(records)
     n_ids = max(table.ids.size, 1)
     key = table.src.astype(np.int64) * n_ids + table.dst
     order = np.argsort(key, kind="stable")
@@ -879,7 +841,7 @@ def _clock_texts() -> np.ndarray:
     return (minutes[:, None] + np.array([s + "," for s in two], dtype=object)).ravel()
 
 
-def write_records(records: Iterable[TransferRecord], stream: IO[str]) -> None:
+def write_records(table: TransferTable, stream: IO[str]) -> None:
     """Emit transfers in the ingest log format, byte-stable for fixed input.
 
     Ids are written with csv quoting; an empty or whitespace-padded id
@@ -887,7 +849,6 @@ def write_records(records: Iterable[TransferRecord], stream: IO[str]) -> None:
     account, a timestamp as its day's ``YYYY-MM-DDT`` and its second's
     ``HH:MM:SS`` from tables, and the lines of a chunk joined in one go.
     """
-    table = TransferTable.from_records(records)
     stream.write(",".join(COLUMNS) + "\n")
     ids = np.array([_id_field(name) + "," for name in table.ids.tolist()], dtype=object)
     kinds = np.array([kind + "," for kind in KINDS], dtype=object)
@@ -926,13 +887,12 @@ def write_records(records: Iterable[TransferRecord], stream: IO[str]) -> None:
 LINK_COLUMNS = ("source_id", "destination_id", "flow_yen", "frequency")
 
 
-def write_links(links: FlowNetwork | Iterable[AggregatedLink], stream: IO[str]) -> None:
+def write_links(net: FlowNetwork, stream: IO[str]) -> None:
     """Write the link table as delimited text with a header line.
 
     Ids are formatted once per account.  Raises ValueError on an empty or
     whitespace-padded id.
     """
-    net = FlowNetwork.from_links(links)
     ids = np.array([_id_field(name) for name in net.node_ids], dtype=object)
     columns = (ids[net.src], ids[net.dst], net.flow, net.freq)
     stream.write(",".join(LINK_COLUMNS) + "\n")
@@ -969,6 +929,13 @@ class _Table:
     def column(self, k: int) -> list[str]:
         return self.fields[k :: self.width]
 
+    def line_of(self, row: int) -> int:
+        """The line number of the ``row``-th row kept, counting from 0."""
+        line_no = row + 1
+        for skipped in self._skipped:
+            line_no += skipped <= line_no
+        return line_no
+
     def numbers(self, k: int, convert: type, label: str) -> list:
         """Column ``k`` read by ``convert`` (int or float); ValueError names the first bad field."""
         col = self.column(k)
@@ -980,12 +947,9 @@ class _Table:
             try:
                 convert(text)
             except ValueError:
-                line_no = row + 1
-                for skipped in self._skipped:
-                    line_no += skipped <= line_no
                 kind = "an integer" if convert is int else "a number"
                 raise ValueError(
-                    f"{self.name} line {line_no}: {label} {text.strip()!r} is not {kind}"
+                    f"{self.name} line {self.line_of(row)}: {label} {text.strip()!r} is not {kind}"
                 ) from None
 
 
@@ -1009,16 +973,13 @@ def read_links(stream: IO[str] | Iterable[str]) -> FlowNetwork:
     return FlowNetwork(tuple(ids.tolist()), src, dst, _exact_ints(flow), freq)
 
 
-def collect_node_coords(
-    records: Iterable[TransferRecord],
-) -> tuple[dict[str, tuple[float, float]], int]:
+def collect_node_coords(table: TransferTable) -> tuple[dict[str, tuple[float, float]], int]:
     """Map each account to its coordinate, first occurrence wins.
 
     Returns the mapping plus the number of endpoints whose coordinates
     differ (by float comparison, so nan never matches) from the first
     occurrence of the same account.
     """
-    table = TransferTable.from_records(records)
     accounts, coords, present = _endpoints(table)
     codes, first = _first_coords(accounts, present, table.ids.size)
     ref = np.zeros((table.ids.size, 2))
@@ -1046,8 +1007,18 @@ def read_node_coords(stream: IO[str] | Iterable[str]) -> dict[str, tuple[float, 
 
     Blank lines and a first-line header are skipped.  Raises ValueError on
     a line without three fields or with a coordinate that is not a number,
-    naming the line.
+    naming the line, and on a repeated node_id, naming both lines.
     """
     table = _Table(stream, "node_id", 3, "node table")
     lat, lon = (table.numbers(k, float, label) for k, label in ((1, "lat"), (2, "lon")))
-    return dict(zip(map(str.strip, table.column(0)), zip(lat, lon)))
+    names = list(map(str.strip, table.column(0)))
+    coords = dict(zip(names, zip(lat, lon)))
+    if len(coords) < len(names):
+        first: dict[str, int] = {}
+        for row, name in enumerate(names):
+            if first.setdefault(name, row) != row:
+                raise ValueError(
+                    f"node table lines {table.line_of(first[name])} and {table.line_of(row)}: "
+                    f"node_id {name!r} repeats"
+                )
+    return coords

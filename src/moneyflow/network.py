@@ -14,7 +14,6 @@ observed values with inclusive comparison, fraction(v) = P(x >= v).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -65,15 +64,15 @@ def _exact_ints(values) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class FlowNetwork(Sequence):
+class FlowNetwork:
     """The link table: node-indexed weighted directed links.
 
     node_ids maps index -> account id (sorted lexicographically); src/dst/
     freq are int64 arrays of length M, flow int64 yen or, past int64, an
     object array of Python ints.  :func:`build_network` checks a network
-    for analysis.  The network is a read-only sequence of
-    :class:`AggregatedLink`: ``len``, iteration, indexing and ``==``
-    against a network or any sequence of links work as on a list.
+    for analysis.  ``len`` is the link count, iteration yields one
+    :class:`AggregatedLink` per link, and two networks are ``==`` when
+    they hold the same links in the same order.
     """
 
     node_ids: tuple[str, ...]
@@ -81,22 +80,6 @@ class FlowNetwork(Sequence):
     dst: np.ndarray
     flow: np.ndarray
     freq: np.ndarray
-
-    @classmethod
-    def from_links(cls, links: Iterable[AggregatedLink]) -> FlowNetwork:
-        """The network of ``links`` in order; a network is returned as is."""
-        if isinstance(links, FlowNetwork):
-            return links
-        links = list(links)
-        names = sorted({l.source for l in links} | {l.destination for l in links})
-        index = {name: i for i, name in enumerate(names)}
-        return cls(
-            node_ids=tuple(names),
-            src=np.array([index[l.source] for l in links], dtype=np.int64),
-            dst=np.array([index[l.destination] for l in links], dtype=np.int64),
-            flow=_exact_ints([l.flow for l in links]),
-            freq=np.array([l.frequency for l in links], dtype=np.int64),
-        )
 
     @property
     def n_nodes(self) -> int:
@@ -109,38 +92,25 @@ class FlowNetwork(Sequence):
     def __len__(self) -> int:
         return self.n_links
 
-    def __getitem__(self, item):
-        rows = range(self.n_links)[item]
-        return list(self._links(rows)) if isinstance(rows, range) else next(self._links([rows]))
-
     def __iter__(self) -> Iterator[AggregatedLink]:
-        return self._links(slice(None))
-
-    def _links(self, rows) -> Iterator[AggregatedLink]:
         ids = self.node_ids
-        columns = (col[rows].tolist() for col in (self.src, self.dst, self.flow, self.freq))
+        columns = (col.tolist() for col in (self.src, self.dst, self.flow, self.freq))
         for s, d, f, q in zip(*columns):
             yield AggregatedLink(source=ids[s], destination=ids[d], flow=f, frequency=q)
 
     def __eq__(self, other):
-        if isinstance(other, FlowNetwork):
-            ids, other_ids = (np.array(net.node_ids, dtype=object) for net in (self, other))
-            return all(np.array_equal(a, b) for a, b in (
-                (ids[self.src], other_ids[other.src]), (ids[self.dst], other_ids[other.dst]),
-                (self.flow, other.flow), (self.freq, other.freq),
-            ))
-        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
+        if not isinstance(other, FlowNetwork):
+            return NotImplemented
+        ids, other_ids = (np.array(net.node_ids, dtype=object) for net in (self, other))
+        return all(np.array_equal(a, b) for a, b in (
+            (ids[self.src], other_ids[other.src]), (ids[self.dst], other_ids[other.dst]),
+            (self.flow, other.flow), (self.freq, other.freq),
+        ))
 
     __hash__ = None
 
     def __repr__(self) -> str:
         return f"FlowNetwork({self.n_links} links, {self.n_nodes} accounts)"
-
-    @cached_property
-    def index_of(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.node_ids)}
 
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
@@ -178,7 +148,7 @@ class FlowNetwork(Sequence):
         return sub, nodes
 
 
-def build_network(links: FlowNetwork | Iterable[AggregatedLink]) -> FlowNetwork:
+def build_network(net: FlowNetwork) -> FlowNetwork:
     """The link table checked for analysis and sorted by (src, dst).
 
     A network that already passes is returned unchanged.  Raises
@@ -186,7 +156,6 @@ def build_network(links: FlowNetwork | Iterable[AggregatedLink]) -> FlowNetwork:
     aggregation upstream) and ValueError on a self-loop or a flow beyond
     int64.
     """
-    net = FlowNetwork.from_links(links)
     ids = net.node_ids
     loops = np.flatnonzero(net.src == net.dst)
     if loops.size:

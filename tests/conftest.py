@@ -2,6 +2,8 @@
 
 Nodes are named n0000, n0001, ... so that the package's lexicographic
 node ordering coincides with the integer indices the oracles use.
+Tests write transfers and links by hand as rows; :func:`transfer_table`
+and :func:`link_table` turn those rows into the package's column tables.
 """
 
 from __future__ import annotations
@@ -9,15 +11,53 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from moneyflow import AggregatedLink, build_network
+from moneyflow import AggregatedLink, FlowNetwork, TransferTable, build_network
+from moneyflow.ingest import KINDS
+from moneyflow.network import _exact_ints
 
 
 def node_name(i: int) -> str:
     return f"n{i:04d}"
 
 
-def make_links(edges, flows=None, freqs=None) -> list[AggregatedLink]:
-    """AggregatedLink list over integer edge tuples.
+def transfer_table(records) -> TransferTable:
+    """The table of TransferRecord rows, in order."""
+    records = list(records)
+    ids = sorted({r.source for r in records} | {r.destination for r in records})
+    code = {name: k for k, name in enumerate(ids)}
+    columns = {
+        "src": [code[r.source] for r in records],
+        "dst": [code[r.destination] for r in records],
+        "amount": [r.amount for r in records],
+        "timestamp": [r.timestamp for r in records],
+        "src_kind": [KINDS.index(r.source_kind) for r in records],
+        "dst_kind": [KINDS.index(r.destination_kind) for r in records],
+    }
+    for side, attr in (("src", "source_coord"), ("dst", "destination_coord")):
+        coords = [getattr(r, attr) for r in records]
+        columns[f"{side}_has_coord"] = [c is not None for c in coords]
+        columns[f"{side}_coord"] = np.array(
+            [(0.0, 0.0) if c is None else c for c in coords], dtype=np.float64
+        ).reshape(-1, 2)
+    return TransferTable(ids=ids, **columns)
+
+
+def link_table(links) -> FlowNetwork:
+    """The network of AggregatedLink rows, in order and unchecked."""
+    links = list(links)
+    names = sorted({l.source for l in links} | {l.destination for l in links})
+    index = {name: i for i, name in enumerate(names)}
+    return FlowNetwork(
+        node_ids=tuple(names),
+        src=np.array([index[l.source] for l in links], dtype=np.int64),
+        dst=np.array([index[l.destination] for l in links], dtype=np.int64),
+        flow=_exact_ints([l.flow for l in links]),
+        freq=np.array([l.frequency for l in links], dtype=np.int64),
+    )
+
+
+def make_links(edges, flows=None, freqs=None) -> FlowNetwork:
+    """Unchecked link table over integer edge tuples, in the given order.
 
     Default weights are deterministic small integers varying per edge, so
     weighted code paths see non-uniform values without any RNG.
@@ -34,7 +74,7 @@ def make_links(edges, flows=None, freqs=None) -> list[AggregatedLink]:
                 frequency=int(freq),
             )
         )
-    return links
+    return link_table(links)
 
 
 def net_from_edges(n, edges, flows=None, freqs=None):

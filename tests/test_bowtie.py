@@ -13,7 +13,7 @@ from moneyflow.bowtie import (
     weakly_connected_components,
 )
 
-from conftest import net_from_edges, random_edges
+from conftest import link_table, net_from_edges, random_edges
 from oracles import bowtie_classes, hop_distances, reachability
 
 
@@ -88,7 +88,7 @@ class TestComponents:
                 assert firsts == sorted(firsts)
 
     def test_empty_network(self):
-        net = build_network([])
+        net = build_network(link_table([]))
         for find in (strongly_connected_components, weakly_connected_components):
             labels, count = find(net)
             assert labels.dtype == np.int64 and labels.size == 0

@@ -177,6 +177,8 @@ class TestDataErrors:
          "link table line 3: flow_yen 'x' is not an integer"),
         ("nmf", "nodes.csv", "F2,abc,135.5",
          "node table line 3: lat 'abc' is not a number"),
+        ("nmf", "nodes.csv", "F1,34.9,135.9",
+         "node table lines 2 and 3: node_id 'F1' repeats"),
     ])
     def test_non_numeric_field_names_its_line(self, tmp_path, capsys, command, name, row, message):
         out = tmp_path / "ws"
@@ -193,6 +195,22 @@ class TestDataErrors:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"moneyflow {command}: error: {message}\n"
         assert not list(out.glob("manifest_*.json"))
+
+    @pytest.mark.parametrize("name, edit, detail", [
+        ("bowtie.csv", lambda lines: [], " is empty"),
+        ("hodge_potentials.csv", lambda lines: lines[:2] + [lines[2].split(",")[0]] + lines[3:],
+         " line 3: expected 4 fields, got 1"),
+        ("bowtie.csv", lambda lines: lines[:1] + [lines[1].split(",")[0] + ",CORE"] + lines[2:],
+         " line 2: unknown component 'CORE'"),
+    ], ids=["empty-bowtie", "short-potential-row", "unknown-component"])
+    def test_malformed_report_input(self, ws, tmp_path, capsys, name, edit, detail):
+        out = tmp_path / "ws"
+        shutil.copytree(ws, out)
+        path = out / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+        assert main(["report", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"moneyflow report: error: {path}{detail}\n"
 
     def test_failed_input_check_leaves_no_workspace(self, tmp_path, capsys):
         fresh = tmp_path / "fresh"
@@ -502,6 +520,28 @@ class TestManifests:
         run_pipeline(out)
         second = {p.name: p.read_bytes() for p in out.glob("manifest_*.json")}
         assert second == first
+
+
+def test_pipeline_builds_no_row_objects(tmp_path, monkeypatch):
+    # every stage works on the column tables; the row classes serve
+    # iteration only
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} was built")
+
+    monkeypatch.setattr(moneyflow.TransferRecord, "__init__", refuse)
+    monkeypatch.setattr(moneyflow.AggregatedLink, "__init__", refuse)
+    d = str(tmp_path / "ws")
+    for argv in (
+        ["synth", "--out", d, "--scenario", "full", "--nodes", "300", "--seed", "1"],
+        ["ingest", "--out", d, "--input", str(tmp_path / "ws" / "synthetic_log.csv")],
+        ["stats", "--out", d],
+        ["bowtie", "--out", d],
+        ["hodge", "--out", d],
+        ["communities", "--out", d, "--trials", "2"],
+        ["nmf", "--out", d, "--grid-k", "10", "--nmf-d", "3"],
+        ["report", "--out", d],
+    ):
+        assert main(argv) == 0, f"step {argv[0]} failed"
 
 
 # the moneyflow.cli names that perfbench/cli_stage.py replaces with traced

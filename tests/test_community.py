@@ -98,18 +98,10 @@ class TestValueOracle:
             n, eds, wts, [0] * 10, tau=0.15
         ) > map_equation_entropy(n, eds, wts, [0] * 5 + [1] * 5, tau=0.15)
 
-    def test_group_form_partition(self):
-        net = net_from_edges(3, [(0, 1), (1, 2), (2, 0)])
-        by_labels = map_equation_value(net, [0, 0, 1])
-        by_groups = map_equation_value(net, [["n0000", "n0001"], ["n0002"]])
-        assert by_groups == by_labels
-
     def test_empty_module_raises(self):
         net = net_from_edges(3, [(0, 1), (1, 2), (2, 0)])
         with pytest.raises(EmptyModuleError):
             map_equation_value(net, [0, 2, 2])
-        with pytest.raises(EmptyModuleError):
-            map_equation_value(net, [["n0000", "n0001", "n0002"], []])
 
     def test_bad_partitions(self):
         net = net_from_edges(3, [(0, 1), (1, 2), (2, 0)])
@@ -119,20 +111,6 @@ class TestValueOracle:
             map_equation_value(net, [0, -1, 0])
         with pytest.raises(ValueError):
             map_equation_value(net, [["n0000", "n0001"]])
-
-    @pytest.mark.parametrize(
-        "groups,name",
-        [
-            ([["n0000", "n0001"], ["n0001", "n0002"]], "n0001"),
-            ([["n0000", "n0000"], ["n0001", "n0002"]], "n0000"),
-            ([["n0000", "n0001"], ["n0002", "n0009"]], "n0009"),
-        ],
-        ids=["two-groups", "same-group", "unknown"],
-    )
-    def test_group_ids_must_be_known_and_listed_once(self, groups, name):
-        net = net_from_edges(3, [(0, 1), (1, 2), (2, 0)])
-        with pytest.raises(ValueError, match=name):
-            map_equation_value(net, groups)
 
     def test_zero_link_walk_undefined(self):
         net = net_from_edges(3, [(0, 1), (1, 2)])

@@ -3,7 +3,6 @@
 import math
 import tracemalloc
 import warnings
-from datetime import datetime
 
 import numpy as np
 import pytest
@@ -31,8 +30,9 @@ from moneyflow.geonmf import (
     write_matrix,
     write_sparse_matrix,
 )
-from moneyflow.ingest import AggregatedLink, TransferRecord
+from moneyflow.ingest import AggregatedLink
 
+from conftest import link_table
 from oracles import brute_localization, grid_bin_counts, haversine_reference
 
 
@@ -163,7 +163,7 @@ class TestBinning:
             AggregatedLink("c", "a", flow=40, frequency=2),
             AggregatedLink("a", "c", flow=10, frequency=1),
         ]
-        gfm = bin_transfers(links, self.grid, coords=coords)
+        gfm = bin_transfers(link_table(links), self.grid, coords=coords)
         assert gfm.included == 6
         assert gfm.excluded == 0
         alpha = gfm.alpha.toarray()
@@ -184,28 +184,10 @@ class TestBinning:
             AggregatedLink("a", "zz", flow=10, frequency=2),  # no coords
             AggregatedLink("a", "a", flow=10, frequency=5),
         ]
-        gfm = bin_transfers(links, self.grid, coords=coords)
+        gfm = bin_transfers(link_table(links), self.grid, coords=coords)
         assert gfm.included == 5
         assert gfm.excluded == 6
         assert gfm.alpha[0, 0] == 5
-
-    def test_records_count_one_each(self):
-        ts = datetime(2018, 1, 5, 10, 30)
-        recs = [
-            TransferRecord(ts, "a", "b", 100,
-                           source_coord=(0.5, 0.5),
-                           destination_coord=(1.5, 1.5)),
-            TransferRecord(ts, "a", "b", 70,
-                           source_coord=(0.5, 0.5),
-                           destination_coord=(1.5, 1.5)),
-            TransferRecord(ts, "a", "b", 70,
-                           source_coord=(0.5, 0.5),
-                           destination_coord=None),
-        ]
-        gfm = bin_transfers(recs, self.grid)
-        assert gfm.included == 2
-        assert gfm.excluded == 1
-        assert gfm.alpha[0, 3] == 2
 
     def test_conservation(self, rng):
         # included + excluded always accounts for every event
@@ -223,17 +205,9 @@ class TestBinning:
             )
             for _ in range(60)
         ]
-        gfm = bin_transfers(links, self.grid, coords=coords)
+        gfm = bin_transfers(link_table(links), self.grid, coords=coords)
         assert gfm.included + gfm.excluded == sum(l.frequency for l in links)
         assert gfm.alpha.sum() == gfm.included
-
-    def test_requires_coords_for_links(self):
-        with pytest.raises(ValueError):
-            bin_transfers([AggregatedLink("a", "b", 1, 1)], self.grid)
-
-    def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            bin_transfers([("a", "b", 1)], self.grid, coords={})
 
 
 BIN_BOUNDS = (0.0, 2.0, 10.0, 13.0)
@@ -261,24 +235,17 @@ def _axis(lo, hi):
 )
 @settings(max_examples=200, deadline=None)
 def test_binning_matches_per_link_oracle(links, coords, k):
-    # duplicate pairs and self-loops are binned like any other link; the
-    # same events as records, one per unit of frequency, bin the same way
+    # duplicate pairs and self-loops are binned like any other link
     grid = GeoGrid(*BIN_BOUNDS, k=k)
     counts, included, excluded = grid_bin_counts(links, coords, BIN_BOUNDS, k)
-    ts = datetime(2018, 1, 5, 10, 30)
     agg = [AggregatedLink(s, d, flow=7 * w, frequency=w) for s, d, w in links]
-    records = [
-        TransferRecord(ts, s, d, 7, source_coord=coords.get(s), destination_coord=coords.get(d))
-        for s, d, w in links
-        for _ in range(w)
-    ]
-    for gfm in (bin_transfers(agg, grid, coords=coords), bin_transfers(records, grid)):
-        alpha = gfm.alpha.tocoo()
-        got = {(int(i), int(j)): int(v) for i, j, v in zip(alpha.row, alpha.col, alpha.data)}
-        assert got == counts
-        assert (gfm.included, gfm.excluded) == (included, excluded)
-        dense = gfm.alpha.toarray().astype(np.float64)
-        assert np.array_equal(gfm.V.toarray(), np.log(np.maximum(1.0, dense)))
+    gfm = bin_transfers(link_table(agg), grid, coords=coords)
+    alpha = gfm.alpha.tocoo()
+    got = {(int(i), int(j)): int(v) for i, j, v in zip(alpha.row, alpha.col, alpha.data)}
+    assert got == counts
+    assert (gfm.included, gfm.excluded) == (included, excluded)
+    dense = gfm.alpha.toarray().astype(np.float64)
+    assert np.array_equal(gfm.V.toarray(), np.log(np.maximum(1.0, dense)))
 
 
 class TestNmf:
@@ -470,7 +437,7 @@ def gfm():
         )
         for _ in range(120)
     ]
-    return bin_transfers(links, grid, coords=coords)
+    return bin_transfers(link_table(links), grid, coords=coords)
 
 
 class TestSweep:

@@ -216,8 +216,8 @@ class TestLinkTable:
         rows = decomp.link_table(net)
         assert len(rows) == net.n_links
         for src, dst, f_net, grad, circ in rows:
-            i = net.index_of[src]
-            j = net.index_of[dst]
+            i = net.node_ids.index(src)
+            j = net.node_ids.index(dst)
             assert f_net == pytest.approx(decomp.problem.F[i, j], abs=1e-12)
             assert grad == pytest.approx(decomp.gradient[i, j], abs=1e-12)
             assert circ == pytest.approx(f_net - grad, abs=1e-12)

@@ -351,7 +351,7 @@ class TestCitiesAndHub:
         spec, records, truth = cities
         assert truth.hub == "F000000"
         net = build_network(aggregate(records))
-        hub = net.index_of[truth.hub]
+        hub = net.node_ids.index(truth.hub)
 
         hub_coord = next(
             r.source_coord for r in records if r.source == truth.hub
