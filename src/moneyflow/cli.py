@@ -553,11 +553,55 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
     }
     inputs = {name: stage.require(name, producer) for name, producer in needed.items()}
 
+    # read and check every input before the first write, so that bad input
+    # leaves no partial report behind
+    ccdf = {
+        stem: _read_ccdf(inputs[f"ccdf_{stem}.tsv"])
+        for stem in ("flow", "frequency", "in_degree", "out_degree")
+    }
+    # join phi and walnut labels by node id
+    pot_path = inputs["hodge_potentials.csv"]
+    pot_rows = _read_csv_dict(pot_path, 4)
+    comp_rows = _read_csv_dict(inputs["bowtie.csv"], 2)
+    if set(pot_rows) != set(comp_rows):
+        raise DataError(
+            "hodge_potentials.csv and bowtie.csv disagree on the node set; "
+            "rerun both on the current links.csv"
+        )
+    nodes = sorted(pot_rows)
+    phi = np.empty(len(nodes))
+    for i, node in enumerate(nodes):
+        line_no, (text, *_) = pot_rows[node]
+        try:
+            phi[i] = float(text)
+        except ValueError:
+            raise DataError(f"{pot_path} line {line_no}: phi {text!r} is not a number") from None
+    code_of = {name: code for code, name in enumerate(COMPONENT_NAMES)}
+    for line_no, (component,) in comp_rows.values():
+        if component not in code_of:
+            raise DataError(
+                f"{inputs['bowtie.csv']} line {line_no}: unknown component {component!r}"
+            )
+    labels = np.array([code_of[comp_rows[n][1][0]] for n in nodes], dtype=np.int8)
+    part = BowtiePartition(labels=labels)
+    community = json.loads(inputs["community_report.json"].read_text())
+    size_rank = [row["size"] for row in community.get("size_rank", [])]
+    nmf_summary = json.loads(inputs["nmf_summary.json"].read_text())
+    sims = np.array(
+        [
+            [np.nan if v is None else v for v in row]
+            for row in nmf_summary["similarity"]
+        ],
+        dtype=float,
+    )
+    stats_obj = json.loads(inputs["stats.json"].read_text())
+    bowtie_obj = json.loads(inputs["bowtie_summary.json"].read_text())
+    hodge_obj = json.loads(inputs["hodge_summary.json"].read_text())
+
     rep_dir = stage.out / "report"
     rep_dir.mkdir(exist_ok=True)
-
     for stem, label in (("flow", "flow [yen]"), ("frequency", "frequency")):
-        xs, ys = _read_ccdf(inputs[f"ccdf_{stem}.tsv"])
+        xs, ys = ccdf[stem]
         stage.write_text(
             f"report/ccdf_{stem}.svg",
             line_plot(
@@ -569,10 +613,9 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
                 logy=True,
             ),
         )
-    deg_series = []
-    for stem in ("in_degree", "out_degree"):
-        xs, ys = _read_ccdf(inputs[f"ccdf_{stem}.tsv"])
-        deg_series.append((stem.replace("_", " "), xs, ys))
+    deg_series = [
+        (stem.replace("_", " "), *ccdf[stem]) for stem in ("in_degree", "out_degree")
+    ]
     stage.write_text(
         "report/ccdf_degrees.svg",
         line_plot(
@@ -584,25 +627,6 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
             logy=True,
         ),
     )
-
-    # potential histogram per walnut class; join phi and labels by node id
-    pot_rows = _read_csv_dict(inputs["hodge_potentials.csv"], 4)
-    comp_rows = _read_csv_dict(inputs["bowtie.csv"], 2)
-    if set(pot_rows) != set(comp_rows):
-        raise DataError(
-            "hodge_potentials.csv and bowtie.csv disagree on the node set; "
-            "rerun both on the current links.csv"
-        )
-    nodes = sorted(pot_rows)
-    phi = np.array([float(pot_rows[n][1][0]) for n in nodes])
-    code_of = {name: code for code, name in enumerate(COMPONENT_NAMES)}
-    for line_no, (component,) in comp_rows.values():
-        if component not in code_of:
-            raise DataError(
-                f"{inputs['bowtie.csv']} line {line_no}: unknown component {component!r}"
-            )
-    labels = np.array([code_of[comp_rows[n][1][0]] for n in nodes], dtype=np.int8)
-    part = BowtiePartition(labels=labels)
     if part.gwcc_size > 0:
         edges, counts = potential_histograms(phi, part, bins=50)
         stage.write_text(
@@ -614,9 +638,6 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
                 xlabel="potential",
             ),
         )
-
-    community = json.loads(inputs["community_report.json"].read_text())
-    size_rank = [row["size"] for row in community.get("size_rank", [])]
     if size_rank:
         ranks = np.arange(1, len(size_rank) + 1, dtype=float)
         stage.write_text(
@@ -630,15 +651,6 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
                 logy=True,
             ),
         )
-
-    nmf_summary = json.loads(inputs["nmf_summary.json"].read_text())
-    sims = np.array(
-        [
-            [np.nan if v is None else v for v in row]
-            for row in nmf_summary["similarity"]
-        ],
-        dtype=float,
-    )
     stage.write_text(
         "report/similarity.svg",
         heatmap_svg(
@@ -649,9 +661,6 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
         ),
     )
 
-    stats_obj = json.loads(inputs["stats.json"].read_text())
-    bowtie_obj = json.loads(inputs["bowtie_summary.json"].read_text())
-    hodge_obj = json.loads(inputs["hodge_summary.json"].read_text())
     mean_phi = {}
     for name in COMPONENT_NAMES[:4]:
         mask = labels == code_of[name]

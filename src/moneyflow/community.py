@@ -14,7 +14,12 @@ greedy node-mover with module aggregation and seeded restarts, applied
 recursively inside each community to build a hierarchy; a community that
 no split improves is irreducible.  The node-mover is queue-driven, as in
 Leiden's fast local move: a pass visits every node in random order and
-re-queues the neighbours of each node that moves.  Walks of at most
+re-queues the neighbours of each node that moves.  When the queue
+empties, one vectorised scan scores every node's moves against the
+frozen module state, and only the nodes it flags are queued again; the
+search ends at a local optimum when the scan flags nothing or a round of
+flagged nodes moves nothing.  Walks of fewer than _SCAN_MIN nodes prove
+the optimum with a full scalar pass instead.  Walks of at most
 _EXACT_MAX nodes skip both the power iteration and the search: their
 stationary vector comes from one dense linear solve and their partition
 from scoring every set partition at once.
@@ -30,6 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .hodge import ConvergenceError
 from .network import FlowNetwork
 
 __all__ = [
@@ -53,12 +59,15 @@ _WALK_TOL = 1e-14
 _WALK_MAX_ITER = 10_000
 # deepest community level: level-1 communities split down to level 5
 _MAX_DEPTH = 5
-# local-move passes per call; the loop ends earlier once a pass moves nothing
+# local-move rounds per call; the loop ends earlier at a local optimum
 _MAX_PASSES = 200
 _MIN_GAIN = 1e-12
 # walks of at most this many nodes are solved directly and partitioned
 # exhaustively (Bell(8) = 4,140 set partitions)
 _EXACT_MAX = 8
+# walks of fewer nodes certify a local optimum with a full scalar pass;
+# larger ones with one vectorised scan (_flag_moves), which costs less
+_SCAN_MIN = 40
 
 
 class EmptyModuleError(ValueError):
@@ -138,7 +147,11 @@ def build_walk(net: FlowNetwork, kind: str = "frequency") -> Walk:
             if delta < _WALK_TOL:
                 break
         else:
-            raise RuntimeError("stationary distribution did not converge")
+            raise ConvergenceError(
+                f"stationary distribution did not converge in {_WALK_MAX_ITER} steps "
+                f"(L1 change {delta:.1e}, target {_WALK_TOL:.0e})",
+                residual=delta,
+            )
     flow = p[net.src] * (1.0 - TAU) * out_norm
     return Walk(
         n=n,
@@ -245,6 +258,69 @@ class _Search:
         return lists, q_tot
 
 
+def _flag_moves(
+    search: _Search, lab: list[int], lists: tuple[list, ...], q_tot: float
+) -> np.ndarray:
+    """Nodes whose best single move lowers the value by more than _MIN_GAIN / 2.
+
+    Scores every node's candidate modules at once against the module
+    state lists (P, A, T, OUT, q, plogp q, plogp(q + P), size), with the
+    delta of _local_moves: the modules of its in- and out-neighbours other
+    than its own, plus an empty module (index n) when it shares its
+    module.  The two deltas differ only by rounding, far below the
+    _MIN_GAIN / 2 margin, so a node with no flag has no move that gains
+    more than _MIN_GAIN.
+    """
+    walk = search.walk
+    n = walk.n
+    lab = np.array(lab)
+    *sums, size = lists
+    P, A, T, OUT, q, Lq, Lqp = (np.append(x, 0.0) for x in sums)
+    shared = np.array(size)[lab] > 1
+    # summed flow between each node and each module it links to, either way
+    key, pos = np.unique(
+        np.concatenate((walk.src * n + lab[walk.dst], walk.dst * n + lab[walk.src])),
+        return_inverse=True,
+    )
+    w = np.bincount(pos, weights=np.concatenate((walk.flow, walk.flow)))
+    v, beta = np.divmod(key, n)
+    own = beta == lab[v]
+    fout = np.bincount(walk.src, weights=walk.flow, minlength=n)
+    # each node leaves its module; a singleton leaves an empty one behind
+    P_a1 = np.where(shared, P[lab] - walk.p, 0.0)
+    A_a1 = np.where(shared, A[lab] - walk.a, 0.0)
+    T_a1 = np.where(shared, T[lab] - walk.t, 0.0)
+    OUT_a1 = np.where(
+        shared,
+        OUT[lab] - fout + np.bincount(v[own], weights=w[own], minlength=n),
+        0.0,
+    )
+    q_a1 = A_a1 * (1.0 - T_a1) + OUT_a1
+    removed = (
+        -2.0 * _plogp_vec(q_a1) + _plogp_vec(q_a1 + P_a1) + 2.0 * Lq[lab] - Lqp[lab]
+    )
+    rest = q_tot - q[lab]
+    # ... and joins a neighbouring module or, if it shared its own, module n
+    empty = np.flatnonzero(shared)
+    v = np.concatenate((v[~own], empty))
+    beta = np.concatenate((beta[~own], np.full(empty.size, n)))
+    w = np.concatenate((w[~own], np.zeros(empty.size)))
+    P_b1 = P[beta] + walk.p[v]
+    A_b1 = A[beta] + walk.a[v]
+    T_b1 = T[beta] + walk.t[v]
+    q_b1 = A_b1 * (1.0 - T_b1) + (OUT[beta] + fout[v] - w)
+    delta = (
+        removed[v]
+        - 2.0 * _plogp_vec(q_b1)
+        + _plogp_vec(q_b1 + P_b1)
+        + 2.0 * Lq[beta]
+        - Lqp[beta]
+        + _plogp_vec(rest[v] - q[beta] + q_a1[v] + q_b1)
+        - _plogp(q_tot)
+    )
+    return np.unique(v[delta < -0.5 * _MIN_GAIN])
+
+
 def _local_moves(
     search: _Search,
     labels: np.ndarray | None,
@@ -252,15 +328,20 @@ def _local_moves(
     rng: np.random.Generator,
     history: list[float],
 ) -> tuple[np.ndarray, float]:
-    """Greedy single-node moves until a full pass makes no improvement.
+    """Greedy single-node moves until no single move gains over _MIN_GAIN.
 
-    Each pass queues every node in random order; when a node moves to
-    module beta, its in- and out-neighbours that are neither queued nor
-    in beta join the back of the queue, and the pass ends when the queue
-    is empty.  The loop stops after a pass, re-queued visits included,
-    that moves no node, so the result is a local optimum.
-    labels=None starts from singletons, whose module state the shared
-    search already holds; other labels get their module state computed.
+    A round visits a queue of nodes; when a node moves to module beta,
+    its in- and out-neighbours that are neither queued nor in beta join
+    the back of the queue, and the round ends when the queue is empty.
+    The first round queues every node in random order when labels=None
+    (singletons, whose module state the shared search already holds).
+    Each later round queues, in random order, the nodes that _flag_moves
+    finds an improving move for; so does the first round when labels are
+    given.  The loop stops when the scan flags no node, or when a round
+    moves no node: its nodes all failed the exact evaluation and the scan
+    cleared every other node, so the result is a local optimum.  Walks of
+    fewer than _SCAN_MIN nodes queue every node in every round and stop
+    after a round that moves none.
     plogp(q_m), plogp(q_m + P_m) and plogp(q_tot) are cached and updated
     on each accepted move, so a candidate costs three log2 calls (its new
     q_m, q_m + P_m and q_tot).  Each delta adds the same terms in the
@@ -278,14 +359,20 @@ def _local_moves(
     else:
         lists, q_tot = search.modules(labels)
         lab = labels.tolist()
-    P, A, T, OUT, q, Lq, Lqp, size = (list(x) for x in lists)
+    state = tuple(list(x) for x in lists)
+    P, A, T, OUT, q, Lq, Lqp, size = state
     l_tot = _plogp(q_tot)
     free = [m for m in range(n - 1, -1, -1) if size[m] == 0]
 
+    scan = n >= _SCAN_MIN
+    first = scan and labels is not None
+    order = rng.permutation(_flag_moves(search, lab, state, q_tot) if first else n)
     for _ in range(_MAX_PASSES):
         moved = 0
-        queue = deque(rng.permutation(n).tolist())
-        queued = [True] * n
+        queue = deque(order.tolist())
+        queued = [False] * n
+        for v in queue:
+            queued[v] = True
         while queue:
             v = queue.popleft()
             queued[v] = False
@@ -384,6 +471,7 @@ def _local_moves(
                         queue.append(u)
         if moved == 0:
             break
+        order = rng.permutation(_flag_moves(search, lab, state, q_tot) if scan else n)
     return np.array(lab, dtype=np.int64), value
 
 

@@ -198,19 +198,24 @@ class TestDataErrors:
 
     @pytest.mark.parametrize("name, edit, detail", [
         ("bowtie.csv", lambda lines: [], " is empty"),
+        ("hodge_potentials.csv", lambda lines: lines[:1] + [lines[1].split(",")[0] + ",x,0,0"] + lines[2:],
+         " line 2: phi 'x' is not a number"),
         ("hodge_potentials.csv", lambda lines: lines[:2] + [lines[2].split(",")[0]] + lines[3:],
          " line 3: expected 4 fields, got 1"),
         ("bowtie.csv", lambda lines: lines[:1] + [lines[1].split(",")[0] + ",CORE"] + lines[2:],
          " line 2: unknown component 'CORE'"),
-    ], ids=["empty-bowtie", "short-potential-row", "unknown-component"])
+    ], ids=["empty-bowtie", "non-numeric-phi", "short-potential-row", "unknown-component"])
     def test_malformed_report_input(self, ws, tmp_path, capsys, name, edit, detail):
         out = tmp_path / "ws"
         shutil.copytree(ws, out)
+        shutil.rmtree(out / "report")
         path = out / name
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
         assert main(["report", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"moneyflow report: error: {path}{detail}\n"
+        # every input is checked before the first figure is written
+        assert not (out / "report").exists()
 
     def test_failed_input_check_leaves_no_workspace(self, tmp_path, capsys):
         fresh = tmp_path / "fresh"

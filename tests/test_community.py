@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moneyflow import (
+    ConvergenceError,
     aggregate,
     blocks_scenario,
     build_network,
@@ -21,10 +23,13 @@ from moneyflow import (
     map_equation_value,
     walnut_scenario,
 )
+from moneyflow import community
 from moneyflow.community import (
     _EXACT_MAX,
     _MIN_GAIN,
+    _SCAN_MIN,
     EmptyModuleError,
+    _flag_moves,
     _local_moves,
     _Search,
     _set_partitions,
@@ -223,10 +228,7 @@ def _one_move_neighbours(labels):
                 yield np.unique(moved, return_inverse=True)[1]
 
 
-# a loop that stopped when the first pass's queue empties fails this
-@given(_small_digraphs(max_nodes=30), st.integers(0, 3), st.booleans())
-@settings(max_examples=500, deadline=None)
-def test_local_moves_end_at_local_optimum(net, seed, from_singletons):
+def _assert_local_optimum(net, seed, from_singletons):
     walk = build_walk(net)
     rng = np.random.default_rng(seed)
     if from_singletons:
@@ -240,26 +242,96 @@ def test_local_moves_end_at_local_optimum(net, seed, from_singletons):
         assert _value_for(walk, moved) >= value - _MIN_GAIN
 
 
+# a loop that stopped when the first pass's queue empties fails this
+@given(_small_digraphs(max_nodes=30), st.integers(0, 3), st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_local_moves_end_at_local_optimum(net, seed, from_singletons):
+    _assert_local_optimum(net, seed, from_singletons)
+
+
+# the same graphs on the scan path, which they are too small to take
+@given(_small_digraphs(max_nodes=30), st.integers(0, 3), st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_scan_ends_at_local_optimum(net, seed, from_singletons):
+    with mock.patch.object(community, "_SCAN_MIN", 0):
+        _assert_local_optimum(net, seed, from_singletons)
+
+
+@pytest.mark.parametrize("from_singletons", [True, False])
+def test_scan_ends_at_local_optimum_above_scan_min(from_singletons):
+    records, _ = generate(cities_scenario(n_nodes=300, seed=1))
+    net = build_network(aggregate(records))
+    assert net.n_nodes >= _SCAN_MIN
+    _assert_local_optimum(net, 0, from_singletons)
+
+
+def test_scan_flags_exactly_the_improvable_nodes():
+    # every node with a single move that gains over _MIN_GAIN, by exact
+    # re-evaluation over the candidates the node-mover scores, is flagged,
+    # and no node whose best move gains under _MIN_GAIN / 4 is
+    records, _ = generate(cities_scenario(n_nodes=300, seed=2))
+    walk = build_walk(build_network(aggregate(records)))
+    search = _Search(walk)
+    rng = np.random.default_rng(0)
+    optimum, _ = _local_moves(search, None, _value_for(walk, np.arange(walk.n)), rng, [])
+    perturbed = optimum.copy()
+    few = rng.choice(walk.n, size=walk.n // 20, replace=False)
+    perturbed[few] = perturbed[rng.permutation(few)]
+    states = [rng.integers(0, k, size=walk.n) for k in (1, 3, 30)] + [optimum, perturbed]
+    for labels in states:
+        labels = np.unique(labels, return_inverse=True)[1]
+        flagged = set(_flag_moves(search, labels.tolist(), *search.modules(labels)).tolist())
+        value = _value_for(walk, labels)
+        for v in range(walk.n):
+            around = np.concatenate((walk.dst[walk.src == v], walk.src[walk.dst == v]))
+            targets = set(labels[around].tolist()) - {labels[v]}
+            if np.count_nonzero(labels == labels[v]) > 1:
+                targets.add(int(labels.max()) + 1)
+            gain = np.inf
+            for m in targets:
+                moved = labels.copy()
+                moved[v] = m
+                moved = np.unique(moved, return_inverse=True)[1]
+                gain = min(gain, _value_for(walk, moved) - value)
+            if gain < -_MIN_GAIN:
+                assert v in flagged
+            if gain > -_MIN_GAIN / 4:
+                assert v not in flagged
+
+
+def test_walk_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(community, "_WALK_MAX_ITER", 1)
+    net = net_from_edges(10, [(i, (i + 1) % 10) for i in range(10)] + [(0, 5)])
+    assert net.n_nodes > _EXACT_MAX
+    with pytest.raises(ConvergenceError, match="did not converge") as exc_info:
+        build_walk(net)
+    assert exc_info.value.residual > community._WALK_TOL
+
+
 # sha256 of the tree and history at seed 0, trials 10; any change to the
 # optimizer's arithmetic or move order shows up here.  Re-pinned when the
-# generator's schedule draws changed, which moves the link weights, and
-# again when local moves became queue-driven, which changes the order in
-# which nodes are visited
+# generator's schedule draws changed, which moves the link weights, when
+# local moves became queue-driven, and when a vectorised scan replaced
+# the full re-passes, each of which changes the order in which nodes are
+# visited
 PINNED_TREES = [
     (
-        # queue-driven moves: same top value (5.8159 bits), new history
+        # scan: same top partition and leaves, value differs in the last
+        # bit (5.8159 bits), new module order and history
         cities_scenario(n_nodes=300, seed=1, hub=True),
-        "0e31720e6694b468afe2e3eed4a702c7a8928d357e5c1c97e905d2d2b9b5fe43",
+        "c7cc80816d40005dfc0176dc03b9962c47ea122809c32f6153690c6aa57cb893",
     ),
     (
-        # queue-driven moves: top value differs in the last bit, new history
+        # scan: same top partition, leaves and value (6.2013 bits), new
+        # module order and history
         blocks_scenario(n_nodes=240, seed=0, n_blocks=12, nested=True),
-        "c8b675d9a395383d5e6103beb33674b69f64f525235ed95fc03f26126d240c4f",
+        "3a8b12695389354bdf1eb426d100b8801771195c8f4475e2ffc426f4bb2587a2",
     ),
     (
-        # queue-driven moves: 45 top modules instead of 44, value +0.0002 bits
+        # scan: same top partition, leaves and value (6.1429 bits), new
+        # module order and history
         walnut_scenario(n_nodes=300, seed=3),
-        "e3a6584a4d8f51f05cbf66696824591c339b97677c9ff85d2e3371ede8aa7753",
+        "17d5e56d70ea1f9ba81469c4e81a045ae4a0ff8135be4aabab91c3104088dd40",
     ),
 ]
 
