@@ -194,7 +194,22 @@ def _ccdf_text(values) -> str:
 
 
 def _read_ccdf(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    data = np.loadtxt(path, delimiter="\t", skiprows=1, ndmin=2)
+    """(values, fractions) of a table written from :func:`_ccdf_text`."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line_no == 1 or not line.strip():
+                continue
+            try:
+                value, fraction = map(float, line.split("\t"))
+            except ValueError:
+                raise DataError(
+                    f"{path} line {line_no}: expected two numbers, got {line.rstrip()!r}"
+                ) from None
+            rows.append((value, fraction))
+    if not rows:
+        raise DataError(f"{path} holds no rows")
+    data = np.array(rows, dtype=np.float64)
     return data[:, 0], data[:, 1]
 
 
@@ -533,8 +548,27 @@ def _read_csv_dict(path: Path, width: int) -> dict[str, tuple[int, list[str]]]:
                 raise DataError(
                     f"{path} line {reader.line_num}: expected {width} fields, got {len(row)}"
                 )
+            if row[0] in rows:
+                raise DataError(
+                    f"{path} lines {rows[row[0]][0]} and {reader.line_num}: "
+                    f"node_id {row[0]!r} repeats"
+                )
             rows[row[0]] = (reader.line_num, row[1:])
         return rows
+
+
+def _read_summary(path: Path, *keys: str) -> dict:
+    """A JSON summary of an earlier stage, checked to hold every key read from it."""
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise DataError(f"{path}: missing key {key!r}")
+    return obj
 
 
 def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
@@ -584,9 +618,14 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
             )
     labels = np.array([code_of[comp_rows[n][1][0]] for n in nodes], dtype=np.int8)
     part = BowtiePartition(labels=labels)
-    community = json.loads(inputs["community_report.json"].read_text())
-    size_rank = [row["size"] for row in community.get("size_rank", [])]
-    nmf_summary = json.loads(inputs["nmf_summary.json"].read_text())
+    community = _read_summary(inputs["community_report.json"], "levels", "size_rank")
+    if not all(isinstance(row, dict) and "size" in row for row in community["size_rank"]):
+        raise DataError(f"{inputs['community_report.json']}: a size_rank row has no 'size'")
+    size_rank = [row["size"] for row in community["size_rank"]]
+    nmf_summary = _read_summary(
+        inputs["nmf_summary.json"],
+        "similarity", "d", "localized_origin", "localized_destination", "matched_pairs",
+    )
     sims = np.array(
         [
             [np.nan if v is None else v for v in row]
@@ -594,9 +633,14 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
         ],
         dtype=float,
     )
-    stats_obj = json.loads(inputs["stats.json"].read_text())
-    bowtie_obj = json.loads(inputs["bowtie_summary.json"].read_text())
-    hodge_obj = json.loads(inputs["hodge_summary.json"].read_text())
+    stats_obj = _read_summary(inputs["stats.json"], "nodes", "links", "degree_correlation")
+    bowtie_obj = _read_summary(
+        inputs["bowtie_summary.json"],
+        "gwcc_fractions", "in_distance_ratios", "out_distance_ratios",
+    )
+    hodge_obj = _read_summary(
+        inputs["hodge_summary.json"], "r_phi_net_degree", "r_phi_net_flow", "circular_share"
+    )
 
     rep_dir = stage.out / "report"
     rep_dir.mkdir(exist_ok=True)
@@ -681,7 +725,7 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
             "mean_potential": mean_phi,
         },
         "communities": {
-            "levels": community.get("levels", []),
+            "levels": community["levels"],
             "largest": size_rank[:10],
         },
         "nmf": {

@@ -663,8 +663,11 @@ def detect_communities(
 
     Level 1 is the best-of-restarts top partition; each community is then
     re-optimized on its induced subnetwork and split while a strictly
-    lower value exists, down to level _MAX_DEPTH.  A network with no links
-    (or a single node) is a single irreducible community.
+    lower value exists, down to level _MAX_DEPTH.  Each partitioned
+    network is cut into all its module subnetworks at once by
+    :meth:`FlowNetwork.split`, so a level costs one pass over its nodes
+    and links, however many modules it has.  A network with no links (or
+    a single node) is a single irreducible community.
     """
     if net.n_nodes == 0:
         raise ValueError("cannot detect communities in an empty network")
@@ -689,33 +692,21 @@ def detect_communities(
         path: tuple[int, ...],
     ) -> tuple[Community, ...]:
         out = []
-        for m in range(int(labels_p.max()) + 1):
-            idx = np.flatnonzero(labels_p == m)
-            members = tuple(int(to_root[i]) for i in idx)
+        for m, (idx, sub) in enumerate(parent_net.split(labels_p)):
             children: tuple[Community, ...] = ()
             irreducible = True
-            if len(idx) > 1 and level < _MAX_DEPTH:
-                sub, sub_nodes = parent_net.subnetwork(idx)
-                if sub.n_links > 0:
-                    sub_walk = build_walk(sub, kind)
-                    sub_labels, sub_value, _ = _best_partition(
-                        sub_walk, (seed, *path, m), trials
-                    )
-                    if int(sub_labels.max()) > 0:
-                        single = _value_for(sub_walk, np.zeros(sub.n_nodes, np.int64))
-                        if sub_value < single - _MIN_GAIN:
-                            children = build(
-                                sub,
-                                to_root[sub_nodes],
-                                sub_labels,
-                                level + 1,
-                                (*path, m),
-                            )
-                            irreducible = False
+            if idx.size > 1 and level < _MAX_DEPTH and sub.n_links > 0:
+                sub_walk = build_walk(sub, kind)
+                sub_labels, sub_value, _ = _best_partition(sub_walk, (seed, *path, m), trials)
+                if int(sub_labels.max()) > 0:
+                    single = _value_for(sub_walk, np.zeros(sub.n_nodes, np.int64))
+                    if sub_value < single - _MIN_GAIN:
+                        children = build(sub, to_root[idx], sub_labels, level + 1, (*path, m))
+                        irreducible = False
             out.append(
                 Community(
                     level=level,
-                    members=members,
+                    members=tuple(to_root[idx].tolist()),
                     irreducible=irreducible,
                     children=children,
                 )

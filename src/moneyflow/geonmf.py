@@ -203,14 +203,15 @@ def _as_matrix(V) -> sp.csr_matrix | np.ndarray:
 
     if isinstance(V, GeoFlowMatrix):
         return V.V
-    if sp.issparse(V):
-        return V.tocsr().astype(np.float64)
-    arr = np.asarray(V, dtype=np.float64)
-    if arr.ndim != 2:
+    A = V.tocsr().astype(np.float64) if sp.issparse(V) else np.asarray(V, dtype=np.float64)
+    if A.ndim != 2:
         raise ValueError("V must be a 2-d matrix")
-    if (arr < 0).any():
+    entries = A.data if sp.issparse(A) else A
+    if not np.isfinite(entries).all():
+        raise ValueError("V must be finite")
+    if (entries < 0).any():
         raise ValueError("V must be non-negative")
-    return arr
+    return A
 
 
 def nmf(

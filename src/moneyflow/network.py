@@ -128,24 +128,32 @@ class FlowNetwork:
             return self.freq
         raise ValueError(f"unknown weight kind {kind!r}")
 
-    def subnetwork(self, nodes: np.ndarray) -> tuple["FlowNetwork", np.ndarray]:
-        """Induced subnetwork on the given node indices.
+    def split(self, labels: np.ndarray) -> list[tuple[np.ndarray, "FlowNetwork"]]:
+        """(members, induced subnetwork) of every module 0..max(labels).
 
-        Returns the subnetwork plus the array mapping subnetwork index ->
-        original index (the sorted ``nodes``).
+        Members are node indices in ascending order; subnetwork index k is
+        member k, and the links with both ends in the module keep their
+        order in this network.  One pass over the nodes and one over the
+        links serve all modules.
         """
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-        remap = np.full(self.n_nodes, -1, dtype=np.int64)
-        remap[nodes] = np.arange(nodes.size)
-        keep = (remap[self.src] >= 0) & (remap[self.dst] >= 0)
-        sub = FlowNetwork(
-            node_ids=tuple(self.node_ids[i] for i in nodes.tolist()),
-            src=remap[self.src[keep]],
-            dst=remap[self.dst[keep]],
-            flow=self.flow[keep].copy(),
-            freq=self.freq[keep].copy(),
-        )
-        return sub, nodes
+        labels = np.asarray(labels, dtype=np.int64)
+        order = np.argsort(labels, kind="stable")
+        sizes = np.bincount(labels)
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        local = np.empty(self.n_nodes, dtype=np.int64)
+        local[order] = np.arange(self.n_nodes) - np.repeat(starts[:-1], sizes)
+        inner = np.flatnonzero(labels[self.src] == labels[self.dst])
+        module = labels[self.src[inner]]
+        inner = inner[np.argsort(module, kind="stable")]
+        link_starts = np.concatenate(([0], np.cumsum(np.bincount(module, minlength=sizes.size))))
+        src, dst = local[self.src[inner]], local[self.dst[inner]]
+        flow, freq = self.flow[inner], self.freq[inner]
+        ids = np.array(self.node_ids, dtype=object)[order].tolist()
+        out = []
+        for a, b, la, lb in zip(starts, starts[1:], link_starts, link_starts[1:]):
+            sub = FlowNetwork(tuple(ids[a:b]), src[la:lb], dst[la:lb], flow[la:lb], freq[la:lb])
+            out.append((order[a:b], sub))
+        return out
 
 
 def build_network(net: FlowNetwork) -> FlowNetwork:

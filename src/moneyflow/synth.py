@@ -44,6 +44,12 @@ BIWEEKLY_EVENTS = 2 * MONTHS_IN_WINDOW
 
 _WINDOW_START = np.datetime64("2017-03", "M")
 
+_LINKS_PER_CORE_NODE = 3.0  # heavy-tailed extra core edges per core node
+_SKIN_DIRECT_FRACTION = 0.96  # IN/OUT skin nodes at distance 1 from the core
+_HUB_LINKS = 300  # targets the hub pays monthly, capped by the pool
+_AMOUNT_LOG_MEAN = 11.5  # lognormal yen amounts
+_AMOUNT_LOG_SIGMA = 2.0
+
 
 @dataclass(frozen=True)
 class CitySpec:
@@ -73,18 +79,12 @@ class ScenarioSpec:
     out_frac: float = 0.373
     te_frac: float = 0.096
     degree_exponent: float = 2.5
-    links_per_core_node: float = 3.0
-    skin_direct_fraction: float = 0.96
     periodic_share: float = 0.25
     biweekly_fraction: float = 0.5
     cities: tuple[CitySpec, ...] = ()
     intra_city_bias: float = 0.85
     hub_outflow: bool = False
-    hub_links: int = 300
     community_blocks: tuple = ()
-    amount_log_mean: float = 11.5
-    amount_log_sigma: float = 2.0
-    bounds: tuple[float, float, float, float] = DEFAULT_BOUNDS
     seed: int = 0
 
     def __post_init__(self):
@@ -95,12 +95,7 @@ class ScenarioSpec:
             raise ValueError("walnut fractions must lie in [0, 1]")
         if sum(fracs) > 1.0 + 1e-9:
             raise ValueError("walnut fractions must sum to at most 1")
-        for share in (
-            self.skin_direct_fraction,
-            self.periodic_share,
-            self.biweekly_fraction,
-            self.intra_city_bias,
-        ):
+        for share in (self.periodic_share, self.biweekly_fraction, self.intra_city_bias):
             if not 0.0 <= share <= 1.0:
                 raise ValueError("shares must lie in [0, 1]")
         if self.degree_exponent <= 1.0:
@@ -246,7 +241,7 @@ def _walnut_edges(spec: ScenarioSpec, rng, city_of: np.ndarray):
         k = cdf_core.searchsorted(rng.random(), side="right")
         return int(core[min(int(k), n_core - 1)])
 
-    n_extra = int(round(spec.links_per_core_node * n_core))
+    n_extra = int(round(_LINKS_PER_CORE_NODE * n_core))
     srcs = _weighted_pick(rng, core, prob, n_extra)
     for s in srcs.tolist():
         t = core_target(int(city_of[s]))
@@ -254,7 +249,7 @@ def _walnut_edges(spec: ScenarioSpec, rng, city_of: np.ndarray):
             edges.add((s, t))
 
     skin_distance: dict[int, int] = {}
-    n_direct_in = min(n_in, max(1, int(round(spec.skin_direct_fraction * n_in)))) if n_in else 0
+    n_direct_in = min(n_in, max(1, int(round(_SKIN_DIRECT_FRACTION * n_in)))) if n_in else 0
     for i in range(in_lo, in_hi):
         if i - in_lo < n_direct_in:
             edges.add((i, core_target(int(city_of[i]))))
@@ -263,7 +258,7 @@ def _walnut_edges(spec: ScenarioSpec, rng, city_of: np.ndarray):
             parent = int(rng.integers(in_lo, in_lo + n_direct_in))
             edges.add((i, parent))
             skin_distance[i] = 2
-    n_direct_out = min(n_out, max(1, int(round(spec.skin_direct_fraction * n_out)))) if n_out else 0
+    n_direct_out = min(n_out, max(1, int(round(_SKIN_DIRECT_FRACTION * n_out)))) if n_out else 0
     for i in range(out_lo, out_hi):
         if i - out_lo < n_direct_out:
             edges.add((core_target(int(city_of[i])), i))
@@ -370,7 +365,7 @@ def _block_edges(spec: ScenarioSpec, rng):
 def _assign_coords(spec: ScenarioSpec, rng) -> tuple[np.ndarray, np.ndarray]:
     """(n, 2) lat/lon array plus per-node city index (-1 = background)."""
     n = spec.n_nodes
-    lat_min, lat_max, lon_min, lon_max = spec.bounds
+    lat_min, lat_max, lon_min, lon_max = DEFAULT_BOUNDS
     coords = np.empty((n, 2))
     coords[:, 0] = rng.uniform(lat_min, lat_max, size=n)
     coords[:, 1] = rng.uniform(lon_min, lon_max, size=n)
@@ -416,10 +411,10 @@ def generate(spec: ScenarioSpec) -> tuple[TransferTable, GroundTruth]:
     hub_targets = np.empty(0, dtype=np.int64)
     if spec.hub_outflow:
         hub_node = 0
-        lat_min, lat_max, lon_min, lon_max = spec.bounds
+        lat_min, lat_max, lon_min, lon_max = DEFAULT_BOUNDS
         coords[0] = ((lat_min + lat_max) / 2.0, (lon_min + lon_max) / 2.0)
         pool = np.arange(1, hub_pool_hi)
-        take = min(spec.hub_links, pool.size)
+        take = min(_HUB_LINKS, pool.size)
         hub_targets = rng.choice(pool, size=take, replace=False)
         edges.update((0, t) for t in hub_targets.tolist())
 
@@ -461,7 +456,7 @@ def generate(spec: ScenarioSpec) -> tuple[TransferTable, GroundTruth]:
     ):
         column[one_off] = rng.integers(low, high, size=n_one_off)
     amounts = np.maximum(
-        1, rng.lognormal(spec.amount_log_mean, spec.amount_log_sigma, n_events)
+        1, rng.lognormal(_AMOUNT_LOG_MEAN, _AMOUNT_LOG_SIGMA, n_events)
     ).astype(np.int64)
 
     stamps = (

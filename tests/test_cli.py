@@ -204,7 +204,22 @@ class TestDataErrors:
          " line 3: expected 4 fields, got 1"),
         ("bowtie.csv", lambda lines: lines[:1] + [lines[1].split(",")[0] + ",CORE"] + lines[2:],
          " line 2: unknown component 'CORE'"),
-    ], ids=["empty-bowtie", "non-numeric-phi", "short-potential-row", "unknown-component"])
+        ("bowtie.csv", lambda lines: lines[:2] + lines[1:],
+         " lines 2 and 3: node_id 'F000000' repeats"),
+        ("ccdf_flow.tsv", lambda lines: lines[:1] + ["x\t1.0"] + lines[2:],
+         " line 2: expected two numbers, got 'x\\t1.0'"),
+        ("ccdf_flow.tsv", lambda lines: lines[:1], " holds no rows"),
+        ("nmf_summary.json", lambda lines: json.dumps(
+            {k: v for k, v in json.loads("".join(lines)).items() if k != "similarity"}
+        ).splitlines(), ": missing key 'similarity'"),
+        ("stats.json", lambda lines: ["[]"], ": expected a JSON object"),
+        ("hodge_summary.json", lambda lines: ["{"],
+         ": Expecting property name enclosed in double quotes: line 2 column 1 (char 2)"),
+        ("community_report.json", lambda lines: ['{"levels": [], "size_rank": [{"rank": 1}]}'],
+         ": a size_rank row has no 'size'"),
+    ], ids=["empty-bowtie", "non-numeric-phi", "short-potential-row", "unknown-component",
+            "repeated-node", "non-numeric-ccdf", "empty-ccdf", "summary-missing-key",
+            "summary-not-object", "summary-not-json", "size-row-without-size"])
     def test_malformed_report_input(self, ws, tmp_path, capsys, name, edit, detail):
         out = tmp_path / "ws"
         shutil.copytree(ws, out)

@@ -119,7 +119,7 @@ class TestValueOracle:
 
     def test_zero_link_walk_undefined(self):
         net = net_from_edges(3, [(0, 1), (1, 2)])
-        sub, _ = net.subnetwork(np.array([0, 2]))
+        (_, sub), _ = net.split(np.array([0, 1, 0]))
         with pytest.raises(ValueError, match="no links"):
             map_equation_value(sub, [0, 0])
 
@@ -400,7 +400,7 @@ class TestPlantedStructure:
 
     def test_zero_link_network(self):
         net = net_from_edges(3, [(0, 1), (1, 2)])
-        sub, _ = net.subnetwork(np.array([0, 2]))
+        (_, sub), _ = net.split(np.array([0, 1, 0]))
         tree = detect_communities(sub, seed=0)
         assert tree.value == 0.0
         assert len(tree.children) == 1
@@ -409,7 +409,7 @@ class TestPlantedStructure:
 
     def test_single_node_network(self):
         net = net_from_edges(2, [(0, 1)])
-        sub, _ = net.subnetwork(np.array([0]))
+        (_, sub), _ = net.split(np.array([0, 1]))
         tree = detect_communities(sub, seed=0)
         assert len(tree.children) == 1
         assert tree.children[0].members == (0,)

@@ -298,6 +298,18 @@ class TestNmf:
         with pytest.raises(ValueError):
             nmf(-np.ones((3, 3)), d=1)
 
+    @pytest.mark.parametrize("form", [np.array, sp.csr_matrix, sp.coo_matrix])
+    @pytest.mark.parametrize("bad, message", [
+        (-1.0, "non-negative"), (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
+    ])
+    def test_rejects_negative_or_non_finite_entry(self, form, bad, message):
+        # one stored entry is enough: sparse input used to run on negative
+        # entries and rise in objective, and either form took NaN silently
+        V = np.eye(4)
+        V[1, 2] = bad
+        with pytest.raises(ValueError, match=message):
+            nmf(form(V), d=2)
+
 
 @pytest.fixture(scope="module")
 def grid():

@@ -265,29 +265,43 @@ def test_kendall_tau_b_is_scipys_value_at_scale():
 
 
 class TestSubnetwork:
+    """Every module that FlowNetwork.split returns, against brute force."""
+
     def test_induced_links_exact(self, rng):
         for _ in range(10):
             n = int(rng.integers(6, 25))
             edges = random_edges(rng, n, int(rng.integers(n, 3 * n)))
             net = net_from_edges(n, edges)
-            size = int(rng.integers(2, n))
-            keep = np.sort(rng.choice(n, size=size, replace=False))
-            sub, sub_nodes = net.subnetwork(keep)
-            assert sub_nodes.tolist() == keep.tolist()
-            kept = set(keep.tolist())
-            want = sorted(
-                (s, t) for s, t in edges if s in kept and t in kept
-            )
-            back = sorted(
-                (int(sub_nodes[s]), int(sub_nodes[t]))
-                for s, t in zip(sub.src, sub.dst)
-            )
-            assert back == want
+            labels = rng.integers(0, int(rng.integers(1, n)), size=n)
+            modules = net.split(labels)
+            assert len(modules) == labels.max() + 1
+            for m, (members, sub) in enumerate(modules):
+                assert members.tolist() == np.flatnonzero(labels == m).tolist()
+                assert sub.node_ids == tuple(net.node_ids[i] for i in members)
+                kept = set(members.tolist())
+                want = [(s, t) for s, t in edges if s in kept and t in kept]
+                back = [
+                    (int(members[s]), int(members[t]))
+                    for s, t in zip(sub.src, sub.dst)
+                ]
+                # links keep the parent's (src, dst) order
+                assert back == want
 
-    def test_weights_preserved(self):
+    def test_weights_preserved(self, rng):
         net = net_from_edges(4, [(0, 1), (1, 2), (2, 3)], flows=[5, 7, 9])
-        sub, _ = net.subnetwork(np.array([1, 2]))
-        assert sub.weights("flow").tolist() == [7]
+        (_, outer), (_, inner) = net.split(np.array([0, 1, 1, 0]))
+        assert inner.weights("flow").tolist() == [7]
+        assert outer.n_nodes == 2 and outer.n_links == 0
+        for _ in range(10):
+            n = int(rng.integers(6, 25))
+            edges = random_edges(rng, n, int(rng.integers(n, 3 * n)))
+            flows = rng.integers(1, 10**6, size=len(edges)).tolist()
+            freqs = rng.integers(1, 50, size=len(edges)).tolist()
+            net = net_from_edges(n, edges, flows=flows, freqs=freqs)
+            weight = {e: (f, q) for e, f, q in zip(edges, flows, freqs)}
+            for members, sub in net.split(rng.integers(0, 3, size=n)):
+                for s, t, f, q in zip(sub.src, sub.dst, sub.flow, sub.freq):
+                    assert weight[int(members[s]), int(members[t])] == (f, q)
 
 
 def test_edge_helpers_refuse_more_edges_than_pairs():

@@ -30,7 +30,8 @@ from moneyflow import (
     write_records,
 )
 from moneyflow.bowtie import COMPONENT_NAMES
-from moneyflow.synth import BIWEEKLY_EVENTS, MONTHLY_EVENTS, MONTHS_IN_WINDOW
+from moneyflow.geonmf import DEFAULT_BOUNDS
+from moneyflow.synth import _HUB_LINKS, BIWEEKLY_EVENTS, MONTHLY_EVENTS, MONTHS_IN_WINDOW
 
 
 def _sha256(text: str) -> str:
@@ -172,7 +173,7 @@ class TestRecordShape:
         assert BIWEEKLY_EVENTS == 58
 
     def test_window_and_fields(self, walnut):
-        spec, records, _ = walnut
+        _, records, _ = walnut
         lo = datetime(2017, 3, 1)
         hi = datetime(2019, 8, 1)
         months = set()
@@ -184,8 +185,8 @@ class TestRecordShape:
             assert r.source_kind == "firm" and r.destination_kind == "firm"
             for coord in (r.source_coord, r.destination_coord):
                 lat, lon = coord
-                assert spec.bounds[0] <= lat <= spec.bounds[1]
-                assert spec.bounds[2] <= lon <= spec.bounds[3]
+                assert DEFAULT_BOUNDS[0] <= lat <= DEFAULT_BOUNDS[1]
+                assert DEFAULT_BOUNDS[2] <= lon <= DEFAULT_BOUNDS[3]
         assert len(months) == MONTHS_IN_WINDOW  # every month sees traffic
 
     def test_account_id_format(self, walnut):
@@ -348,7 +349,7 @@ class TestCitiesAndHub:
             assert abs(lon - city.lon) < 0.15
 
     def test_hub(self, cities):
-        spec, records, truth = cities
+        _, records, truth = cities
         assert truth.hub == "F000000"
         net = build_network(aggregate(records))
         hub = net.node_ids.index(truth.hub)
@@ -361,7 +362,7 @@ class TestCitiesAndHub:
         out_links = np.flatnonzero(net.src == hub)
         assert out_links.size == truth.hub_targets
         n_core = truth.component_counts["GSCC"]
-        assert truth.hub_targets == min(spec.hub_links, n_core - 1)
+        assert truth.hub_targets == min(_HUB_LINKS, n_core - 1)
         # forced monthly schedule on every hub link
         dsts = set(net.dst[out_links].tolist())
         assert all(net.freq[l] >= MONTHLY_EVENTS for l in out_links)
