@@ -571,6 +571,21 @@ def _read_summary(path: Path, *keys: str) -> dict:
     return obj
 
 
+def _read_similarity(path: Path, summary: dict) -> np.ndarray:
+    """The d x d factor similarity of an nmf summary, null read as nan."""
+    d, rows = summary["d"], summary["similarity"]
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise DataError(f"{path}: 'd' is not a positive integer")
+    if not (isinstance(rows, list) and len(rows) == d and all(
+        isinstance(row, list) and len(row) == d and all(
+            v is None or (isinstance(v, (int, float)) and not isinstance(v, bool)) for v in row
+        )
+        for row in rows
+    )):
+        raise DataError(f"{path}: 'similarity' is not a {d} x {d} list of numbers or null")
+    return np.array([[np.nan if v is None else v for v in row] for row in rows], dtype=float)
+
+
 def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
     needed = {
         "stats.json": "stats",
@@ -626,13 +641,7 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
         inputs["nmf_summary.json"],
         "similarity", "d", "localized_origin", "localized_destination", "matched_pairs",
     )
-    sims = np.array(
-        [
-            [np.nan if v is None else v for v in row]
-            for row in nmf_summary["similarity"]
-        ],
-        dtype=float,
-    )
+    sims = _read_similarity(inputs["nmf_summary.json"], nmf_summary)
     stats_obj = _read_summary(inputs["stats.json"], "nodes", "links", "degree_correlation")
     bowtie_obj = _read_summary(
         inputs["bowtie_summary.json"],

@@ -32,7 +32,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, filterfalse, islice, repeat
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -78,10 +78,17 @@ COLUMNS = (
 INT64_MAX = 2**63 - 1
 TIME_DTYPE = np.dtype("datetime64[us]")
 
-# Lines per parse chunk and rows per write or iteration chunk: large enough
-# that per-chunk numpy overhead vanishes, small enough that the transient
-# strings of one chunk stay a few MB.
-CHUNK_LINES = 1 << 16
+# Lines per parse chunk and rows per write or iteration chunk.  A parse
+# chunk holds about 740 B of transients per line of a walnut log (line
+# strings, ids and tails sliced out, code points, gather indices; traced
+# with tracemalloc), so 8,192 lines keep them near 6 MB.  65,536 lines
+# held ~50 MB and parsed no faster.
+CHUNK_LINES = 1 << 13
+
+# Tails the parse memo holds beyond four per account before it starts over;
+# set apart from CHUNK_LINES so the chunk size does not change how often a
+# log with many distinct tails per account refills the memo.
+_MEMO_SLACK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -168,7 +175,7 @@ class TransferTable:
         Keeps the ids the codes use, sorts them and renumbers the codes.
         """
         ids = np.array(list(ids), dtype=object).reshape(-1)
-        ids, src, dst = _compact(ids, np.asarray(src), np.asarray(dst))
+        ids, src, dst = _compact(ids, np.asarray(src), np.asarray(dst), np.int32)
         return cls(ids=ids, src=src, dst=dst, **columns)
 
     def take(self, rows) -> TransferTable:
@@ -231,14 +238,14 @@ class TransferTable:
         return f"TransferTable({len(self)} transfers, {self.ids.size} accounts)"
 
 
-def _compact(ids: np.ndarray, src: np.ndarray, dst: np.ndarray):
-    """(the ids the codes use, sorted; src and dst renumbered into them)."""
+def _compact(ids: np.ndarray, src: np.ndarray, dst: np.ndarray, dtype=np.int64):
+    """(the ids the codes use, sorted; src and dst renumbered into them as ``dtype``)."""
     used = np.zeros(ids.size, dtype=bool)
     used[src] = True
     used[dst] = True
     kept = np.flatnonzero(used)
     order = kept[np.argsort(ids[kept], kind="stable")]
-    code = np.zeros(ids.size, dtype=np.int64)
+    code = np.zeros(ids.size, dtype=dtype)
     code[order] = np.arange(order.size)
     return ids[order], code[src], code[dst]
 
@@ -246,14 +253,13 @@ def _compact(ids: np.ndarray, src: np.ndarray, dst: np.ndarray):
 class _Vocabulary:
     """Account ids seen so far, each with a distinct int32 code.
 
-    Codes come from one counter that also advances on ids already seen,
-    which keeps coding a C-level loop; they are distinct but not dense, and
-    :func:`_compact` compacts them.
+    Codes are dense, in first-seen order, and a batch of ids is coded in
+    one C-level loop; a batch with new ids adds them first.  Ids that only
+    rejected lines use keep their codes; :func:`_compact` drops them.
     """
 
     def __init__(self):
         self._code_of: dict[str, int] = {}
-        self._counter = count()
         self._checked = 0
         self._bad: list[int] = []
 
@@ -261,9 +267,13 @@ class _Vocabulary:
         return len(self._code_of)
 
     def codes(self, ids: Sequence[str]) -> np.ndarray:
-        return np.fromiter(
-            map(self._code_of.setdefault, ids, self._counter), dtype=np.int32, count=len(ids)
-        )
+        code_of = self._code_of
+        try:
+            return np.fromiter(map(code_of.__getitem__, ids), dtype=np.int32, count=len(ids))
+        except KeyError:
+            unseen = list(filterfalse(code_of.__contains__, dict.fromkeys(ids)))
+            code_of.update(zip(unseen, count(len(code_of))))
+            return self.codes(ids)
 
     def noncanonical(self) -> np.ndarray:
         """Codes of the ids so far that are empty or padded with whitespace."""
@@ -274,10 +284,8 @@ class _Vocabulary:
         return np.array(self._bad, dtype=np.int32)
 
     def ids(self) -> np.ndarray:
-        """The ids seen so far at their codes; unused codes hold None."""
-        ids = np.empty(max(self._code_of.values(), default=-1) + 1, dtype=object)
-        ids[list(self._code_of.values())] = list(self._code_of)
-        return ids
+        """The ids seen so far, at their codes."""
+        return np.array(list(self._code_of), dtype=object)
 
 
 def _record_columns(records: list[TransferRecord], vocab: _Vocabulary) -> dict:
@@ -482,8 +490,8 @@ class _Tails:
     per-line parser's strip does; a coordinate is present when nonempty.
     Tails repeat with their link, so the memo holds about one per link.
     It starts over after a chunk leaves it above :meth:`bound`, four tails
-    per account of ``vocab`` plus a chunk's worth, which bounds it on logs
-    whose tails never repeat.
+    per account of ``vocab`` plus :data:`_MEMO_SLACK`, which bounds it on
+    logs whose tails never repeat.
     """
 
     def __init__(self, vocab: _Vocabulary, delimiter: str):
@@ -502,7 +510,7 @@ class _Tails:
         return len(self._row_of)
 
     def bound(self) -> int:
-        return 4 * len(self._vocab) + CHUNK_LINES
+        return 4 * len(self._vocab) + _MEMO_SLACK
 
     def _add(self, tails: list[str]) -> None:
         m = len(tails)
@@ -706,15 +714,20 @@ def parse_log(
             part = slow
         if part:
             parts_of.append(part)
+    # column by column, each chunk's part dropped as it is merged, so the
+    # parts and the table share one copy of the data plus one column
     merged = {
-        name: np.concatenate([p[name] for p in parts_of] or [empty])
+        name: np.concatenate([p.pop(name) for p in parts_of] or [empty])
         for name, empty in _record_columns([], vocab).items()
     }
     return TransferTable.from_codes(vocab.ids(), **merged), rejected
 
 
 def filter_records(table: TransferTable, policy: FilterPolicy) -> TransferTable:
-    """Keep exactly the transfers satisfying all enabled predicates, in order."""
+    """Keep exactly the transfers satisfying all enabled predicates, in order.
+
+    When every transfer satisfies them, ``table`` itself is returned.
+    """
     keep = np.ones(len(table), dtype=bool)
     if policy.require_intra_bank:
         keep &= (table.src_kind != _EXTERNAL) & (table.dst_kind != _EXTERNAL)
@@ -722,7 +735,8 @@ def filter_records(table: TransferTable, policy: FilterPolicy) -> TransferTable:
         keep &= (table.src_kind == _FIRM) & (table.dst_kind == _FIRM)
     if policy.drop_self_loops:
         keep &= table.src != table.dst
-    return table.take(keep)
+    # tables are read-only, so sharing one is as safe as copying it
+    return table if keep.all() else table.take(keep)
 
 
 def aggregate(table: TransferTable) -> FlowNetwork:
@@ -736,9 +750,19 @@ def aggregate(table: TransferTable) -> FlowNetwork:
     when the table holds them; :func:`build_network` refuses them.
     """
     n_ids = max(table.ids.size, 1)
-    key = table.src.astype(np.int64) * n_ids + table.dst
+    key = table.src.astype(np.int64)
+    key *= n_ids
+    key += table.dst
     order = np.argsort(key, kind="stable")
-    pairs, starts, frequency = np.unique(key[order], return_index=True, return_counts=True)
+    # the keys are sorted, so a link starts wherever they change
+    key = key[order]
+    change = np.empty(key.size, dtype=bool)
+    change[:1] = True  # an empty table has no first key
+    np.not_equal(key[1:], key[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    pairs = key[starts]
+    frequency = np.diff(starts, append=key.size)
+    del key  # freed before the flows are gathered
     flow = table.amount[order]
     if flow.size:
         largest = max(int(flow.max()), -int(flow.min()))
@@ -778,34 +802,27 @@ def _id_field(name: str) -> str:
     return _csv_field(name)
 
 
-def _endpoints(table: TransferTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(accounts, coords, present) of both endpoints of every transfer.
+def _first_coords(table: TransferTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(accounts with a coordinate, ascending; rank of each one's first
+    endpoint with one; each account's first coordinate, (0, 0) without one).
 
-    Event order, source before destination, as a record loop visits them.
+    Endpoints are ranked in event order, source before destination, as a
+    record loop visits them: the source of row k is 2k, its destination
+    2k + 1.
     """
-    n = len(table)
-    accounts = np.empty(2 * n, dtype=np.int32)
-    coords = np.empty((2 * n, 2))
-    present = np.empty(2 * n, dtype=bool)
-    for arr, src, dst in (
-        (accounts, table.src, table.dst),
-        (coords, table.src_coord, table.dst_coord),
-        (present, table.src_has_coord, table.dst_has_coord),
+    n_ranks = 2 * len(table)
+    first = np.full(table.ids.size, n_ranks)  # past every rank
+    for side, (accounts, present) in enumerate(
+        ((table.src, table.src_has_coord), (table.dst, table.dst_has_coord))
     ):
-        arr[0::2] = src
-        arr[1::2] = dst
-    return accounts, coords, present
-
-
-def _first_coords(
-    accounts: np.ndarray, present: np.ndarray, n_ids: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(accounts with a coordinate, ascending; endpoint index of each one's first)."""
-    rows = np.flatnonzero(present)
-    first = np.full(n_ids, accounts.size)  # past every endpoint index
-    np.minimum.at(first, accounts[rows], rows)
-    codes = np.flatnonzero(first < accounts.size)
-    return codes, first[codes]
+        rows = np.flatnonzero(present)
+        np.minimum.at(first, accounts[rows], 2 * rows + side)
+    codes = np.flatnonzero(first < n_ranks)
+    first = first[codes]
+    row, side = np.divmod(first, 2)
+    ref = np.zeros((table.ids.size, 2))
+    ref[codes] = np.where(side[:, None] == 0, table.src_coord[row], table.dst_coord[row])
+    return codes, first, ref
 
 
 def _coordinate_text(table: TransferTable) -> list[np.ndarray]:
@@ -815,21 +832,20 @@ def _coordinate_text(table: TransferTable) -> list[np.ndarray]:
     endpoint whose coordinate differs from it bit for bit is formatted on
     its own, and a missing one is empty.
     """
-    accounts, coords, present = _endpoints(table)
-    codes, first = _first_coords(accounts, present, table.ids.size)
-    bits = coords.view(np.int64)
-    ref = np.zeros((table.ids.size, 2), dtype=np.int64)
-    ref[codes] = bits[first]
-    own = np.flatnonzero(present & (bits != ref[accounts]).any(axis=1))
-    pairs = np.array([f"{lat!r},{lon!r}" for lat, lon in coords[first].tolist()], dtype=object)
+    codes, _, ref = _first_coords(table)
+    ref_bits = ref.view(np.int64)
+    pairs = np.array([f"{lat!r},{lon!r}" for lat, lon in ref[codes].tolist()], dtype=object)
     texts = []
-    for side, end in enumerate((",", "\n")):
+    for accounts, coords, present, end in (
+        (table.src, table.src_coord, table.src_has_coord, ","),
+        (table.dst, table.dst_coord, table.dst_has_coord, "\n"),
+    ):
         per_account = np.empty(table.ids.size, dtype=object)
         per_account[codes] = pairs + end
-        text = per_account[accounts[side::2]]
-        text[~present[side::2]] = "," + end
-        mine = own[own % 2 == side]
-        text[mine // 2] = [f"{lat!r},{lon!r}{end}" for lat, lon in coords[mine].tolist()]
+        text = per_account[accounts]
+        text[~present] = "," + end
+        own = np.flatnonzero(present & (coords.view(np.int64) != ref_bits[accounts]).any(axis=1))
+        text[own] = [f"{lat!r},{lon!r}{end}" for lat, lon in coords[own].tolist()]
         texts.append(text)
     return texts
 
@@ -980,15 +996,18 @@ def collect_node_coords(table: TransferTable) -> tuple[dict[str, tuple[float, fl
     differ (by float comparison, so nan never matches) from the first
     occurrence of the same account.
     """
-    accounts, coords, present = _endpoints(table)
-    codes, first = _first_coords(accounts, present, table.ids.size)
-    ref = np.zeros((table.ids.size, 2))
-    ref[codes] = coords[first]
-    differs = present & (coords != ref[accounts]).any(axis=1)
-    differs[first] = False
-    order = np.argsort(first)
-    names = table.ids[codes[order]].tolist()
-    return dict(zip(names, map(tuple, coords[first[order]].tolist()))), int(differs.sum())
+    codes, first, ref = _first_coords(table)
+    conflicts = 0
+    for side, (accounts, coords, present) in enumerate((
+        (table.src, table.src_coord, table.src_has_coord),
+        (table.dst, table.dst_coord, table.dst_has_coord),
+    )):
+        differs = present & (coords != ref[accounts]).any(axis=1)
+        differs[first[first % 2 == side] // 2] = False
+        conflicts += int(np.count_nonzero(differs))
+    codes = codes[np.argsort(first)]
+    names = table.ids[codes].tolist()
+    return dict(zip(names, map(tuple, ref[codes].tolist()))), conflicts
 
 
 def write_node_coords(coords: dict[str, tuple[float, float]], stream: IO[str]) -> None:

@@ -460,3 +460,47 @@ def grid_bin_counts(links, coords, bounds, k: int):
         counts[(origin, target)] = counts.get((origin, target), 0) + weight
         included += weight
     return counts, included, excluded
+
+
+# ---------------------------------------------------------------------------
+# record layer
+
+
+def first_coordinates(records) -> tuple[dict, int]:
+    """(account -> coordinate, conflicts) by a plain loop over transfer records.
+
+    Endpoints are visited in event order, a transfer's source before its
+    destination, and an endpoint without a coordinate is skipped.  The
+    first coordinate of an account wins; every later one that differs from
+    it in either component by float comparison (so nan never matches)
+    counts as a conflict.
+    """
+    first: dict = {}
+    conflicts = 0
+    for record in records:
+        for account, point in (
+            (record.source, record.source_coord),
+            (record.destination, record.destination_coord),
+        ):
+            if point is None:
+                continue
+            if account not in first:
+                first[account] = point
+            elif point[0] != first[account][0] or point[1] != first[account][1]:
+                conflicts += 1
+    return first, conflicts
+
+
+def coordinate_fields(records) -> list[list[str]]:
+    """The four coordinate fields of each record's log line.
+
+    A coordinate is written as the repr of its latitude and longitude, a
+    missing one as two empty fields.
+    """
+    fields = []
+    for record in records:
+        row = []
+        for point in (record.source_coord, record.destination_coord):
+            row += ["", ""] if point is None else [repr(point[0]), repr(point[1])]
+        fields.append(row)
+    return fields

@@ -15,6 +15,7 @@ import pytest
 import moneyflow
 from moneyflow.cli import main
 from moneyflow.geonmf import read_matrix
+from moneyflow.ingest import COLUMNS
 
 
 def pipeline_steps(out):
@@ -33,6 +34,14 @@ def pipeline_steps(out):
         ],
         ["report", "--out", d],
     ]
+
+
+def _set_key(key, value):
+    """An edit of a JSON summary's lines that sets ``key`` to ``value(summary)``."""
+    def edit(lines):
+        obj = json.loads("".join(lines))
+        return json.dumps({**obj, key: value(obj)}).splitlines()
+    return edit
 
 
 def run_pipeline(out):
@@ -113,6 +122,18 @@ class TestDataErrors:
         argv = ["ingest", "--out", str(tmp_path), "--input", str(log), "--strict"]
         assert main(argv) == 2
         assert "expected 10 fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [[], ["2018-01-05T10:30:00,F1,X2,100,firm,external,,,,"]])
+    def test_ingest_keeping_no_transfer(self, tmp_path, rows):
+        # a header-only log, or one whose transfers the default policy drops
+        log = tmp_path / "log.csv"
+        log.write_text("".join(line + "\n" for line in [",".join(COLUMNS), *rows]), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--input", str(log)]) == 0
+        assert (out / "links.csv").read_text() == "source_id,destination_id,flow_yen,frequency\n"
+        assert (out / "nodes.csv").read_text() == "node_id,lat,lon\n"
+        summary = json.loads((out / "ingest_summary.json").read_text())
+        assert (summary["records_parsed"], summary["links"], summary["nodes"]) == (len(rows), 0, 0)
 
     def test_invalid_scenario_parameters(self, tmp_path):
         argv = [
@@ -217,9 +238,18 @@ class TestDataErrors:
          ": Expecting property name enclosed in double quotes: line 2 column 1 (char 2)"),
         ("community_report.json", lambda lines: ['{"levels": [], "size_rank": [{"rank": 1}]}'],
          ": a size_rank row has no 'size'"),
+        ("nmf_summary.json", _set_key("similarity", lambda obj: 5),
+         ": 'similarity' is not a 3 x 3 list of numbers or null"),
+        ("nmf_summary.json", _set_key("similarity", lambda obj: obj["similarity"][:2] + [[0.5, 0.5]]),
+         ": 'similarity' is not a 3 x 3 list of numbers or null"),
+        ("nmf_summary.json", _set_key("similarity", lambda obj: [["x"] * 3] * 3),
+         ": 'similarity' is not a 3 x 3 list of numbers or null"),
+        ("nmf_summary.json", _set_key("d", lambda obj: "3"), ": 'd' is not a positive integer"),
     ], ids=["empty-bowtie", "non-numeric-phi", "short-potential-row", "unknown-component",
             "repeated-node", "non-numeric-ccdf", "empty-ccdf", "summary-missing-key",
-            "summary-not-object", "summary-not-json", "size-row-without-size"])
+            "summary-not-object", "summary-not-json", "size-row-without-size",
+            "similarity-not-a-list", "similarity-ragged-row", "similarity-not-numbers",
+            "summary-d-not-integer"])
     def test_malformed_report_input(self, ws, tmp_path, capsys, name, edit, detail):
         out = tmp_path / "ws"
         shutil.copytree(ws, out)

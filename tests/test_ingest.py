@@ -1,6 +1,8 @@
 import csv
 import io
+import math
 import re
+import tracemalloc
 from datetime import datetime
 from unittest import mock
 
@@ -26,6 +28,7 @@ from moneyflow import ingest as ingest_module
 from moneyflow.ingest import KINDS, RejectedLine, _parse_line
 
 from conftest import link_table, transfer_table
+from oracles import coordinate_fields, first_coordinates
 
 
 def _rec(src, dst, amount=100, skind="firm", dkind="firm", ts=None, sc=None, dc=None):
@@ -105,6 +108,10 @@ class TestParse:
 
 
 class TestFilter:
+    def test_table_kept_whole_is_not_copied(self):
+        table = transfer_table([_rec("a", "b"), _rec("b", "c")])
+        assert filter_records(table, FilterPolicy()) is table
+
     def test_reference_policy(self):
         records = [
             _rec("a", "b"),
@@ -148,6 +155,17 @@ class TestAggregate:
             ("b", "a", 40, 1),
             ("c", "a", 7, 1),
         ]
+
+    def test_empty_table(self):
+        from moneyflow import write_records
+
+        table = transfer_table([])
+        links = aggregate(table)
+        assert len(links) == 0 and links.node_ids == ()
+        assert collect_node_coords(table) == ({}, 0)
+        buf = io.StringIO()
+        write_records(table, buf)
+        assert buf.getvalue().splitlines() == [",".join(ingest_module.COLUMNS)]
 
     def test_output_sorted_and_order_independent(self):
         records = [_rec("z", "a", 5), _rec("b", "c", 9), _rec("a", "z", 2)]
@@ -511,6 +529,7 @@ def test_tail_memo_stays_within_its_bound():
         _CANONICAL.replace("34.5,135.5", f"34.{k},135.5") for k in range(200)
     ]
     with mock.patch.object(ingest_module, "CHUNK_LINES", 4), \
+            mock.patch.object(ingest_module, "_MEMO_SLACK", 4), \
             mock.patch.object(ingest_module, "_Tails", Tails):
         table, rejected = parse_log(lines)
     expected = _reference_parse(lines)
@@ -518,7 +537,7 @@ def test_tail_memo_stays_within_its_bound():
     assert table == transfer_table(expected[0])
     assert len(sizes) == 50
     assert all(size <= bound for size, bound in sizes)
-    assert max(size for size, _ in sizes) == 12  # 4 per account of F1 and F2 plus one chunk
+    assert max(size for size, _ in sizes) == 12  # 4 per account of F1 and F2 plus the slack
     assert min(size for size, _ in sizes) < 12  # it started over
 
 
@@ -582,6 +601,74 @@ def test_walnut_round_trip_over_several_chunks():
     parsed, rejected = parse_log(io.StringIO(buf.getvalue()))
     assert rejected == []
     assert parsed == records
+
+
+def test_record_steps_hold_about_one_copy_of_the_table(tmp_path):
+    """Traced peaks of the whole-table steps on a log of many chunks.
+
+    numpy reports its buffers to tracemalloc, so the counts repeat exactly.
+    parse_log holds the chunk parts and its result, which share one copy
+    of the data, one column being merged and one chunk's transients;
+    aggregate and collect_node_coords each add well under one copy.
+    """
+    from moneyflow import generate, walnut_scenario, write_records
+
+    records, _ = generate(walnut_scenario(n_nodes=5000, seed=5))
+    log = tmp_path / "log.csv"
+    with open(log, "w", encoding="utf-8") as fh:
+        write_records(records, fh)
+    peaks = {}
+
+    def traced(step, *args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = step(*args)
+        peaks[step.__name__] = tracemalloc.get_traced_memory()[1] - before
+        return result
+
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        with open(log, encoding="utf-8", newline="") as fh:
+            table, _ = traced(parse_log, fh)
+        traced(aggregate, table)
+        traced(collect_node_coords, table)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert table == records
+    assert len(table) > 10 * ingest_module.CHUNK_LINES
+    table_bytes = sum(getattr(table, name).nbytes for name in ingest_module._COLUMN_DTYPES)
+    assert peaks["parse_log"] <= 2 * table_bytes + 6 * 2**20, peaks["parse_log"] / table_bytes
+    assert peaks["aggregate"] <= 0.6 * table_bytes, peaks["aggregate"] / table_bytes
+    assert peaks["collect_node_coords"] <= 0.6 * table_bytes, (
+        peaks["collect_node_coords"] / table_bytes
+    )
+
+
+_accounts = st.sampled_from(["F1", "F2", "F3", "F4"])
+# -0.0 and nan repeat, so that equal values, equal bits and nan all recur
+_points = st.none() | st.sampled_from(
+    [(34.5, 135.5), (0.0, -0.0), (-0.0, 0.0), (math.nan, 1.0)]
+) | st.tuples(st.floats(), st.floats())
+
+
+@given(st.lists(st.builds(_rec, _accounts, _accounts, sc=_points, dc=_points), max_size=24))
+@settings(max_examples=200, deadline=None)
+def test_coordinates_match_oracle(records):
+    from moneyflow import write_records
+
+    table = transfer_table(records)
+    buf = io.StringIO()
+    with mock.patch.object(ingest_module, "CHUNK_LINES", 3):
+        coords, conflicts = collect_node_coords(table)
+        write_records(table, buf)
+    expected, expected_conflicts = first_coordinates(records)
+    # repr tells -0.0 from 0.0 and shows every nan alike
+    assert repr(list(coords.items())) == repr(list(expected.items()))
+    assert conflicts == expected_conflicts
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
+    assert [row[6:] for row in rows] == coordinate_fields(records)
 
 
 # header words are valid ids: only a table's first line is its header
