@@ -557,17 +557,40 @@ def _read_csv_dict(path: Path, width: int) -> dict[str, tuple[int, list[str]]]:
         return rows
 
 
-def _read_summary(path: Path, *keys: str) -> dict:
-    """A JSON summary of an earlier stage, checked to hold every key read from it."""
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the values report copies from a summary, by kind: what each must be
+_SUMMARY_KINDS = {
+    "count": (
+        "a non-negative integer",
+        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+    ),
+    "number": ("a number or null", lambda v: v is None or _is_number(v)),
+    "numbers": (
+        "an object of numbers or null",
+        lambda v: isinstance(v, dict) and all(x is None or _is_number(x) for x in v.values()),
+    ),
+}
+
+
+def _read_summary(path: Path, *keys: str, **kinds: str) -> dict:
+    """A JSON summary of an earlier stage, checked to hold every key read
+    from it, and each key of kinds to hold a value of its kind."""
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: {exc}") from None
     if not isinstance(obj, dict):
         raise DataError(f"{path}: expected a JSON object")
-    for key in keys:
+    for key in (*keys, *kinds):
         if key not in obj:
             raise DataError(f"{path}: missing key {key!r}")
+    for key, kind in kinds.items():
+        what, holds = _SUMMARY_KINDS[kind]
+        if not holds(obj[key]):
+            raise DataError(f"{path}: {key!r} is not {what}")
     return obj
 
 
@@ -637,18 +660,27 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
     if not all(isinstance(row, dict) and "size" in row for row in community["size_rank"]):
         raise DataError(f"{inputs['community_report.json']}: a size_rank row has no 'size'")
     size_rank = [row["size"] for row in community["size_rank"]]
+    for size in size_rank:
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise DataError(
+                f"{inputs['community_report.json']}: size_rank 'size' {size!r} "
+                "is not a positive integer"
+            )
     nmf_summary = _read_summary(
         inputs["nmf_summary.json"],
         "similarity", "d", "localized_origin", "localized_destination", "matched_pairs",
     )
     sims = _read_similarity(inputs["nmf_summary.json"], nmf_summary)
-    stats_obj = _read_summary(inputs["stats.json"], "nodes", "links", "degree_correlation")
+    stats_obj = _read_summary(
+        inputs["stats.json"], nodes="count", links="count", degree_correlation="numbers"
+    )
     bowtie_obj = _read_summary(
-        inputs["bowtie_summary.json"],
-        "gwcc_fractions", "in_distance_ratios", "out_distance_ratios",
+        inputs["bowtie_summary.json"], gwcc_fractions="numbers",
+        in_distance_ratios="numbers", out_distance_ratios="numbers",
     )
     hodge_obj = _read_summary(
-        inputs["hodge_summary.json"], "r_phi_net_degree", "r_phi_net_flow", "circular_share"
+        inputs["hodge_summary.json"], r_phi_net_degree="number",
+        r_phi_net_flow="number", circular_share="number",
     )
 
     rep_dir = stage.out / "report"

@@ -12,17 +12,22 @@ where p_i are stationary visit rates and q_m is the rate of leaving
 module m (link steps and teleport steps both count).  The optimizer is a
 greedy node-mover with module aggregation and seeded restarts, applied
 recursively inside each community to build a hierarchy; a community that
-no split improves is irreducible.  The node-mover is queue-driven, as in
+no split improves is irreducible.
+
+Each level of the hierarchy is searched as one problem: the communities
+to split are the blocks of one disjoint-union walk, which no link leaves,
+so every block keeps its own q_tot, visit order and restarts, and gets
+the labels a search of its walk alone would give.  Level 1 is the same
+search with a single block.  The node-mover is queue-driven, as in
 Leiden's fast local move: a pass visits every node in random order and
 re-queues the neighbours of each node that moves.  When the queue
 empties, one vectorised scan scores every node's moves against the
-frozen module state, and only the nodes it flags are queued again; the
-search ends at a local optimum when the scan flags nothing or a round of
-flagged nodes moves nothing.  Walks of fewer than _SCAN_MIN nodes prove
-the optimum with a full scalar pass instead.  Walks of at most
+frozen module state, and only the nodes it flags are queued again; a
+block's search ends at a local optimum when the scan flags none of its
+nodes or a round of its flagged nodes moves nothing.  Blocks of at most
 _EXACT_MAX nodes skip both the power iteration and the search: their
-stationary vector comes from one dense linear solve and their partition
-from scoring every set partition at once.
+stationary vectors come from one batched dense solve and their
+partitions from scoring every set partition at once.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import log2
 from typing import Iterator
 
@@ -62,12 +68,12 @@ _MAX_DEPTH = 5
 # local-move rounds per call; the loop ends earlier at a local optimum
 _MAX_PASSES = 200
 _MIN_GAIN = 1e-12
-# walks of at most this many nodes are solved directly and partitioned
+# blocks of at most this many nodes are solved directly and partitioned
 # exhaustively (Bell(8) = 4,140 set partitions)
 _EXACT_MAX = 8
-# walks of fewer nodes certify a local optimum with a full scalar pass;
-# larger ones with one vectorised scan (_flag_moves), which costs less
-_SCAN_MIN = 40
+# the most elements per array (256 KiB of float64) when blocks of one
+# size are scored together; a block of 7 or 8 nodes is scored alone
+_EXACT_CHUNK = 1 << 15
 
 
 class EmptyModuleError(ValueError):
@@ -85,15 +91,39 @@ def _plogp_vec(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_sums(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """x summed over each block.
+
+    Each block sums as x[lo:hi].sum() would (np.add.reduceat rounds
+    differently), so a block's sums, and every value built on them, are
+    the same whether or not other blocks share the array.
+    """
+    bounds = offsets.tolist()
+    return np.array([x[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])])
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the ranges lo[i]:hi[i] packed side by side, and each
+    range's shift: an index less its packed position."""
+    size = hi - lo
+    shift = lo - (np.cumsum(size) - size)
+    return np.arange(int(size.sum())) + np.repeat(shift, size), shift
+
+
 @dataclass(frozen=True)
 class Walk:
-    """Stationary walk quantities, closed under module aggregation.
+    """Stationary walk quantities of disjoint blocks, closed under module
+    aggregation.
 
-    p: visit rates; a_i = p_i times the node's teleport probability (tau,
-    or 1 on dangling nodes); t: teleport landing distribution; src/dst/
-    flow: stationary link-step rates p_src (1 - tau) w_e / s_src.
-    node_term fixes sum_i p_i log2 p_i at the original node resolution so
-    aggregated evaluations stay comparable.
+    Block b holds nodes offsets[b]:offsets[b + 1]; no link leaves a
+    block, and the links are grouped by block in block order.
+    :func:`build_walk` returns a single block.  p: visit rates,
+    summing to 1 in each block; a_i = p_i times the node's teleport
+    probability (tau, or 1 on dangling nodes); t: teleport landing
+    distribution, per block; src/dst/flow: stationary link-step rates
+    p_src (1 - tau) w_e / s_src.  node_term[b] fixes block b's
+    sum_i p_i log2 p_i at the original node resolution so aggregated
+    evaluations stay comparable.
     """
 
     n: int
@@ -103,56 +133,86 @@ class Walk:
     src: np.ndarray
     dst: np.ndarray
     flow: np.ndarray
-    node_term: float
+    node_term: np.ndarray
+    offsets: np.ndarray
 
 
 def build_walk(net: FlowNetwork, kind: str = "frequency") -> Walk:
-    """Stationary distribution of the teleporting walk.
-
-    Walks of at most _EXACT_MAX nodes solve the dense n x n step matrix
-    directly (one row replaced by the normalisation sum(p) = 1); larger
-    ones power-iterate, accumulating link steps per node with np.bincount.
-    The optimizer builds its search state (adjacency lists, per-node
-    lists, singleton module terms) from the returned walk once and shares
-    it across all restarts; each aggregated walk of a restart gets a state
-    of its own.
-    """
+    """Stationary distribution of the teleporting walk, as one block."""
     if net.n_links == 0:
         raise ValueError("network has no links; the walk is undefined")
+    return _block_walk(net, np.array([0, net.n_nodes]), kind)
+
+
+def _block_walk(net: FlowNetwork, offsets: np.ndarray, kind: str) -> Walk:
+    """Stationary walks of the blocks of a disjoint union at once.
+
+    Block b is union nodes offsets[b]:offsets[b + 1], and every block has
+    a link.  Blocks of at most _EXACT_MAX nodes take one batched dense
+    solve per size: each block's n x n step matrix, with one row of
+    step - I replaced by the normalisation sum(p) = 1.  The others
+    power-iterate together, one np.bincount of link steps per step, with
+    teleportation and normalisation per block by np.add.reduceat (a lone
+    block sums whole arrays, which rounds differently in the last bits);
+    a block keeps the vector of the step whose L1 change fell below
+    _WALK_TOL, as a walk iterated alone would.
+    """
     n = net.n_nodes
+    sizes = np.diff(offsets)
+    block = np.repeat(np.arange(sizes.size), sizes)
     w = net.weights(kind).astype(np.float64)
     s = np.bincount(net.src, weights=w, minlength=n)
-    t = s / s.sum()
+    t = s / np.repeat(_block_sums(s, offsets), sizes)
     tau_eff = np.where(s > 0, TAU, 1.0)
     out_norm = w / s[net.src]
-    if n <= _EXACT_MAX:
-        # step[j, i]: probability of stepping from i to j
-        step = np.outer(t, tau_eff)
-        np.add.at(step, (net.dst, net.src), (1.0 - TAU) * out_norm)
-        system = step - np.eye(n)
-        system[-1] = 1.0
-        rhs = np.zeros(n)
-        rhs[-1] = 1.0
-        p = np.linalg.solve(system, rhs)
-    else:
-        p = np.full(n, 1.0 / n)
-        for _ in range(_WALK_MAX_ITER):
-            link = np.bincount(
-                net.dst, weights=p[net.src] * (1.0 - TAU) * out_norm, minlength=n
-            )
+    link_block = block[net.src]
+    p = 1.0 / sizes[block]
+    small = sizes <= _EXACT_MAX
+    for size in np.unique(sizes[small]).tolist():
+        blocks = np.flatnonzero(sizes == size)
+        rank = np.full(sizes.size, -1)
+        rank[blocks] = np.arange(blocks.size)
+        links = np.flatnonzero(rank[link_block] >= 0)
+        first = offsets[link_block[links]]
+        node = offsets[blocks][:, None] + np.arange(size)
+        # step[b, j, i]: probability of stepping from i to j in block b
+        step = t[node][:, :, None] * tau_eff[node][:, None, :]
+        np.add.at(
+            step,
+            (rank[link_block[links]], net.dst[links] - first, net.src[links] - first),
+            (1.0 - TAU) * out_norm[links],
+        )
+        system = step - np.eye(size)
+        system[:, -1] = 1.0
+        rhs = np.zeros((blocks.size, size, 1))
+        rhs[:, -1] = 1.0
+        p[node] = np.linalg.solve(system, rhs)[:, :, 0]
+    live = ~small
+    starts = offsets[:-1]
+    for _ in range(_WALK_MAX_ITER):
+        if not live.any():
+            break
+        link = np.bincount(
+            net.dst, weights=p[net.src] * (1.0 - TAU) * out_norm, minlength=n
+        )
+        if sizes.size == 1:
             p_new = link + t * float(p @ tau_eff)
             p_new /= p_new.sum()
-            delta = float(np.abs(p_new - p).sum())
+            delta = np.array([np.abs(p_new - p).sum()])
             p = p_new
-            if delta < _WALK_TOL:
-                break
         else:
-            raise ConvergenceError(
-                f"stationary distribution did not converge in {_WALK_MAX_ITER} steps "
-                f"(L1 change {delta:.1e}, target {_WALK_TOL:.0e})",
-                residual=delta,
-            )
-    flow = p[net.src] * (1.0 - TAU) * out_norm
+            p_new = link + t * np.add.reduceat(p * tau_eff, starts)[block]
+            p_new /= np.add.reduceat(p_new, starts)[block]
+            delta = np.add.reduceat(np.abs(p_new - p), starts)
+            p = np.where(live[block], p_new, p)
+        live &= ~(delta < _WALK_TOL)
+    if live.any():
+        worst = float(delta[live].max())
+        raise ConvergenceError(
+            f"stationary distribution did not converge in {_WALK_MAX_ITER} steps "
+            f"(L1 change {worst:.1e}, target {_WALK_TOL:.0e})",
+            residual=worst,
+        )
     return Walk(
         n=n,
         p=p,
@@ -160,8 +220,9 @@ def build_walk(net: FlowNetwork, kind: str = "frequency") -> Walk:
         t=t,
         src=net.src.copy(),
         dst=net.dst.copy(),
-        flow=flow,
-        node_term=float(_plogp_vec(p).sum()),
+        flow=p[net.src] * (1.0 - TAU) * out_norm,
+        node_term=_block_sums(_plogp_vec(p), offsets),
+        offsets=offsets,
     )
 
 
@@ -176,7 +237,7 @@ def _module_sums(walk: Walk, labels: np.ndarray, m: int) -> tuple[np.ndarray, ..
 
 
 def _value_for(walk: Walk, labels: np.ndarray) -> float:
-    """Exact four-term evaluation of the map equation for given labels."""
+    """Exact four-term evaluation of the map equation of a one-block walk."""
     nmod = int(labels.max()) + 1 if labels.size else 0
     sizes = np.bincount(labels, minlength=nmod)
     if np.any(sizes == 0):
@@ -187,6 +248,24 @@ def _value_for(walk: Walk, labels: np.ndarray) -> float:
         _plogp(q_tot)
         - 2.0 * float(_plogp_vec(q).sum())
         + float(_plogp_vec(q + P).sum())
+        - float(walk.node_term[0])
+    )
+
+
+def _block_values(walk: Walk, labels: np.ndarray) -> np.ndarray:
+    """Map-equation value of every block, for labels that keep each
+    block's module ids within its own node range.
+
+    A block's value sums over its node range of module ids, so for the
+    all-singletons labels it equals :func:`_value_for` of that block
+    alone.
+    """
+    P, _, _, _, q = _module_sums(walk, labels, walk.n)
+    off = walk.offsets
+    return (
+        np.array([_plogp(x) for x in _block_sums(q, off).tolist()])
+        - 2.0 * _block_sums(_plogp_vec(q), off)
+        + _block_sums(_plogp_vec(q + P), off)
         - walk.node_term
     )
 
@@ -208,27 +287,31 @@ def map_equation_value(net: FlowNetwork, labels, kind: str = "frequency") -> flo
 def _adjacency(heads: np.ndarray, tails: np.ndarray, flow: np.ndarray, n: int):
     """Per-node lists of (neighbour, flow), neighbours ascending."""
     order = np.lexsort((tails, heads))
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for h, u, f in zip(
-        heads[order].tolist(), tails[order].tolist(), flow[order].tolist()
-    ):
-        adj[h].append((u, f))
-    return adj
+    pairs = list(zip(tails[order].tolist(), flow[order].tolist()))
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(heads, minlength=n)))).tolist()
+    return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class _Search:
     """Search state of one walk, built once and shared by every restart.
 
-    Holds the out- and in-adjacency as per-node (neighbour, flow) lists,
-    the per-node p/a/t/out-flow lists and the module state of the
-    all-singletons partition, so a restart only copies lists.
+    Holds each node's block, each block's link range, the out- and
+    in-adjacency as per-node (neighbour, flow) lists, the per-node
+    p/a/t/out-flow lists and the module state of the all-singletons
+    partition, so a restart only copies lists.
     """
 
-    __slots__ = ("walk", "out_adj", "in_adj", "p", "a", "t", "fout", "singletons")
+    __slots__ = (
+        "walk", "block", "link_offsets", "out_adj", "in_adj", "p", "a", "t", "fout",
+        "singletons",
+    )
 
     def __init__(self, walk: Walk):
         n = walk.n
+        k = walk.offsets.size - 1
         self.walk = walk
+        self.block = np.repeat(np.arange(k), np.diff(walk.offsets))
+        self.link_offsets = np.searchsorted(self.block[walk.src], np.arange(k + 1))
         self.out_adj = _adjacency(walk.src, walk.dst, walk.flow, n)
         self.in_adj = _adjacency(walk.dst, walk.src, walk.flow, n)
         self.p = walk.p.tolist()
@@ -237,13 +320,14 @@ class _Search:
         self.fout = np.bincount(walk.src, weights=walk.flow, minlength=n).tolist()
         self.singletons = self.modules(np.arange(n))
 
-    def modules(self, labels: np.ndarray) -> tuple[tuple[list, ...], float]:
+    def modules(self, labels: np.ndarray) -> tuple[tuple[list, ...], list[float]]:
         """Per-module lists (P, A, T, OUT, q, plogp q, plogp(q + P), size)
-        for the given labels, and q_tot."""
+        for labels that keep each block's module ids within its own node
+        range, and each block's q_tot."""
         n = self.walk.n
         P, A, T, OUT, q = _module_sums(self.walk, labels, n)
         qP = (q + P).tolist()
-        q_tot = float(q.sum())
+        q_tot = _block_sums(q, self.walk.offsets).tolist()
         q = q.tolist()
         lists = (
             P.tolist(),
@@ -251,45 +335,71 @@ class _Search:
             T.tolist(),
             OUT.tolist(),
             q,
-            [_plogp(x) for x in q],
-            [_plogp(x) for x in qP],
+            [x * log2(x) if x > 0.0 else 0.0 for x in q],
+            [x * log2(x) if x > 0.0 else 0.0 for x in qP],
             np.bincount(labels, minlength=n).tolist(),
         )
         return lists, q_tot
 
 
 def _flag_moves(
-    search: _Search, lab: list[int], lists: tuple[list, ...], q_tot: float
+    search: _Search,
+    lab: list[int],
+    lists: tuple[list, ...],
+    q_tot: list[float],
+    blocks: list[int] | None = None,
 ) -> np.ndarray:
-    """Nodes whose best single move lowers the value by more than _MIN_GAIN / 2.
+    """Nodes of the given blocks (all by default) whose best single move
+    lowers their block's value by more than _MIN_GAIN / 2, ascending.
 
     Scores every node's candidate modules at once against the module
-    state lists (P, A, T, OUT, q, plogp q, plogp(q + P), size), with the
-    delta of _local_moves: the modules of its in- and out-neighbours other
-    than its own, plus an empty module (index n) when it shares its
-    module.  The two deltas differ only by rounding, far below the
-    _MIN_GAIN / 2 margin, so a node with no flag has no move that gains
-    more than _MIN_GAIN.
+    state lists (P, A, T, OUT, q, plogp q, plogp(q + P), size) and the
+    per-block q_tot, with the delta of _local_moves: the modules of its
+    in- and out-neighbours other than its own, plus an empty module
+    (index n) when it shares its module.  The two deltas differ only by
+    rounding, far below the _MIN_GAIN / 2 margin, so a node with no flag
+    has no move that gains more than _MIN_GAIN.  Only the given blocks'
+    nodes, modules and links are read: they are packed side by side, each
+    block shifted down by the nodes of the blocks left out before it.
     """
     walk = search.walk
-    n = walk.n
-    lab = np.array(lab)
+    if blocks is None:
+        blocks = range(walk.offsets.size - 1)
+    blocks = np.asarray(blocks, dtype=np.int64)
+    lo, hi = walk.offsets[blocks], walk.offsets[blocks + 1]
+    link_lo, link_hi = search.link_offsets[blocks], search.link_offsets[blocks + 1]
+    nodes, shifts = _ranges(lo, hi)
+    links, _ = _ranges(link_lo, link_hi)
+    n = nodes.size
+    block = np.repeat(np.arange(blocks.size), hi - lo)
+    shift = shifts[block]
+    link_shift = np.repeat(shifts, link_hi - link_lo)
+    src, dst = walk.src[links] - link_shift, walk.dst[links] - link_shift
+    flow = walk.flow[links]
+    p, a, t = walk.p[nodes], walk.a[nodes], walk.t[nodes]
+    # runs of adjacent blocks are read as one slice
+    run = np.flatnonzero(lo[1:] != hi[:-1]) + 1
+    spans = list(zip(lo[np.r_[0, run]].tolist(), hi[np.r_[run - 1, -1]].tolist()))
+
+    def packed(values: list) -> np.ndarray:
+        return np.array(list(chain.from_iterable(values[i:j] for i, j in spans)))
+
+    lab = packed(lab) - shift
     *sums, size = lists
-    P, A, T, OUT, q, Lq, Lqp = (np.append(x, 0.0) for x in sums)
-    shared = np.array(size)[lab] > 1
+    P, A, T, OUT, q, Lq, Lqp = (np.append(packed(x), 0.0) for x in sums)
+    shared = packed(size)[lab] > 1
     # summed flow between each node and each module it links to, either way
     key, pos = np.unique(
-        np.concatenate((walk.src * n + lab[walk.dst], walk.dst * n + lab[walk.src])),
-        return_inverse=True,
+        np.concatenate((src * n + lab[dst], dst * n + lab[src])), return_inverse=True
     )
-    w = np.bincount(pos, weights=np.concatenate((walk.flow, walk.flow)))
+    w = np.bincount(pos, weights=np.concatenate((flow, flow)))
     v, beta = np.divmod(key, n)
     own = beta == lab[v]
-    fout = np.bincount(walk.src, weights=walk.flow, minlength=n)
+    fout = np.bincount(src, weights=flow, minlength=n)
     # each node leaves its module; a singleton leaves an empty one behind
-    P_a1 = np.where(shared, P[lab] - walk.p, 0.0)
-    A_a1 = np.where(shared, A[lab] - walk.a, 0.0)
-    T_a1 = np.where(shared, T[lab] - walk.t, 0.0)
+    P_a1 = np.where(shared, P[lab] - p, 0.0)
+    A_a1 = np.where(shared, A[lab] - a, 0.0)
+    T_a1 = np.where(shared, T[lab] - t, 0.0)
     OUT_a1 = np.where(
         shared,
         OUT[lab] - fout + np.bincount(v[own], weights=w[own], minlength=n),
@@ -299,15 +409,16 @@ def _flag_moves(
     removed = (
         -2.0 * _plogp_vec(q_a1) + _plogp_vec(q_a1 + P_a1) + 2.0 * Lq[lab] - Lqp[lab]
     )
-    rest = q_tot - q[lab]
+    q_tot = [q_tot[b] for b in blocks.tolist()]
+    rest = np.array(q_tot)[block] - q[lab]
     # ... and joins a neighbouring module or, if it shared its own, module n
     empty = np.flatnonzero(shared)
     v = np.concatenate((v[~own], empty))
     beta = np.concatenate((beta[~own], np.full(empty.size, n)))
     w = np.concatenate((w[~own], np.zeros(empty.size)))
-    P_b1 = P[beta] + walk.p[v]
-    A_b1 = A[beta] + walk.a[v]
-    T_b1 = T[beta] + walk.t[v]
+    P_b1 = P[beta] + p[v]
+    A_b1 = A[beta] + a[v]
+    T_b1 = T[beta] + t[v]
     q_b1 = A_b1 * (1.0 - T_b1) + (OUT[beta] + fout[v] - w)
     delta = (
         removed[v]
@@ -316,173 +427,214 @@ def _flag_moves(
         + 2.0 * Lq[beta]
         - Lqp[beta]
         + _plogp_vec(rest[v] - q[beta] + q_a1[v] + q_b1)
-        - _plogp(q_tot)
+        - np.array([_plogp(x) for x in q_tot])[block[v]]
     )
-    return np.unique(v[delta < -0.5 * _MIN_GAIN])
+    flagged = v[delta < -0.5 * _MIN_GAIN]
+    return np.unique(flagged + shift[flagged])
 
 
 def _local_moves(
     search: _Search,
     labels: np.ndarray | None,
-    value: float,
-    rng: np.random.Generator,
-    history: list[float],
-) -> tuple[np.ndarray, float]:
-    """Greedy single-node moves until no single move gains over _MIN_GAIN.
+    rngs: list[np.random.Generator],
+    values: list[float],
+    histories: list[list[float]],
+    blocks: list[int] | None = None,
+) -> tuple[np.ndarray, list[float]]:
+    """Greedy single-node moves in the given blocks (all by default) until
+    no single move gains over _MIN_GAIN.
 
-    A round visits a queue of nodes; when a node moves to module beta,
-    its in- and out-neighbours that are neither queued nor in beta join
-    the back of the queue, and the round ends when the queue is empty.
-    The first round queues every node in random order when labels=None
-    (singletons, whose module state the shared search already holds).
-    Each later round queues, in random order, the nodes that _flag_moves
-    finds an improving move for; so does the first round when labels are
-    given.  The loop stops when the scan flags no node, or when a round
-    moves no node: its nodes all failed the exact evaluation and the scan
-    cleared every other node, so the result is a local optimum.  Walks of
-    fewer than _SCAN_MIN nodes queue every node in every round and stop
-    after a round that moves none.
-    plogp(q_m), plogp(q_m + P_m) and plogp(q_tot) are cached and updated
-    on each accepted move, so a candidate costs three log2 calls (its new
-    q_m, q_m + P_m and q_tot).  Each delta adds the same terms in the
-    same order as a full recomputation would, so the result does not
-    depend on the caching.  Every accepted move strictly lowers the
-    running value, which is appended to history move by move.
+    rngs, values and histories belong to the blocks, in order; the other
+    blocks keep their labels.  A block's round visits a queue of its
+    nodes; when a node moves to module beta, its in- and out-neighbours
+    that are neither queued nor in beta join the back of the queue, and
+    the round ends when the queue is empty.  The first round queues every
+    node of the block in random order when labels=None (singletons, whose
+    module state the shared search already holds).  Each later round
+    queues, in random order, the block's nodes that one _flag_moves scan
+    of all blocks still moving finds an improving move for; so does the
+    first round when labels are given.  A block stops when the scan flags none of its
+    nodes, or when a round moves none: those nodes all failed the exact
+    evaluation and the scan cleared every other node, so the result is a
+    local optimum.  Blocks share no link, so each block's moves and draws
+    are those of a search of its walk alone.
+    plogp(q_m), plogp(q_m + P_m) and each block's plogp(q_tot) are cached
+    and updated on each accepted move, so a candidate costs three log2
+    calls (its new q_m, q_m + P_m and q_tot).  Each delta adds the same
+    terms in the same order as a full recomputation would, so the result
+    does not depend on the caching.  Every accepted move strictly lowers
+    its block's running value, which is appended to the block's history
+    move by move.  Returns the labels and the blocks' values.
     """
     n = search.walk.n
     out_adj = search.out_adj
     in_adj = search.in_adj
     p, a, t, fout = search.p, search.a, search.t, search.fout
+    bounds = search.walk.offsets.tolist()
+    if blocks is None:
+        blocks = list(range(len(bounds) - 1))
     if labels is None:
-        lists, q_tot = search.singletons
+        lists, q_tots = search.singletons
         lab = list(range(n))
     else:
-        lists, q_tot = search.modules(labels)
+        lists, q_tots = search.modules(labels)
         lab = labels.tolist()
     state = tuple(list(x) for x in lists)
     P, A, T, OUT, q, Lq, Lqp, size = state
-    l_tot = _plogp(q_tot)
-    free = [m for m in range(n - 1, -1, -1) if size[m] == 0]
+    q_tots = list(q_tots)
+    l_tots = [_plogp(x) for x in q_tots]
+    values = list(values)
+    # each block's empty module ids, descending, so free[-1] is the lowest
+    if labels is None:
+        frees = [[] for _ in blocks]
+    else:
+        empty = np.flatnonzero(np.bincount(labels, minlength=n) == 0)
+        cut = np.searchsorted(empty, bounds).tolist()
+        frees = [empty[cut[b]:cut[b + 1]][::-1].tolist() for b in blocks]
+    queued = [False] * n
 
-    scan = n >= _SCAN_MIN
-    first = scan and labels is not None
-    order = rng.permutation(_flag_moves(search, lab, state, q_tot) if first else n)
+    def flagged_orders(live: list[int]) -> list[np.ndarray]:
+        flags = _flag_moves(search, lab, state, q_tots, [blocks[i] for i in live])
+        cut = np.searchsorted(flags, bounds).tolist()
+        return [rngs[i].permutation(flags[cut[blocks[i]]:cut[blocks[i] + 1]]) for i in live]
+
+    live = list(range(len(blocks)))
+    if labels is None:
+        orders = [
+            rngs[i].permutation(bounds[b + 1] - bounds[b]) + bounds[b]
+            for i, b in enumerate(blocks)
+        ]
+    else:
+        orders = flagged_orders(live)
     for _ in range(_MAX_PASSES):
-        moved = 0
-        queue = deque(order.tolist())
-        queued = [False] * n
-        for v in queue:
-            queued[v] = True
-        while queue:
-            v = queue.popleft()
-            queued[v] = False
-            alpha = lab[v]
-            # flows are >= +0.0, so starting a sum at f equals 0.0 + f
-            fo: dict[int, float] = {}
-            for u, f in out_adj[v]:
-                m = lab[u]
-                if m in fo:
-                    fo[m] += f
-                else:
-                    fo[m] = f
-            fi: dict[int, float] = {}
-            for u, f in in_adj[v]:
-                m = lab[u]
-                if m in fi:
-                    fi[m] += f
-                else:
-                    fi[m] = f
-            cands = fo.keys() | fi.keys()
-            cands.discard(alpha)
-            if size[alpha] > 1 and free:
-                cands.add(free[-1])
-            if not cands:
-                continue
+        moving = []
+        for i, order in zip(live, orders):
+            q_tot, l_tot, free = q_tots[blocks[i]], l_tots[blocks[i]], frees[i]
+            value, history = values[i], histories[i]
+            moved = 0
+            queue = deque(order.tolist())
+            for v in queue:
+                queued[v] = True
+            while queue:
+                v = queue.popleft()
+                queued[v] = False
+                alpha = lab[v]
+                # flows are >= +0.0, so starting a sum at f equals 0.0 + f
+                fo: dict[int, float] = {}
+                for u, f in out_adj[v]:
+                    m = lab[u]
+                    if m in fo:
+                        fo[m] += f
+                    else:
+                        fo[m] = f
+                fi: dict[int, float] = {}
+                for u, f in in_adj[v]:
+                    m = lab[u]
+                    if m in fi:
+                        fi[m] += f
+                    else:
+                        fi[m] = f
+                cands = fo.keys() | fi.keys()
+                cands.discard(alpha)
+                if size[alpha] > 1 and free:
+                    cands.add(free[-1])
+                if not cands:
+                    continue
 
-            p_v, a_v, t_v, f_v = p[v], a[v], t[v], fout[v]
-            if size[alpha] == 1:
-                P_a1 = A_a1 = T_a1 = OUT_a1 = q_a1 = 0.0
-                l_a1 = lp_a1 = 0.0
-            else:
-                P_a1 = P[alpha] - p_v
-                A_a1 = A[alpha] - a_v
-                T_a1 = T[alpha] - t_v
-                OUT_a1 = OUT[alpha] - f_v + fo.get(alpha, 0.0) + fi.get(alpha, 0.0)
-                q_a1 = A_a1 * (1.0 - T_a1) + OUT_a1
-                x = q_a1 + P_a1
-                l_a1 = q_a1 * log2(q_a1) if q_a1 > 0.0 else 0.0
-                lp_a1 = x * log2(x) if x > 0.0 else 0.0
-            removed = -2.0 * l_a1 + lp_a1 + 2.0 * Lq[alpha] - Lqp[alpha]
-            rest = q_tot - q[alpha]
+                p_v, a_v, t_v, f_v = p[v], a[v], t[v], fout[v]
+                if size[alpha] == 1:
+                    P_a1 = A_a1 = T_a1 = OUT_a1 = q_a1 = 0.0
+                    l_a1 = lp_a1 = 0.0
+                else:
+                    P_a1 = P[alpha] - p_v
+                    A_a1 = A[alpha] - a_v
+                    T_a1 = T[alpha] - t_v
+                    OUT_a1 = OUT[alpha] - f_v + fo.get(alpha, 0.0) + fi.get(alpha, 0.0)
+                    q_a1 = A_a1 * (1.0 - T_a1) + OUT_a1
+                    x = q_a1 + P_a1
+                    l_a1 = q_a1 * log2(q_a1) if q_a1 > 0.0 else 0.0
+                    lp_a1 = x * log2(x) if x > 0.0 else 0.0
+                removed = -2.0 * l_a1 + lp_a1 + 2.0 * Lq[alpha] - Lqp[alpha]
+                rest = q_tot - q[alpha]
 
-            best_delta = -_MIN_GAIN
-            best_beta = alpha
-            best_state = None
-            for beta in sorted(cands):
-                P_b1 = P[beta] + p_v
-                A_b1 = A[beta] + a_v
-                T_b1 = T[beta] + t_v
-                OUT_b1 = OUT[beta] + f_v - fo.get(beta, 0.0) - fi.get(beta, 0.0)
-                q_b1 = A_b1 * (1.0 - T_b1) + OUT_b1
-                q_tot1 = rest - q[beta] + q_a1 + q_b1
-                x = q_b1 + P_b1
-                l_b1 = q_b1 * log2(q_b1) if q_b1 > 0.0 else 0.0
-                lp_b1 = x * log2(x) if x > 0.0 else 0.0
-                l_tot1 = q_tot1 * log2(q_tot1) if q_tot1 > 0.0 else 0.0
-                delta = (
-                    removed
-                    - 2.0 * l_b1
-                    + lp_b1
-                    + 2.0 * Lq[beta]
-                    - Lqp[beta]
-                    + l_tot1
-                    - l_tot
-                )
-                if delta < best_delta:
-                    best_delta = delta
-                    best_beta = beta
-                    best_state = (
-                        P_b1, A_b1, T_b1, OUT_b1, q_b1, l_b1, lp_b1, q_tot1, l_tot1
+                best_delta = -_MIN_GAIN
+                best_beta = alpha
+                best_state = None
+                for beta in sorted(cands):
+                    P_b1 = P[beta] + p_v
+                    A_b1 = A[beta] + a_v
+                    T_b1 = T[beta] + t_v
+                    OUT_b1 = OUT[beta] + f_v - fo.get(beta, 0.0) - fi.get(beta, 0.0)
+                    q_b1 = A_b1 * (1.0 - T_b1) + OUT_b1
+                    q_tot1 = rest - q[beta] + q_a1 + q_b1
+                    x = q_b1 + P_b1
+                    l_b1 = q_b1 * log2(q_b1) if q_b1 > 0.0 else 0.0
+                    lp_b1 = x * log2(x) if x > 0.0 else 0.0
+                    l_tot1 = q_tot1 * log2(q_tot1) if q_tot1 > 0.0 else 0.0
+                    delta = (
+                        removed
+                        - 2.0 * l_b1
+                        + lp_b1
+                        + 2.0 * Lq[beta]
+                        - Lqp[beta]
+                        + l_tot1
+                        - l_tot
                     )
+                    if delta < best_delta:
+                        best_delta = delta
+                        best_beta = beta
+                        best_state = (
+                            P_b1, A_b1, T_b1, OUT_b1, q_b1, l_b1, lp_b1, q_tot1, l_tot1
+                        )
 
-            if best_beta == alpha:
-                continue
-            beta = best_beta
-            if size[beta] == 0:
-                free.pop()
-            P[alpha], A[alpha], T[alpha] = P_a1, A_a1, T_a1
-            OUT[alpha], q[alpha], Lq[alpha], Lqp[alpha] = OUT_a1, q_a1, l_a1, lp_a1
-            size[alpha] -= 1
-            if size[alpha] == 0:
-                free.append(alpha)
-            (
-                P[beta], A[beta], T[beta], OUT[beta], q[beta], Lq[beta], Lqp[beta],
-                q_tot, l_tot,
-            ) = best_state
-            size[beta] += 1
-            lab[v] = beta
-            value += best_delta
-            history.append(value)
-            moved += 1
-            for adj in (out_adj[v], in_adj[v]):
-                for u, _ in adj:
-                    if not queued[u] and lab[u] != beta:
-                        queued[u] = True
-                        queue.append(u)
-        if moved == 0:
+                if best_beta == alpha:
+                    continue
+                beta = best_beta
+                if size[beta] == 0:
+                    free.pop()
+                P[alpha], A[alpha], T[alpha] = P_a1, A_a1, T_a1
+                OUT[alpha], q[alpha], Lq[alpha], Lqp[alpha] = OUT_a1, q_a1, l_a1, lp_a1
+                size[alpha] -= 1
+                if size[alpha] == 0:
+                    free.append(alpha)
+                (
+                    P[beta], A[beta], T[beta], OUT[beta], q[beta], Lq[beta], Lqp[beta],
+                    q_tot, l_tot,
+                ) = best_state
+                size[beta] += 1
+                lab[v] = beta
+                value += best_delta
+                history.append(value)
+                moved += 1
+                for adj in (out_adj[v], in_adj[v]):
+                    for u, _ in adj:
+                        if not queued[u] and lab[u] != beta:
+                            queued[u] = True
+                            queue.append(u)
+            q_tots[blocks[i]], l_tots[blocks[i]], values[i] = q_tot, l_tot, value
+            if moved:
+                moving.append(i)
+        if not moving:
             break
-        order = rng.permutation(_flag_moves(search, lab, state, q_tot) if scan else n)
-    return np.array(lab, dtype=np.int64), value
+        live = moving
+        orders = flagged_orders(live)
+    return np.array(lab, dtype=np.int64), values
 
 
-def _aggregate(walk: Walk, inv: np.ndarray, k: int) -> Walk:
-    """Merge modules into super-nodes, dropping now-internal self-flows."""
-    p = np.bincount(inv, weights=walk.p, minlength=k)
-    a = np.bincount(inv, weights=walk.a, minlength=k)
-    t = np.bincount(inv, weights=walk.t, minlength=k)
+def _aggregate(walk: Walk, inv: np.ndarray, offsets: np.ndarray, node_term: np.ndarray) -> Walk:
+    """Merge modules into super-nodes, dropping now-internal self-flows.
+
+    inv maps each node to its module, 0..k-1 with k = offsets[-1], or to
+    k for the nodes of blocks left out; offsets and node_term describe
+    the kept blocks.
+    """
+    k = int(offsets[-1])
+    p = np.bincount(inv, weights=walk.p, minlength=k + 1)[:k]
+    a = np.bincount(inv, weights=walk.a, minlength=k + 1)[:k]
+    t = np.bincount(inv, weights=walk.t, minlength=k + 1)[:k]
     hs = inv[walk.src]
     ts = inv[walk.dst]
-    keep = hs != ts
+    keep = (hs != ts) & (hs < k)
     key = hs[keep] * np.int64(k) + ts[keep]
     uniq, pos = np.unique(key, return_inverse=True)
     flow = np.bincount(pos, weights=walk.flow[keep], minlength=uniq.size)
@@ -494,30 +646,99 @@ def _aggregate(walk: Walk, inv: np.ndarray, k: int) -> Walk:
         src=(uniq // k).astype(np.int64),
         dst=(uniq % k).astype(np.int64),
         flow=flow,
-        node_term=walk.node_term,
+        node_term=node_term,
+        offsets=offsets,
     )
 
 
 def _optimize_once(
-    search: _Search, value: float, rng: np.random.Generator
-) -> tuple[np.ndarray, float, list[float]]:
-    """One restart from singletons (worth value): move/aggregate cycles
-    plus a final flat refinement."""
-    history = [value]
-    node_to_module = np.arange(search.walk.n)
-    g = search
+    search: _Search, rngs: list[np.random.Generator], start: list[float]
+) -> tuple[np.ndarray, list[float], list[list[float]]]:
+    """One restart of every block from singletons (block b worth
+    start[b], drawing from rngs[b]): move/aggregate cycles plus a final
+    flat refinement.
+
+    A block leaves the cycle after a round of moves that merges none of
+    its modules.  If it never merged, its labels are final; otherwise it
+    is refined from its module labels on the original walk, together with
+    the other blocks that merged.  Returns block-local labels, values and
+    histories.
+    """
+    walk = search.walk
+    values = list(start)
+    histories = [[v] for v in start]
+    labels = np.empty(walk.n, dtype=np.int64)
+    # refinement start: module ids within each block's own node range
+    seeds = np.arange(walk.n)
+    refine: list[int] = []
+    inside = np.arange(walk.n)  # nodes of the blocks still in g
+    node = inside  # the node of g that holds each of them
+    g, in_g = search, list(range(len(rngs)))
     while True:
-        labels, value = _local_moves(g, None, value, rng, history)
-        uniq, inv = np.unique(labels, return_inverse=True)
-        node_to_module = inv[node_to_module]
-        if uniq.size == g.walk.n:
+        lab, vals = _local_moves(
+            g, None, [rngs[b] for b in in_g], [values[b] for b in in_g],
+            [histories[b] for b in in_g],
+        )
+        for b, value in zip(in_g, vals):
+            values[b] = value
+        uniq, inv = np.unique(lab, return_inverse=True)
+        first = np.searchsorted(uniq, g.walk.offsets)
+        counts = np.diff(first)
+        merged = counts < np.diff(g.walk.offsets)
+        module = inv[node]
+        where = g.block[node]
+        done = ~merged[where]
+        local = module[done] - first[where[done]]
+        if g is search:
+            labels[inside[done]] = local
+        else:
+            seeds[inside[done]] = local + walk.offsets[search.block[inside[done]]]
+            refine += [in_g[j] for j in np.flatnonzero(~merged).tolist()]
+        if not merged.any():
             break
-        g = _Search(_aggregate(g.walk, inv, uniq.size))
-    if g is search:
-        return node_to_module, value, history
-    labels, value = _local_moves(search, node_to_module, value, rng, history)
-    _, labels = np.unique(labels, return_inverse=True)
-    return labels, value, history
+        kept = np.repeat(merged, counts)
+        new = np.cumsum(kept) - 1
+        offsets = np.concatenate(([0], np.cumsum(counts[merged])))
+        inside, node = inside[~done], new[module[~done]]
+        g = _Search(_aggregate(
+            g.walk, np.where(kept[inv], new[inv], offsets[-1]), offsets,
+            g.walk.node_term[merged],
+        ))
+        in_g = [in_g[j] for j in np.flatnonzero(merged).tolist()]
+    if refine:
+        refine.sort()
+        lab, vals = _local_moves(
+            search, seeds, [rngs[b] for b in refine], [values[b] for b in refine],
+            [histories[b] for b in refine], refine,
+        )
+        for b, value in zip(refine, vals):
+            values[b] = value
+        uniq, inv = np.unique(lab, return_inverse=True)
+        nodes = np.isin(search.block, refine)
+        local = inv - np.searchsorted(uniq, walk.offsets[:-1])[search.block]
+        labels[nodes] = local[nodes]
+    return labels, values, histories
+
+
+def _restarts(
+    walk: Walk, entropies: list[tuple[int, ...]], trials: int
+) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """Best of seeded restarts per block; ties keep the lowest trial
+    index.  Block b's trial draws from SeedSequence(entropies[b] +
+    (trial,))."""
+    search = _Search(walk)
+    start = _block_values(walk, np.arange(walk.n)).tolist()
+    for trial in range(trials):
+        rngs = [np.random.default_rng(np.random.SeedSequence(e + (trial,))) for e in entropies]
+        labels, values, histories = _optimize_once(search, rngs, start)
+        if trial == 0:
+            best_labels, best_values, best_histories = labels, np.array(values), histories
+            continue
+        better = np.array(values) < best_values
+        best_labels = np.where(better[search.block], labels, best_labels)
+        best_values = np.where(better, values, best_values)
+        best_histories = [h if b else old for h, old, b in zip(histories, best_histories, better)]
+    return best_labels, best_values, best_histories
 
 
 @lru_cache(maxsize=_EXACT_MAX)
@@ -533,56 +754,115 @@ def _set_partitions(n: int) -> np.ndarray:
     return out
 
 
-def _exact_partition(walk: Walk) -> tuple[np.ndarray, float, list[float]]:
-    """Lowest-value set partition of a tiny walk; ties keep the first row.
+def _exact_partitions(walk: Walk) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """Lowest-value set partition of every block, each of at most
+    _EXACT_MAX nodes; ties keep the first row.
 
-    All rows are scored at once by np.bincount over row * n + label.  The
-    history runs from the all-singletons row (the last) to the best one.
+    Blocks of one size n are scored together against _set_partitions(n)
+    by np.bincount over (block, row, label) keys, so many blocks at a time
+    that no array passes _EXACT_CHUNK elements with up to n(n - 1) links a
+    block (an 8-node block passes it alone).  A block's history runs from
+    the all-singletons row (the last) to the best one.
     """
-    rows = _set_partitions(walk.n)
-    r, n = rows.shape
-    keys = rows + n * np.arange(r)[:, None]
-
-    def per_module(index: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        weights = np.broadcast_to(weights, index.shape)
-        return np.bincount(
-            index.ravel(), weights=weights.ravel(), minlength=r * n
-        ).reshape(r, n)
-
-    P = per_module(keys, walk.p)
-    A = per_module(keys, walk.a)
-    T = per_module(keys, walk.t)
-    ext = rows[:, walk.src] != rows[:, walk.dst]
-    OUT = per_module(keys[:, walk.src], walk.flow * ext)
-    q = A * (1.0 - T) + OUT
-    values = (
-        _plogp_vec(q.sum(axis=1))
-        - 2.0 * _plogp_vec(q).sum(axis=1)
-        + _plogp_vec(q + P).sum(axis=1)
-        - walk.node_term
+    off = walk.offsets
+    sizes = np.diff(off)
+    # links are grouped by block, so each block's links are one range
+    lstart = np.searchsorted(
+        np.repeat(np.arange(sizes.size), sizes)[walk.src], np.arange(sizes.size + 1)
     )
-    best = int(np.argmin(values))
-    labels = rows[best]
-    return labels, _value_for(walk, labels), [float(values[-1]), float(values[best])]
+    labels = np.empty(walk.n, dtype=np.int64)
+    values = np.empty(sizes.size)
+    histories: list[list[float]] = [[] for _ in range(sizes.size)]
+    for n in np.unique(sizes).tolist():
+        rows = _set_partitions(n)
+        r = rows.shape[0]
+        same = np.flatnonzero(sizes == n)
+        step = max(1, _EXACT_CHUNK // (r * n * n))
+        for bs in np.split(same, range(step, same.size, step)):
+            k = bs.size
+            lk = np.concatenate([np.arange(lstart[b], lstart[b + 1]) for b in bs.tolist()])
+            lb = np.repeat(np.arange(k), lstart[bs + 1] - lstart[bs])
+            src, dst = walk.src[lk] - off[bs][lb], walk.dst[lk] - off[bs][lb]
+            node = off[bs][:, None] + np.arange(n)
+            keys = (np.arange(k)[:, None, None] * r + np.arange(r)[:, None]) * n + rows
+
+            def per_module(index: np.ndarray, weights: np.ndarray) -> np.ndarray:
+                weights = np.broadcast_to(weights, index.shape)
+                return np.bincount(
+                    index.ravel(), weights=weights.ravel(), minlength=k * r * n
+                ).reshape(k, r, n)
+
+            P = per_module(keys, walk.p[node][:, None, :])
+            A = per_module(keys, walk.a[node][:, None, :])
+            T = per_module(keys, walk.t[node][:, None, :])
+            ext = rows[:, src] != rows[:, dst]
+            OUT = per_module(
+                (lb * r + np.arange(r)[:, None]) * n + rows[:, src], walk.flow[lk] * ext
+            )
+            q = A * (1.0 - T) + OUT
+            scores = (
+                _plogp_vec(q.sum(axis=2))
+                - 2.0 * _plogp_vec(q).sum(axis=2)
+                + _plogp_vec(q + P).sum(axis=2)
+                - walk.node_term[bs][:, None]
+            )
+            best = np.argmin(scores, axis=1)
+            labels[node] = rows[best]
+            values[bs] = scores[np.arange(k), best]
+            for b, last, value in zip(bs.tolist(), scores[:, -1].tolist(), values[bs].tolist()):
+                histories[b] = [last, value]
+    return labels, values, histories
 
 
-def _best_partition(
-    walk: Walk, entropy: tuple[int, ...], trials: int
-) -> tuple[np.ndarray, float, list[float]]:
-    """Best of seeded restarts; ties keep the lowest trial index.  Walks
-    of at most _EXACT_MAX nodes take the exact optimum instead."""
-    if walk.n <= _EXACT_MAX:
-        return _exact_partition(walk)
-    search = _Search(walk)
-    single = _value_for(walk, np.arange(walk.n))
-    best = None
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy + (trial,)))
-        labels, value, history = _optimize_once(search, single, rng)
-        if best is None or value < best[1]:
-            best = (labels, value, history)
-    labels, _, history = best
-    return labels, _value_for(walk, labels), history
+def _take_blocks(walk: Walk, keep: np.ndarray) -> Walk:
+    """The walk of the blocks where keep is True, in order."""
+    sizes = np.diff(walk.offsets)
+    node = np.repeat(keep, sizes)
+    index = np.cumsum(node) - 1
+    link = node[walk.src]
+    return Walk(
+        n=int(node.sum()),
+        p=walk.p[node],
+        a=walk.a[node],
+        t=walk.t[node],
+        src=index[walk.src[link]],
+        dst=index[walk.dst[link]],
+        flow=walk.flow[link],
+        node_term=walk.node_term[keep],
+        offsets=np.concatenate(([0], np.cumsum(sizes[keep]))),
+    )
+
+
+def _search(
+    walk: Walk, entropies: list[tuple[int, ...]], trials: int
+) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """Best partition of every block of the walk: the optimizer's one
+    entry point, for level 1 (one block) and every level below.
+
+    Blocks of at most _EXACT_MAX nodes take the exact optimum, the others
+    the best of seeded restarts, block b's seeded by entropies[b].
+    Returns block-local labels (0.. per block), each block's value (its
+    running value, which an exact recomputation matches to rounding) and
+    each block's history.
+    """
+    sizes = np.diff(walk.offsets)
+    small = sizes <= _EXACT_MAX
+    labels = np.empty(walk.n, dtype=np.int64)
+    values = np.empty(sizes.size)
+    histories: list[list[float]] = [[] for _ in range(sizes.size)]
+    for part in (small, ~small):
+        blocks = np.flatnonzero(part)
+        if blocks.size == 0:
+            continue
+        sub = walk if blocks.size == sizes.size else _take_blocks(walk, part)
+        if part is small:
+            got = _exact_partitions(sub)
+        else:
+            got = _restarts(sub, [entropies[b] for b in blocks.tolist()], trials)
+        labels[np.repeat(part, sizes)], values[blocks] = got[0], got[1]
+        for b, history in zip(blocks.tolist(), got[2]):
+            histories[b] = history
+    return labels, values, histories
 
 
 @dataclass(frozen=True)
@@ -663,10 +943,13 @@ def detect_communities(
 
     Level 1 is the best-of-restarts top partition; each community is then
     re-optimized on its induced subnetwork and split while a strictly
-    lower value exists, down to level _MAX_DEPTH.  Each partitioned
-    network is cut into all its module subnetworks at once by
-    :meth:`FlowNetwork.split`, so a level costs one pass over its nodes
-    and links, however many modules it has.  A network with no links (or
+    lower value exists, down to level _MAX_DEPTH.  A community at path
+    (m1, ..., mk) of module indices from the top seeds its restarts with
+    (seed, m1, ..., mk, trial).  The communities of one level that may
+    split (more than one node, at least one link) are searched together
+    as the blocks of one disjoint-union walk that
+    :meth:`FlowNetwork.blocks` cuts out, so a level costs one walk and one
+    search however many communities it has.  A network with no links (or
     a single node) is a single irreducible community.
     """
     if net.n_nodes == 0:
@@ -675,50 +958,71 @@ def detect_communities(
         raise ValueError("seed must be non-negative")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    all_nodes = tuple(range(net.n_nodes))
     if net.n_links == 0:
-        root = Community(level=1, members=all_nodes, irreducible=True)
+        root = Community(level=1, members=tuple(range(net.n_nodes)), irreducible=True)
         return CommunityTree(
             node_ids=net.node_ids, value=0.0, children=(root,), history=(0.0,)
         )
     walk = build_walk(net, kind)
-    labels, value, history = _best_partition(walk, (seed,), trials)
+    labels, _, histories = _search(walk, [(seed,)], trials)
+    value = _value_for(walk, labels)
 
-    def build(
-        parent_net: FlowNetwork,
-        to_root: np.ndarray,
-        labels_p: np.ndarray,
-        level: int,
-        path: tuple[int, ...],
-    ) -> tuple[Community, ...]:
-        out = []
-        for m, (idx, sub) in enumerate(parent_net.split(labels_p)):
-            children: tuple[Community, ...] = ()
-            irreducible = True
-            if idx.size > 1 and level < _MAX_DEPTH and sub.n_links > 0:
-                sub_walk = build_walk(sub, kind)
-                sub_labels, sub_value, _ = _best_partition(sub_walk, (seed, *path, m), trials)
-                if int(sub_labels.max()) > 0:
-                    single = _value_for(sub_walk, np.zeros(sub.n_nodes, np.int64))
-                    if sub_value < single - _MIN_GAIN:
-                        children = build(sub, to_root[idx], sub_labels, level + 1, (*path, m))
-                        irreducible = False
-            out.append(
-                Community(
-                    level=level,
-                    members=tuple(to_root[idx].tolist()),
-                    irreducible=irreducible,
-                    children=children,
-                )
+    # per level: each community's members and the index of its parent
+    tiers: list[tuple[list[np.ndarray], np.ndarray]] = []
+    # union holds the networks of the communities in hand side by side,
+    # nodes the root index of each of its nodes, module the community of
+    # the next level that each node belongs to (-1: none)
+    union, nodes, module = net, np.arange(net.n_nodes), labels
+    paths = [(m,) for m in range(int(labels.max()) + 1)]
+    parents = np.zeros(len(paths), dtype=np.int64)
+    for level in range(1, _MAX_DEPTH + 1):
+        order, starts, union = union.blocks(module)
+        nodes = nodes[order]
+        tiers.append((np.split(nodes, starts[1:-1]), parents))
+        sizes = np.diff(starts)
+        block = np.repeat(np.arange(sizes.size), sizes)
+        links = np.bincount(block[union.src], minlength=sizes.size)
+        cand = np.flatnonzero((sizes > 1) & (links > 0))
+        if level == _MAX_DEPTH or cand.size == 0:
+            break
+        keep = np.full(sizes.size, -1)
+        keep[cand] = np.arange(cand.size)
+        order, starts, union = union.blocks(keep[block])
+        nodes = nodes[order]
+        walk = _block_walk(union, starts, kind)
+        sizes = np.diff(starts)
+        sub_labels, values, _ = _search(walk, [(seed, *paths[c]) for c in cand.tolist()], trials)
+        single = _block_values(walk, np.repeat(starts[:-1], sizes))
+        count = np.maximum.reduceat(sub_labels, starts[:-1]) + 1
+        split = (count > 1) & (values < single - _MIN_GAIN)
+        if not split.any():
+            break
+        count = np.where(split, count, 0)
+        first = np.repeat(np.cumsum(count) - count, sizes)
+        module = np.where(np.repeat(split, sizes), first + sub_labels, -1)
+        parents = np.repeat(cand, count)
+        paths = [(*paths[c], m) for c, k in zip(cand.tolist(), count.tolist()) for m in range(k)]
+
+    kids: dict[int, list[Community]] = {}
+    for level in range(len(tiers), 0, -1):
+        groups, parents = tiers[level - 1]
+        comms = [
+            Community(
+                level=level,
+                members=tuple(group.tolist()),
+                irreducible=i not in kids,
+                children=tuple(kids.get(i, ())),
             )
-        return tuple(out)
-
-    children = build(net, np.arange(net.n_nodes), labels, 1, ())
+            for i, group in enumerate(groups)
+        ]
+        kids = {}
+        for comm, parent in zip(comms, parents.tolist()):
+            kids.setdefault(parent, []).append(comm)
     return CommunityTree(
         node_ids=net.node_ids,
         value=value,
-        children=children,
-        history=tuple(history),
+        children=tuple(comms),
+        history=tuple(histories[0]),
     )
 
 

@@ -128,30 +128,45 @@ class FlowNetwork:
             return self.freq
         raise ValueError(f"unknown weight kind {kind!r}")
 
-    def split(self, labels: np.ndarray) -> list[tuple[np.ndarray, "FlowNetwork"]]:
-        """(members, induced subnetwork) of every module 0..max(labels).
+    def blocks(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, "FlowNetwork"]:
+        """(members, starts, union): the disjoint union of the induced
+        subnetworks of modules 0..max(labels).
 
-        Members are node indices in ascending order; subnetwork index k is
-        member k, and the links with both ends in the module keep their
-        order in this network.  One pass over the nodes and one over the
+        Union node k is node members[k]; module m holds union nodes
+        starts[m]:starts[m + 1], its members in ascending order.  The
+        links with both ends in one module are grouped by module and keep
+        their order in this network.  Nodes labelled -1 belong to no
+        module and are left out.  One pass over the nodes and one over the
         links serve all modules.
         """
         labels = np.asarray(labels, dtype=np.int64)
-        order = np.argsort(labels, kind="stable")
-        sizes = np.bincount(labels)
-        starts = np.concatenate(([0], np.cumsum(sizes)))
-        local = np.empty(self.n_nodes, dtype=np.int64)
-        local[order] = np.arange(self.n_nodes) - np.repeat(starts[:-1], sizes)
-        inner = np.flatnonzero(labels[self.src] == labels[self.dst])
-        module = labels[self.src[inner]]
-        inner = inner[np.argsort(module, kind="stable")]
-        link_starts = np.concatenate(([0], np.cumsum(np.bincount(module, minlength=sizes.size))))
-        src, dst = local[self.src[inner]], local[self.dst[inner]]
-        flow, freq = self.flow[inner], self.freq[inner]
+        kept = np.flatnonzero(labels >= 0)
+        order = kept[np.argsort(labels[kept], kind="stable")]
+        starts = np.concatenate(([0], np.cumsum(np.bincount(labels[kept]))))
+        pos = np.empty(self.n_nodes, dtype=np.int64)
+        pos[order] = np.arange(order.size)
+        module = labels[self.src]
+        inner = np.flatnonzero((module == labels[self.dst]) & (module >= 0))
+        inner = inner[np.argsort(module[inner], kind="stable")]
         ids = np.array(self.node_ids, dtype=object)[order].tolist()
+        union = FlowNetwork(
+            tuple(ids), pos[self.src[inner]], pos[self.dst[inner]],
+            self.flow[inner], self.freq[inner],
+        )
+        return order, starts, union
+
+    def split(self, labels: np.ndarray) -> list[tuple[np.ndarray, "FlowNetwork"]]:
+        """(members, induced subnetwork) of every module 0..max(labels),
+        cut from :meth:`blocks`: subnetwork index k is member k."""
+        order, starts, union = self.blocks(labels)
+        module = np.repeat(np.arange(starts.size - 1), np.diff(starts))[union.src]
+        link_starts = np.searchsorted(module, np.arange(starts.size))
         out = []
         for a, b, la, lb in zip(starts, starts[1:], link_starts, link_starts[1:]):
-            sub = FlowNetwork(tuple(ids[a:b]), src[la:lb], dst[la:lb], flow[la:lb], freq[la:lb])
+            sub = FlowNetwork(
+                union.node_ids[a:b], union.src[la:lb] - a, union.dst[la:lb] - a,
+                union.flow[la:lb], union.freq[la:lb],
+            )
             out.append((order[a:b], sub))
         return out
 

@@ -9,7 +9,6 @@ produce identical bytes.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -29,6 +28,13 @@ _HEATMAP_WIDTH = 520
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
+
+
+def _escape(text: str) -> str:
+    """Text as XML character data, as xml.sax.saxutils.escape gives it
+    (ampersand first); importing that module loads urllib, http, email
+    and ssl."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 class _Axes:
@@ -91,11 +97,11 @@ def _frame(ax: _Axes, title: str, xlabel: str, ylabel: str) -> list[str]:
         f'height="{_fmt(h - _MARGIN_T - _MARGIN_B)}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
         f'<text x="{_fmt(w / 2)}" y="18" text-anchor="middle" font-size="13">'
-        f"{escape(title)}</text>",
+        f"{_escape(title)}</text>",
         f'<text x="{_fmt(w / 2)}" y="{_fmt(h - 8)}" text-anchor="middle">'
-        f"{escape(xlabel)}</text>",
+        f"{_escape(xlabel)}</text>",
         f'<text x="14" y="{_fmt(h / 2)}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {_fmt(h / 2)})">{escape(ylabel)}</text>',
+        f'transform="rotate(-90 14 {_fmt(h / 2)})">{_escape(ylabel)}</text>',
     ]
     y0 = h - _MARGIN_B
     for v, label in ax.ticks(ax.x_lo, ax.x_hi, ax.logx):
@@ -106,7 +112,7 @@ def _frame(ax: _Axes, title: str, xlabel: str, ylabel: str) -> list[str]:
         )
         parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y0 + 17)}" text-anchor="middle">'
-            f"{escape(label)}</text>"
+            f"{_escape(label)}</text>"
         )
     for v, label in ax.ticks(ax.y_lo, ax.y_hi, ax.logy):
         y = ax.py(10.0**v if ax.logy else v)
@@ -116,7 +122,7 @@ def _frame(ax: _Axes, title: str, xlabel: str, ylabel: str) -> list[str]:
         )
         parts.append(
             f'<text x="{_fmt(_MARGIN_L - 8)}" y="{_fmt(y + 4)}" '
-            f'text-anchor="end">{escape(label)}</text>'
+            f'text-anchor="end">{_escape(label)}</text>'
         )
     return parts
 
@@ -166,7 +172,7 @@ def line_plot(
         parts.append(
             f'<text x="{_fmt(_WIDTH - _MARGIN_R - 6)}" '
             f'y="{_fmt(_MARGIN_T + 14 + 14 * i)}" text-anchor="end" '
-            f'fill="{color}">{escape(label)}</text>'
+            f'fill="{color}">{_escape(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)
@@ -197,7 +203,7 @@ def step_histogram(
         parts.append(
             f'<text x="{_fmt(_WIDTH - _MARGIN_R - 6)}" '
             f'y="{_fmt(_MARGIN_T + 14 + 14 * i)}" text-anchor="end" '
-            f'fill="{color}">{escape(label)}</text>'
+            f'fill="{color}">{_escape(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)
@@ -236,7 +242,7 @@ def heatmap_svg(
         'font-family="sans-serif" font-size="10">',
         f'<rect width="{_fmt(w)}" height="{_fmt(h)}" fill="white"/>',
         f'<text x="{_fmt(w / 2)}" y="16" text-anchor="middle" font-size="13">'
-        f"{escape(title)}</text>",
+        f"{_escape(title)}</text>",
     ]
     x0, y0 = 20.0, 30.0
     for i in range(rows):
@@ -256,7 +262,7 @@ def heatmap_svg(
                 parts.append(
                     f'<text x="{_fmt(x + cell_px / 2)}" '
                     f'y="{_fmt(y + cell_px / 2 + 3)}" text-anchor="middle" '
-                    f'fill="{color}">{escape(text)}</text>'
+                    f'fill="{color}">{_escape(text)}</text>'
                 )
     parts.append(
         f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(cols * cell_px)}" '

@@ -245,11 +245,20 @@ class TestDataErrors:
         ("nmf_summary.json", _set_key("similarity", lambda obj: [["x"] * 3] * 3),
          ": 'similarity' is not a 3 x 3 list of numbers or null"),
         ("nmf_summary.json", _set_key("d", lambda obj: "3"), ": 'd' is not a positive integer"),
+        ("community_report.json",
+         _set_key("size_rank", lambda obj: [{**obj["size_rank"][0], "size": "x"}] + obj["size_rank"][1:]),
+         ": size_rank 'size' 'x' is not a positive integer"),
+        ("stats.json", _set_key("links", lambda obj: "x"), ": 'links' is not a non-negative integer"),
+        ("bowtie_summary.json", _set_key("gwcc_fractions", lambda obj: {**obj["gwcc_fractions"], "IN": "x"}),
+         ": 'gwcc_fractions' is not an object of numbers or null"),
+        ("hodge_summary.json", _set_key("r_phi_net_flow", lambda obj: "x"),
+         ": 'r_phi_net_flow' is not a number or null"),
     ], ids=["empty-bowtie", "non-numeric-phi", "short-potential-row", "unknown-component",
             "repeated-node", "non-numeric-ccdf", "empty-ccdf", "summary-missing-key",
             "summary-not-object", "summary-not-json", "size-row-without-size",
             "similarity-not-a-list", "similarity-ragged-row", "similarity-not-numbers",
-            "summary-d-not-integer"])
+            "summary-d-not-integer", "size-not-a-number", "stats-links-not-a-count",
+            "bowtie-fraction-not-a-number", "hodge-r-not-a-number"])
     def test_malformed_report_input(self, ws, tmp_path, capsys, name, edit, detail):
         out = tmp_path / "ws"
         shutil.copytree(ws, out)

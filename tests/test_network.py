@@ -265,7 +265,7 @@ def test_kendall_tau_b_is_scipys_value_at_scale():
 
 
 class TestSubnetwork:
-    """Every module that FlowNetwork.split returns, against brute force."""
+    """Every module that FlowNetwork.split and blocks return, against brute force."""
 
     def test_induced_links_exact(self, rng):
         for _ in range(10):
@@ -286,6 +286,22 @@ class TestSubnetwork:
                 ]
                 # links keep the parent's (src, dst) order
                 assert back == want
+
+    def test_blocks_leave_out_unlabelled_nodes(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(6, 25))
+            edges = random_edges(rng, n, int(rng.integers(n, 3 * n)))
+            net = net_from_edges(n, edges)
+            labels = rng.integers(-1, 3, size=n)
+            members, starts, union = net.blocks(labels)
+            modules = range(int(labels.max()) + 1)
+            assert starts[-1] == np.count_nonzero(labels >= 0)
+            for m in modules:
+                want = np.flatnonzero(labels == m).tolist()
+                assert members[starts[m]:starts[m + 1]].tolist() == want
+            back = [(int(members[s]), int(members[t])) for s, t in zip(union.src, union.dst)]
+            want = [(s, t) for m in modules for s, t in edges if labels[s] == labels[t] == m]
+            assert back == want
 
     def test_weights_preserved(self, rng):
         net = net_from_edges(4, [(0, 1), (1, 2), (2, 3)], flows=[5, 7, 9])
