@@ -48,6 +48,7 @@ from .geonmf import (
 from .hodge import hodge_decompose, potential_histograms, potential_vs_net
 from .ingest import (
     FilterPolicy,
+    _Table,
     _id_field,
     aggregate,
     collect_node_coords,
@@ -193,26 +194,6 @@ def _ccdf_text(values) -> str:
     return "value\tfraction\n" + "".join(rows)
 
 
-def _read_ccdf(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """(values, fractions) of a table written from :func:`_ccdf_text`."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line_no == 1 or not line.strip():
-                continue
-            try:
-                value, fraction = map(float, line.split("\t"))
-            except ValueError:
-                raise DataError(
-                    f"{path} line {line_no}: expected two numbers, got {line.rstrip()!r}"
-                ) from None
-            rows.append((value, fraction))
-    if not rows:
-        raise DataError(f"{path} holds no rows")
-    data = np.array(rows, dtype=np.float64)
-    return data[:, 0], data[:, 1]
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each runs in a _Stage and returns (manifest config, message)
 
@@ -309,11 +290,7 @@ def _cmd_stats(args, stage: _Stage) -> tuple[dict, str]:
     in_deg, out_deg, _ = degree_stats(net)
     flow = net.weights("flow")
     freq = net.weights("frequency")
-
-    if net.n_nodes >= 2:
-        pearson, kendall = degree_correlation(net)
-    else:
-        pearson = kendall = float("nan")
+    pearson, kendall = degree_correlation(net)
     stats_obj = {
         "nodes": net.n_nodes,
         "links": net.n_links,
@@ -533,40 +510,27 @@ def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
     )
 
 
-def _read_csv_dict(path: Path, width: int) -> dict[str, tuple[int, list[str]]]:
-    """Rows of a small comma file as {first column: (line number, the rest)}.
-
-    The header is skipped; every other nonempty row must be ``width`` wide.
-    """
+def _read_table(path: Path, header: str, width: int, delimiter: str) -> _Table:
+    """A table of an earlier stage; DataError when it holds no rows."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) is None:
-            raise DataError(f"{path} is empty")
-        rows = {}
-        for row in filter(None, reader):
-            if len(row) != width:
-                raise DataError(
-                    f"{path} line {reader.line_num}: expected {width} fields, got {len(row)}"
-                )
-            if row[0] in rows:
-                raise DataError(
-                    f"{path} lines {rows[row[0]][0]} and {reader.line_num}: "
-                    f"node_id {row[0]!r} repeats"
-                )
-            rows[row[0]] = (reader.line_num, row[1:])
-        return rows
+        table = _Table(fh, header, width, str(path), delimiter)
+    if not table.fields:
+        raise DataError(f"{path} holds no rows")
+    return table
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# the values report copies from a summary, by kind: what each must be
-_SUMMARY_KINDS = {
-    "count": (
-        "a non-negative integer",
-        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
-    ),
+def _is_int_from(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+# what each kind of summary value must be
+_KINDS = {
+    "count": ("a non-negative integer", lambda v: _is_int_from(v, 0)),
+    "positive": ("a positive integer", lambda v: _is_int_from(v, 1)),
     "number": ("a number or null", lambda v: v is None or _is_number(v)),
     "numbers": (
         "an object of numbers or null",
@@ -574,39 +538,62 @@ _SUMMARY_KINDS = {
     ),
 }
 
+# every value report reads from a summary: {key: kind} for an object,
+# [kind] for a list of values of one kind
+_SUMMARIES = {
+    "stats.json": {"nodes": "count", "links": "count", "degree_correlation": "numbers"},
+    "bowtie_summary.json": {
+        "gwcc_fractions": "numbers", "in_distance_ratios": "numbers",
+        "out_distance_ratios": "numbers",
+    },
+    "hodge_summary.json": {
+        "r_phi_net_degree": "number", "r_phi_net_flow": "number", "circular_share": "number",
+    },
+    "community_report.json": {
+        "levels": [{
+            "level": "positive", "communities": "count", "irreducible": "count",
+            "accounts": "count", "ratio": "number",
+        }],
+        "size_rank": [{"size": "positive"}],
+    },
+    "nmf_summary.json": {
+        "d": "positive", "localized_origin": "count", "localized_destination": "count",
+        "matched_pairs": "count", "similarity": [["number"]],
+    },
+}
 
-def _read_summary(path: Path, *keys: str, **kinds: str) -> dict:
-    """A JSON summary of an earlier stage, checked to hold every key read
-    from it, and each key of kinds to hold a value of its kind."""
+
+def _checked(path: Path, value, kind, where: str):
+    """``value`` checked against ``kind`` of :data:`_SUMMARIES`, objects cut
+    to the keys it declares; DataError names the file and the key path."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise DataError(f"{path}: {where} is not an object" if where else
+                            f"{path}: expected a JSON object")
+        out = {}
+        for key, sub in kind.items():
+            at = f"{where}[{key!r}]" if where else repr(key)
+            if key not in value:
+                raise DataError(f"{path}: missing key {at}")
+            out[key] = _checked(path, value[key], sub, at)
+        return out
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise DataError(f"{path}: {where} is not a list")
+        return [_checked(path, v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    what, holds = _KINDS[kind]
+    if not holds(value):
+        raise DataError(f"{path}: {where} is not {what}")
+    return value
+
+
+def _read_summary(path: Path) -> dict:
+    """The values of :data:`_SUMMARIES` in a JSON summary of an earlier stage."""
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: {exc}") from None
-    if not isinstance(obj, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    for key in (*keys, *kinds):
-        if key not in obj:
-            raise DataError(f"{path}: missing key {key!r}")
-    for key, kind in kinds.items():
-        what, holds = _SUMMARY_KINDS[kind]
-        if not holds(obj[key]):
-            raise DataError(f"{path}: {key!r} is not {what}")
-    return obj
-
-
-def _read_similarity(path: Path, summary: dict) -> np.ndarray:
-    """The d x d factor similarity of an nmf summary, null read as nan."""
-    d, rows = summary["d"], summary["similarity"]
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise DataError(f"{path}: 'd' is not a positive integer")
-    if not (isinstance(rows, list) and len(rows) == d and all(
-        isinstance(row, list) and len(row) == d and all(
-            v is None or (isinstance(v, (int, float)) and not isinstance(v, bool)) for v in row
-        )
-        for row in rows
-    )):
-        raise DataError(f"{path}: 'similarity' is not a {d} x {d} list of numbers or null")
-    return np.array([[np.nan if v is None else v for v in row] for row in rows], dtype=float)
+    return _checked(path, obj, _SUMMARIES[path.name], "")
 
 
 def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
@@ -627,61 +614,42 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
 
     # read and check every input before the first write, so that bad input
     # leaves no partial report behind
-    ccdf = {
-        stem: _read_ccdf(inputs[f"ccdf_{stem}.tsv"])
-        for stem in ("flow", "frequency", "in_degree", "out_degree")
-    }
-    # join phi and walnut labels by node id
-    pot_path = inputs["hodge_potentials.csv"]
-    pot_rows = _read_csv_dict(pot_path, 4)
-    comp_rows = _read_csv_dict(inputs["bowtie.csv"], 2)
-    if set(pot_rows) != set(comp_rows):
+    ccdf = {}
+    for stem in ("flow", "frequency", "in_degree", "out_degree"):
+        table = _read_table(inputs[f"ccdf_{stem}.tsv"], "value", 2, "\t")
+        ccdf[stem] = [
+            np.array(table.numbers(k, float, label))
+            for k, label in enumerate(("value", "fraction"))
+        ]
+    # join phi and walnut labels by sorted node id
+    pot = _read_table(inputs["hodge_potentials.csv"], "node_id", 4, ",")
+    comp = _read_table(inputs["bowtie.csv"], "node_id", 2, ",")
+    pot_ids, comp_ids = pot.ids(), comp.ids()
+    if set(pot_ids) != set(comp_ids):
         raise DataError(
             "hodge_potentials.csv and bowtie.csv disagree on the node set; "
             "rerun both on the current links.csv"
         )
-    nodes = sorted(pot_rows)
-    phi = np.empty(len(nodes))
-    for i, node in enumerate(nodes):
-        line_no, (text, *_) = pot_rows[node]
-        try:
-            phi[i] = float(text)
-        except ValueError:
-            raise DataError(f"{pot_path} line {line_no}: phi {text!r} is not a number") from None
+    phi = np.array(pot.numbers(1, float, "phi"))[np.argsort(np.array(pot_ids, dtype=object))]
     code_of = {name: code for code, name in enumerate(COMPONENT_NAMES)}
-    for line_no, (component,) in comp_rows.values():
+    for row, component in enumerate(comp.column(1)):
         if component not in code_of:
             raise DataError(
-                f"{inputs['bowtie.csv']} line {line_no}: unknown component {component!r}"
+                f"{comp.name} line {comp.line_of(row)}: unknown component {component!r}"
             )
-    labels = np.array([code_of[comp_rows[n][1][0]] for n in nodes], dtype=np.int8)
+    labels = np.array([code_of[c] for c in comp.column(1)], dtype=np.int8)
+    labels = labels[np.argsort(np.array(comp_ids, dtype=object))]
     part = BowtiePartition(labels=labels)
-    community = _read_summary(inputs["community_report.json"], "levels", "size_rank")
-    if not all(isinstance(row, dict) and "size" in row for row in community["size_rank"]):
-        raise DataError(f"{inputs['community_report.json']}: a size_rank row has no 'size'")
+    stats_obj, walnut, hodge_obj, community, nmf_obj = map(
+        _read_summary, (inputs[name] for name in _SUMMARIES)
+    )
     size_rank = [row["size"] for row in community["size_rank"]]
-    for size in size_rank:
-        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-            raise DataError(
-                f"{inputs['community_report.json']}: size_rank 'size' {size!r} "
-                "is not a positive integer"
-            )
-    nmf_summary = _read_summary(
-        inputs["nmf_summary.json"],
-        "similarity", "d", "localized_origin", "localized_destination", "matched_pairs",
-    )
-    sims = _read_similarity(inputs["nmf_summary.json"], nmf_summary)
-    stats_obj = _read_summary(
-        inputs["stats.json"], nodes="count", links="count", degree_correlation="numbers"
-    )
-    bowtie_obj = _read_summary(
-        inputs["bowtie_summary.json"], gwcc_fractions="numbers",
-        in_distance_ratios="numbers", out_distance_ratios="numbers",
-    )
-    hodge_obj = _read_summary(
-        inputs["hodge_summary.json"], r_phi_net_degree="number",
-        r_phi_net_flow="number", circular_share="number",
-    )
+    d, sims = nmf_obj["d"], nmf_obj.pop("similarity")
+    if len(sims) != d or any(len(row) != d for row in sims):
+        raise DataError(
+            f"{inputs['nmf_summary.json']}: 'similarity' is not a {d} x {d} list of numbers or null"
+        )
+    sims = np.array(sims, dtype=float)  # null reads as nan
 
     rep_dir = stage.out / "report"
     rep_dir.mkdir(exist_ok=True)
@@ -751,30 +719,11 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
         mask = labels == code_of[name]
         mean_phi[name] = float(phi[mask].mean()) if mask.any() else None
     report_obj = {
-        "nodes": stats_obj["nodes"],
-        "links": stats_obj["links"],
-        "degree_correlation": stats_obj["degree_correlation"],
-        "walnut": {
-            "gwcc_fractions": bowtie_obj["gwcc_fractions"],
-            "in_distance_ratios": bowtie_obj["in_distance_ratios"],
-            "out_distance_ratios": bowtie_obj["out_distance_ratios"],
-        },
-        "hodge": {
-            "r_phi_net_degree": hodge_obj["r_phi_net_degree"],
-            "r_phi_net_flow": hodge_obj["r_phi_net_flow"],
-            "circular_share": hodge_obj["circular_share"],
-            "mean_potential": mean_phi,
-        },
-        "communities": {
-            "levels": community["levels"],
-            "largest": size_rank[:10],
-        },
-        "nmf": {
-            "d": nmf_summary["d"],
-            "localized_origin": nmf_summary["localized_origin"],
-            "localized_destination": nmf_summary["localized_destination"],
-            "matched_pairs": nmf_summary["matched_pairs"],
-        },
+        **stats_obj,
+        "walnut": walnut,
+        "hodge": {**hodge_obj, "mean_potential": mean_phi},
+        "communities": {"levels": community["levels"], "largest": size_rank[:10]},
+        "nmf": nmf_obj,
         "figures": sorted(p.name for p in stage.outputs),
     }
     stage.write_json("report/report.json", report_obj)

@@ -916,7 +916,7 @@ def write_links(net: FlowNetwork, stream: IO[str]) -> None:
 
 
 class _Table:
-    """The fields of a csv table in one flat list, row after row.
+    """The fields of a delimited table in one flat list, row after row.
 
     Blank lines and a first-line header are skipped; every other row must
     be ``width`` fields wide.  One flat list of strings, because rows kept
@@ -925,21 +925,27 @@ class _Table:
     that fails to convert can be reported with its line.
     """
 
-    def __init__(self, stream: IO[str] | Iterable[str], header: str, width: int, name: str):
+    def __init__(
+        self, stream: IO[str] | Iterable[str], header: str, width: int, name: str,
+        delimiter: str = ",",
+    ):
+        self.header = header
         self.name = name
         self.width = width
         self._skipped: list[int] = []
-        self.fields = list(chain.from_iterable(self._rows(stream, header)))
+        self.fields = list(chain.from_iterable(self._rows(stream, delimiter)))
 
-    def _rows(self, stream, header: str):
-        for line_no, parts in enumerate(csv.reader(stream), start=1):
+    def _rows(self, stream, delimiter: str):
+        for line_no, parts in enumerate(csv.reader(stream, delimiter=delimiter), start=1):
             if not parts or (len(parts) == 1 and not parts[0].strip()) or (
-                line_no == 1 and parts[0].strip() == header
+                line_no == 1 and parts[0].strip() == self.header
             ):
                 self._skipped.append(line_no)
                 continue
             if len(parts) != self.width:
-                raise ValueError(f"{self.name} line {line_no}: expected {self.width} fields")
+                raise ValueError(
+                    f"{self.name} line {line_no}: expected {self.width} fields, got {len(parts)}"
+                )
             yield parts
 
     def column(self, k: int) -> list[str]:
@@ -951,6 +957,19 @@ class _Table:
         for skipped in self._skipped:
             line_no += skipped <= line_no
         return line_no
+
+    def ids(self) -> list[str]:
+        """Column 0 stripped; ValueError names both lines of a repeated id."""
+        names = list(map(str.strip, self.column(0)))
+        if len(set(names)) < len(names):
+            first: dict[str, int] = {}
+            for row, name in enumerate(names):
+                if first.setdefault(name, row) != row:
+                    raise ValueError(
+                        f"{self.name} lines {self.line_of(first[name])} and {self.line_of(row)}: "
+                        f"{self.header} {name!r} repeats"
+                    )
+        return names
 
     def numbers(self, k: int, convert: type, label: str) -> list:
         """Column ``k`` read by ``convert`` (int or float); ValueError names the first bad field."""
@@ -1030,14 +1049,4 @@ def read_node_coords(stream: IO[str] | Iterable[str]) -> dict[str, tuple[float, 
     """
     table = _Table(stream, "node_id", 3, "node table")
     lat, lon = (table.numbers(k, float, label) for k, label in ((1, "lat"), (2, "lon")))
-    names = list(map(str.strip, table.column(0)))
-    coords = dict(zip(names, zip(lat, lon)))
-    if len(coords) < len(names):
-        first: dict[str, int] = {}
-        for row, name in enumerate(names):
-            if first.setdefault(name, row) != row:
-                raise ValueError(
-                    f"node table lines {table.line_of(first[name])} and {table.line_of(row)}: "
-                    f"node_id {name!r} repeats"
-                )
-    return coords
+    return dict(zip(table.ids(), zip(lat, lon)))

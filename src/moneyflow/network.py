@@ -155,21 +155,6 @@ class FlowNetwork:
         )
         return order, starts, union
 
-    def split(self, labels: np.ndarray) -> list[tuple[np.ndarray, "FlowNetwork"]]:
-        """(members, induced subnetwork) of every module 0..max(labels),
-        cut from :meth:`blocks`: subnetwork index k is member k."""
-        order, starts, union = self.blocks(labels)
-        module = np.repeat(np.arange(starts.size - 1), np.diff(starts))[union.src]
-        link_starts = np.searchsorted(module, np.arange(starts.size))
-        out = []
-        for a, b, la, lb in zip(starts, starts[1:], link_starts, link_starts[1:]):
-            sub = FlowNetwork(
-                union.node_ids[a:b], union.src[la:lb] - a, union.dst[la:lb] - a,
-                union.flow[la:lb], union.freq[la:lb],
-            )
-            out.append((order[a:b], sub))
-        return out
-
 
 def build_network(net: FlowNetwork) -> FlowNetwork:
     """The link table checked for analysis and sorted by (src, dst).
@@ -279,11 +264,11 @@ def summary(values: Iterable[float] | np.ndarray) -> SummaryStats:
     """Min/max/median plus population moments of a multiset.
 
     Moments divide by n; skewness = m3 / m2^1.5, kurtosis = m4 / m2^2
-    (non-excess).  Requires at least 2 values.
+    (non-excess).  Requires at least 1 value; one value has std 0.
     """
     arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=np.float64)
-    if arr.size < 2:
-        raise ValueError("summary requires at least 2 values")
+    if arr.size == 0:
+        raise ValueError("summary requires at least 1 value")
     mean = float(arr.mean())
     centered = arr - mean
     m2 = float(np.mean(centered**2))

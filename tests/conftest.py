@@ -85,6 +85,22 @@ def net_from_edges(n, edges, flows=None, freqs=None):
     return net
 
 
+def split(net: FlowNetwork, labels) -> list[tuple[np.ndarray, FlowNetwork]]:
+    """(members, induced subnetwork) of every module 0..max(labels), cut
+    from :meth:`FlowNetwork.blocks`: subnetwork index k is member k."""
+    order, starts, union = net.blocks(labels)
+    module = np.repeat(np.arange(starts.size - 1), np.diff(starts))[union.src]
+    link_starts = np.searchsorted(module, np.arange(starts.size))
+    out = []
+    for a, b, la, lb in zip(starts, starts[1:], link_starts, link_starts[1:]):
+        sub = FlowNetwork(
+            union.node_ids[a:b], union.src[la:lb] - a, union.dst[la:lb] - a,
+            union.flow[la:lb], union.freq[la:lb],
+        )
+        out.append((order[a:b], sub))
+    return out
+
+
 def random_edges(rng: np.random.Generator, n: int, m: int) -> list[tuple[int, int]]:
     """m distinct directed edges, no self-loops, every node touched."""
     if m > n * (n - 1):

@@ -179,6 +179,17 @@ class TestDataErrors:
         assert err.count("\n") == 1
         assert not list(out.glob("manifest_*.json"))
 
+    def test_stats_on_one_link(self, tmp_path):
+        out = tmp_path / "ws"
+        out.mkdir()
+        (out / "links.csv").write_text(
+            "source_id,destination_id,flow_yen,frequency\nF1,F2,5,1\n", encoding="utf-8"
+        )
+        assert main(["stats", "--out", str(out)]) == 0
+        stats = json.loads((out / "stats.json").read_text())
+        assert (stats["nodes"], stats["links"]) == (2, 1)
+        assert stats["flow"]["std"] == 0.0 and stats["flow"]["skewness"] is None
+
     def test_short_nodes_row(self, tmp_path, capsys):
         out = tmp_path / "ws"
         out.mkdir()
@@ -190,7 +201,7 @@ class TestDataErrors:
         )
         assert main(["nmf", "--out", str(out), "--grid-k", "2", "--nmf-d", "1"]) == 2
         err = capsys.readouterr().err
-        assert err == "moneyflow nmf: error: node table line 3: expected 3 fields\n"
+        assert err == "moneyflow nmf: error: node table line 3: expected 3 fields, got 2\n"
         assert not list(out.glob("manifest_*.json"))
 
     @pytest.mark.parametrize("command, name, row, message", [
@@ -218,7 +229,7 @@ class TestDataErrors:
         assert not list(out.glob("manifest_*.json"))
 
     @pytest.mark.parametrize("name, edit, detail", [
-        ("bowtie.csv", lambda lines: [], " is empty"),
+        ("bowtie.csv", lambda lines: [], " holds no rows"),
         ("hodge_potentials.csv", lambda lines: lines[:1] + [lines[1].split(",")[0] + ",x,0,0"] + lines[2:],
          " line 2: phi 'x' is not a number"),
         ("hodge_potentials.csv", lambda lines: lines[:2] + [lines[2].split(",")[0]] + lines[3:],
@@ -228,7 +239,7 @@ class TestDataErrors:
         ("bowtie.csv", lambda lines: lines[:2] + lines[1:],
          " lines 2 and 3: node_id 'F000000' repeats"),
         ("ccdf_flow.tsv", lambda lines: lines[:1] + ["x\t1.0"] + lines[2:],
-         " line 2: expected two numbers, got 'x\\t1.0'"),
+         " line 2: value 'x' is not a number"),
         ("ccdf_flow.tsv", lambda lines: lines[:1], " holds no rows"),
         ("nmf_summary.json", lambda lines: json.dumps(
             {k: v for k, v in json.loads("".join(lines)).items() if k != "similarity"}
@@ -237,28 +248,37 @@ class TestDataErrors:
         ("hodge_summary.json", lambda lines: ["{"],
          ": Expecting property name enclosed in double quotes: line 2 column 1 (char 2)"),
         ("community_report.json", lambda lines: ['{"levels": [], "size_rank": [{"rank": 1}]}'],
-         ": a size_rank row has no 'size'"),
-        ("nmf_summary.json", _set_key("similarity", lambda obj: 5),
-         ": 'similarity' is not a 3 x 3 list of numbers or null"),
+         ": missing key 'size_rank'[0]['size']"),
+        ("nmf_summary.json", _set_key("similarity", lambda obj: 5), ": 'similarity' is not a list"),
         ("nmf_summary.json", _set_key("similarity", lambda obj: obj["similarity"][:2] + [[0.5, 0.5]]),
          ": 'similarity' is not a 3 x 3 list of numbers or null"),
         ("nmf_summary.json", _set_key("similarity", lambda obj: [["x"] * 3] * 3),
-         ": 'similarity' is not a 3 x 3 list of numbers or null"),
+         ": 'similarity'[0][0] is not a number or null"),
         ("nmf_summary.json", _set_key("d", lambda obj: "3"), ": 'd' is not a positive integer"),
         ("community_report.json",
          _set_key("size_rank", lambda obj: [{**obj["size_rank"][0], "size": "x"}] + obj["size_rank"][1:]),
-         ": size_rank 'size' 'x' is not a positive integer"),
+         ": 'size_rank'[0]['size'] is not a positive integer"),
         ("stats.json", _set_key("links", lambda obj: "x"), ": 'links' is not a non-negative integer"),
         ("bowtie_summary.json", _set_key("gwcc_fractions", lambda obj: {**obj["gwcc_fractions"], "IN": "x"}),
          ": 'gwcc_fractions' is not an object of numbers or null"),
         ("hodge_summary.json", _set_key("r_phi_net_flow", lambda obj: "x"),
          ": 'r_phi_net_flow' is not a number or null"),
+        ("community_report.json", _set_key("levels", lambda obj: "x"), ": 'levels' is not a list"),
+        ("community_report.json",
+         _set_key("levels", lambda obj: [{**obj["levels"][0], "accounts": "x"}] + obj["levels"][1:]),
+         ": 'levels'[0]['accounts'] is not a non-negative integer"),
+        ("nmf_summary.json", _set_key("matched_pairs", lambda obj: "x"),
+         ": 'matched_pairs' is not a non-negative integer"),
+        ("nmf_summary.json", _set_key("localized_origin", lambda obj: -1),
+         ": 'localized_origin' is not a non-negative integer"),
     ], ids=["empty-bowtie", "non-numeric-phi", "short-potential-row", "unknown-component",
             "repeated-node", "non-numeric-ccdf", "empty-ccdf", "summary-missing-key",
             "summary-not-object", "summary-not-json", "size-row-without-size",
             "similarity-not-a-list", "similarity-ragged-row", "similarity-not-numbers",
             "summary-d-not-integer", "size-not-a-number", "stats-links-not-a-count",
-            "bowtie-fraction-not-a-number", "hodge-r-not-a-number"])
+            "bowtie-fraction-not-a-number", "hodge-r-not-a-number", "levels-not-a-list",
+            "level-accounts-not-a-count", "matched-pairs-not-a-count",
+            "localized-origin-negative"])
     def test_malformed_report_input(self, ws, tmp_path, capsys, name, edit, detail):
         out = tmp_path / "ws"
         shutil.copytree(ws, out)

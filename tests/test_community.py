@@ -39,7 +39,7 @@ from moneyflow.community import (
     build_walk,
 )
 
-from conftest import make_links, net_from_edges, random_edges
+from conftest import make_links, net_from_edges, random_edges, split
 from oracles import (
     BatchMapEquation,
     adjusted_rand_index,
@@ -121,7 +121,7 @@ class TestValueOracle:
 
     def test_zero_link_walk_undefined(self):
         net = net_from_edges(3, [(0, 1), (1, 2)])
-        (_, sub), _ = net.split(np.array([0, 1, 0]))
+        (_, sub), _ = split(net, np.array([0, 1, 0]))
         with pytest.raises(ValueError, match="no links"):
             map_equation_value(sub, [0, 0])
 
@@ -323,7 +323,7 @@ def _block_unions(draw):
 def _blocks_alone(net, offsets):
     """Each block's own subnetwork."""
     labels = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-    return [sub for _, sub in net.split(labels)]
+    return [sub for _, sub in split(net, labels)]
 
 
 def _one_block(walk, b):
@@ -495,7 +495,7 @@ class TestPlantedStructure:
 
     def test_zero_link_network(self):
         net = net_from_edges(3, [(0, 1), (1, 2)])
-        (_, sub), _ = net.split(np.array([0, 1, 0]))
+        (_, sub), _ = split(net, np.array([0, 1, 0]))
         tree = detect_communities(sub, seed=0)
         assert tree.value == 0.0
         assert len(tree.children) == 1
@@ -504,7 +504,7 @@ class TestPlantedStructure:
 
     def test_single_node_network(self):
         net = net_from_edges(2, [(0, 1)])
-        (_, sub), _ = net.split(np.array([0, 1]))
+        (_, sub), _ = split(net, np.array([0, 1]))
         tree = detect_communities(sub, seed=0)
         assert len(tree.children) == 1
         assert tree.children[0].members == (0,)

@@ -31,6 +31,7 @@ from conftest import (
     net_from_edges,
     random_connected_edges,
     random_edges,
+    split,
     transfer_table,
 )
 from oracles import ccdf_points, kendall_tau_b, moments, pearson_r
@@ -205,6 +206,14 @@ class TestSummary:
         assert stats.skewness is None
         assert stats.kurtosis is None
 
+    def test_one_value(self):
+        stats = summary([7])
+        assert (stats.n, stats.minimum, stats.maximum, stats.median, stats.mean) == (1, 7, 7, 7, 7)
+        assert stats.std == 0.0
+        assert stats.skewness is None and stats.kurtosis is None
+        with pytest.raises(ValueError, match="at least 1 value"):
+            summary([])
+
     def test_kurtosis_is_not_excess(self):
         # a large normal sample has kurtosis near 3 under the plain convention
         values = np.random.default_rng(1).normal(size=200_000)
@@ -265,7 +274,7 @@ def test_kendall_tau_b_is_scipys_value_at_scale():
 
 
 class TestSubnetwork:
-    """Every module that FlowNetwork.split and blocks return, against brute force."""
+    """Every module that FlowNetwork.blocks returns, against brute force."""
 
     def test_induced_links_exact(self, rng):
         for _ in range(10):
@@ -273,7 +282,7 @@ class TestSubnetwork:
             edges = random_edges(rng, n, int(rng.integers(n, 3 * n)))
             net = net_from_edges(n, edges)
             labels = rng.integers(0, int(rng.integers(1, n)), size=n)
-            modules = net.split(labels)
+            modules = split(net, labels)
             assert len(modules) == labels.max() + 1
             for m, (members, sub) in enumerate(modules):
                 assert members.tolist() == np.flatnonzero(labels == m).tolist()
@@ -305,7 +314,7 @@ class TestSubnetwork:
 
     def test_weights_preserved(self, rng):
         net = net_from_edges(4, [(0, 1), (1, 2), (2, 3)], flows=[5, 7, 9])
-        (_, outer), (_, inner) = net.split(np.array([0, 1, 1, 0]))
+        (_, outer), (_, inner) = split(net, np.array([0, 1, 1, 0]))
         assert inner.weights("flow").tolist() == [7]
         assert outer.n_nodes == 2 and outer.n_links == 0
         for _ in range(10):
@@ -315,7 +324,7 @@ class TestSubnetwork:
             freqs = rng.integers(1, 50, size=len(edges)).tolist()
             net = net_from_edges(n, edges, flows=flows, freqs=freqs)
             weight = {e: (f, q) for e, f, q in zip(edges, flows, freqs)}
-            for members, sub in net.split(rng.integers(0, 3, size=n)):
+            for members, sub in split(net, rng.integers(0, 3, size=n)):
                 for s, t, f, q in zip(sub.src, sub.dst, sub.flow, sub.freq):
                     assert weight[int(members[s]), int(members[t])] == (f, q)
 
