@@ -62,8 +62,6 @@ svg = line_plot(
     title="Link flow CCDF",
     xlabel="flow [yen]",
     ylabel="P(X >= x)",
-    logx=True,
-    logy=True,
 )
 (out / "flow_ccdf.svg").write_text(svg, encoding="utf-8")
 print(f"wrote {out / 'flow_ccdf.svg'}")

@@ -662,8 +662,6 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
                 title=f"Link {stem} CCDF",
                 xlabel=label,
                 ylabel="P(X >= x)",
-                logx=True,
-                logy=True,
             ),
         )
     deg_series = [
@@ -676,12 +674,10 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
             title="Degree CCDF",
             xlabel="degree",
             ylabel="P(X >= x)",
-            logx=True,
-            logy=True,
         ),
     )
     if part.gwcc_size > 0:
-        edges, counts = potential_histograms(phi, part, bins=50)
+        edges, counts = potential_histograms(phi, part)
         stage.write_text(
             "report/potential_histogram.svg",
             step_histogram(
@@ -700,8 +696,6 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
                 title="Irreducible community sizes",
                 xlabel="rank",
                 ylabel="accounts",
-                logx=True,
-                logy=True,
             ),
         )
     stage.write_text(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import log2
 from typing import Iterator
@@ -135,6 +135,16 @@ class Walk:
     flow: np.ndarray
     node_term: np.ndarray
     offsets: np.ndarray
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        """The block of each node."""
+        return np.repeat(np.arange(self.offsets.size - 1), np.diff(self.offsets))
+
+    @cached_property
+    def link_offsets(self) -> np.ndarray:
+        """Block b holds links link_offsets[b]:link_offsets[b + 1]."""
+        return np.searchsorted(self.block[self.src], np.arange(self.offsets.size))
 
 
 def build_walk(net: FlowNetwork, kind: str = "frequency") -> Walk:
@@ -238,29 +248,20 @@ def _module_sums(walk: Walk, labels: np.ndarray, m: int) -> tuple[np.ndarray, ..
 
 def _value_for(walk: Walk, labels: np.ndarray) -> float:
     """Exact four-term evaluation of the map equation of a one-block walk."""
-    nmod = int(labels.max()) + 1 if labels.size else 0
-    sizes = np.bincount(labels, minlength=nmod)
-    if np.any(sizes == 0):
+    if np.any(np.bincount(labels) == 0):
         raise EmptyModuleError("partition assigns no nodes to some module id")
-    P, _, _, _, q = _module_sums(walk, labels, nmod)
-    q_tot = float(q.sum())
-    return (
-        _plogp(q_tot)
-        - 2.0 * float(_plogp_vec(q).sum())
-        + float(_plogp_vec(q + P).sum())
-        - float(walk.node_term[0])
-    )
+    return float(_block_values(walk, labels, int(labels.max()) + 1)[0])
 
 
-def _block_values(walk: Walk, labels: np.ndarray) -> np.ndarray:
-    """Map-equation value of every block, for labels that keep each
-    block's module ids within its own node range.
+def _block_values(walk: Walk, labels: np.ndarray, m: int) -> np.ndarray:
+    """Map-equation value of every block over m module ids, for labels
+    that keep each block's module ids within its own node range.
 
     A block's value sums over its node range of module ids, so for the
     all-singletons labels it equals :func:`_value_for` of that block
     alone.
     """
-    P, _, _, _, q = _module_sums(walk, labels, walk.n)
+    P, _, _, _, q = _module_sums(walk, labels, m)
     off = walk.offsets
     return (
         np.array([_plogp(x) for x in _block_sums(q, off).tolist()])
@@ -295,23 +296,16 @@ def _adjacency(heads: np.ndarray, tails: np.ndarray, flow: np.ndarray, n: int):
 class _Search:
     """Search state of one walk, built once and shared by every restart.
 
-    Holds each node's block, each block's link range, the out- and
-    in-adjacency as per-node (neighbour, flow) lists, the per-node
-    p/a/t/out-flow lists and the module state of the all-singletons
-    partition, so a restart only copies lists.
+    Holds the out- and in-adjacency as per-node (neighbour, flow) lists,
+    the per-node p/a/t/out-flow lists and the module state of the
+    all-singletons partition, so a restart only copies lists.
     """
 
-    __slots__ = (
-        "walk", "block", "link_offsets", "out_adj", "in_adj", "p", "a", "t", "fout",
-        "singletons",
-    )
+    __slots__ = ("walk", "out_adj", "in_adj", "p", "a", "t", "fout", "singletons")
 
     def __init__(self, walk: Walk):
         n = walk.n
-        k = walk.offsets.size - 1
         self.walk = walk
-        self.block = np.repeat(np.arange(k), np.diff(walk.offsets))
-        self.link_offsets = np.searchsorted(self.block[walk.src], np.arange(k + 1))
         self.out_adj = _adjacency(walk.src, walk.dst, walk.flow, n)
         self.in_adj = _adjacency(walk.dst, walk.src, walk.flow, n)
         self.p = walk.p.tolist()
@@ -367,7 +361,7 @@ def _flag_moves(
         blocks = range(walk.offsets.size - 1)
     blocks = np.asarray(blocks, dtype=np.int64)
     lo, hi = walk.offsets[blocks], walk.offsets[blocks + 1]
-    link_lo, link_hi = search.link_offsets[blocks], search.link_offsets[blocks + 1]
+    link_lo, link_hi = walk.link_offsets[blocks], walk.link_offsets[blocks + 1]
     nodes, shifts = _ranges(lo, hi)
     links, _ = _ranges(link_lo, link_hi)
     n = nodes.size
@@ -686,13 +680,13 @@ def _optimize_once(
         counts = np.diff(first)
         merged = counts < np.diff(g.walk.offsets)
         module = inv[node]
-        where = g.block[node]
+        where = g.walk.block[node]
         done = ~merged[where]
         local = module[done] - first[where[done]]
         if g is search:
             labels[inside[done]] = local
         else:
-            seeds[inside[done]] = local + walk.offsets[search.block[inside[done]]]
+            seeds[inside[done]] = local + walk.offsets[walk.block[inside[done]]]
             refine += [in_g[j] for j in np.flatnonzero(~merged).tolist()]
         if not merged.any():
             break
@@ -714,8 +708,8 @@ def _optimize_once(
         for b, value in zip(refine, vals):
             values[b] = value
         uniq, inv = np.unique(lab, return_inverse=True)
-        nodes = np.isin(search.block, refine)
-        local = inv - np.searchsorted(uniq, walk.offsets[:-1])[search.block]
+        nodes = np.isin(walk.block, refine)
+        local = inv - np.searchsorted(uniq, walk.offsets[:-1])[walk.block]
         labels[nodes] = local[nodes]
     return labels, values, histories
 
@@ -727,7 +721,7 @@ def _restarts(
     index.  Block b's trial draws from SeedSequence(entropies[b] +
     (trial,))."""
     search = _Search(walk)
-    start = _block_values(walk, np.arange(walk.n)).tolist()
+    start = _block_values(walk, np.arange(walk.n), walk.n).tolist()
     for trial in range(trials):
         rngs = [np.random.default_rng(np.random.SeedSequence(e + (trial,))) for e in entropies]
         labels, values, histories = _optimize_once(search, rngs, start)
@@ -735,7 +729,7 @@ def _restarts(
             best_labels, best_values, best_histories = labels, np.array(values), histories
             continue
         better = np.array(values) < best_values
-        best_labels = np.where(better[search.block], labels, best_labels)
+        best_labels = np.where(better[walk.block], labels, best_labels)
         best_values = np.where(better, values, best_values)
         best_histories = [h if b else old for h, old, b in zip(histories, best_histories, better)]
     return best_labels, best_values, best_histories
@@ -764,12 +758,8 @@ def _exact_partitions(walk: Walk) -> tuple[np.ndarray, np.ndarray, list[list[flo
     block (an 8-node block passes it alone).  A block's history runs from
     the all-singletons row (the last) to the best one.
     """
-    off = walk.offsets
+    off, lstart = walk.offsets, walk.link_offsets
     sizes = np.diff(off)
-    # links are grouped by block, so each block's links are one range
-    lstart = np.searchsorted(
-        np.repeat(np.arange(sizes.size), sizes)[walk.src], np.arange(sizes.size + 1)
-    )
     labels = np.empty(walk.n, dtype=np.int64)
     values = np.empty(sizes.size)
     histories: list[list[float]] = [[] for _ in range(sizes.size)]
@@ -780,7 +770,7 @@ def _exact_partitions(walk: Walk) -> tuple[np.ndarray, np.ndarray, list[list[flo
         step = max(1, _EXACT_CHUNK // (r * n * n))
         for bs in np.split(same, range(step, same.size, step)):
             k = bs.size
-            lk = np.concatenate([np.arange(lstart[b], lstart[b + 1]) for b in bs.tolist()])
+            lk, _ = _ranges(lstart[bs], lstart[bs + 1])
             lb = np.repeat(np.arange(k), lstart[bs + 1] - lstart[bs])
             src, dst = walk.src[lk] - off[bs][lb], walk.dst[lk] - off[bs][lb]
             node = off[bs][:, None] + np.arange(n)
@@ -815,22 +805,16 @@ def _exact_partitions(walk: Walk) -> tuple[np.ndarray, np.ndarray, list[list[flo
 
 
 def _take_blocks(walk: Walk, keep: np.ndarray) -> Walk:
-    """The walk of the blocks where keep is True, in order."""
+    """The walk of the blocks where keep is True, in order.
+
+    Each kept node is a module of its own, so links sorted by (src, dst),
+    as :func:`build_network` leaves them, keep their order and flows.
+    """
     sizes = np.diff(walk.offsets)
+    offsets = np.concatenate(([0], np.cumsum(sizes[keep])))
     node = np.repeat(keep, sizes)
-    index = np.cumsum(node) - 1
-    link = node[walk.src]
-    return Walk(
-        n=int(node.sum()),
-        p=walk.p[node],
-        a=walk.a[node],
-        t=walk.t[node],
-        src=index[walk.src[link]],
-        dst=index[walk.dst[link]],
-        flow=walk.flow[link],
-        node_term=walk.node_term[keep],
-        offsets=np.concatenate(([0], np.cumsum(sizes[keep]))),
-    )
+    inv = np.where(node, np.cumsum(node) - 1, offsets[-1])
+    return _aggregate(walk, inv, offsets, walk.node_term[keep])
 
 
 def _search(
@@ -992,7 +976,7 @@ def detect_communities(
         walk = _block_walk(union, starts, kind)
         sizes = np.diff(starts)
         sub_labels, values, _ = _search(walk, [(seed, *paths[c]) for c in cand.tolist()], trials)
-        single = _block_values(walk, np.repeat(starts[:-1], sizes))
+        single = _block_values(walk, np.repeat(starts[:-1], sizes), walk.n)
         count = np.maximum.reduceat(sub_labels, starts[:-1]) + 1
         split = (count > 1) & (values < single - _MIN_GAIN)
         if not split.any():

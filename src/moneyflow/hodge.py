@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 WEIGHT_KINDS = ("flow", "frequency")
+# CG gives up after max(_CG_ITER_PER_NODE N, _CG_MIN_ITER) iterations
+_CG_ITER_PER_NODE = 20
+_CG_MIN_ITER = 100
+# equal-width bins of the potential histograms
+_POTENTIAL_BINS = 50
 
 
 class ConvergenceError(RuntimeError):
@@ -100,11 +105,7 @@ def assemble_problem(net: FlowNetwork, kind: str = "frequency") -> HodgeProblem:
     )
 
 
-def solve_potentials(
-    problem: HodgeProblem,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> np.ndarray:
+def solve_potentials(problem: HodgeProblem, tol: float = 1e-10) -> np.ndarray:
     """Solve L phi = div F with a zero-mean gauge on every weak component.
 
     L is block-diagonal over the components, so one Jacobi-preconditioned
@@ -112,7 +113,7 @@ def solve_potentials(
     scaled to unit norm first, so a residual of at most tol on the whole
     scaled system bounds every component's relative residual by tol.
     Raises :class:`ConvergenceError`, carrying the worst component's
-    relative residual, when the iteration cap (default 20 N) is hit first.
+    relative residual, when the iteration cap is hit first.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import cg
@@ -126,7 +127,7 @@ def solve_potentials(
     L = problem.laplacian
     diag = L.diagonal()
     inv_diag = np.divide(1.0, diag, out=np.ones_like(diag), where=diag > 0.0)
-    cap = max_iter if max_iter is not None else max(20 * problem.n, 100)
+    cap = max(_CG_ITER_PER_NODE * problem.n, _CG_MIN_ITER)
     x, info = cg(L, b, rtol=0.0, atol=tol, maxiter=cap, M=sp.diags(inv_diag))
     if info != 0:
         r = b - L @ x
@@ -160,18 +161,11 @@ class HodgeDecomposition:
 
     def link_table(self, net: FlowNetwork) -> list[tuple[str, str, float, float, float]]:
         """(source, destination, F, F_gradient, F_circular) per directed link."""
-        b = net.weights(self.problem.weight_kind).astype(np.float64)
-        # links are sorted by (src, dst), so their pair keys are sorted too
-        key = net.src * net.n_nodes + net.dst
-        rev_key = net.dst * net.n_nodes + net.src
-        rev = np.minimum(np.searchsorted(key, rev_key), key.size - 1)
-        has_rev = key[rev] == rev_key
-        f_net = b - np.where(has_rev, b[rev], 0.0)
-        grad = np.where(has_rev, 2.0, 1.0) * (self.phi[net.src] - self.phi[net.dst])
         names = np.asarray(net.node_ids, dtype=object)
         return list(zip(
             names[net.src].tolist(), names[net.dst].tolist(),
-            f_net.tolist(), grad.tolist(), (f_net - grad).tolist(),
+            *(np.asarray(m[net.src, net.dst]).ravel().tolist()
+              for m in (self.problem.F, self.gradient, self.circular)),
         ))
 
 
@@ -197,11 +191,10 @@ def hodge_decompose(
 
 
 def potential_histograms(
-    phi: np.ndarray,
-    partition: BowtiePartition,
-    bins: int = 100,
+    phi: np.ndarray, partition: BowtiePartition
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Per-component histograms of phi over a shared equal-width binning.
+    """Per-component histograms of phi over _POTENTIAL_BINS shared
+    equal-width bins.
 
     Returns (bin edges, {component name: counts}) for the four walnut
     classes; the binning spans [min phi, max phi] over the GWCC.
@@ -215,7 +208,7 @@ def potential_histograms(
     if lo == hi:
         lo -= 0.5
         hi += 0.5
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, _POTENTIAL_BINS + 1)
     out: dict[str, np.ndarray] = {}
     for code in (GSCC, IN, OUT, TE):
         counts, _ = np.histogram(phi[partition.members(code)], bins=edges)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import re
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime
@@ -921,8 +922,9 @@ class _Table:
     Blank lines and a first-line header are skipped; every other row must
     be ``width`` fields wide.  One flat list of strings, because rows kept
     as lists would be tracked, and traversed, by every garbage collection
-    while the table is read.  The lines skipped are kept, so that a field
-    that fails to convert can be reported with its line.
+    while the table is read.  The line each kept row starts on is kept,
+    so that a field that fails to convert can be reported with its line:
+    a quoted field may span lines, so rows and lines do not count alike.
     """
 
     def __init__(
@@ -932,31 +934,32 @@ class _Table:
         self.header = header
         self.name = name
         self.width = width
-        self._skipped: list[int] = []
+        self._starts = array("q")
         self.fields = list(chain.from_iterable(self._rows(stream, delimiter)))
 
     def _rows(self, stream, delimiter: str):
-        for line_no, parts in enumerate(csv.reader(stream, delimiter=delimiter), start=1):
+        reader = csv.reader(stream, delimiter=delimiter)
+        keep = self._starts.append
+        end = 0  # the line the previous record ended on
+        for parts in reader:
+            start, end = end + 1, reader.line_num
             if not parts or (len(parts) == 1 and not parts[0].strip()) or (
-                line_no == 1 and parts[0].strip() == self.header
+                start == 1 and parts[0].strip() == self.header
             ):
-                self._skipped.append(line_no)
                 continue
             if len(parts) != self.width:
                 raise ValueError(
-                    f"{self.name} line {line_no}: expected {self.width} fields, got {len(parts)}"
+                    f"{self.name} line {start}: expected {self.width} fields, got {len(parts)}"
                 )
+            keep(start)
             yield parts
 
     def column(self, k: int) -> list[str]:
         return self.fields[k :: self.width]
 
     def line_of(self, row: int) -> int:
-        """The line number of the ``row``-th row kept, counting from 0."""
-        line_no = row + 1
-        for skipped in self._skipped:
-            line_no += skipped <= line_no
-        return line_no
+        """The line the ``row``-th row kept starts on, counting rows from 0."""
+        return self._starts[row]
 
     def ids(self) -> list[str]:
         """Column 0 stripped; ValueError names both lines of a repeated id."""

@@ -38,12 +38,12 @@ def _escape(text: str) -> str:
 
 
 class _Axes:
-    """Data-to-pixel mapping with optional log scales."""
+    """Data-to-pixel mapping, linear or log-log."""
 
-    def __init__(self, xs, ys, logx: bool, logy: bool):
-        self.logx, self.logy = logx, logy
-        xs = [math.log10(x) for x in xs] if logx else list(xs)
-        ys = [math.log10(y) for y in ys] if logy else list(ys)
+    def __init__(self, xs, ys, log: bool):
+        self.log = log
+        xs = [math.log10(x) for x in xs] if log else list(xs)
+        ys = [math.log10(y) for y in ys] if log else list(ys)
         self.x_lo, self.x_hi = self._pad(min(xs), max(xs))
         self.y_lo, self.y_hi = self._pad(min(ys), max(ys))
 
@@ -55,12 +55,12 @@ class _Axes:
         return lo - 0.04 * span, hi + 0.04 * span
 
     def px(self, x: float) -> float:
-        v = math.log10(x) if self.logx else x
+        v = math.log10(x) if self.log else x
         frac = (v - self.x_lo) / (self.x_hi - self.x_lo)
         return _MARGIN_L + frac * (_WIDTH - _MARGIN_L - _MARGIN_R)
 
     def py(self, y: float) -> float:
-        v = math.log10(y) if self.logy else y
+        v = math.log10(y) if self.log else y
         frac = (v - self.y_lo) / (self.y_hi - self.y_lo)
         return _HEIGHT - _MARGIN_B - frac * (_HEIGHT - _MARGIN_T - _MARGIN_B)
 
@@ -104,8 +104,8 @@ def _frame(ax: _Axes, title: str, xlabel: str, ylabel: str) -> list[str]:
         f'transform="rotate(-90 14 {_fmt(h / 2)})">{_escape(ylabel)}</text>',
     ]
     y0 = h - _MARGIN_B
-    for v, label in ax.ticks(ax.x_lo, ax.x_hi, ax.logx):
-        x = ax.px(10.0**v if ax.logx else v)
+    for v, label in ax.ticks(ax.x_lo, ax.x_hi, ax.log):
+        x = ax.px(10.0**v if ax.log else v)
         parts.append(
             f'<line x1="{_fmt(x)}" y1="{_fmt(y0)}" x2="{_fmt(x)}" '
             f'y2="{_fmt(y0 + 5)}" stroke="#333333"/>'
@@ -114,8 +114,8 @@ def _frame(ax: _Axes, title: str, xlabel: str, ylabel: str) -> list[str]:
             f'<text x="{_fmt(x)}" y="{_fmt(y0 + 17)}" text-anchor="middle">'
             f"{_escape(label)}</text>"
         )
-    for v, label in ax.ticks(ax.y_lo, ax.y_hi, ax.logy):
-        y = ax.py(10.0**v if ax.logy else v)
+    for v, label in ax.ticks(ax.y_lo, ax.y_hi, ax.log):
+        y = ax.py(10.0**v if ax.log else v)
         parts.append(
             f'<line x1="{_fmt(_MARGIN_L - 5)}" y1="{_fmt(y)}" '
             f'x2="{_fmt(_MARGIN_L)}" y2="{_fmt(y)}" stroke="#333333"/>'
@@ -132,10 +132,9 @@ def line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    logx: bool = False,
-    logy: bool = False,
 ) -> str:
-    """Polyline plot of (label, xs, ys) series; log axes drop non-positives.
+    """Log-log polyline plot of (label, xs, ys) series; non-positive
+    points are dropped.
 
     Series of at most 400 points also mark each point.
     """
@@ -144,7 +143,7 @@ def line_plot(
         pts = [
             (float(x), float(y))
             for x, y in zip(np.asarray(xs).ravel(), np.asarray(ys).ravel())
-            if (not logx or x > 0) and (not logy or y > 0)
+            if x > 0 and y > 0
         ]
         if pts:
             cleaned.append((label, pts))
@@ -152,7 +151,7 @@ def line_plot(
         raise ValueError("nothing to plot")
     all_x = [x for _, pts in cleaned for x, _ in pts]
     all_y = [y for _, pts in cleaned for _, y in pts]
-    ax = _Axes(all_x, all_y, logx, logy)
+    ax = _Axes(all_x, all_y, log=True)
     parts = _frame(ax, title, xlabel, ylabel)
     for i, (label, pts) in enumerate(cleaned):
         color = PALETTE[i % len(PALETTE)]
@@ -187,7 +186,7 @@ def step_histogram(
     """Outline histograms of counts over shared bin edges, one color per label."""
     edges = np.asarray(edges, dtype=np.float64)
     top = max((int(np.max(c)) if len(c) else 0) for c in counts_by_label.values())
-    ax = _Axes([float(edges[0]), float(edges[-1])], [0.0, float(max(top, 1))], False, False)
+    ax = _Axes([float(edges[0]), float(edges[-1])], [0.0, float(max(top, 1))], log=False)
     parts = _frame(ax, title, xlabel, "count")
     for i, (label, counts) in enumerate(counts_by_label.items()):
         color = PALETTE[i % len(PALETTE)]

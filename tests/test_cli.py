@@ -228,6 +228,32 @@ class TestDataErrors:
         assert capsys.readouterr().err == f"moneyflow {command}: error: {message}\n"
         assert not list(out.glob("manifest_*.json"))
 
+    @pytest.mark.parametrize("command, name, rows, message", [
+        ("stats", "links.csv", ['"F\n1",F2,5,1', "F3,F4,x,1"],
+         "link table line 4: flow_yen 'x' is not an integer"),
+        ("nmf", "nodes.csv", ["F1,34.5,135.5", '"F\n2",34.6,135.6', "F1,34.9,135.9"],
+         "node table lines 2 and 5: node_id 'F1' repeats"),
+    ], ids=["links-after-quoted-break", "nodes-after-quoted-break"])
+    def test_malformed_table_names_physical_line(
+        self, tmp_path, capsys, command, name, rows, message
+    ):
+        # a quoted id may span lines; a message names the line in the file,
+        # not the row's count
+        out = tmp_path / "ws"
+        out.mkdir()
+        (out / "links.csv").write_text(
+            "source_id,destination_id,flow_yen,frequency\nF1,F2,5,1\n", encoding="utf-8"
+        )
+        (out / "nodes.csv").write_text("node_id,lat,lon\nF1,34.5,135.5\n", encoding="utf-8")
+        header = (out / name).read_text(encoding="utf-8").splitlines()[0]
+        (out / name).write_text("".join(f"{row}\n" for row in [header, *rows]), encoding="utf-8")
+        argv = [command, "--out", str(out)]
+        if command == "nmf":
+            argv += ["--grid-k", "2", "--nmf-d", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"moneyflow {command}: error: {message}\n"
+        assert not list(out.glob("manifest_*.json"))
+
     @pytest.mark.parametrize("name, edit, detail", [
         ("bowtie.csv", lambda lines: [], " holds no rows"),
         ("hodge_potentials.csv", lambda lines: lines[:1] + [lines[1].split(",")[0] + ",x,0,0"] + lines[2:],
@@ -441,6 +467,7 @@ ARTIFACT_SHA256 = {
     "bowtie_summary.json": "2c5a898f3eed52cdc0bcf27ee8e5bcd31d4bc9ddf6371bcadf190d9178e64861",
     "hodge_potentials.csv": "13bc7c61b5996184a6890a901dd0a319276faaaccfd487bcd4b1d6c6af5e77fa",
     "hodge_summary.json": "6cf6f1ade51a21192a3d0a53718f84c219e729d289b35e2895e19cdae5020845",
+    "hodge_links.csv": "2808834e5f4db38aa1a0a30e6094c0dc2cb9d08c8fbece62b564bac64019b981",
 }
 
 

@@ -19,6 +19,7 @@ from moneyflow import (
     detect_communities,
     flat_table,
     generate,
+    hodge_decompose,
     map_equation_value,
     walnut_scenario,
 )
@@ -27,6 +28,7 @@ from moneyflow.community import (
     _EXACT_MAX,
     _MIN_GAIN,
     EmptyModuleError,
+    _aggregate,
     _block_walk,
     _exact_partitions,
     _flag_moves,
@@ -38,6 +40,7 @@ from moneyflow.community import (
     _value_for,
     build_walk,
 )
+from moneyflow.hodge import WEIGHT_KINDS
 
 from conftest import make_links, net_from_edges, random_edges, split
 from oracles import (
@@ -381,6 +384,102 @@ def test_batched_exact_pass_matches_each_block_and_the_optimum(union):
         batch = BatchMapEquation(*walk_inputs(sub), tau=0.15)
         best = float(batch.values(all_partitions(sub.n_nodes)).min())
         assert value == pytest.approx(best, abs=1e-9)
+
+
+def _assert_brackets(walk):
+    # block b holds nodes offsets[b]:offsets[b + 1] and exactly the links
+    # link_offsets[b]:link_offsets[b + 1], both ends inside its nodes
+    sizes = np.diff(walk.offsets)
+    assert walk.block.tolist() == [b for b, k in enumerate(sizes.tolist()) for _ in range(k)]
+    assert walk.link_offsets.tolist() == [int(np.count_nonzero(walk.src < o)) for o in walk.offsets]
+    for b in range(sizes.size):
+        lo, hi = walk.link_offsets[b], walk.link_offsets[b + 1]
+        for ends in (walk.src[lo:hi], walk.dst[lo:hi]):
+            assert np.all((walk.offsets[b] <= ends) & (ends < walk.offsets[b + 1]))
+
+
+@given(_block_unions(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_walk_block_index_brackets_nodes_and_links(union, seed):
+    net, offsets = union
+    walk = _block_walk(net, offsets, "frequency")
+    _assert_brackets(walk)
+    # an aggregation of random modules within each block, some blocks left
+    # out, as _optimize_once cuts the blocks that merged
+    rng = np.random.default_rng(seed)
+    sizes = np.diff(offsets)
+    module = offsets[walk.block] + rng.integers(0, sizes[walk.block])
+    uniq, inv = np.unique(module, return_inverse=True)
+    counts = np.diff(np.searchsorted(uniq, offsets))
+    keep = rng.random(sizes.size) < 0.6
+    keep[rng.integers(sizes.size)] = True
+    kept = np.repeat(keep, counts)
+    new = np.cumsum(kept) - 1
+    sub_offsets = np.concatenate(([0], np.cumsum(counts[keep])))
+    inv = np.where(kept[inv], new[inv], sub_offsets[-1])
+    _assert_brackets(_aggregate(walk, inv, sub_offsets, walk.node_term[keep]))
+
+
+@given(_block_unions(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_take_blocks_is_a_gather(union, seed):
+    net, offsets = union
+    walk = _block_walk(net, offsets, "frequency")
+    keep = np.random.default_rng(seed).random(offsets.size - 1) < 0.5
+    keep[0] = True
+    # the reference: each field gathered directly
+    sizes = np.diff(walk.offsets)
+    node = np.repeat(keep, sizes)
+    index = np.cumsum(node) - 1
+    link = node[walk.src]
+    expected = {
+        "n": int(node.sum()),
+        "p": walk.p[node],
+        "a": walk.a[node],
+        "t": walk.t[node],
+        "src": index[walk.src[link]],
+        "dst": index[walk.dst[link]],
+        "flow": walk.flow[link],
+        "node_term": walk.node_term[keep],
+        "offsets": np.concatenate(([0], np.cumsum(sizes[keep]))),
+    }
+    taken = _take_blocks(walk, keep)
+    for name, value in expected.items():
+        got = getattr(taken, name)
+        assert np.asarray(got).dtype == np.asarray(value).dtype, name
+        assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), name
+
+
+def _link_table_by_reverse_key(decomp, net):
+    """link_table's values found by looking each link's reverse up among
+    the (src, dst)-sorted links."""
+    b = net.weights(decomp.problem.weight_kind).astype(np.float64)
+    key = net.src * net.n_nodes + net.dst
+    rev_key = net.dst * net.n_nodes + net.src
+    rev = np.minimum(np.searchsorted(key, rev_key), key.size - 1)
+    has_rev = key[rev] == rev_key
+    f_net = b - np.where(has_rev, b[rev], 0.0)
+    grad = np.where(has_rev, 2.0, 1.0) * (decomp.phi[net.src] - decomp.phi[net.dst])
+    return f_net, grad, f_net - grad
+
+
+@given(_block_unions(), st.integers(0, 2**32 - 1), st.sampled_from(WEIGHT_KINDS))
+@settings(max_examples=60, deadline=None)
+def test_link_table_matches_reverse_key_lookup(union, seed, kind):
+    net, _ = union
+    # every third link gets a reverse, so the union has mutual links
+    rng = np.random.default_rng(seed)
+    pairs = set(zip(net.src.tolist(), net.dst.tolist()))
+    edges = sorted(pairs | {(t, s) for s, t in sorted(pairs)[::3]})
+    flows, freqs = (rng.integers(1, top, len(edges)).tolist() for top in (10**6, 50))
+    net = net_from_edges(net.n_nodes, edges, flows=flows, freqs=freqs)
+    decomp = hodge_decompose(net, kind)
+    rows = decomp.link_table(net)
+    assert len(rows) == net.n_links
+    names = np.asarray(net.node_ids)
+    assert [r[:2] for r in rows] == list(zip(names[net.src].tolist(), names[net.dst].tolist()))
+    for column, expected in zip(list(zip(*rows))[2:], _link_table_by_reverse_key(decomp, net)):
+        assert np.array(column).tobytes() == expected.tobytes()
 
 
 def test_block_walk_that_does_not_converge_raises(monkeypatch):

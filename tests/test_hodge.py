@@ -12,6 +12,7 @@ from moneyflow import (
     potential_vs_net,
     solve_potentials,
 )
+from moneyflow import hodge
 from moneyflow.bowtie import weakly_connected_components
 from moneyflow.hodge import WEIGHT_KINDS, ConvergenceError
 
@@ -150,12 +151,14 @@ class TestSolve:
                 scale = max(1.0, float(np.abs(phi_ref[nodes]).max()))
                 assert np.abs(decomp.phi[nodes] - phi_ref[nodes]).max() / scale < 1e-8
 
-    def test_convergence_error_carries_residual(self, rng):
+    def test_convergence_error_carries_residual(self, rng, monkeypatch):
         edges = random_connected_edges(rng, 120, 240)
         net = net_from_edges(120, edges)
         problem = assemble_problem(net)
+        monkeypatch.setattr(hodge, "_CG_ITER_PER_NODE", 0)
+        monkeypatch.setattr(hodge, "_CG_MIN_ITER", 2)
         with pytest.raises(ConvergenceError) as exc_info:
-            solve_potentials(problem, tol=1e-10, max_iter=2)
+            solve_potentials(problem, tol=1e-10)
         assert exc_info.value.residual > 0
 
 
@@ -244,8 +247,8 @@ class TestAgainstStructure:
         net = net_from_edges(6, edges)
         part = classify_bowtie(net)
         decomp = hodge_decompose(net)
-        bin_edges, counts = potential_histograms(decomp.phi, part, bins=8)
-        assert len(bin_edges) == 9
+        bin_edges, counts = potential_histograms(decomp.phi, part)
+        assert len(bin_edges) == hodge._POTENTIAL_BINS + 1
         assert set(counts) == {"GSCC", "IN", "OUT", "TE"}
         assert sum(c.sum() for c in counts.values()) == part.gwcc_size
         for name, hist in counts.items():
