@@ -45,7 +45,7 @@ from .geonmf import (
     write_matrix,
     write_sparse_matrix,
 )
-from .hodge import hodge_decompose, potential_histograms, potential_vs_net
+from .hodge import ConvergenceError, hodge_decompose, potential_histograms, potential_vs_net
 from .ingest import (
     FilterPolicy,
     _Table,
@@ -904,7 +904,7 @@ def main(argv=None) -> int:
     except (DataError, ValueError, OSError, csv.Error) as exc:
         print(f"moneyflow {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # ConvergenceError's message holds the residual
+    except ConvergenceError as exc:  # its message holds the residual
         print(f"moneyflow {args.command}: failed to converge: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -32,6 +32,7 @@ partitions from scoring every set partition at once.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -165,7 +166,10 @@ def _block_walk(net: FlowNetwork, offsets: np.ndarray, kind: str) -> Walk:
     teleportation and normalisation per block by np.add.reduceat (a lone
     block sums whole arrays, which rounds differently in the last bits);
     a block keeps the vector of the step whose L1 change fell below
-    _WALK_TOL, as a walk iterated alone would.
+    _WALK_TOL, as a walk iterated alone would.  Each step reads only the
+    blocks still iterating, packed side by side and packed again when
+    one converges; every per-node and per-block sum adds the same terms
+    in the same order as over the whole union.
     """
     n = net.n_nodes
     sizes = np.diff(offsets)
@@ -176,6 +180,7 @@ def _block_walk(net: FlowNetwork, offsets: np.ndarray, kind: str) -> Walk:
     tau_eff = np.where(s > 0, TAU, 1.0)
     out_norm = w / s[net.src]
     link_block = block[net.src]
+    link_offsets = np.searchsorted(link_block, np.arange(sizes.size + 1))
     p = 1.0 / sizes[block]
     small = sizes <= _EXACT_MAX
     for size in np.unique(sizes[small]).tolist():
@@ -197,27 +202,37 @@ def _block_walk(net: FlowNetwork, offsets: np.ndarray, kind: str) -> Walk:
         rhs = np.zeros((blocks.size, size, 1))
         rhs[:, -1] = 1.0
         p[node] = np.linalg.solve(system, rhs)[:, :, 0]
-    live = ~small
-    starts = offsets[:-1]
-    for _ in range(_WALK_MAX_ITER):
-        if not live.any():
-            break
-        link = np.bincount(
-            net.dst, weights=p[net.src] * (1.0 - TAU) * out_norm, minlength=n
-        )
-        if sizes.size == 1:
-            p_new = link + t * float(p @ tau_eff)
-            p_new /= p_new.sum()
-            delta = np.array([np.abs(p_new - p).sum()])
-            p = p_new
-        else:
-            p_new = link + t * np.add.reduceat(p * tau_eff, starts)[block]
-            p_new /= np.add.reduceat(p_new, starts)[block]
-            delta = np.add.reduceat(np.abs(p_new - p), starts)
-            p = np.where(live[block], p_new, p)
-        live &= ~(delta < _WALK_TOL)
-    if live.any():
-        worst = float(delta[live].max())
+    live = np.flatnonzero(~small)
+    steps = 0
+    while live.size and steps < _WALK_MAX_ITER:
+        span = sizes[live]
+        nodes, shifts = _ranges(offsets[live], offsets[live + 1])
+        links, _ = _ranges(link_offsets[live], link_offsets[live + 1])
+        link_shift = np.repeat(shifts, link_offsets[live + 1] - link_offsets[live])
+        src, dst = net.src[links] - link_shift, net.dst[links] - link_shift
+        norm = out_norm[links]
+        starts = np.cumsum(span) - span
+        local = np.repeat(np.arange(live.size), span)
+        q, t_live, tau_live = p[nodes], t[nodes], tau_eff[nodes]
+        while steps < _WALK_MAX_ITER:
+            steps += 1
+            link = np.bincount(dst, weights=q[src] * (1.0 - TAU) * norm, minlength=nodes.size)
+            if sizes.size == 1:
+                q_new = link + t_live * float(q @ tau_live)
+                q_new /= q_new.sum()
+                delta = np.array([np.abs(q_new - q).sum()])
+            else:
+                q_new = link + t_live * np.add.reduceat(q * tau_live, starts)[local]
+                q_new /= np.add.reduceat(q_new, starts)[local]
+                delta = np.add.reduceat(np.abs(q_new - q), starts)
+            q = q_new
+            done = delta < _WALK_TOL
+            if done.any():
+                break
+        p[nodes] = q
+        live = live[~done]
+    if live.size:
+        worst = float(delta[~done].max())
         raise ConvergenceError(
             f"stationary distribution did not converge in {_WALK_MAX_ITER} steps "
             f"(L1 change {worst:.1e}, target {_WALK_TOL:.0e})",
@@ -714,25 +729,87 @@ def _optimize_once(
     return labels, values, histories
 
 
-def _restarts(
-    walk: Walk, entropies: list[tuple[int, ...]], trials: int
-) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
-    """Best of seeded restarts per block; ties keep the lowest trial
-    index.  Block b's trial draws from SeedSequence(entropies[b] +
-    (trial,))."""
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _TrialPool:
+    """Where the seeded restarts of one detect_communities call run.
+
+    Its size w is the CPUs this process may run on, at most trials.
+    Share k of a level's restarts is trials k, k + w, ...: the calling
+    process runs share 0 and each of w - 1 workers, forked once for the
+    whole call, one other share.  With w = 1, or where processes cannot
+    be forked, every trial runs in the calling process and no process is
+    started.  Use it as a context manager, which shuts the workers down.
+    """
+
+    def __init__(self, trials: int):
+        self.trials = trials
+        self.size = min(_cpus(), trials)
+        self._workers = None
+        if self.size > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                context = multiprocessing.get_context("fork")
+                self._workers = ProcessPoolExecutor(self.size - 1, mp_context=context)
+            else:
+                self.size = 1
+
+    def __enter__(self) -> _TrialPool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._workers is not None:
+            self._workers.shutdown(cancel_futures=True)
+
+    def restarts(
+        self, walk: Walk, entropies: list[tuple[int, ...]]
+    ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+        """Best of the seeded restarts per block; ties keep the lowest
+        trial.  Block b's trial draws from SeedSequence(entropies[b] +
+        (trial,)), so the result does not depend on the pool's size."""
+        w = self.size
+        futures = [
+            self._workers.submit(_share, walk, entropies, range(k, self.trials, w))
+            for k in range(1, w)
+        ]
+        best = _share(walk, entropies, range(0, self.trials, w))
+        for future in futures:
+            best = _better_of(best, future.result(), walk.block)
+        return best[:3]
+
+
+def _better_of(best: tuple, run: tuple, block: np.ndarray) -> tuple:
+    """Per block, the (labels, values, histories, trial) of run where its
+    value is lower, or equal from a lower trial, else those of best."""
+    better = (run[1] < best[1]) | ((run[1] == best[1]) & (run[3] < best[3]))
+    return (
+        np.where(better[block], run[0], best[0]),
+        np.where(better, run[1], best[1]),
+        [h if b else old for h, old, b in zip(run[2], best[2], better)],
+        np.where(better, run[3], best[3]),
+    )
+
+
+def _share(
+    walk: Walk, entropies: list[tuple[int, ...]], trials: range
+) -> tuple[np.ndarray, np.ndarray, list[list[float]], np.ndarray]:
+    """Best of the given seeded restarts per block, lower trials first,
+    and the trial each block's best came from."""
     search = _Search(walk)
     start = _block_values(walk, np.arange(walk.n), walk.n).tolist()
-    for trial in range(trials):
+    for trial in trials:
         rngs = [np.random.default_rng(np.random.SeedSequence(e + (trial,))) for e in entropies]
         labels, values, histories = _optimize_once(search, rngs, start)
-        if trial == 0:
-            best_labels, best_values, best_histories = labels, np.array(values), histories
-            continue
-        better = np.array(values) < best_values
-        best_labels = np.where(better[walk.block], labels, best_labels)
-        best_values = np.where(better, values, best_values)
-        best_histories = [h if b else old for h, old, b in zip(histories, best_histories, better)]
-    return best_labels, best_values, best_histories
+        run = (labels, np.array(values), histories, np.full(len(values), trial))
+        best = run if trial == trials[0] else _better_of(best, run, walk.block)
+    return best
 
 
 @lru_cache(maxsize=_EXACT_MAX)
@@ -818,7 +895,7 @@ def _take_blocks(walk: Walk, keep: np.ndarray) -> Walk:
 
 
 def _search(
-    walk: Walk, entropies: list[tuple[int, ...]], trials: int
+    walk: Walk, entropies: list[tuple[int, ...]], pool: _TrialPool
 ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
     """Best partition of every block of the walk: the optimizer's one
     entry point, for level 1 (one block) and every level below.
@@ -842,7 +919,7 @@ def _search(
         if part is small:
             got = _exact_partitions(sub)
         else:
-            got = _restarts(sub, [entropies[b] for b in blocks.tolist()], trials)
+            got = pool.restarts(sub, [entropies[b] for b in blocks.tolist()])
         labels[np.repeat(part, sizes)], values[blocks] = got[0], got[1]
         for b, history in zip(blocks.tolist(), got[2]):
             histories[b] = history
@@ -933,8 +1010,10 @@ def detect_communities(
     split (more than one node, at least one link) are searched together
     as the blocks of one disjoint-union walk that
     :meth:`FlowNetwork.blocks` cuts out, so a level costs one walk and one
-    search however many communities it has.  A network with no links (or
-    a single node) is a single irreducible community.
+    search however many communities it has.  Each level's restarts are
+    shared out over the CPUs this process may run on (see _TrialPool),
+    and the tree does not depend on how many there are.  A network with
+    no links (or a single node) is a single irreducible community.
     """
     if net.n_nodes == 0:
         raise ValueError("cannot detect communities in an empty network")
@@ -948,10 +1027,38 @@ def detect_communities(
             node_ids=net.node_ids, value=0.0, children=(root,), history=(0.0,)
         )
     walk = build_walk(net, kind)
-    labels, _, histories = _search(walk, [(seed,)], trials)
+    with _TrialPool(trials) as pool:
+        labels, _, histories = _search(walk, [(seed,)], pool)
+        tiers = _tiers(net, labels, seed, kind, pool)
     value = _value_for(walk, labels)
+    kids: dict[int, list[Community]] = {}
+    for level in range(len(tiers), 0, -1):
+        groups, parents = tiers[level - 1]
+        comms = [
+            Community(
+                level=level,
+                members=tuple(group.tolist()),
+                irreducible=i not in kids,
+                children=tuple(kids.get(i, ())),
+            )
+            for i, group in enumerate(groups)
+        ]
+        kids = {}
+        for comm, parent in zip(comms, parents.tolist()):
+            kids.setdefault(parent, []).append(comm)
+    return CommunityTree(
+        node_ids=net.node_ids,
+        value=value,
+        children=tuple(comms),
+        history=tuple(histories[0]),
+    )
 
-    # per level: each community's members and the index of its parent
+
+def _tiers(
+    net: FlowNetwork, labels: np.ndarray, seed: int, kind: str, pool: _TrialPool
+) -> list[tuple[list[np.ndarray], np.ndarray]]:
+    """Per level from the top partition's labels down: each community's
+    members and the index of its parent."""
     tiers: list[tuple[list[np.ndarray], np.ndarray]] = []
     # union holds the networks of the communities in hand side by side,
     # nodes the root index of each of its nodes, module the community of
@@ -975,7 +1082,7 @@ def detect_communities(
         nodes = nodes[order]
         walk = _block_walk(union, starts, kind)
         sizes = np.diff(starts)
-        sub_labels, values, _ = _search(walk, [(seed, *paths[c]) for c in cand.tolist()], trials)
+        sub_labels, values, _ = _search(walk, [(seed, *paths[c]) for c in cand.tolist()], pool)
         single = _block_values(walk, np.repeat(starts[:-1], sizes), walk.n)
         count = np.maximum.reduceat(sub_labels, starts[:-1]) + 1
         split = (count > 1) & (values < single - _MIN_GAIN)
@@ -986,28 +1093,7 @@ def detect_communities(
         module = np.where(np.repeat(split, sizes), first + sub_labels, -1)
         parents = np.repeat(cand, count)
         paths = [(*paths[c], m) for c, k in zip(cand.tolist(), count.tolist()) for m in range(k)]
-
-    kids: dict[int, list[Community]] = {}
-    for level in range(len(tiers), 0, -1):
-        groups, parents = tiers[level - 1]
-        comms = [
-            Community(
-                level=level,
-                members=tuple(group.tolist()),
-                irreducible=i not in kids,
-                children=tuple(kids.get(i, ())),
-            )
-            for i, group in enumerate(groups)
-        ]
-        kids = {}
-        for comm, parent in zip(comms, parents.tolist()):
-            kids.setdefault(parent, []).append(comm)
-    return CommunityTree(
-        node_ids=net.node_ids,
-        value=value,
-        children=tuple(comms),
-        history=tuple(histories[0]),
-    )
+    return tiers
 
 
 @dataclass(frozen=True)

@@ -653,7 +653,8 @@ def parse_log(
     """Parse a transfer log into a table, reporting rejected lines.
 
     Returns ``(table, rejected)`` where transfers appear in file order and
-    each rejected line carries its 1-based line number and a reason.  In
+    each rejected line carries a reason and the 1-based number of the
+    physical line it starts on (a quoted field may span lines).  In
     strict mode the first malformed line raises :class:`ParseError` instead.
     Blank lines and a leading header line (first field "timestamp") are
     skipped silently.
@@ -678,7 +679,7 @@ def parse_log(
     tails = _Tails(vocab, delimiter)
     parts_of: list[dict] = []
     rejected: list[RejectedLine] = []
-    line_no = 0
+    before = 0  # the lines before the chunk
     while chunk := lines.next_chunk(CHUNK_LINES):
         columns, canonical = _canonical_chunk(chunk, delimiter, vocab, tails)
         taken = canonical.copy()
@@ -688,10 +689,11 @@ def parse_log(
         for k in np.flatnonzero(~canonical).tolist():
             if k < done:
                 continue  # read already, inside a quoted field spanning lines
-            line_no += k - done + 1
+            line_no = before + k + 1
             lines.pos = k
+            read = reader.line_num
             parts = next(reader)
-            done = lines.pos
+            done = k + reader.line_num - read  # past the chunk if a quote runs on
             taken[k + 1 : done] = False
             if not parts or (len(parts) == 1 and not parts[0].strip()):
                 continue
@@ -704,7 +706,7 @@ def parse_log(
                 if strict:
                     raise ParseError(f"line {line_no}: {exc}") from exc
                 rejected.append(RejectedLine(line_no=line_no, reason=str(exc)))
-        line_no += len(chunk) - done
+        before += max(len(chunk), done)
         part = {name: col[taken[canonical]] for name, col in columns.items()}
         if records:
             # put the per-line records back among the column-wise ones

@@ -8,6 +8,8 @@ and :func:`link_table` turn those rows into the package's column tables.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,20 @@ def random_connected_edges(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+def workers_die(monkeypatch) -> None:
+    """Make detect_communities fork a worker (two CPUs) that exits at once
+    when it starts a restart, as a worker killed by the system would."""
+    from moneyflow import community
+
+    parent = os.getpid()
+    optimize_once = community._optimize_once
+
+    def dies_in_a_worker(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return optimize_once(*args)
+
+    monkeypatch.setattr(community, "_cpus", lambda: 2)
+    monkeypatch.setattr(community, "_optimize_once", dies_in_a_worker)

@@ -3,11 +3,13 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import shutil
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,8 @@ import moneyflow
 from moneyflow.cli import main
 from moneyflow.geonmf import read_matrix
 from moneyflow.ingest import COLUMNS
+
+from conftest import workers_die
 
 
 def pipeline_steps(out):
@@ -336,6 +340,18 @@ class TestDataErrors:
         residuals = re.findall(r"residual ([-+.e\d]+)", err)
         assert len(residuals) == 1, err
         assert err.count(residuals[0]) == 1, err
+
+    def test_dead_worker_is_neither_invalid_data_nor_nonconvergence(
+        self, ws, tmp_path, monkeypatch
+    ):
+        # a worker process that dies is a fault of the run: main exits
+        # neither 2 nor 3 but lets the error end the process (exit 1)
+        out = tmp_path / "ws"
+        shutil.copytree(ws, out)
+        workers_die(monkeypatch)
+        with pytest.raises(BrokenProcessPool):
+            main(["communities", "--out", str(out), "--trials", "2"])
+        assert multiprocessing.active_children() == []
 
 
 class TestArtifacts:

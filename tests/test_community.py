@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,12 +41,13 @@ from moneyflow.community import (
     _Search,
     _set_partitions,
     _take_blocks,
+    _TrialPool,
     _value_for,
     build_walk,
 )
 from moneyflow.hodge import WEIGHT_KINDS
 
-from conftest import make_links, net_from_edges, random_edges, split
+from conftest import make_links, net_from_edges, random_edges, split, workers_die
 from oracles import (
     BatchMapEquation,
     adjusted_rand_index,
@@ -359,12 +364,34 @@ def test_level_search_decomposes_into_blocks(union, seed, trials):
     net, offsets = union
     walk = _block_walk(net, offsets, "frequency")
     entropies = [(seed, b) for b in range(offsets.size - 1)]
-    labels, values, histories = _search(walk, entropies, trials)
-    for b, entropy in enumerate(entropies):
-        alone, (value,), (history,) = _search(_one_block(walk, b), [entropy], trials)
-        assert labels[offsets[b]:offsets[b + 1]].tolist() == alone.tolist()
-        assert values[b] == value
-        assert histories[b] == history
+    with _TrialPool(trials) as pool:
+        labels, values, histories = _search(walk, entropies, pool)
+        for b, entropy in enumerate(entropies):
+            alone, (value,), (history,) = _search(_one_block(walk, b), [entropy], pool)
+            assert labels[offsets[b]:offsets[b + 1]].tolist() == alone.tolist()
+            assert values[b] == value
+            assert histories[b] == history
+
+
+@given(_block_unions(), st.integers(0, 3), st.integers(2, 5))
+@settings(max_examples=30, deadline=None)
+def test_level_search_does_not_depend_on_the_pool_size(union, seed, trials):
+    # one process, or a share of the trials in each of 2 or 3 processes:
+    # the same labels, values and histories, bit for bit
+    net, offsets = union
+    walk = _block_walk(net, offsets, "frequency")
+    entropies = [(seed, b) for b in range(offsets.size - 1)]
+    got = []
+    for cpus in (1, 2, 3):
+        with mock.patch.object(community, "_cpus", return_value=cpus), \
+                _TrialPool(trials) as pool:
+            assert pool.size == min(cpus, trials)
+            got.append(_search(walk, entropies, pool))
+    assert multiprocessing.active_children() == []
+    for labels, values, histories in got[1:]:
+        assert labels.tolist() == got[0][0].tolist()
+        assert values.tobytes() == got[0][1].tobytes()
+        assert histories == got[0][2]
 
 
 @given(_block_unions())
@@ -530,12 +557,45 @@ PINNED_TREES = [
 ]
 
 
-@pytest.mark.parametrize("spec,digest", PINNED_TREES, ids=["cities", "blocks", "walnut"])
-def test_tree_pinned(spec, digest):
+def _tree_digest(spec):
     records, _ = generate(spec)
     tree = detect_communities(build_network(aggregate(records)), seed=0, trials=10)
     blob = json.dumps({"tree": tree.as_dict(), "history": list(tree.history)}, sort_keys=True)
-    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec,digest", PINNED_TREES, ids=["cities", "blocks", "walnut"])
+def test_tree_pinned(spec, digest):
+    assert _tree_digest(spec) == digest
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_pinned_trees_on_any_number_of_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(community, "_cpus", lambda: cpus)
+    assert [_tree_digest(spec) for spec, _ in PINNED_TREES] == [d for _, d in PINNED_TREES]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus,trials", [(3, 1), (1, 10)], ids=["one-trial", "one-cpu"])
+def test_one_trial_or_one_cpu_starts_no_process(monkeypatch, cpus, trials):
+    def refuse():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(community, "_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", refuse)
+    records, _ = generate(PINNED_TREES[0][0])
+    tree = detect_communities(build_network(aggregate(records)), seed=0, trials=trials)
+    assert tree.value > 0
+
+
+def test_dead_worker_ends_the_call_and_leaves_no_process(monkeypatch):
+    # a worker that dies mid-restart breaks the pool: the call raises
+    # instead of waiting for the lost result, and no worker outlives it
+    workers_die(monkeypatch)
+    records, _ = generate(PINNED_TREES[0][0])
+    with pytest.raises(BrokenProcessPool):
+        detect_communities(build_network(aggregate(records)), seed=0, trials=10)
+    assert multiprocessing.active_children() == []
 
 
 class TestPlantedStructure:

@@ -356,9 +356,13 @@ class TestUnreadableIdsRefused:
 
 
 def _reference_parse(lines, delimiter=",", strict=False):
-    """The per-line parse: csv rows through _parse_line, one at a time."""
+    """The per-line parse: csv rows through _parse_line, one at a time,
+    each numbered by the physical line it starts on."""
     records, rejected = [], []
-    for line_no, parts in enumerate(csv.reader(lines, delimiter=delimiter), start=1):
+    reader = csv.reader(lines, delimiter=delimiter)
+    end = 0
+    for parts in reader:
+        line_no, end = end + 1, reader.line_num
         if not parts or (len(parts) == 1 and not parts[0].strip()):
             continue
         if line_no == 1 and parts[0].strip() == "timestamp":
@@ -539,6 +543,36 @@ def test_tail_memo_stays_within_its_bound():
     assert all(size <= bound for size, bound in sizes)
     assert max(size for size, _ in sizes) == 12  # 4 per account of F1 and F2 plus the slack
     assert min(size for size, _ in sizes) < 12  # it started over
+
+
+_QUOTED_BREAK = _CANONICAL.replace("F1", '"F\n1"')
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_rejected_line_is_the_physical_line(strict):
+    # the quoted id "F<newline>1" takes lines 2-3, so the amount x is on line 4
+    lines = ["timestamp,x\n", *_QUOTED_BREAK.splitlines(keepends=True),
+             _CANONICAL.replace("35000", "x")]
+    if strict:
+        with pytest.raises(ParseError, match="^line 4: "):
+            parse_log(lines, strict=True)
+        return
+    table, rejected = parse_log(lines)
+    assert [r.line_no for r in rejected] == [4]
+    assert list(table)[0].source == "F\n1"
+
+
+def test_quoted_field_across_a_chunk_boundary_keeps_line_numbers():
+    # the quoted record starts on a chunk's last line and ends on the
+    # first line the chunk left unread
+    n = ingest_module.CHUNK_LINES
+    lines = [_CANONICAL] * (n - 1) + _QUOTED_BREAK.splitlines(keepends=True)
+    lines += [_CANONICAL.replace("35000", "x"), _CANONICAL]
+    table, rejected = parse_log(lines)
+    assert [r.line_no for r in rejected] == [n + 2]
+    assert len(table) == n + 1
+    assert list(table)[n - 1].source == "F\n1"
+    assert rejected == _reference_parse(lines)[1]
 
 
 def test_field_over_csv_limit_fails_as_in_csv():
