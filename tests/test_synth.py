@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 from collections import Counter
 from datetime import datetime
 
@@ -30,6 +31,7 @@ from moneyflow import (
     write_records,
 )
 from moneyflow.bowtie import COMPONENT_NAMES
+from moneyflow.cli import _jsonify
 from moneyflow.geonmf import DEFAULT_BOUNDS
 from moneyflow.synth import _HUB_LINKS, BIWEEKLY_EVENTS, MONTHLY_EVENTS, MONTHS_IN_WINDOW
 
@@ -104,6 +106,70 @@ class TestDeterminism:
         assert [_sha256(log), _sha256(links.getvalue()), _sha256(nodes.getvalue())] == [
             log_sha, links_sha, nodes_sha
         ]
+
+    # sha256 of the log followed by the ground truth as JSON, for the
+    # wiring cases the generator distinguishes: tiny and default walnuts,
+    # an even and an odd count outside the GWCC, one-sided skins, cities
+    # with and without the hub, flat and nested blocks.  Any change to the
+    # order, size or bounds of a draw breaks these
+    GRID = {
+        "walnut-5": (lambda s: walnut_scenario(n_nodes=5, seed=s), (
+            "804cfb8b90a908e0d8486e3ec2f8c090fc1d2745541d210ed8294e827c6a3056",
+            "2c0b52916220f26d8ce515dc748fc11910accf3495830c7b3a90bee094eeaef6",
+        )),
+        "walnut-301": (lambda s: walnut_scenario(n_nodes=301, seed=s), (
+            "c9bb84b344faac191e7bcaa10d3761243ebe8b408e582bcb1b0b2a560502b408",
+            "dabd3519616c04dddb380066039277d59d3f18bd614f22f3190a6c03e6c1322b",
+        )),
+        "outside-150": (lambda s: walnut_scenario(
+            n_nodes=500, seed=s, gscc_frac=0.5, in_frac=0.1, out_frac=0.1, te_frac=0.0
+        ), (
+            "821a408908a1cd0fc067da1d1609c7fb9482f74c60d219e0fd45a31445ce3b89",
+            "7411de8deaf01c7391a9fe1c9ca2118c3e41295701025c36b08a7d61e3fb0ed6",
+        )),
+        "outside-151": (lambda s: walnut_scenario(
+            n_nodes=501, seed=s, gscc_frac=0.5, in_frac=0.1, out_frac=0.1, te_frac=0.0
+        ), (
+            "bd0cc74332c83e4f09d8a53fcce4c7f453179d5fe0e00c3dbe3c268c1a3e77e4",
+            "614ed8f21ee1c8100c318ce78a9cd628126986ea19f1b3721e0d74985ea5018b",
+        )),
+        "no-in": (lambda s: walnut_scenario(n_nodes=500, seed=s, in_frac=0.0), (
+            "1f97702154d851cee03f4f30c9dfda725b877389338d4880736f371d1d97c14c",
+            "ee6dafa3fc97e05af7194409fc2fc753ea298593e844eebf46f50f3d541aaa87",
+        )),
+        "no-out": (lambda s: walnut_scenario(n_nodes=500, seed=s, out_frac=0.0), (
+            "5335055daf77e880864d6a3c01810154ad5b7af015e38cbf1c4ac8cd83719647",
+            "c1aa8cdbf628377f360f96402f782c7c314432d4ee479604f795c9820af1b28b",
+        )),
+        "cities-hub": (lambda s: cities_scenario(n_nodes=300, seed=s, hub=True), (
+            "50ba0e4304faa1f62bd2ae62bbc43c440de9274a9bf4d9d0bb8b29180e97b4e0",
+            "5af5d44f281d89001b035b3c1b2de67c9de53190c3c55495178c0657b652ef5f",
+        )),
+        "cities-hubless": (lambda s: cities_scenario(n_nodes=300, seed=s, hub=False), (
+            "3d378c32a26a436c26414c6219c9beffd10d1a5c5f0c9749823f078fbc0d3ed8",
+            "650e0e75c85e271a753133a35e06b70472ea4bc8e8ef75025600afafbaacd88b",
+        )),
+        "blocks-flat": (lambda s: blocks_scenario(n_nodes=120, seed=s, n_blocks=4), (
+            "12ace70fa258565eb1604d44fdc6873a4d14f377d46a069bbe8dbc917f0d73d5",
+            "178be9844c463bd1635f58b323d2b0a97f4f4178d90662cf4fc57d733469e33b",
+        )),
+        "blocks-nested": (
+            lambda s: blocks_scenario(n_nodes=120, seed=s, n_blocks=4, nested=True), (
+                "ce56a51cfdec24bb6c8dfeb0908ea098e3afc8f70e180f93075b9449a9c39fba",
+                "304a2a896192e0d7fe21a3f40706703a08abb57bca43ff7ccd9285859227a356",
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(GRID))
+    def test_log_and_truth_bytes_pinned(self, name):
+        make, pinned = self.GRID[name]
+        got = []
+        for seed in (1, 2):
+            records, truth = generate(make(seed))
+            truth_json = json.dumps(_jsonify(truth.as_dict()), sort_keys=True)
+            got.append(_sha256(render(records) + truth_json))
+        assert tuple(got) == pinned
 
 
 @st.composite
