@@ -774,6 +774,15 @@ def _int_at_least(low: int):
     return parse
 
 
+def _delimiter(text: str) -> str:
+    """argparse type: one character that can separate csv fields."""
+    if len(text) != 1 or text in '"\r\n':
+        raise argparse.ArgumentTypeError(
+            f"must be one character other than a double quote, CR or LF, not {text!r}"
+        )
+    return text
+
+
 def _parse_d_range(text: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
@@ -827,7 +836,9 @@ def build_parser() -> _Parser:
 
     p = add("ingest", "parse, filter and aggregate a transfer log", _cmd_ingest)
     p.add_argument("--input", required=True, metavar="LOG", help="raw transfer log")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument(
+        "--delimiter", type=_delimiter, default=",", help="field separator (default: ,)"
+    )
     p.add_argument(
         "--strict", action="store_true",
         help="fail on the first malformed line instead of skipping it",

@@ -992,20 +992,30 @@ class _Table:
                     f"{self.name} line {self.line_of(row)}: {label} {text.strip()!r} is not {kind}"
                 ) from None
 
+    def weights(self, k: int, label: str) -> list[int]:
+        """Column ``k`` as integers of at least 1; ValueError names the first smaller one."""
+        values = self.numbers(k, int, label)
+        if min(values, default=1) < 1:
+            row = next(row for row, value in enumerate(values) if value < 1)
+            raise ValueError(
+                f"{self.name} line {self.line_of(row)}: {label} {values[row]} is below 1"
+            )
+        return values
+
 
 def read_links(stream: IO[str] | Iterable[str]) -> FlowNetwork:
     """Read a link table written by :func:`write_links`, in file order.
 
     Blank lines and a first-line header are skipped and every field is
     stripped.  Raises ValueError on a line without four fields, a
-    non-integer weight (naming its line) or a frequency beyond int64; a
-    flow beyond int64 reads back exactly.
+    non-integer weight or one below 1 (naming its line), or a frequency
+    beyond int64; a flow beyond int64 reads back exactly.
     """
     table = _Table(stream, "source_id", 4, "link table")
     vocab = _Vocabulary()
     src, dst = (vocab.codes(list(map(str.strip, table.column(k)))) for k in (0, 1))
     ids, src, dst = _compact(vocab.ids(), src, dst)
-    flow, freq = (table.numbers(k, int, LINK_COLUMNS[k]) for k in (2, 3))
+    flow, freq = (table.weights(k, LINK_COLUMNS[k]) for k in (2, 3))
     try:
         freq = np.array(freq, dtype=np.int64)
     except OverflowError:

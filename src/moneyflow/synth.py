@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bowtie import COMPONENT_NAMES
 from .geonmf import DEFAULT_BOUNDS
 from .ingest import TIME_DTYPE, TransferTable, write_records
 
@@ -43,6 +44,10 @@ MONTHLY_EVENTS = MONTHS_IN_WINDOW
 BIWEEKLY_EVENTS = 2 * MONTHS_IN_WINDOW
 
 _WINDOW_START = np.datetime64("2017-03", "M")
+# the minute each month of the window starts at, counted from its start
+_MONTH_STARTS = (
+    (_WINDOW_START + np.arange(MONTHS_IN_WINDOW)).astype("datetime64[m]") - _WINDOW_START
+).astype(np.int64)
 
 _LINKS_PER_CORE_NODE = 3.0  # heavy-tailed extra core edges per core node
 _SKIN_DIRECT_FRACTION = 0.96  # IN/OUT skin nodes at distance 1 from the core
@@ -163,18 +168,17 @@ def _pareto_weights(rng: np.random.Generator, n: int, exponent: float) -> np.nda
     return (1.0 - u) ** (-1.0 / (exponent - 1.0))
 
 
-def _weighted_pick(rng, idx: np.ndarray, prob: np.ndarray, size: int) -> np.ndarray:
-    return rng.choice(idx, size=size, p=prob, replace=True)
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _walnut_edges(spec: ScenarioSpec, rng, city_of: np.ndarray):
+    """Edges, skin distances and class sizes, nodes numbered class by class."""
     n = spec.n_nodes
-    sizes = [
-        int(round(spec.gscc_frac * n)),
-        int(round(spec.in_frac * n)),
-        int(round(spec.out_frac * n)),
-        int(round(spec.te_frac * n)),
-    ]
+    fracs = (spec.gscc_frac, spec.in_frac, spec.out_frac, spec.te_frac)
+    sizes = [int(round(f * n)) for f in fracs]
     while sum(sizes) > n:
         sizes[sizes.index(max(sizes))] -= 1
     n_core, n_in, n_out, n_te = sizes
@@ -198,75 +202,53 @@ def _walnut_edges(spec: ScenarioSpec, rng, city_of: np.ndarray):
     outside_lo = te_hi
 
     biased = bool(spec.cities) and spec.intra_city_bias > 0
+    core_cities = {
+        int(c): np.flatnonzero(city_of[:n_core] == c) for c in np.unique(city_of[:n_core])
+    } if biased else {}
 
     # One Hamiltonian cycle through the core guarantees the SCC.  With
     # cities the visiting order groups nodes by city, so only the few
     # boundary hops cross city lines and flows stay geographically local.
-    edges: set[tuple[int, int]] = set()
     if biased:
-        order = []
-        for c in sorted(int(c) for c in np.unique(city_of[:n_core])):
-            members = np.flatnonzero(city_of[:n_core] == c)
-            order.append(rng.permutation(members))
-        perm = np.concatenate(order)
+        perm = np.concatenate([rng.permutation(members) for members in core_cities.values()])
     else:
         perm = rng.permutation(n_core)
-    for k in range(n_core):
-        edges.add((int(perm[k]), int(perm[(k + 1) % n_core])))
+    edges: set[tuple[int, int]] = set(zip(perm.tolist(), np.roll(perm, -1).tolist()))
 
     attract = _pareto_weights(rng, n_core, spec.degree_exponent)
     prob = attract / attract.sum()
     # inverse-cdf sampling instead of rng.choice(p=...): choice rebuilds
     # the cumsum on every call, which is quadratic over the whole wiring
     # pass; searchsorted on a shared cdf draws the identical sequence
-    cdf_core = prob.cumsum()
-    cdf_core /= cdf_core[-1]
-
-    by_city: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    if biased:
-        for c in np.unique(city_of[:n_core]):
-            members = np.flatnonzero(city_of[:n_core] == c)
-            w = attract[members]
-            cdf = (w / w.sum()).cumsum()
-            cdf /= cdf[-1]
-            by_city[int(c)] = (members, cdf)
+    cdf_core = _cdf(attract)
+    by_city = {c: (members, _cdf(attract[members])) for c, members in core_cities.items()}
 
     def core_target(city: int) -> int:
         """Attractiveness-weighted core pick, preferring the given city."""
-        if biased and city in by_city:
+        if city in by_city:
             members, cdf = by_city[city]
             if members.size > 1 and rng.random() < spec.intra_city_bias:
                 k = cdf.searchsorted(rng.random(), side="right")
                 return int(members[min(int(k), members.size - 1)])
         k = cdf_core.searchsorted(rng.random(), side="right")
-        return int(core[min(int(k), n_core - 1)])
+        return min(int(k), n_core - 1)
 
     n_extra = int(round(_LINKS_PER_CORE_NODE * n_core))
-    srcs = _weighted_pick(rng, core, prob, n_extra)
-    for s in srcs.tolist():
+    for s in rng.choice(core, size=n_extra, p=prob, replace=True).tolist():
         t = core_target(int(city_of[s]))
         if t != s:
             edges.add((s, t))
 
+    # most skin nodes link the core directly, the rest link a direct one
     skin_distance: dict[int, int] = {}
-    n_direct_in = min(n_in, max(1, int(round(_SKIN_DIRECT_FRACTION * n_in)))) if n_in else 0
-    for i in range(in_lo, in_hi):
-        if i - in_lo < n_direct_in:
-            edges.add((i, core_target(int(city_of[i]))))
-            skin_distance[i] = 1
-        else:
-            parent = int(rng.integers(in_lo, in_lo + n_direct_in))
-            edges.add((i, parent))
-            skin_distance[i] = 2
-    n_direct_out = min(n_out, max(1, int(round(_SKIN_DIRECT_FRACTION * n_out)))) if n_out else 0
-    for i in range(out_lo, out_hi):
-        if i - out_lo < n_direct_out:
-            edges.add((core_target(int(city_of[i])), i))
-            skin_distance[i] = 1
-        else:
-            parent = int(rng.integers(out_lo, out_lo + n_direct_out))
-            edges.add((parent, i))
-            skin_distance[i] = 2
+    for lo, hi, inward in ((in_lo, in_hi, True), (out_lo, out_hi, False)):
+        n_direct = min(hi - lo, max(1, int(round(_SKIN_DIRECT_FRACTION * (hi - lo)))))
+        for i in range(lo, hi):
+            if i - lo < n_direct:
+                other, skin_distance[i] = core_target(int(city_of[i])), 1
+            else:
+                other, skin_distance[i] = int(rng.integers(lo, lo + n_direct)), 2
+            edges.add((i, other) if inward else (other, i))
 
     def side_parent(lo: int, hi: int, city: int) -> int:
         """Uniform pick from [lo, hi), preferring same-city members."""
@@ -284,40 +266,11 @@ def _walnut_edges(spec: ScenarioSpec, rng, city_of: np.ndarray):
     for i in range(te_lo + te_in, te_hi):
         edges.add((i, side_parent(out_lo, out_hi, int(city_of[i]))))
 
-    i = outside_lo
-    remaining = n - outside_lo
-    while remaining > 0:
-        if remaining == 3:
-            edges.add((i, i + 1))
-            edges.add((i + 1, i + 2))
-            i += 3
-            remaining -= 3
-        else:
-            edges.add((i, i + 1))
-            i += 2
-            remaining -= 2
-
-    labels = {}
-    for v in range(n):
-        if v < n_core:
-            name = "GSCC"
-        elif v < in_hi:
-            name = "IN"
-        elif v < out_hi:
-            name = "OUT"
-        elif v < te_hi:
-            name = "TE"
-        else:
-            name = "outside_GWCC"
-        labels[v] = name
-    counts = {
-        "GSCC": n_core,
-        "IN": n_in,
-        "OUT": n_out,
-        "TE": n_te,
-        "outside_GWCC": n_outside,
-    }
-    return edges, labels, skin_distance, counts, n_core
+    # the nodes outside the GWCC pair up; an odd one out joins the last pair
+    edges.update((i, i + 1) for i in range(outside_lo, n - 1, 2))
+    if n_outside % 2:
+        edges.add((n - 2, n - 1))
+    return edges, skin_distance, dict(zip(COMPONENT_NAMES, (*sizes, n_outside)))
 
 
 def _block_edges(spec: ScenarioSpec, rng):
@@ -325,24 +278,17 @@ def _block_edges(spec: ScenarioSpec, rng):
     nested = isinstance(blocks[0], (tuple, list))
     edges: set[tuple[int, int]] = set()
     paths: dict[int, tuple[int, ...]] = {}
+    all_nodes = np.arange(spec.n_nodes)
     start = 0
-    groups: list[list[np.ndarray]] = []
     for gi, entry in enumerate(blocks):
         sizes = list(entry) if nested else [entry]
-        subs = []
+        group_nodes = np.arange(start, start + sum(sizes))
         for si, size in enumerate(sizes):
             members = np.arange(start, start + size)
-            for v in members:
-                paths[int(v)] = (gi, si) if nested else (gi,)
-            subs.append(members)
             start += size
-        groups.append(subs)
-
-    all_nodes = np.arange(spec.n_nodes)
-    for gi, subs in enumerate(groups):
-        group_nodes = np.concatenate(subs)
-        for members in subs:
+            pool = group_nodes[~np.isin(group_nodes, members)]
             for v in members.tolist():
+                paths[v] = (gi, si) if nested else (gi,)
                 others = members[members != v]
                 # dense blocks, sparse bridges: the split of a two-sub-block
                 # group only pays inside the group's own codebook when the
@@ -351,8 +297,7 @@ def _block_edges(spec: ScenarioSpec, rng):
                 if k:
                     for t in rng.choice(others, size=k, replace=False).tolist():
                         edges.add((v, int(t)))
-                if nested and group_nodes.size > members.size:
-                    pool = group_nodes[~np.isin(group_nodes, members)]
+                if nested and pool.size:
                     for t in rng.choice(pool, size=min(2, pool.size), replace=False).tolist():
                         edges.add((v, int(t)))
                 if rng.random() < 0.3:
@@ -387,10 +332,53 @@ def _assign_coords(spec: ScenarioSpec, rng) -> tuple[np.ndarray, np.ndarray]:
     return coords, city_of
 
 
+def _minute_of_month(day, hour, minute):
+    return ((day - 1) * 24 + hour) * 60 + minute
+
+
+def _event_minutes(rng, periodic: np.ndarray, biweekly: np.ndarray):
+    """The edge index and the minute of the window of every event, edge by edge.
+
+    A periodic edge fires every month at a fixed day, hour and minute, a
+    biweekly one also 14 days later; a one-off edge fires a geometric
+    number of times, each at a month, day, hour and minute of its own.
+    Each is one draw over all edges or events, in this order: the fixed
+    day, hour and minute of the periodic edges, the event counts of the
+    one-off ones, then the month, day, hour and minute of every one-off
+    event.
+    """
+    m = periodic.size
+    n_periodic = int(periodic.sum())
+    fixed = np.zeros(m, dtype=np.int64)
+    fixed[periodic] = _minute_of_month(
+        rng.integers(1, np.where(biweekly[periodic], 15, 29)),
+        rng.integers(0, 24, size=n_periodic),
+        rng.integers(0, 60, size=n_periodic),
+    )
+    events_per_edge = np.where(biweekly, BIWEEKLY_EVENTS, MONTHLY_EVENTS)
+    events_per_edge[~periodic] = rng.geometric(0.75, size=m - n_periodic)
+
+    edge_of = np.repeat(np.arange(m), events_per_edge)
+    nth = np.arange(edge_of.size) - (np.cumsum(events_per_edge) - events_per_edge)[edge_of]
+    bi = biweekly[edge_of]
+    minutes = fixed[edge_of]
+    minutes += _MONTH_STARTS[np.where(bi, nth // 2, nth)]
+    minutes += 14 * 24 * 60 * (nth % 2) * bi
+    one_off = ~periodic[edge_of]
+    n_one_off = int(one_off.sum())
+    month, day, hour, minute = (
+        rng.integers(low, high, size=n_one_off)
+        for low, high in ((0, MONTHS_IN_WINDOW), (1, 29), (0, 24), (0, 60))
+    )
+    minutes[one_off] = _MONTH_STARTS[month] + _minute_of_month(day, hour, minute)
+    return edge_of, minutes
+
+
 def generate(spec: ScenarioSpec) -> tuple[TransferTable, GroundTruth]:
     """Deterministically expand a spec into a transfer table + ground truth."""
     rng = np.random.default_rng(spec.seed)
     coords, city_of = _assign_coords(spec, rng)
+    names = [_node_name(i) for i in range(spec.n_nodes)]
 
     if spec.community_blocks:
         mode = "blocks"
@@ -401,11 +389,11 @@ def generate(spec: ScenarioSpec) -> tuple[TransferTable, GroundTruth]:
         hub_pool_hi = spec.n_nodes
     else:
         mode = "walnut"
-        edges, labels, dist, counts, n_core = _walnut_edges(spec, rng, city_of)
-        bowtie = {_node_name(v): name for v, name in labels.items()}
-        skin_distance = {_node_name(v): d for v, d in dist.items()}
+        edges, dist, counts = _walnut_edges(spec, rng, city_of)
+        bowtie = dict(zip(names, (c for c, size in counts.items() for _ in range(size))))
+        skin_distance = {names[v]: d for v, d in dist.items()}
         paths = None
-        hub_pool_hi = n_core
+        hub_pool_hi = counts["GSCC"]
 
     hub_node = None
     hub_targets = np.empty(0, dtype=np.int64)
@@ -427,49 +415,17 @@ def generate(spec: ScenarioSpec) -> tuple[TransferTable, GroundTruth]:
     periodic[on_hub] = True
     biweekly[on_hub] = False
 
-    # Each schedule column is one draw over all edges: the fixed day, hour
-    # and minute of the periodic edges, the event count of the one-off ones,
-    # then the month, day, hour and minute of every one-off event.
-    n_periodic = int(periodic.sum())
-    fixed = np.zeros((3, m), dtype=np.int64)  # day, hour, minute
-    fixed[:, periodic] = (
-        rng.integers(1, np.where(biweekly[periodic], 15, 29)),
-        rng.integers(0, 24, size=n_periodic),
-        rng.integers(0, 60, size=n_periodic),
-    )
-    events_per_edge = np.where(biweekly, BIWEEKLY_EVENTS, MONTHLY_EVENTS)
-    events_per_edge[~periodic] = rng.geometric(0.75, size=m - n_periodic)
-
-    edge_of = np.repeat(np.arange(m), events_per_edge)
+    edge_of, minutes = _event_minutes(rng, periodic, biweekly)
     n_events = edge_of.size
-    # a periodic edge fires every month at its fixed day, hour and minute,
-    # a biweekly one on that day and 14 days later
-    nth = np.arange(n_events) - (np.cumsum(events_per_edge) - events_per_edge)[edge_of]
-    bi = biweekly[edge_of]
-    month_arr = np.where(bi, nth // 2, nth)
-    day_arr, hour_arr, minute_arr = fixed[:, edge_of]
-    day_arr += 14 * (nth % 2) * bi
-    one_off = ~periodic[edge_of]
-    n_one_off = int(one_off.sum())
-    for column, low, high in (
-        (month_arr, 0, MONTHS_IN_WINDOW), (day_arr, 1, 29), (hour_arr, 0, 24), (minute_arr, 0, 60)
-    ):
-        column[one_off] = rng.integers(low, high, size=n_one_off)
     amounts = np.maximum(
         1, rng.lognormal(_AMOUNT_LOG_MEAN, _AMOUNT_LOG_SIGMA, n_events)
     ).astype(np.int64)
 
-    stamps = (
-        (_WINDOW_START + month_arr).astype("datetime64[m]")
-        + ((day_arr - 1) * 24 + hour_arr) * 60
-        + minute_arr
-    )
     # rows sorted by (time, src, dst, amount): edges are sorted by (src, dst),
     # so the edge index orders pairs, and lexsort is stable, so rows equal in
     # all three keys stay in edge order
-    order = np.lexsort((amounts, edge_of, stamps.view(np.int64)))
+    order = np.lexsort((amounts, edge_of, minutes))
     src_arr, dst_arr = edge_arr[edge_of[order]].T
-    names = [_node_name(i) for i in range(spec.n_nodes)]
     firm = np.zeros(n_events, dtype=np.int8)
     present = np.ones(n_events, dtype=bool)
     records = TransferTable.from_codes(
@@ -477,7 +433,7 @@ def generate(spec: ScenarioSpec) -> tuple[TransferTable, GroundTruth]:
         src_arr,
         dst_arr,
         amount=amounts[order],
-        timestamp=stamps[order].astype(TIME_DTYPE),
+        timestamp=(_WINDOW_START + minutes[order].astype("timedelta64[m]")).astype(TIME_DTYPE),
         src_kind=firm,
         dst_kind=firm,
         src_coord=coords[src_arr],
@@ -491,7 +447,7 @@ def generate(spec: ScenarioSpec) -> tuple[TransferTable, GroundTruth]:
         n_nodes=spec.n_nodes,
         bowtie=bowtie,
         skin_distance=skin_distance,
-        communities={_node_name(v): p for v, p in paths.items()} if paths else None,
+        communities={names[v]: p for v, p in paths.items()} if paths else None,
         city={names[v]: int(city_of[v]) for v in range(spec.n_nodes)},
         hub=names[hub_node] if hub_node is not None else None,
         hub_targets=len(hub_targets),

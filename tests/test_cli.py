@@ -105,6 +105,20 @@ class TestUsage:
         assert flag.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("delimiter", [";;", "", '"', "\r", "\n"],
+                             ids=["two-chars", "empty", "quote", "cr", "lf"])
+    def test_ingest_delimiter_must_separate_csv_fields(self, tmp_path, delimiter, capsys):
+        # csv splits on one character, and a quote or line break cannot be it
+        log = tmp_path / "log.csv"
+        log.write_text(
+            "2017-03-02T09:15:00,F1,F2,35000,firm,firm,34.2,135.1,34.3,135.2\n", encoding="utf-8"
+        )
+        out = tmp_path / "ws"
+        argv = ["ingest", "--out", str(out), "--input", str(log), f"--delimiter={delimiter}"]
+        assert main(argv) == 1
+        assert "--delimiter" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDataErrors:
     def test_missing_producer_is_named(self, tmp_path, capsys):
@@ -215,6 +229,12 @@ class TestDataErrors:
          "node table line 3: lat 'abc' is not a number"),
         ("nmf", "nodes.csv", "F1,34.9,135.9",
          "node table lines 2 and 3: node_id 'F1' repeats"),
+        ("communities", "links.csv", "B,C,5,0",
+         "link table line 3: frequency 0 is below 1"),
+        ("nmf", "links.csv", "F2,F1,7,-3",
+         "link table line 3: frequency -3 is below 1"),
+        ("stats", "links.csv", "F2,F1,0,1",
+         "link table line 3: flow_yen 0 is below 1"),
     ])
     def test_non_numeric_field_names_its_line(self, tmp_path, capsys, command, name, row, message):
         out = tmp_path / "ws"
