@@ -870,7 +870,8 @@ def build_parser() -> _Parser:
     p = add("communities", "hierarchical map-equation partition", _cmd_communities)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument(
-        "--trials", type=_int_at_least(1), default=10, help="optimizer restarts"
+        "--trials", type=_int_at_least(1), default=10,
+        help="most restarts per community; stops after 2 in a row fail to improve",
     )
     p.add_argument(
         "--weight", choices=("flow", "frequency"), default="frequency",

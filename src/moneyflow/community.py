@@ -10,7 +10,8 @@ equation scores a partition by the description length of that walk:
 
 where p_i are stationary visit rates and q_m is the rate of leaving
 module m (link steps and teleport steps both count).  The optimizer is a
-greedy node-mover with module aggregation and seeded restarts, applied
+greedy node-mover with module aggregation and seeded restarts, which
+stop for a community once _PATIENCE in a row fail to improve it, applied
 recursively inside each community to build a hierarchy; a community that
 no split improves is irreducible.
 
@@ -53,6 +54,7 @@ __all__ = [
     "map_equation_value",
     "Community",
     "CommunityTree",
+    "LevelSearch",
     "detect_communities",
     "LevelRow",
     "CommunityReport",
@@ -75,6 +77,9 @@ _EXACT_MAX = 8
 # the most elements per array (256 KiB of float64) when blocks of one
 # size are scored together; a block of 7 or 8 nodes is scored alone
 _EXACT_CHUNK = 1 << 15
+# a block's seeded restarts stop after this many in a row that do not
+# lower its best value
+_PATIENCE = 2
 
 
 class EmptyModuleError(ValueError):
@@ -739,12 +744,13 @@ def _cpus() -> int:
 class _TrialPool:
     """Where the seeded restarts of one detect_communities call run.
 
-    Its size w is the CPUs this process may run on, at most trials.
-    Share k of a level's restarts is trials k, k + w, ...: the calling
-    process runs share 0 and each of w - 1 workers, forked once for the
-    whole call, one other share.  With w = 1, or where processes cannot
-    be forked, every trial runs in the calling process and no process is
-    started.  Use it as a context manager, which shuts the workers down.
+    Its size w is the CPUs this process may run on, at most trials.  A
+    level's restarts run in rounds of w consecutive trials on the blocks
+    still live: the calling process runs the round's first trial and each
+    of w - 1 workers, forked once for the whole call, one other.  With
+    w = 1, or where processes cannot be forked, every trial runs in the
+    calling process and no process is started.  Use it as a context
+    manager, which shuts the workers down.
     """
 
     def __init__(self, trials: int):
@@ -770,46 +776,84 @@ class _TrialPool:
 
     def restarts(
         self, walk: Walk, entropies: list[tuple[int, ...]]
-    ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
-        """Best of the seeded restarts per block; ties keep the lowest
-        trial.  Block b's trial draws from SeedSequence(entropies[b] +
-        (trial,)), so the result does not depend on the pool's size."""
+    ) -> tuple[np.ndarray, np.ndarray, list[list[float]], np.ndarray]:
+        """Each block's best seeded restart under the stopping rule, and
+        the restarts it kept.
+
+        Block b's trial draws from SeedSequence(entropies[b] + (trial,)).
+        Taken in trial order, a trial replaces the block's best when its
+        value is strictly lower, so ties keep the lower trial; the block
+        stops after _PATIENCE trials in a row that did not, or after
+        trials.  A round's trials past the one a block stopped at are
+        dropped, so the result and the kept counts do not depend on the
+        pool's size.  Returns labels, values, histories and kept counts.
+        """
         w = self.size
-        futures = [
-            self._workers.submit(_share, walk, entropies, range(k, self.trials, w))
-            for k in range(1, w)
-        ]
-        best = _share(walk, entropies, range(0, self.trials, w))
-        for future in futures:
-            best = _better_of(best, future.result(), walk.block)
-        return best[:3]
+        sizes = np.diff(walk.offsets)
+        labels = np.empty(walk.n, dtype=np.int64)
+        values = np.full(sizes.size, np.inf)
+        histories: list[list[float]] = [[] for _ in range(sizes.size)]
+        kept = np.zeros(sizes.size, dtype=np.int64)
+        live = np.arange(sizes.size)
+        stale = np.zeros(sizes.size, dtype=np.int64)
+        sub = search = None
+        for first in range(0, self.trials, w):
+            trials = range(first, min(first + w, self.trials))
+            if sub is None:
+                mask = np.isin(np.arange(sizes.size), live)
+                sub = walk if mask.all() else _take_blocks(walk, mask)
+                node = np.flatnonzero(np.repeat(mask, sizes))
+            seeds = [entropies[b] for b in live.tolist()]
+            futures = [
+                self._workers.submit(_share, sub, seeds, range(t, t + 1))
+                for t in trials[1:]
+            ]
+            # built after the first submit, which forks the workers, so
+            # that they do not inherit it
+            if search is None:
+                search = _Search(sub)
+            runs = _runs(search, seeds, trials[:1])
+            runs += [run for future in futures for run in future.result()]
+            going = np.ones(live.size, dtype=bool)
+            for run_labels, run_values, run_histories in runs:
+                run_values = np.array(run_values)
+                better = going & (run_values < values[live])
+                moved = np.repeat(better, sizes[live])
+                labels[node[moved]] = run_labels[moved]
+                values[live[better]] = run_values[better]
+                for j in np.flatnonzero(better).tolist():
+                    histories[live[j]] = run_histories[j]
+                kept[live[going]] += 1
+                stale = np.where(better, 0, stale + going)
+                going &= stale < _PATIENCE
+            if not going.all():
+                live, stale, sub, search = live[going], stale[going], None, None
+                if live.size == 0:
+                    break
+        return labels, values, histories, kept
 
 
-def _better_of(best: tuple, run: tuple, block: np.ndarray) -> tuple:
-    """Per block, the (labels, values, histories, trial) of run where its
-    value is lower, or equal from a lower trial, else those of best."""
-    better = (run[1] < best[1]) | ((run[1] == best[1]) & (run[3] < best[3]))
-    return (
-        np.where(better[block], run[0], best[0]),
-        np.where(better, run[1], best[1]),
-        [h if b else old for h, old, b in zip(run[2], best[2], better)],
-        np.where(better, run[3], best[3]),
-    )
+def _runs(
+    search: _Search, entropies: list[tuple[int, ...]], trials: range
+) -> list[tuple[np.ndarray, list[float], list[list[float]]]]:
+    """The given seeded restarts of every block of the search's walk, in
+    trial order: each one's block-local labels, values and histories."""
+    start = _block_values(search.walk, np.arange(search.walk.n), search.walk.n).tolist()
+    return [
+        _optimize_once(
+            search,
+            [np.random.default_rng(np.random.SeedSequence(e + (trial,))) for e in entropies],
+            start,
+        )
+        for trial in trials
+    ]
 
 
 def _share(
     walk: Walk, entropies: list[tuple[int, ...]], trials: range
-) -> tuple[np.ndarray, np.ndarray, list[list[float]], np.ndarray]:
-    """Best of the given seeded restarts per block, lower trials first,
-    and the trial each block's best came from."""
-    search = _Search(walk)
-    start = _block_values(walk, np.arange(walk.n), walk.n).tolist()
-    for trial in trials:
-        rngs = [np.random.default_rng(np.random.SeedSequence(e + (trial,))) for e in entropies]
-        labels, values, histories = _optimize_once(search, rngs, start)
-        run = (labels, np.array(values), histories, np.full(len(values), trial))
-        best = run if trial == trials[0] else _better_of(best, run, walk.block)
-    return best
+) -> list[tuple[np.ndarray, list[float], list[list[float]]]]:
+    """_runs on a search of the walk built here, as a worker runs them."""
+    return _runs(_Search(walk), entropies, trials)
 
 
 @lru_cache(maxsize=_EXACT_MAX)
@@ -896,21 +940,23 @@ def _take_blocks(walk: Walk, keep: np.ndarray) -> Walk:
 
 def _search(
     walk: Walk, entropies: list[tuple[int, ...]], pool: _TrialPool
-) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+) -> tuple[np.ndarray, np.ndarray, list[list[float]], np.ndarray]:
     """Best partition of every block of the walk: the optimizer's one
     entry point, for level 1 (one block) and every level below.
 
     Blocks of at most _EXACT_MAX nodes take the exact optimum, the others
     the best of seeded restarts, block b's seeded by entropies[b].
     Returns block-local labels (0.. per block), each block's value (its
-    running value, which an exact recomputation matches to rounding) and
-    each block's history.
+    running value, which an exact recomputation matches to rounding),
+    each block's history and the restarts each block kept (0 when solved
+    exactly).
     """
     sizes = np.diff(walk.offsets)
     small = sizes <= _EXACT_MAX
     labels = np.empty(walk.n, dtype=np.int64)
     values = np.empty(sizes.size)
     histories: list[list[float]] = [[] for _ in range(sizes.size)]
+    kept = np.zeros(sizes.size, dtype=np.int64)
     for part in (small, ~small):
         blocks = np.flatnonzero(part)
         if blocks.size == 0:
@@ -920,10 +966,11 @@ def _search(
             got = _exact_partitions(sub)
         else:
             got = pool.restarts(sub, [entropies[b] for b in blocks.tolist()])
+            kept[blocks] = got[3]
         labels[np.repeat(part, sizes)], values[blocks] = got[0], got[1]
         for b, history in zip(blocks.tolist(), got[2]):
             histories[b] = history
-    return labels, values, histories
+    return labels, values, histories, kept
 
 
 @dataclass(frozen=True)
@@ -946,6 +993,17 @@ class Community:
 
 
 @dataclass(frozen=True)
+class LevelSearch:
+    """What the search of one level did: the communities it searched
+    (blocks), how many of them it solved exactly, and the seeded restarts
+    the others kept under the stopping rule, summed over blocks."""
+
+    blocks: int
+    exact: int
+    restarts: int
+
+
+@dataclass(frozen=True)
 class CommunityTree:
     """Detected hierarchy over one network.
 
@@ -953,13 +1011,17 @@ class CommunityTree:
     equation of that top partition, and history the winning restart's
     per-move objective trace (non-increasing).  Leaves are irreducible:
     either no finer partition lowered the value, or the depth cap
-    stopped the recursion there.
+    stopped the recursion there.  searches[0] is the search that found
+    level 1 (one block, the whole network) and searches[k] the one that
+    tried to split the communities of level k; none ran on a network
+    without links.
     """
 
     node_ids: tuple[str, ...]
     value: float
     children: tuple[Community, ...]
     history: tuple[float, ...]
+    searches: tuple[LevelSearch, ...]
 
     @property
     def n_nodes(self) -> int:
@@ -1006,11 +1068,12 @@ def detect_communities(
     re-optimized on its induced subnetwork and split while a strictly
     lower value exists, down to level _MAX_DEPTH.  A community at path
     (m1, ..., mk) of module indices from the top seeds its restarts with
-    (seed, m1, ..., mk, trial).  The communities of one level that may
-    split (more than one node, at least one link) are searched together
-    as the blocks of one disjoint-union walk that
-    :meth:`FlowNetwork.blocks` cuts out, so a level costs one walk and one
-    search however many communities it has.  Each level's restarts are
+    (seed, m1, ..., mk, trial).  trials caps each community's restarts:
+    they stop after _PATIENCE in a row fail to lower its best value.  The
+    communities of one level that may split (more than one node, at least
+    one link) are searched together as the blocks of one disjoint-union
+    walk that :meth:`FlowNetwork.blocks` cuts out, so a level costs one
+    walk and one search however many communities it has.  Each level's restarts are
     shared out over the CPUs this process may run on (see _TrialPool),
     and the tree does not depend on how many there are.  A network with
     no links (or a single node) is a single irreducible community.
@@ -1024,12 +1087,12 @@ def detect_communities(
     if net.n_links == 0:
         root = Community(level=1, members=tuple(range(net.n_nodes)), irreducible=True)
         return CommunityTree(
-            node_ids=net.node_ids, value=0.0, children=(root,), history=(0.0,)
+            node_ids=net.node_ids, value=0.0, children=(root,), history=(0.0,), searches=()
         )
     walk = build_walk(net, kind)
     with _TrialPool(trials) as pool:
-        labels, _, histories = _search(walk, [(seed,)], pool)
-        tiers = _tiers(net, labels, seed, kind, pool)
+        labels, _, histories, kept = _search(walk, [(seed,)], pool)
+        tiers, searches = _tiers(net, labels, seed, kind, pool)
     value = _value_for(walk, labels)
     kids: dict[int, list[Community]] = {}
     for level in range(len(tiers), 0, -1):
@@ -1051,15 +1114,27 @@ def detect_communities(
         value=value,
         children=tuple(comms),
         history=tuple(histories[0]),
+        searches=(_level_search(walk, kept), *searches),
+    )
+
+
+def _level_search(walk: Walk, kept: np.ndarray) -> LevelSearch:
+    sizes = np.diff(walk.offsets)
+    return LevelSearch(
+        blocks=int(sizes.size),
+        exact=int(np.count_nonzero(sizes <= _EXACT_MAX)),
+        restarts=int(kept.sum()),
     )
 
 
 def _tiers(
     net: FlowNetwork, labels: np.ndarray, seed: int, kind: str, pool: _TrialPool
-) -> list[tuple[list[np.ndarray], np.ndarray]]:
+) -> tuple[list[tuple[list[np.ndarray], np.ndarray]], list[LevelSearch]]:
     """Per level from the top partition's labels down: each community's
-    members and the index of its parent."""
+    members and the index of its parent; and what each level's search
+    did."""
     tiers: list[tuple[list[np.ndarray], np.ndarray]] = []
+    searches: list[LevelSearch] = []
     # union holds the networks of the communities in hand side by side,
     # nodes the root index of each of its nodes, module the community of
     # the next level that each node belongs to (-1: none)
@@ -1082,7 +1157,10 @@ def _tiers(
         nodes = nodes[order]
         walk = _block_walk(union, starts, kind)
         sizes = np.diff(starts)
-        sub_labels, values, _ = _search(walk, [(seed, *paths[c]) for c in cand.tolist()], pool)
+        sub_labels, values, _, kept = _search(
+            walk, [(seed, *paths[c]) for c in cand.tolist()], pool
+        )
+        searches.append(_level_search(walk, kept))
         single = _block_values(walk, np.repeat(starts[:-1], sizes), walk.n)
         count = np.maximum.reduceat(sub_labels, starts[:-1]) + 1
         split = (count > 1) & (values < single - _MIN_GAIN)
@@ -1093,7 +1171,7 @@ def _tiers(
         module = np.where(np.repeat(split, sizes), first + sub_labels, -1)
         parents = np.repeat(cand, count)
         paths = [(*paths[c], m) for c, k in zip(cand.tolist(), count.tolist()) for m in range(k)]
-    return tiers
+    return tiers, searches
 
 
 @dataclass(frozen=True)

@@ -189,13 +189,19 @@ def heatmap_of(vec: np.ndarray, grid: GeoGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NmfFactorization:
-    """Result of V ~ W H with factors ordered by descending W column mass."""
+    """Result of V ~ W H with factors ordered by descending W column mass.
+
+    iterations counts the updates made; hit_cap is True when they stopped
+    at max_iters before the relative change fell to tol.
+    """
 
     d: int
     W: np.ndarray
     H: np.ndarray
     objective: float
     history: tuple[float, ...]
+    iterations: int
+    hit_cap: bool
 
 
 def _as_matrix(V) -> sp.csr_matrix | np.ndarray:
@@ -248,6 +254,7 @@ def nmf(
 
     eps = 1e-12
     history = [objective()]
+    hit_cap = True
     for _ in range(max_iters):
         WtV = (A.T @ W).T
         H *= WtV / ((W.T @ W) @ H + eps)
@@ -256,6 +263,7 @@ def nmf(
         obj = objective()
         history.append(obj)
         if abs(history[-2] - obj) <= tol * max(1.0, abs(history[-2])):
+            hit_cap = False
             break
     order = np.argsort(-W.sum(axis=0), kind="stable")
     return NmfFactorization(
@@ -264,6 +272,8 @@ def nmf(
         H=np.ascontiguousarray(H[order, :]),
         objective=history[-1],
         history=tuple(history),
+        iterations=len(history) - 1,
+        hit_cap=hit_cap,
     )
 
 

@@ -16,7 +16,7 @@ whole graph finds all the components' potentials at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -115,6 +115,12 @@ def solve_potentials(problem: HodgeProblem, tol: float = 1e-10) -> np.ndarray:
     Raises :class:`ConvergenceError`, carrying the worst component's
     relative residual, when the iteration cap is hit first.
     """
+    return _solve(problem, tol)[0]
+
+
+def _solve(problem: HodgeProblem, tol: float) -> tuple[np.ndarray, int, float]:
+    """solve_potentials' phi, the CG iterations it took and the worst
+    component's relative residual."""
     import scipy.sparse as sp
     from scipy.sparse.linalg import cg
 
@@ -128,17 +134,23 @@ def solve_potentials(problem: HodgeProblem, tol: float = 1e-10) -> np.ndarray:
     diag = L.diagonal()
     inv_diag = np.divide(1.0, diag, out=np.ones_like(diag), where=diag > 0.0)
     cap = max(_CG_ITER_PER_NODE * problem.n, _CG_MIN_ITER)
-    x, info = cg(L, b, rtol=0.0, atol=tol, maxiter=cap, M=sp.diags(inv_diag))
+    iterations = 0
+
+    def count(_) -> None:
+        nonlocal iterations
+        iterations += 1
+
+    x, info = cg(L, b, rtol=0.0, atol=tol, maxiter=cap, M=sp.diags(inv_diag), callback=count)
+    r = b - L @ x
+    worst = float(np.sqrt(np.bincount(labels, r * r, ncomp).max()))
     if info != 0:
-        r = b - L @ x
-        worst = float(np.sqrt(np.bincount(labels, r * r, ncomp).max()))
         raise ConvergenceError(
             f"CG stalled at relative residual {worst:.3e} (target {tol:.1e})",
             residual=worst,
         )
     x *= scale
     x -= (np.bincount(labels, x, ncomp) / size)[labels]
-    return x
+    return x, iterations, worst
 
 
 @dataclass(frozen=True)
@@ -147,13 +159,18 @@ class HodgeDecomposition:
 
     gradient and circular are sparse antisymmetric matrices on the same
     pattern as F; F = circular + gradient holds exactly because the
-    circular part is defined as the remainder.
+    circular part is defined as the remainder.  cg_iterations and
+    cg_residual are the iterations of hodge_decompose's CG solve and the
+    worst weak component's relative residual after it; both are None when
+    phi was given to :func:`decompose`.
     """
 
     problem: HodgeProblem
     phi: np.ndarray
     gradient: sp.csr_matrix
     circular: sp.csr_matrix
+    cg_iterations: int | None = None
+    cg_residual: float | None = None
 
     def circular_divergence(self) -> np.ndarray:
         """Per-node divergence of the circular flow (near zero after a solve)."""
@@ -187,7 +204,8 @@ def hodge_decompose(
 ) -> HodgeDecomposition:
     """Assemble, solve and split; phi sums to zero on each weak component."""
     problem = assemble_problem(net, kind)
-    return decompose(problem, solve_potentials(problem, tol=tol))
+    phi, iterations, residual = _solve(problem, tol)
+    return replace(decompose(problem, phi), cg_iterations=iterations, cg_residual=residual)
 
 
 def potential_histograms(

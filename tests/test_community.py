@@ -31,7 +31,9 @@ from moneyflow import community
 from moneyflow.community import (
     _EXACT_MAX,
     _MIN_GAIN,
+    _PATIENCE,
     EmptyModuleError,
+    LevelSearch,
     _aggregate,
     _block_walk,
     _exact_partitions,
@@ -40,6 +42,7 @@ from moneyflow.community import (
     _search,
     _Search,
     _set_partitions,
+    _share,
     _take_blocks,
     _TrialPool,
     _value_for,
@@ -318,7 +321,12 @@ def _block_unions(draw):
     sizes = [draw(kind) for kind in kinds]
     sizes += draw(st.lists(st.one_of(*kinds), max_size=2))
     sizes = draw(st.permutations(sizes))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _union(sizes, draw(st.integers(0, 2**32 - 1)))
+
+
+def _union(sizes, seed):
+    """(network, block offsets): a random digraph of each size side by side."""
+    rng = np.random.default_rng(seed)
     edges, offsets = [], [0]
     for n in sizes:
         m = int(rng.integers(n, min(3 * n, n * (n - 1)) + 1))
@@ -359,25 +367,29 @@ def test_block_walk_matches_each_walk_alone(union):
 @given(_block_unions(), st.integers(0, 3), st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_level_search_decomposes_into_blocks(union, seed, trials):
-    # one search over K blocks gives every block the labels, value and
-    # history of a search of that block's walk alone with the same entropy
+    # one search over K blocks gives every block the labels, value,
+    # history and kept restarts of a search of that block's walk alone
+    # with the same entropy
     net, offsets = union
     walk = _block_walk(net, offsets, "frequency")
     entropies = [(seed, b) for b in range(offsets.size - 1)]
     with _TrialPool(trials) as pool:
-        labels, values, histories = _search(walk, entropies, pool)
+        labels, values, histories, kept = _search(walk, entropies, pool)
         for b, entropy in enumerate(entropies):
-            alone, (value,), (history,) = _search(_one_block(walk, b), [entropy], pool)
+            alone, (value,), (history,), (restarts,) = _search(
+                _one_block(walk, b), [entropy], pool
+            )
             assert labels[offsets[b]:offsets[b + 1]].tolist() == alone.tolist()
             assert values[b] == value
             assert histories[b] == history
+            assert kept[b] == restarts
 
 
 @given(_block_unions(), st.integers(0, 3), st.integers(2, 5))
 @settings(max_examples=30, deadline=None)
 def test_level_search_does_not_depend_on_the_pool_size(union, seed, trials):
     # one process, or a share of the trials in each of 2 or 3 processes:
-    # the same labels, values and histories, bit for bit
+    # the same labels, values, histories and kept restarts, bit for bit
     net, offsets = union
     walk = _block_walk(net, offsets, "frequency")
     entropies = [(seed, b) for b in range(offsets.size - 1)]
@@ -388,10 +400,73 @@ def test_level_search_does_not_depend_on_the_pool_size(union, seed, trials):
             assert pool.size == min(cpus, trials)
             got.append(_search(walk, entropies, pool))
     assert multiprocessing.active_children() == []
-    for labels, values, histories in got[1:]:
+    for labels, values, histories, kept in got[1:]:
         assert labels.tolist() == got[0][0].tolist()
         assert values.tobytes() == got[0][1].tobytes()
         assert histories == got[0][2]
+        assert kept.tolist() == got[0][3].tolist()
+
+
+def _restarts_one_at_a_time(walk, entropies, trials):
+    """The stopping rule by hand: every trial of every block, one trial at
+    a time; per block, in trial order, a trial becomes the best when its
+    value is strictly lower, and the block stops after _PATIENCE trials in
+    a row that are not, or after the last trial.  Returns the labels,
+    values, histories and the number of trials each block took."""
+    runs = [_share(walk, entropies, range(t, t + 1))[0] for t in range(trials)]
+    labels = np.empty(walk.n, dtype=np.int64)
+    values, histories, taken = [], [], []
+    for b in range(walk.offsets.size - 1):
+        best, stale, count = 0, 0, 0
+        for t in range(trials):
+            count += 1
+            if runs[t][1][b] < runs[best][1][b]:
+                best, stale = t, 0
+            elif t > 0:
+                stale += 1
+            if stale == _PATIENCE:
+                break
+        lo, hi = walk.offsets[b], walk.offsets[b + 1]
+        labels[lo:hi] = runs[best][0][lo:hi]
+        values.append(runs[best][1][b])
+        histories.append(runs[best][2][b])
+        taken.append(count)
+    return labels, values, histories, taken
+
+
+def _assert_restarts_match_one_at_a_time(union, seed, trials):
+    net, offsets = union
+    walk = _block_walk(net, offsets, "frequency")
+    entropies = [(seed, b) for b in range(offsets.size - 1)]
+    small = np.diff(offsets) <= _EXACT_MAX
+    big = np.flatnonzero(~small)
+    want = _restarts_one_at_a_time(
+        _take_blocks(walk, ~small), [entropies[b] for b in big.tolist()], trials
+    )
+    for cpus in (1, 2, 3):
+        with mock.patch.object(community, "_cpus", return_value=cpus), \
+                _TrialPool(trials) as pool:
+            labels, values, histories, kept = _search(walk, entropies, pool)
+        assert labels[np.repeat(~small, np.diff(offsets))].tolist() == want[0].tolist()
+        assert values[big].tolist() == want[1]
+        assert [histories[b] for b in big.tolist()] == want[2]
+        assert kept[big].tolist() == want[3]
+        assert not kept[small].any()
+    assert multiprocessing.active_children() == []
+
+
+@given(_block_unions(), st.integers(0, 3), st.integers(1, 10))
+@settings(max_examples=30, deadline=None)
+def test_restarts_match_the_rule_applied_one_trial_at_a_time(union, seed, trials):
+    _assert_restarts_match_one_at_a_time(union, seed, trials)
+
+
+def test_restarts_past_a_stop_are_dropped():
+    # the 40-node block stops at trial 2, as trials 1 and 2 fail to beat 0,
+    # and trial 3, which 2 processes run in the same round as trial 2,
+    # would beat them by 0.005 bits.  The 30-node block improves late: its
+    # trial 4 is 0.23 bits below trials 0-3
+    _assert_restarts_match_one_at_a_time(_union([40, 50, 25, 30], 41), 0, 10)
 
 
 @given(_block_unions())
@@ -531,28 +606,32 @@ def test_walk_that_does_not_converge_raises(monkeypatch):
 # optimizer's arithmetic or move order shows up here.  Re-pinned when the
 # generator's schedule draws changed, which moves the link weights, when
 # local moves became queue-driven, when a vectorised scan replaced the
-# full re-passes, and when the scan came to certify blocks under 40 nodes
-# as well, each of which changes the order in which nodes are visited
+# full re-passes, when the scan came to certify blocks under 40 nodes as
+# well, each of which changes the order in which nodes are visited, and
+# when each community's restarts came to stop after _PATIENCE in a row
+# fail to improve it, which changes the restart each community keeps
 PINNED_TREES = [
     (
-        # blocks under 40 nodes certified by the scan: same top partition,
-        # value, history and leaves (5.8159 bits); the three sub-communities
-        # of one 34-node community come in a new order.  The earlier code
-        # with the scan on every walk gives this digest too
+        # restarts that stop: same top partition, value, history and
+        # communities at every level (5.8159 bits); some sub-communities
+        # come in a new order, from a different restart of their parent
         cities_scenario(n_nodes=300, seed=1, hub=True),
-        "0ff69dae1a6628263cbd5801bbc305223c4df7e2f17ff4b70bd43b93929ff2a2",
+        "d821b2c7d6ed66ca2a0450f7f98b6b6ba77cb7ea0bab0dbe1b92e109e8255932",
     ),
     (
-        # scan: same top partition, leaves and value (6.2013 bits), new
-        # module order and history
+        # restarts that stop: same communities and value (6.2013 bits);
+        # all ten level-1 restarts reach this partition, and the history
+        # is now trial 0's, where trial 3's running value was lower in
+        # the last bits
         blocks_scenario(n_nodes=240, seed=0, n_blocks=12, nested=True),
-        "3a8b12695389354bdf1eb426d100b8801771195c8f4475e2ffc426f4bb2587a2",
+        "94a48750af99d210ff6dbe782cc048c16b7a946399f038e855db9ac3aea90586",
     ),
     (
-        # scan: same top partition, leaves and value (6.1429 bits), new
-        # module order and history
+        # restarts that stop: level 1 stops after trials 1 and 2 fail to
+        # beat trial 0, whose 6.1437 bits are 0.014% above trial 6's
+        # 6.1429, so the top partition and the tree below it change
         walnut_scenario(n_nodes=300, seed=3),
-        "17d5e56d70ea1f9ba81469c4e81a045ae4a0ff8135be4aabab91c3104088dd40",
+        "fd441c4826c510462893f88ded5bc5d0803ce1654e4d80dde9757824dad4cd8a",
     ),
 ]
 
@@ -574,6 +653,35 @@ def test_pinned_trees_on_any_number_of_cpus(monkeypatch, cpus):
     monkeypatch.setattr(community, "_cpus", lambda: cpus)
     assert [_tree_digest(spec) for spec, _ in PINNED_TREES] == [d for _, d in PINNED_TREES]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_search_counts_on_any_number_of_cpus(monkeypatch, cpus):
+    # per level: blocks searched, blocks solved exactly, restarts kept; a
+    # restart that a round ran past its block's stop is not counted
+    monkeypatch.setattr(community, "_cpus", lambda: cpus)
+    records, _ = generate(PINNED_TREES[0][0])
+    tree = detect_communities(build_network(aggregate(records)), seed=0, trials=10)
+    assert tree.searches == (
+        LevelSearch(blocks=1, exact=0, restarts=3),
+        LevelSearch(blocks=37, exact=25, restarts=44),
+        LevelSearch(blocks=3, exact=2, restarts=5),
+    )
+
+
+def test_one_cpu_runs_only_the_restarts_it_keeps(monkeypatch):
+    # one trial a round: no restart is speculative, and no round runs once
+    # every block has stopped
+    runs = []
+    optimize_once = community._optimize_once
+    monkeypatch.setattr(community, "_cpus", lambda: 1)
+    monkeypatch.setattr(
+        community, "_optimize_once", lambda *args: runs.append(args) or optimize_once(*args)
+    )
+    records, _ = generate(PINNED_TREES[0][0])
+    tree = detect_communities(build_network(aggregate(records)), seed=0, trials=10)
+    assert sum(len(rngs) for _, rngs, _ in runs) == sum(s.restarts for s in tree.searches)
+    assert all(rngs for _, rngs, _ in runs)
 
 
 @pytest.mark.parametrize("cpus,trials", [(3, 1), (1, 10)], ids=["one-trial", "one-cpu"])

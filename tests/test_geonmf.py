@@ -39,7 +39,9 @@ from oracles import brute_localization, grid_bin_counts, haversine_reference
 def fake_fact(W, H):
     W = np.asarray(W, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
-    return NmfFactorization(d=W.shape[1], W=W, H=H, objective=0.0, history=(0.0,))
+    return NmfFactorization(
+        d=W.shape[1], W=W, H=H, objective=0.0, history=(0.0,), iterations=0, hit_cap=False
+    )
 
 
 def grid_centers(grid):
@@ -284,6 +286,19 @@ class TestNmf:
         sparse = nmf(sp.csr_matrix(V), d=3, seed=5, max_iters=80, tol=0.0)
         assert sparse.objective == pytest.approx(dense.objective, rel=1e-8)
         np.testing.assert_allclose(sparse.W, dense.W, rtol=1e-7, atol=1e-10)
+
+    @pytest.mark.parametrize("max_iters,tol,iterations,hit_cap", [
+        (200, 1e-12, 200, True),
+        (5000, 1e-6, 296, False),
+        # tol reached on the last allowed update is no cap hit
+        (296, 1e-6, 296, False),
+        (295, 1e-6, 295, True),
+    ])
+    def test_iterations_and_cap_hit(self, max_iters, tol, iterations, hit_cap):
+        V = np.random.default_rng(0).uniform(0.0, 3.0, size=(8, 7))
+        fact = nmf(V, d=3, seed=0, max_iters=max_iters, tol=tol)
+        assert fact.iterations == iterations == len(fact.history) - 1
+        assert fact.hit_cap is hit_cap
 
     def test_d_validation(self):
         V = np.ones((4, 6))

@@ -4,13 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moneyflow import (
+    aggregate,
     assemble_problem,
+    build_network,
     classify_bowtie,
     decompose,
+    generate,
     hodge_decompose,
     potential_histograms,
     potential_vs_net,
     solve_potentials,
+    walnut_scenario,
 )
 from moneyflow import hodge
 from moneyflow.bowtie import weakly_connected_components
@@ -145,11 +149,30 @@ class TestSolve:
         for kind in ("frequency", "flow"):
             decomp = hodge_decompose(net, kind=kind)
             assert decomp.problem.components[1] == 4
+            assert decomp.cg_residual <= 1e-10
             phi_ref = hodge_dense(n, pairs, net.weights(kind).astype(float))[0]
             for comp in range(4):
                 nodes = owner == comp
                 scale = max(1.0, float(np.abs(phi_ref[nodes]).max()))
                 assert np.abs(decomp.phi[nodes] - phi_ref[nodes]).max() / scale < 1e-8
+
+    def test_cg_counters_on_a_fixed_walnut(self):
+        # the iterations are counted by a callback, so phi is still the one
+        # solve_potentials returns, bit for bit
+        records, _ = generate(walnut_scenario(n_nodes=2000, seed=1))
+        decomp = hodge_decompose(build_network(aggregate(records)))
+        problem = decomp.problem
+        assert decomp.phi.tobytes() == solve_potentials(problem).tobytes()
+        assert decomp.cg_iterations == 49
+        assert decomp.cg_residual == pytest.approx(9.3866145e-11, rel=1e-6)
+        # one weak component: the residual of phi itself over the centred
+        # divergence, which rescaling phi changes only in the last bits
+        assert problem.components[1] == 1
+        b = problem.divergence - problem.divergence.mean()
+        r = problem.divergence - problem.laplacian @ decomp.phi
+        assert np.linalg.norm(r) / np.linalg.norm(b) == pytest.approx(decomp.cg_residual, rel=1e-4)
+        given = decompose(problem, decomp.phi)
+        assert given.cg_iterations is None and given.cg_residual is None
 
     def test_convergence_error_carries_residual(self, rng, monkeypatch):
         edges = random_connected_edges(rng, 120, 240)
