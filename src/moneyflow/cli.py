@@ -465,7 +465,8 @@ def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
         "radius_km": args.radius_km,
         "seed": args.seed,
         "objective": fact.objective,
-        "iterations": len(fact.history) - 1,
+        "iterations": fact.iterations,
+        "hit_cap": fact.hit_cap,
         "included_events": gfm.included,
         "excluded_events": gfm.excluded,
         "gamma_threshold": GAMMA_THRESHOLD,
@@ -902,10 +903,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _factor_count_error(args) -> str | None:
+    """Why the nmf factor counts do not fit a k x k grid, whose flow
+    matrix has k**2 rows and columns; None when they fit."""
+    cells = args.grid_k**2
+    top = args.nmf_d_range[1] if args.nmf_d_range else 0
+    for flag, d in (("--nmf-d", args.nmf_d), ("--nmf-d-range", top)):
+        if d > cells:
+            return f"argument {flag}: {d} factors exceed the {cells} cells of --grid-k {args.grid_k}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "nmf" and (message := _factor_count_error(args)):
+            parser.error(message)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -98,14 +98,13 @@ def _plogp_vec(x: np.ndarray) -> np.ndarray:
 
 
 def _block_sums(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """x summed over each block.
+    """x summed over each block, by the one rule every per-block sum uses.
 
-    Each block sums as x[lo:hi].sum() would (np.add.reduceat rounds
-    differently), so a block's sums, and every value built on them, are
-    the same whether or not other blocks share the array.
+    Blocks are never empty, so np.add.reduceat sums exactly
+    x[offsets[b]:offsets[b + 1]], the same way whether or not other
+    blocks share the array.
     """
-    bounds = offsets.tolist()
-    return np.array([x[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])])
+    return np.add.reduceat(x, offsets[:-1])
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,13 +167,13 @@ def _block_walk(net: FlowNetwork, offsets: np.ndarray, kind: str) -> Walk:
     solve per size: each block's n x n step matrix, with one row of
     step - I replaced by the normalisation sum(p) = 1.  The others
     power-iterate together, one np.bincount of link steps per step, with
-    teleportation and normalisation per block by np.add.reduceat (a lone
-    block sums whole arrays, which rounds differently in the last bits);
-    a block keeps the vector of the step whose L1 change fell below
-    _WALK_TOL, as a walk iterated alone would.  Each step reads only the
-    blocks still iterating, packed side by side and packed again when
-    one converges; every per-node and per-block sum adds the same terms
-    in the same order as over the whole union.
+    teleportation, normalisation and the L1 change summed per block by
+    np.add.reduceat, a lone block included; a block keeps the vector of
+    the step whose L1 change fell below _WALK_TOL.  Each step reads only
+    the blocks still iterating, packed side by side and packed again when
+    one converges.  Every per-node and per-block sum adds the same terms
+    in the same order as for the block alone, so each block's walk is
+    bit for bit the one :func:`build_walk` gives its subnetwork.
     """
     n = net.n_nodes
     sizes = np.diff(offsets)
@@ -222,14 +221,9 @@ def _block_walk(net: FlowNetwork, offsets: np.ndarray, kind: str) -> Walk:
         while steps < _WALK_MAX_ITER:
             steps += 1
             link = np.bincount(dst, weights=q[src] * (1.0 - TAU) * norm, minlength=nodes.size)
-            if sizes.size == 1:
-                q_new = link + t_live * float(q @ tau_live)
-                q_new /= q_new.sum()
-                delta = np.array([np.abs(q_new - q).sum()])
-            else:
-                q_new = link + t_live * np.add.reduceat(q * tau_live, starts)[local]
-                q_new /= np.add.reduceat(q_new, starts)[local]
-                delta = np.add.reduceat(np.abs(q_new - q), starts)
+            q_new = link + t_live * np.add.reduceat(q * tau_live, starts)[local]
+            q_new /= np.add.reduceat(q_new, starts)[local]
+            delta = np.add.reduceat(np.abs(q_new - q), starts)
             q = q_new
             done = delta < _WALK_TOL
             if done.any():
@@ -284,7 +278,7 @@ def _block_values(walk: Walk, labels: np.ndarray, m: int) -> np.ndarray:
     P, _, _, _, q = _module_sums(walk, labels, m)
     off = walk.offsets
     return (
-        np.array([_plogp(x) for x in _block_sums(q, off).tolist()])
+        _plogp_vec(_block_sums(q, off))
         - 2.0 * _block_sums(_plogp_vec(q), off)
         + _block_sums(_plogp_vec(q + P), off)
         - walk.node_term
@@ -305,29 +299,29 @@ def map_equation_value(net: FlowNetwork, labels, kind: str = "frequency") -> flo
     return _value_for(build_walk(net, kind), labels)
 
 
-def _adjacency(heads: np.ndarray, tails: np.ndarray, flow: np.ndarray, n: int):
-    """Per-node lists of (neighbour, flow), neighbours ascending."""
-    order = np.lexsort((tails, heads))
-    pairs = list(zip(tails[order].tolist(), flow[order].tolist()))
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(heads, minlength=n)))).tolist()
-    return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
 class _Search:
     """Search state of one walk, built once and shared by every restart.
 
-    Holds the out- and in-adjacency as per-node (neighbour, flow) lists,
-    the per-node p/a/t/out-flow lists and the module state of the
+    Holds one list per node of (neighbour, flow) pairs: each node it links
+    to in either direction, ascending, with the flows both ways summed.
+    Also the per-node p/a/t/out-flow lists and the module state of the
     all-singletons partition, so a restart only copies lists.
     """
 
-    __slots__ = ("walk", "out_adj", "in_adj", "p", "a", "t", "fout", "singletons")
+    __slots__ = ("walk", "adj", "p", "a", "t", "fout", "singletons")
 
     def __init__(self, walk: Walk):
         n = walk.n
         self.walk = walk
-        self.out_adj = _adjacency(walk.src, walk.dst, walk.flow, n)
-        self.in_adj = _adjacency(walk.dst, walk.src, walk.flow, n)
+        key, pos = np.unique(
+            np.concatenate((walk.src * n + walk.dst, walk.dst * n + walk.src)),
+            return_inverse=True,
+        )
+        flow = np.bincount(pos, weights=np.concatenate((walk.flow, walk.flow)))
+        head, tail = np.divmod(key, n)
+        pairs = list(zip(tail.tolist(), flow.tolist()))
+        bounds = np.searchsorted(head, np.arange(n + 1)).tolist()
+        self.adj = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         self.p = walk.p.tolist()
         self.a = walk.a.tolist()
         self.t = walk.t.tolist()
@@ -460,29 +454,31 @@ def _local_moves(
 
     rngs, values and histories belong to the blocks, in order; the other
     blocks keep their labels.  A block's round visits a queue of its
-    nodes; when a node moves to module beta, its in- and out-neighbours
+    nodes; when a node moves to module beta, its neighbours either way
     that are neither queued nor in beta join the back of the queue, and
     the round ends when the queue is empty.  The first round queues every
     node of the block in random order when labels=None (singletons, whose
     module state the shared search already holds).  Each later round
     queues, in random order, the block's nodes that one _flag_moves scan
     of all blocks still moving finds an improving move for; so does the
-    first round when labels are given.  A block stops when the scan flags none of its
-    nodes, or when a round moves none: those nodes all failed the exact
-    evaluation and the scan cleared every other node, so the result is a
-    local optimum.  Blocks share no link, so each block's moves and draws
-    are those of a search of its walk alone.
-    plogp(q_m), plogp(q_m + P_m) and each block's plogp(q_tot) are cached
-    and updated on each accepted move, so a candidate costs three log2
-    calls (its new q_m, q_m + P_m and q_tot).  Each delta adds the same
-    terms in the same order as a full recomputation would, so the result
-    does not depend on the caching.  Every accepted move strictly lowers
-    its block's running value, which is appended to the block's history
-    move by move.  Returns the labels and the blocks' values.
+    first round when labels are given.  A block stops when the scan flags
+    none of its nodes, or when a round moves none: those nodes all failed
+    the exact evaluation and the scan cleared every other node, so the
+    result is a local optimum.  Blocks share no link, so each block's
+    moves and draws are those of a search of its walk alone.
+    A node's flow to and from each module is one pass over its neighbour
+    list, whose flows hold both directions, so the flow a move takes out
+    of or into a module is one lookup.  plogp(q_m), plogp(q_m + P_m) and
+    each block's plogp(q_tot) are cached and updated on each accepted
+    move, so a candidate costs three log2 calls (its new q_m, q_m + P_m
+    and q_tot).  Each delta adds the same terms in the same order as a
+    full recomputation would, so the result does not depend on the
+    caching.  Every accepted move strictly lowers its block's running
+    value, which is appended to the block's history move by move.
+    Returns the labels and the blocks' values.
     """
     n = search.walk.n
-    out_adj = search.out_adj
-    in_adj = search.in_adj
+    adj = search.adj
     p, a, t, fout = search.p, search.a, search.t, search.fout
     bounds = search.walk.offsets.tolist()
     if blocks is None:
@@ -535,20 +531,13 @@ def _local_moves(
                 alpha = lab[v]
                 # flows are >= +0.0, so starting a sum at f equals 0.0 + f
                 fo: dict[int, float] = {}
-                for u, f in out_adj[v]:
+                for u, f in adj[v]:
                     m = lab[u]
                     if m in fo:
                         fo[m] += f
                     else:
                         fo[m] = f
-                fi: dict[int, float] = {}
-                for u, f in in_adj[v]:
-                    m = lab[u]
-                    if m in fi:
-                        fi[m] += f
-                    else:
-                        fi[m] = f
-                cands = fo.keys() | fi.keys()
+                cands = set(fo)
                 cands.discard(alpha)
                 if size[alpha] > 1 and free:
                     cands.add(free[-1])
@@ -563,7 +552,7 @@ def _local_moves(
                     P_a1 = P[alpha] - p_v
                     A_a1 = A[alpha] - a_v
                     T_a1 = T[alpha] - t_v
-                    OUT_a1 = OUT[alpha] - f_v + fo.get(alpha, 0.0) + fi.get(alpha, 0.0)
+                    OUT_a1 = OUT[alpha] - f_v + fo.get(alpha, 0.0)
                     q_a1 = A_a1 * (1.0 - T_a1) + OUT_a1
                     x = q_a1 + P_a1
                     l_a1 = q_a1 * log2(q_a1) if q_a1 > 0.0 else 0.0
@@ -578,7 +567,7 @@ def _local_moves(
                     P_b1 = P[beta] + p_v
                     A_b1 = A[beta] + a_v
                     T_b1 = T[beta] + t_v
-                    OUT_b1 = OUT[beta] + f_v - fo.get(beta, 0.0) - fi.get(beta, 0.0)
+                    OUT_b1 = OUT[beta] + f_v - fo.get(beta, 0.0)
                     q_b1 = A_b1 * (1.0 - T_b1) + OUT_b1
                     q_tot1 = rest - q[beta] + q_a1 + q_b1
                     x = q_b1 + P_b1
@@ -620,11 +609,10 @@ def _local_moves(
                 value += best_delta
                 history.append(value)
                 moved += 1
-                for adj in (out_adj[v], in_adj[v]):
-                    for u, _ in adj:
-                        if not queued[u] and lab[u] != beta:
-                            queued[u] = True
-                            queue.append(u)
+                for u, _ in adj[v]:
+                    if not queued[u] and lab[u] != beta:
+                        queued[u] = True
+                        queue.append(u)
             q_tots[blocks[i]], l_tots[blocks[i]], values[i] = q_tot, l_tot, value
             if moved:
                 moving.append(i)

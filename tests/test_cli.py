@@ -105,6 +105,22 @@ class TestUsage:
         assert flag.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--nmf-d", "5"], "--nmf-d"),
+        (["--nmf-d", "2", "--nmf-d-range", "1:5"], "--nmf-d-range"),
+    ], ids=["nmf-d", "nmf-d-range"])
+    def test_factor_count_beyond_the_grid_writes_nothing(self, ws, tmp_path, capsys, flags, named):
+        # a 2 x 2 grid holds at most 4 factors: a usage error before the
+        # first read or write, not invalid data after the factors are out
+        out = tmp_path / "ws"
+        out.mkdir()
+        for name in ("links.csv", "nodes.csv"):
+            shutil.copy(ws / name, out / name)
+        assert main(["nmf", "--out", str(out), "--grid-k", "2", *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {named}: 5 factors exceed the 4 cells of --grid-k 2" in err
+        assert sorted(p.name for p in out.iterdir()) == ["links.csv", "nodes.csv"]
+
     @pytest.mark.parametrize("delimiter", [";;", "", '"', "\r", "\n"],
                              ids=["two-chars", "empty", "quote", "cr", "lf"])
     def test_ingest_delimiter_must_separate_csv_fields(self, tmp_path, delimiter, capsys):
@@ -442,6 +458,17 @@ class TestArtifacts:
         total = sum(int(l.split(",")[3]) for l in links)
         assert summary["included_events"] + summary["excluded_events"] == total
         assert len(summary["diagonal_similarity"]) == 3
+        assert summary["iterations"] <= 200
+        assert summary["hit_cap"] is False or summary["iterations"] == 200
+
+    def test_nmf_summary_records_a_cap_hit(self, ws, tmp_path):
+        # one update cannot bring the relative change down to 1e-12
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        argv = ["nmf", "--out", str(copy), "--grid-k", "20", "--nmf-d", "3", "--max-iters", "1"]
+        assert main(argv) == 0
+        summary = json.loads((copy / "nmf_summary.json").read_text())
+        assert (summary["iterations"], summary["hit_cap"]) == (1, True)
 
     def test_sweep_artifact(self, ws, tmp_path):
         argv = [
