@@ -519,7 +519,10 @@ class TestArtifacts:
 # wiring, and so the bowtie, as it was.  The Hodge pins moved again when
 # the potentials came from library CG, which changes their last bits.  The
 # link table, node coordinates, ingest summary and binned V were pinned
-# before links became columns, which must leave them as they were
+# before links became columns, which must leave them as they were.  The
+# flat community table and the four CCDF tables were pinned before every
+# table came to be written by one column writer, which must leave them as
+# they were
 ARTIFACT_SHA256 = {
     "links.csv": "be217294625705a11e7393448552d72f9cc0ca098152624a86f22fe1038d437b",
     "nodes.csv": "35a720a56bcec92f01835455d2358069c4ddbd1eff16700abafdee7ddf29825d",
@@ -531,12 +534,54 @@ ARTIFACT_SHA256 = {
     "hodge_potentials.csv": "13bc7c61b5996184a6890a901dd0a319276faaaccfd487bcd4b1d6c6af5e77fa",
     "hodge_summary.json": "6cf6f1ade51a21192a3d0a53718f84c219e729d289b35e2895e19cdae5020845",
     "hodge_links.csv": "2808834e5f4db38aa1a0a30e6094c0dc2cb9d08c8fbece62b564bac64019b981",
+    "communities_flat.csv": "23a89247f46ab239a081065ea4c5595ddc1336b63d275f5ae3fda28e8dbdc84a",
+    "ccdf_flow.tsv": "ec4d5ccb2c9e81e5264e2beb3f3ef331e692274eac0f6b165c1ca661712305f7",
+    "ccdf_frequency.tsv": "e3130e80648cf8f17f5c60fd9fdd99904bba426c9b1aed31237d1b56de4f3834",
+    "ccdf_in_degree.tsv": "24aa16dc889b8f250b0f0c745be6222c6fff8246e2c62cd13695857524080e8d",
+    "ccdf_out_degree.tsv": "4c1c146d59cc7083741d0580fc62bf8ccfdd24b9ee798c9cdf20198dc891fcae",
 }
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
 def test_pinned_artifact_hash(ws, name):
     assert hashlib.sha256((ws / name).read_bytes()).hexdigest() == ARTIFACT_SHA256[name]
+
+
+# a log with a quoted id that holds a comma and three rejected lines, one
+# reason holding a comma and one a quote
+MIXED_LOG = (
+    ",".join(COLUMNS) + "\n"
+    '2020-01-06T09:00:00,"ACME, Inc",f2,1000,firm,firm,34.5,135.5,34.6,135.4\n'
+    '2020-01-06T10:30:00,f2,"ACME, Inc",250,firm,firm,34.6,135.4,34.5,135.5\n'
+    "only,two\n"
+    '2020-01-07T11:00:00,f2,f3,1"2,firm,firm,,,,\n'
+    '2020-01-07T12:00:00,f3,"ACME, Inc",75,firm,bank,,,,\n'
+    "2020-01-08T08:15:00,f3,f2,40,firm,firm,34.7,135.3,34.6,135.4\n"
+)
+
+# sha256 of the tables ingest makes of MIXED_LOG, pinned before every
+# table came to be written by one column writer
+MIXED_SHA256 = {
+    "rejected.csv": "1da9266baccc17c8fdf399b7fe03345908c133d5feaf5113c768835880ae6b63",
+    "links.csv": "d1831bb56ecc5a9b643cfcf795d4af4dfc48db3917fd5b7e99bd44489c273009",
+    "nodes.csv": "8f9806bc0af68762c98d83427b256ea6aa1806ccbecd6d3e29100c9f523d6433",
+}
+
+
+def test_pinned_tables_of_a_mixed_log(tmp_path):
+    log = tmp_path / "mixed.csv"
+    log.write_text(MIXED_LOG, encoding="utf-8")
+    out = tmp_path / "ws"
+    assert main(["ingest", "--out", str(out), "--input", str(log)]) == 0
+    with open(out / "rejected.csv", encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == [
+            ["line_no", "reason"],
+            ["4", "expected 10 fields, got 2"],
+            ["5", "non-integer amount '1\"2'"],
+            ["6", "unknown party kind 'bank'"],
+        ]
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in MIXED_SHA256}
+    assert digests == MIXED_SHA256
 
 
 def test_id_with_comma_survives_every_stage(tmp_path):
