@@ -48,8 +48,10 @@ from .geonmf import (
 from .hodge import ConvergenceError, hodge_decompose, potential_histograms, potential_vs_net
 from .ingest import (
     FilterPolicy,
+    _csv_field,
+    _id_fields,
     _Table,
-    _id_field,
+    _write_table,
     aggregate,
     collect_node_coords,
     filter_records,
@@ -168,6 +170,10 @@ class _Stage:
         path.write_text(text, encoding="utf-8")
         return path
 
+    def write_table(self, name: str, header: tuple[str, ...], columns, delimiter: str = ","):
+        with open(self.output(name), "w", encoding="utf-8", newline="") as fh:
+            _write_table(fh, header, columns, delimiter)
+
     def write_json(self, name: str, obj) -> Path:
         path = self.output(name)
         _write_json(path, obj)
@@ -175,23 +181,25 @@ class _Stage:
 
     def load_network(self):
         path = self.require("links.csv", "ingest")
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             links = read_links(fh)
         if not links:
             raise DataError(f"{path} contains no links")
         return build_network(links)
 
 
-def _num(x) -> str:
-    """Compact text form: integers without a trailing .0."""
-    f = float(x)
-    return str(int(f)) if f.is_integer() and abs(f) < 1e15 else repr(f)
+# the headers of the tables the stages write for one another
+REJECTED_COLUMNS = ("line_no", "reason")
+CCDF_STEMS = ("flow", "frequency", "in_degree", "out_degree")  # one ccdf_<stem>.tsv each
+CCDF_COLUMNS = ("value", "fraction")
+BOWTIE_COLUMNS = ("node_id", "component")
+POTENTIAL_COLUMNS = ("node_id", "phi", "net_degree", "net_flow")
+HODGE_LINK_COLUMNS = ("source_id", "destination_id", "f_net", "f_gradient", "f_circular")
 
 
-def _ccdf_text(values) -> str:
-    dist = ccdf(values)
-    rows = [f"{_num(v)}\t{repr(float(frac))}\n" for v, frac in zip(dist.values, dist.fractions)]
-    return "value\tfraction\n" + "".join(rows)
+def _compact_numbers(values: np.ndarray) -> list:
+    """Values as floats, whole ones below 1e15 as ints: no trailing .0."""
+    return [int(x) if x.is_integer() and abs(x) < 1e15 else x for x in map(float, values.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +251,13 @@ def _cmd_ingest(args, stage: _Stage) -> tuple[dict, str]:
     links = aggregate(kept)
     coords, conflicts = collect_node_coords(kept)
 
-    with open(stage.output("links.csv"), "w", encoding="utf-8") as fh:
+    with open(stage.output("links.csv"), "w", encoding="utf-8", newline="") as fh:
         write_links(links, fh)
-    with open(stage.output("nodes.csv"), "w", encoding="utf-8") as fh:
+    with open(stage.output("nodes.csv"), "w", encoding="utf-8", newline="") as fh:
         write_node_coords(coords, fh)
     if rejected:
-        with open(stage.output("rejected.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["line_no", "reason"])
-            writer.writerows((r.line_no, r.reason) for r in rejected)
+        columns = ([r.line_no for r in rejected], [_csv_field(r.reason) for r in rejected])
+        stage.write_table("rejected.csv", REJECTED_COLUMNS, columns)
 
     summary_obj = {
         "records_parsed": len(records),
@@ -305,13 +311,10 @@ def _cmd_stats(args, stage: _Stage) -> tuple[dict, str]:
         },
     }
     stats_path = stage.write_json("stats.json", stats_obj)
-    for name, values in (
-        ("ccdf_flow.tsv", flow),
-        ("ccdf_frequency.tsv", freq),
-        ("ccdf_in_degree.tsv", in_deg),
-        ("ccdf_out_degree.tsv", out_deg),
-    ):
-        stage.write_text(name, _ccdf_text(values))
+    for stem, values in zip(CCDF_STEMS, (flow, freq, in_deg, out_deg)):
+        dist = ccdf(values)
+        columns = (_compact_numbers(dist.values), dist.fractions)
+        stage.write_table(f"ccdf_{stem}.tsv", CCDF_COLUMNS, columns, "\t")
 
     return {}, f"stats: {net.n_nodes} nodes, {net.n_links} links -> {stats_path}"
 
@@ -321,8 +324,8 @@ def _cmd_bowtie(args, stage: _Stage) -> tuple[dict, str]:
     part = classify_bowtie(net)
     profile = distance_profile(net, part)
 
-    rows = [f"{_id_field(node)},{part.component_name(i)}\n" for i, node in enumerate(net.node_ids)]
-    stage.write_text("bowtie.csv", "node_id,component\n" + "".join(rows))
+    names = np.array(COMPONENT_NAMES, dtype=object)[part.labels]
+    stage.write_table("bowtie.csv", BOWTIE_COLUMNS, (_id_fields(net.node_ids), names))
 
     sizes = part.sizes
     gwcc = part.gwcc_size
@@ -354,20 +357,11 @@ def _cmd_hodge(args, stage: _Stage) -> tuple[dict, str]:
     decomp = hodge_decompose(net, kind=args.weight, tol=args.tol)
     corr = potential_vs_net(decomp.phi, net)
 
-    rows = [
-        f"{_id_field(node)},{repr(float(decomp.phi[i]))},"
-        f"{int(corr.net_degree[i])},{int(corr.net_flow[i])}\n"
-        for i, node in enumerate(net.node_ids)
-    ]
-    stage.write_text("hodge_potentials.csv", "node_id,phi,net_degree,net_flow\n" + "".join(rows))
-
-    rows = [
-        f"{_id_field(src)},{_id_field(dst)},"
-        f"{repr(f_net)},{repr(f_grad)},{repr(f_circ)}\n"
-        for src, dst, f_net, f_grad, f_circ in decomp.link_table(net)
-    ]
-    header = "source_id,destination_id,f_net,f_gradient,f_circular\n"
-    stage.write_text("hodge_links.csv", header + "".join(rows))
+    ids = _id_fields(net.node_ids)
+    columns = (ids, decomp.phi, corr.net_degree, corr.net_flow)
+    stage.write_table("hodge_potentials.csv", POTENTIAL_COLUMNS, columns)
+    _, _, *flows = zip(*decomp.link_table(net))
+    stage.write_table("hodge_links.csv", HODGE_LINK_COLUMNS, (ids[net.src], ids[net.dst], *flows))
 
     total = float((decomp.problem.F.data ** 2).sum())
     circ = float((decomp.circular.data ** 2).sum())
@@ -402,8 +396,9 @@ def _cmd_communities(args, stage: _Stage) -> tuple[dict, str]:
     tree_obj = tree.as_dict()
     tree_obj["history"] = list(tree.history)
     stage.write_json("communities.json", tree_obj)
-    rows = [",".join([_id_field(node), *ids]) + "\n" for node, *ids in flat_table(tree)]
-    stage.write_text("communities_flat.csv", "".join(rows))
+    header, *rows = flat_table(tree)
+    names, *levels = zip(*rows)
+    stage.write_table("communities_flat.csv", tuple(header), (_id_fields(names), *levels))
     stage.write_json("community_report.json", report.as_dict())
 
     config = {"seed": args.seed, "trials": args.trials, "weight": args.weight}
@@ -414,9 +409,9 @@ def _cmd_communities(args, stage: _Stage) -> tuple[dict, str]:
 
 
 def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
-    with open(stage.require("links.csv", "ingest"), "r", encoding="utf-8") as fh:
+    with open(stage.require("links.csv", "ingest"), "r", encoding="utf-8", newline="") as fh:
         links = read_links(fh)
-    with open(stage.require("nodes.csv", "ingest"), "r", encoding="utf-8") as fh:
+    with open(stage.require("nodes.csv", "ingest"), "r", encoding="utf-8", newline="") as fh:
         coords = read_node_coords(fh)
 
     grid = GeoGrid(*args.bounds, k=args.grid_k)
@@ -511,10 +506,10 @@ def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
     )
 
 
-def _read_table(path: Path, header: str, width: int, delimiter: str) -> _Table:
+def _read_table(path: Path, header: tuple[str, ...], delimiter: str = ",") -> _Table:
     """A table of an earlier stage; DataError when it holds no rows."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        table = _Table(fh, header, width, str(path), delimiter)
+        table = _Table(fh, header, str(path), delimiter)
     if not table.fields:
         raise DataError(f"{path} holds no rows")
     return table
@@ -600,10 +595,7 @@ def _read_summary(path: Path) -> dict:
 def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
     needed = {
         "stats.json": "stats",
-        "ccdf_flow.tsv": "stats",
-        "ccdf_frequency.tsv": "stats",
-        "ccdf_in_degree.tsv": "stats",
-        "ccdf_out_degree.tsv": "stats",
+        **{f"ccdf_{stem}.tsv": "stats" for stem in CCDF_STEMS},
         "bowtie.csv": "bowtie",
         "bowtie_summary.json": "bowtie",
         "hodge_potentials.csv": "hodge",
@@ -616,22 +608,19 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
     # read and check every input before the first write, so that bad input
     # leaves no partial report behind
     ccdf = {}
-    for stem in ("flow", "frequency", "in_degree", "out_degree"):
-        table = _read_table(inputs[f"ccdf_{stem}.tsv"], "value", 2, "\t")
-        ccdf[stem] = [
-            np.array(table.numbers(k, float, label))
-            for k, label in enumerate(("value", "fraction"))
-        ]
+    for stem in CCDF_STEMS:
+        table = _read_table(inputs[f"ccdf_{stem}.tsv"], CCDF_COLUMNS, "\t")
+        ccdf[stem] = [np.array(table.numbers(k, float)) for k in (0, 1)]
     # join phi and walnut labels by sorted node id
-    pot = _read_table(inputs["hodge_potentials.csv"], "node_id", 4, ",")
-    comp = _read_table(inputs["bowtie.csv"], "node_id", 2, ",")
+    pot = _read_table(inputs["hodge_potentials.csv"], POTENTIAL_COLUMNS)
+    comp = _read_table(inputs["bowtie.csv"], BOWTIE_COLUMNS)
     pot_ids, comp_ids = pot.ids(), comp.ids()
     if set(pot_ids) != set(comp_ids):
         raise DataError(
             "hodge_potentials.csv and bowtie.csv disagree on the node set; "
             "rerun both on the current links.csv"
         )
-    phi = np.array(pot.numbers(1, float, "phi"))[np.argsort(np.array(pot_ids, dtype=object))]
+    phi = np.array(pot.numbers(1, float))[np.argsort(np.array(pot_ids, dtype=object))]
     code_of = {name: code for code, name in enumerate(COMPONENT_NAMES)}
     for row, component in enumerate(comp.column(1)):
         if component not in code_of:

@@ -1224,29 +1224,20 @@ def flat_table(tree: CommunityTree) -> list[list[str]]:
     past a node's leaf level are left empty.
     """
     max_level = max((c.level for c in tree.communities()), default=1)
-    level_counter = dict.fromkeys(range(1, max_level + 1), 0)
-    leaf_counter = 0
-    paths: dict[int, tuple[list[str], str]] = {}
+    numbered = [0] * (max_level + 1)  # communities numbered per level, then leaves
+    rows = [[name] for name in tree.node_ids]
 
-    def assign(comm: Community, prefix: list[str]) -> None:
-        nonlocal leaf_counter
-        level_counter[comm.level] += 1
-        here = prefix + [str(level_counter[comm.level])]
+    def assign(comm: Community, path: list[str]) -> None:
+        numbered[comm.level - 1] += 1
+        path = path + [str(numbered[comm.level - 1])]
         if comm.irreducible:
-            leaf_counter += 1
+            numbered[-1] += 1
             for node in comm.members:
-                paths[node] = (here, str(leaf_counter))
-        else:
-            for child in comm.children:
-                assign(child, here)
+                rows[node] += path + [""] * (max_level - len(path)) + [str(numbered[-1])]
+        for child in comm.children:
+            assign(child, path)
 
     for comm in tree.children:
         assign(comm, [])
-    header = ["node_id"] + [f"level_{k}" for k in range(1, max_level + 1)]
-    header.append("irreducible")
-    rows = [header]
-    for node in range(tree.n_nodes):
-        levels, leaf = paths[node]
-        padded = levels + [""] * (max_level - len(levels))
-        rows.append([tree.node_ids[node], *padded, leaf])
-    return rows
+    levels = [f"level_{k}" for k in range(1, max_level + 1)]
+    return [["node_id", *levels, "irreducible"], *rows]

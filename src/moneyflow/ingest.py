@@ -791,18 +791,21 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-def _id_field(name: str) -> str:
-    """An account id as a csv field, refusing one that would not read back.
+def _id_fields(names: Iterable[str]) -> np.ndarray:
+    """Account ids as csv fields, to index by code, refusing any id that
+    would not read back.
 
     The readers strip every field, so an empty id or one with leading or
     trailing whitespace would come back changed.
     """
-    if not name or name != name.strip():
+    names = list(names)
+    bad = next((name for name in names if not name or name != name.strip()), None)
+    if bad is not None:
         raise ValueError(
-            f"account id {name!r} is empty or padded with whitespace; "
+            f"account id {bad!r} is empty or padded with whitespace; "
             "it would not read back unchanged"
         )
-    return _csv_field(name)
+    return np.array(list(map(_csv_field, names)), dtype=object)
 
 
 def _first_coords(table: TransferTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -869,7 +872,7 @@ def write_records(table: TransferTable, stream: IO[str]) -> None:
     ``HH:MM:SS`` from tables, and the lines of a chunk joined in one go.
     """
     stream.write(",".join(COLUMNS) + "\n")
-    ids = np.array([_id_field(name) + "," for name in table.ids.tolist()], dtype=object)
+    ids = _id_fields(table.ids.tolist()) + ","
     kinds = np.array([kind + "," for kind in KINDS], dtype=object)
     src_coord, dst_coord = _coordinate_text(table)
     clock = _clock_texts()
@@ -904,6 +907,21 @@ def write_records(table: TransferTable, stream: IO[str]) -> None:
 
 
 LINK_COLUMNS = ("source_id", "destination_id", "flow_yen", "frequency")
+NODE_COLUMNS = ("node_id", "lat", "lon")
+
+def _write_table(stream: IO[str], header: tuple[str, ...], columns, delimiter: str = ","):
+    """Write ``header`` and a row per index of the equal-length ``columns``.
+
+    Fields print as ``str.format`` prints them, a float as its ``repr``;
+    text must come quoted (:func:`_id_fields`, :func:`_csv_field`).  Rows
+    are formatted :data:`CHUNK_LINES` at a time, by one map per chunk.
+    """
+    stream.write(delimiter.join(header) + "\n")
+    row = delimiter.join(["{}"] * len(header)) + "\n"
+    for lo in range(0, len(columns[0]), CHUNK_LINES):
+        rows = slice(lo, lo + CHUNK_LINES)
+        part = [col[rows].tolist() if isinstance(col, np.ndarray) else col[rows] for col in columns]
+        stream.write("".join(map(row.format, *part)))
 
 
 def write_links(net: FlowNetwork, stream: IO[str]) -> None:
@@ -912,30 +930,29 @@ def write_links(net: FlowNetwork, stream: IO[str]) -> None:
     Ids are formatted once per account.  Raises ValueError on an empty or
     whitespace-padded id.
     """
-    ids = np.array([_id_field(name) for name in net.node_ids], dtype=object)
-    columns = (ids[net.src], ids[net.dst], net.flow, net.freq)
-    stream.write(",".join(LINK_COLUMNS) + "\n")
-    stream.write("".join(map("{},{},{},{}\n".format, *(col.tolist() for col in columns))))
+    ids = _id_fields(net.node_ids)
+    _write_table(stream, LINK_COLUMNS, (ids[net.src], ids[net.dst], net.flow, net.freq))
 
 
 class _Table:
     """The fields of a delimited table in one flat list, row after row.
 
     Blank lines and a first-line header are skipped; every other row must
-    be ``width`` fields wide.  One flat list of strings, because rows kept
-    as lists would be tracked, and traversed, by every garbage collection
-    while the table is read.  The line each kept row starts on is kept,
-    so that a field that fails to convert can be reported with its line:
-    a quoted field may span lines, so rows and lines do not count alike.
+    be as wide as ``header``, which is recognised by its first field.  One
+    flat list of strings, because rows kept as lists would be tracked, and
+    traversed, by every garbage collection while the table is read.  The
+    line each kept row starts on is kept, so that a field that fails to
+    convert can be reported with its line: a quoted field may span lines,
+    so rows and lines do not count alike.
     """
 
     def __init__(
-        self, stream: IO[str] | Iterable[str], header: str, width: int, name: str,
+        self, stream: IO[str] | Iterable[str], header: tuple[str, ...], name: str,
         delimiter: str = ",",
     ):
         self.header = header
         self.name = name
-        self.width = width
+        self.width = len(header)
         self._starts = array("q")
         self.fields = list(chain.from_iterable(self._rows(stream, delimiter)))
 
@@ -946,7 +963,7 @@ class _Table:
         for parts in reader:
             start, end = end + 1, reader.line_num
             if not parts or (len(parts) == 1 and not parts[0].strip()) or (
-                start == 1 and parts[0].strip() == self.header
+                start == 1 and parts[0].strip() == self.header[0]
             ):
                 continue
             if len(parts) != self.width:
@@ -972,11 +989,11 @@ class _Table:
                 if first.setdefault(name, row) != row:
                     raise ValueError(
                         f"{self.name} lines {self.line_of(first[name])} and {self.line_of(row)}: "
-                        f"{self.header} {name!r} repeats"
+                        f"{self.header[0]} {name!r} repeats"
                     )
         return names
 
-    def numbers(self, k: int, convert: type, label: str) -> list:
+    def numbers(self, k: int, convert: type) -> list:
         """Column ``k`` read by ``convert`` (int or float); ValueError names the first bad field."""
         col = self.column(k)
         try:
@@ -989,16 +1006,17 @@ class _Table:
             except ValueError:
                 kind = "an integer" if convert is int else "a number"
                 raise ValueError(
-                    f"{self.name} line {self.line_of(row)}: {label} {text.strip()!r} is not {kind}"
+                    f"{self.name} line {self.line_of(row)}: "
+                    f"{self.header[k]} {text.strip()!r} is not {kind}"
                 ) from None
 
-    def weights(self, k: int, label: str) -> list[int]:
+    def weights(self, k: int) -> list[int]:
         """Column ``k`` as integers of at least 1; ValueError names the first smaller one."""
-        values = self.numbers(k, int, label)
+        values = self.numbers(k, int)
         if min(values, default=1) < 1:
             row = next(row for row, value in enumerate(values) if value < 1)
             raise ValueError(
-                f"{self.name} line {self.line_of(row)}: {label} {values[row]} is below 1"
+                f"{self.name} line {self.line_of(row)}: {self.header[k]} {values[row]} is below 1"
             )
         return values
 
@@ -1011,11 +1029,11 @@ def read_links(stream: IO[str] | Iterable[str]) -> FlowNetwork:
     non-integer weight or one below 1 (naming its line), or a frequency
     beyond int64; a flow beyond int64 reads back exactly.
     """
-    table = _Table(stream, "source_id", 4, "link table")
+    table = _Table(stream, LINK_COLUMNS, "link table")
     vocab = _Vocabulary()
     src, dst = (vocab.codes(list(map(str.strip, table.column(k)))) for k in (0, 1))
     ids, src, dst = _compact(vocab.ids(), src, dst)
-    flow, freq = (table.weights(k, LINK_COLUMNS[k]) for k in (2, 3))
+    flow, freq = map(table.weights, (2, 3))
     try:
         freq = np.array(freq, dtype=np.int64)
     except OverflowError:
@@ -1049,10 +1067,9 @@ def write_node_coords(coords: dict[str, tuple[float, float]], stream: IO[str]) -
 
     Raises ValueError on an empty or whitespace-padded id.
     """
-    stream.write("node_id,lat,lon\n")
-    for node in sorted(coords):
-        lat, lon = coords[node]
-        stream.write(f"{_id_field(node)},{lat!r},{lon!r}\n")
+    names = sorted(coords)
+    lat, lon = ([coords[name][k] for name in names] for k in (0, 1))
+    _write_table(stream, NODE_COLUMNS, (_id_fields(names), lat, lon))
 
 
 def read_node_coords(stream: IO[str] | Iterable[str]) -> dict[str, tuple[float, float]]:
@@ -1062,6 +1079,6 @@ def read_node_coords(stream: IO[str] | Iterable[str]) -> dict[str, tuple[float, 
     a line without three fields or with a coordinate that is not a number,
     naming the line, and on a repeated node_id, naming both lines.
     """
-    table = _Table(stream, "node_id", 3, "node table")
-    lat, lon = (table.numbers(k, float, label) for k, label in ((1, "lat"), (2, "lon")))
+    table = _Table(stream, NODE_COLUMNS, "node table")
+    lat, lon = (table.numbers(k, float) for k in (1, 2))
     return dict(zip(table.ids(), zip(lat, lon)))

@@ -9,17 +9,27 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from concurrent.futures.process import BrokenProcessPool
+from itertools import chain
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import moneyflow
-from moneyflow.cli import main
+from moneyflow import ingest as ingest_module
+from moneyflow.bowtie import COMPONENT_NAMES, classify_bowtie
+from moneyflow.cli import BOWTIE_COLUMNS, POTENTIAL_COLUMNS, main
+from moneyflow.community import detect_communities, flat_table
 from moneyflow.geonmf import read_matrix
-from moneyflow.ingest import COLUMNS
+from moneyflow.hodge import hodge_decompose
+from moneyflow.ingest import COLUMNS, _Table, read_links, write_links
+from moneyflow.network import AggregatedLink, build_network, degree_stats, net_flow_per_node
 
-from conftest import workers_die
+from conftest import link_table, workers_die
 
 
 def pipeline_steps(out):
@@ -568,11 +578,14 @@ MIXED_SHA256 = {
 }
 
 
-def test_pinned_tables_of_a_mixed_log(tmp_path):
+# two-row chunks split each table of the mixed log
+@pytest.mark.parametrize("chunk_lines", [ingest_module.CHUNK_LINES, 2])
+def test_pinned_tables_of_a_mixed_log(tmp_path, chunk_lines):
     log = tmp_path / "mixed.csv"
     log.write_text(MIXED_LOG, encoding="utf-8")
     out = tmp_path / "ws"
-    assert main(["ingest", "--out", str(out), "--input", str(log)]) == 0
+    with mock.patch.object(ingest_module, "CHUNK_LINES", chunk_lines):
+        assert main(["ingest", "--out", str(out), "--input", str(log)]) == 0
     with open(out / "rejected.csv", encoding="utf-8", newline="") as fh:
         assert list(csv.reader(fh)) == [
             ["line_no", "reason"],
@@ -582,6 +595,73 @@ def test_pinned_tables_of_a_mixed_log(tmp_path):
         ]
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in MIXED_SHA256}
     assert digests == MIXED_SHA256
+
+
+TABLES = (
+    "links.csv", "nodes.csv", "ccdf_flow.tsv", "ccdf_frequency.tsv", "ccdf_in_degree.tsv",
+    "ccdf_out_degree.tsv", "bowtie.csv", "hodge_potentials.csv", "hodge_links.csv",
+    "communities_flat.csv",
+)
+
+
+def test_tables_do_not_depend_on_the_chunk_size(ws, tmp_path):
+    # three-row chunks: every table of the pipeline is many chunks long
+    out = tmp_path / "ws"
+    out.mkdir()
+    shutil.copy(ws / "synthetic_log.csv", out)
+    with mock.patch.object(ingest_module, "CHUNK_LINES", 3):
+        for argv in pipeline_steps(out)[1:6]:
+            assert main(argv) == 0, f"step {argv[0]} failed"
+    for name in TABLES:
+        assert (out / name).read_bytes() == (ws / name).read_bytes(), name
+
+
+def _read_back(path: Path, header) -> _Table:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return _Table(fh, header, path.name)
+
+
+# ids with commas, quotes, line breaks and non-ASCII text among any others
+# the writers accept
+_ids = st.sampled_from(["ACME, Inc", 'say "hi"', "two\nlines", "cr\rlf", "草加 Sōka"]) | st.text(
+    min_size=1, max_size=6
+).filter(lambda s: s == s.strip())
+
+
+@given(st.dictionaries(
+    st.tuples(_ids, _ids).filter(lambda pair: pair[0] != pair[1]),
+    st.integers(min_value=1, max_value=9),
+    min_size=1, max_size=8,
+))
+@example({("ACME, Inc", 'say "hi"'): 2, ('say "hi"', "two\nlines"): 1, ("two\nlines", "草加 Sōka"): 3})
+@settings(max_examples=30, deadline=None)
+def test_node_tables_write_then_read_is_identity(weights):
+    # bowtie.csv, hodge_potentials.csv and communities_flat.csv read back
+    # to the ids and values the stages computed
+    links = [AggregatedLink(s, d, w, w) for (s, d), w in weights.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        with open(out / "links.csv", "w", encoding="utf-8", newline="") as fh:
+            write_links(link_table(links), fh)
+        for argv in (["bowtie"], ["hodge"], ["communities", "--trials", "1"]):
+            assert main([*argv, "--out", tmp]) == 0, argv[0]
+        with open(out / "links.csv", encoding="utf-8", newline="") as fh:
+            net = build_network(read_links(fh))
+        names = list(net.node_ids)
+
+        comp = _read_back(out / "bowtie.csv", BOWTIE_COLUMNS)
+        assert comp.ids() == names
+        assert comp.column(1) == [COMPONENT_NAMES[k] for k in classify_bowtie(net).labels]
+
+        pot = _read_back(out / "hodge_potentials.csv", POTENTIAL_COLUMNS)
+        assert pot.ids() == names
+        assert pot.numbers(1, float) == hodge_decompose(net).phi.tolist()
+        assert pot.numbers(2, int) == degree_stats(net)[2].tolist()
+        assert pot.numbers(3, int) == net_flow_per_node(net).tolist()
+
+        header, *rows = flat_table(detect_communities(net, seed=0, trials=1))
+        flat = _read_back(out / "communities_flat.csv", tuple(header))
+        assert flat.fields == list(chain.from_iterable(rows))
 
 
 def test_id_with_comma_survives_every_stage(tmp_path):
