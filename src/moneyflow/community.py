@@ -78,7 +78,7 @@ _EXACT_MAX = 8
 # size are scored together; a block of 7 or 8 nodes is scored alone
 _EXACT_CHUNK = 1 << 15
 # a block's seeded restarts stop after this many in a row that do not
-# lower its best value
+# lower its best value by more than _MIN_GAIN
 _PATIENCE = 2
 
 
@@ -770,9 +770,9 @@ class _TrialPool:
 
         Block b's trial draws from SeedSequence(entropies[b] + (trial,)).
         Taken in trial order, a trial replaces the block's best when its
-        value is strictly lower, so ties keep the lower trial; the block
-        stops after _PATIENCE trials in a row that did not, or after
-        trials.  A round's trials past the one a block stopped at are
+        value is lower by more than _MIN_GAIN, so a tie or a value apart
+        only by rounding keeps the lower trial; the block stops after
+        _PATIENCE trials in a row that did not, or after trials.  A round's trials past the one a block stopped at are
         dropped, so the result and the kept counts do not depend on the
         pool's size.  Returns labels, values, histories and kept counts.
         """
@@ -805,7 +805,7 @@ class _TrialPool:
             going = np.ones(live.size, dtype=bool)
             for run_labels, run_values, run_histories in runs:
                 run_values = np.array(run_values)
-                better = going & (run_values < values[live])
+                better = going & (run_values < values[live] - _MIN_GAIN)
                 moved = np.repeat(better, sizes[live])
                 labels[node[moved]] = run_labels[moved]
                 values[live[better]] = run_values[better]
@@ -1057,14 +1057,15 @@ def detect_communities(
     lower value exists, down to level _MAX_DEPTH.  A community at path
     (m1, ..., mk) of module indices from the top seeds its restarts with
     (seed, m1, ..., mk, trial).  trials caps each community's restarts:
-    they stop after _PATIENCE in a row fail to lower its best value.  The
-    communities of one level that may split (more than one node, at least
-    one link) are searched together as the blocks of one disjoint-union
-    walk that :meth:`FlowNetwork.blocks` cuts out, so a level costs one
-    walk and one search however many communities it has.  Each level's restarts are
-    shared out over the CPUs this process may run on (see _TrialPool),
-    and the tree does not depend on how many there are.  A network with
-    no links (or a single node) is a single irreducible community.
+    they stop after _PATIENCE in a row fail to lower its best value by
+    more than _MIN_GAIN.  The communities of one level that may split
+    (more than one node, at least one link) are searched together as the
+    blocks of one disjoint-union walk that :meth:`FlowNetwork.blocks`
+    cuts out, so a level costs one walk and one search however many
+    communities it has.  Each level's restarts are shared out over the
+    CPUs this process may run on (see _TrialPool), and the tree does not
+    depend on how many there are.  A network with no links (or a single
+    node) is a single irreducible community.
     """
     if net.n_nodes == 0:
         raise ValueError("cannot detect communities in an empty network")
