@@ -188,7 +188,6 @@ class _Stage:
         return build_network(links)
 
 
-# the headers of the tables the stages write for one another
 REJECTED_COLUMNS = ("line_no", "reason")
 CCDF_STEMS = ("flow", "frequency", "in_degree", "out_degree")  # one ccdf_<stem>.tsv each
 CCDF_COLUMNS = ("value", "fraction")

@@ -772,9 +772,10 @@ class _TrialPool:
         Taken in trial order, a trial replaces the block's best when its
         value is lower by more than _MIN_GAIN, so a tie or a value apart
         only by rounding keeps the lower trial; the block stops after
-        _PATIENCE trials in a row that did not, or after trials.  A round's trials past the one a block stopped at are
-        dropped, so the result and the kept counts do not depend on the
-        pool's size.  Returns labels, values, histories and kept counts.
+        _PATIENCE trials in a row that did not, or after trials.  A
+        round's trials past the one a block stopped at are dropped, so the
+        result and the kept counts do not depend on the pool's size.
+        Returns labels, values, histories and kept counts.
         """
         w = self.size
         sizes = np.diff(walk.offsets)

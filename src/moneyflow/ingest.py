@@ -909,7 +909,8 @@ def write_records(table: TransferTable, stream: IO[str]) -> None:
 LINK_COLUMNS = ("source_id", "destination_id", "flow_yen", "frequency")
 NODE_COLUMNS = ("node_id", "lat", "lon")
 
-def _write_table(stream: IO[str], header: tuple[str, ...], columns, delimiter: str = ","):
+
+def _write_table(stream: IO[str], header: tuple[str, ...], columns, delimiter: str = ",") -> None:
     """Write ``header`` and a row per index of the equal-length ``columns``.
 
     Fields print as ``str.format`` prints them, a float as its ``repr``;
@@ -937,13 +938,12 @@ def write_links(net: FlowNetwork, stream: IO[str]) -> None:
 class _Table:
     """The fields of a delimited table in one flat list, row after row.
 
-    Blank lines and a first-line header are skipped; every other row must
-    be as wide as ``header``, which is recognised by its first field.  One
-    flat list of strings, because rows kept as lists would be tracked, and
-    traversed, by every garbage collection while the table is read.  The
-    line each kept row starts on is kept, so that a field that fails to
-    convert can be reported with its line: a quoted field may span lines,
-    so rows and lines do not count alike.
+    Blank lines and a first-line header are skipped; every other row must be
+    as wide as ``header``.  One flat list of strings, because rows kept as
+    lists would be tracked, and traversed, by every garbage collection while
+    the table is read.  The line each kept row starts on is kept, so that a
+    field that fails to convert can be reported with its line: a quoted field
+    may span lines, so rows and lines do not count alike.
     """
 
     def __init__(
