@@ -197,8 +197,12 @@ HODGE_LINK_COLUMNS = ("source_id", "destination_id", "f_net", "f_gradient", "f_c
 
 
 def _compact_numbers(values: np.ndarray) -> list:
-    """Values as floats, whole ones below 1e15 as ints: no trailing .0."""
-    return [int(x) if x.is_integer() and abs(x) < 1e15 else x for x in map(float, values.tolist())]
+    """Integers as ints at any size; floats as floats, whole ones below 1e15
+    as ints: no trailing .0."""
+    return [
+        int(x) if isinstance(x, float) and x.is_integer() and abs(x) < 1e15 else x
+        for x in values.tolist()
+    ]
 
 
 # ---------------------------------------------------------------------------

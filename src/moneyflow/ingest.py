@@ -9,20 +9,23 @@ The raw input is a delimited text file with one transfer per line:
 Coordinates may be empty.  Amounts are integer yen; a valid transfer moves
 at least 1 yen.  Transfers are held in a :class:`TransferTable`, one array
 per field over a sorted account-id vocabulary, so no step builds an object
-per event.  :func:`parse_log` reads the log in chunks of lines.  Each chunk
-is joined into one string whose code points (one byte each for ASCII,
-UTF-32 otherwise) locate every delimiter.  Lines of the canonical shape
-the generator writes are read at those offsets: timestamp and amount
-digits straight from the code points, and only the two ids and the tail
-``source_kind,...,dest_lon`` as strings.  Ids are coded through one
-vocabulary, and each distinct tail is parsed once through a memo that
-holds about one tail per link and starts over past a bound, so its size
-follows links, not events.  Every other line goes through the per-line
-parser, which owns the rejection reasons.  Filtering is a mask over the
-table; aggregation collapses all transfers of each ordered account pair
-(i, j) into a single link carrying the total flow and the transfer count.
-Links are held in a :class:`~moneyflow.network.FlowNetwork`, the link
-table.
+per event.  Kinds and coordinates repeat with each link, so the table
+holds them once per tail row and each transfer an int32 tail code: 28
+bytes per transfer, plus 36 per tail row.  :func:`parse_log` reads the
+log in chunks of lines.  Each chunk is joined into one string whose code
+points (one byte each for ASCII, UTF-32 otherwise) locate every
+delimiter.  Lines of the canonical shape the generator writes are read at
+those offsets: timestamp and amount digits straight from the code points,
+and only the two ids and the tail ``source_kind,...,dest_lon`` as
+strings.  Ids are coded through one vocabulary, and each distinct tail is
+parsed once into a tail row through a memo that holds about one tail per
+link and starts over past a bound, so its size follows links, not
+events.  Every other line goes through the per-line parser, which owns
+the rejection reasons, and gets a tail row of its own.  Filtering is a
+mask over the table; aggregation collapses all transfers of each ordered
+account pair (i, j) into a single link carrying the total flow and the
+transfer count.  Links are held in a :class:`~moneyflow.network.FlowNetwork`,
+the link table.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import chain, compress, count, filterfalse, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -111,18 +114,22 @@ class TransferRecord:
     destination_coord: tuple[float, float] | None = None
 
 
-_COLUMN_DTYPES = {
-    "src": np.int32,
-    "dst": np.int32,
-    "amount": np.int64,
-    "timestamp": TIME_DTYPE,
-    "src_kind": np.int8,
-    "dst_kind": np.int8,
-    "src_coord": np.float64,
-    "dst_coord": np.float64,
-    "src_has_coord": np.bool_,
-    "dst_has_coord": np.bool_,
+_KIND_NAMES = np.array(KINDS, dtype=object)
+
+# dtype and shape past the first axis of each column: the per-event
+# columns, then the tail rows that ``tail`` indexes
+_COLUMNS = {
+    "src": (np.int32, ()),
+    "dst": (np.int32, ()),
+    "amount": (np.int64, ()),
+    "timestamp": (TIME_DTYPE, ()),
+    "tail": (np.int32, ()),
+    "kinds": (np.int8, (2,)),
+    "coords": (np.float64, (2, 2)),
+    "has_coord": (np.bool_, (2,)),
 }
+_EVENT_COLUMNS = ("src", "dst", "amount", "timestamp", "tail")
+_TAIL_COLUMNS = ("kinds", "coords", "has_coord")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -131,15 +138,21 @@ class TransferTable:
 
     ``ids`` is the sorted account-id vocabulary (an object array of str),
     and ``src``/``dst`` are int32 codes into it, so code order is id
-    order.  ``amount`` is int64 yen, ``timestamp`` naive datetime64[us],
-    ``src_kind``/``dst_kind`` int8 codes into :data:`KINDS`.  Coordinates
-    are float64 (n, 2) lat/lon arrays with a presence mask; a missing
-    coordinate is stored as (0.0, 0.0) with its mask False, so it stays
-    distinct from a parsed nan.
+    order.  ``amount`` is int64 yen and ``timestamp`` naive
+    datetime64[us], 28 bytes per transfer with ``tail``.
+
+    Kinds and coordinates repeat with each link, so they are held once per
+    tail row, and ``tail`` is each transfer's int32 row code.  Column 0 of
+    a tail row is the source, column 1 the destination: ``kinds`` int8
+    codes into :data:`KINDS`, ``coords`` float64 (lat, lon) pairs and
+    ``has_coord`` their presence mask.  A missing coordinate is stored as
+    (0.0, 0.0) with its mask False, so it stays distinct from a parsed
+    nan.  Tables may share tail rows, and rows no transfer uses may stay.
 
     ``len`` is the transfer count and iteration yields one
-    :class:`TransferRecord` per transfer.  Two tables are ``==`` when they
-    compare equal column by column, with nan coordinates equal.
+    :class:`TransferRecord` per transfer.  Two tables are ``==`` when
+    their transfers compare equal field by field, with nan coordinates
+    equal, whatever their tail rows.
     """
 
     ids: np.ndarray
@@ -147,27 +160,27 @@ class TransferTable:
     dst: np.ndarray
     amount: np.ndarray
     timestamp: np.ndarray
-    src_kind: np.ndarray
-    dst_kind: np.ndarray
-    src_coord: np.ndarray
-    dst_coord: np.ndarray
-    src_has_coord: np.ndarray
-    dst_has_coord: np.ndarray
+    tail: np.ndarray
+    kinds: np.ndarray
+    coords: np.ndarray
+    has_coord: np.ndarray
 
     def __post_init__(self):
         ids = np.asarray(self.ids, dtype=object).reshape(-1)
         if ids.size > 1 and not np.all(ids[:-1] < ids[1:]):
             raise ValueError("account ids must be sorted and distinct")
         object.__setattr__(self, "ids", ids)
-        n = np.asarray(self.src).shape[0]
-        for name, dtype in _COLUMN_DTYPES.items():
-            col = np.asarray(getattr(self, name), dtype=dtype)
-            shape = (n, 2) if name in ("src_coord", "dst_coord") else (n,)
+        n, t = np.asarray(self.src).shape[0], np.asarray(self.kinds).shape[0]
+        for name, (dtype, shape) in _COLUMNS.items():
+            col = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            shape = (n if name in _EVENT_COLUMNS else t, *shape)
             if col.shape != shape:
                 raise ValueError(f"column {name} has shape {col.shape}, expected {shape}")
             col.flags.writeable = False
             object.__setattr__(self, name, col)
         ids.flags.writeable = False
+        if n and not 0 <= self.tail.min() <= self.tail.max() < t:
+            raise ValueError("tail codes must index the tail rows")
 
     @classmethod
     def from_codes(cls, ids: Sequence[str], src, dst, **columns) -> TransferTable:
@@ -180,9 +193,12 @@ class TransferTable:
         return cls(ids=ids, src=src, dst=dst, **columns)
 
     def take(self, rows) -> TransferTable:
-        """The rows selected by an index array or boolean mask, same ids."""
+        """The transfers selected by an index array or boolean mask, same
+        ids and tail rows."""
         return TransferTable(
-            ids=self.ids, **{name: getattr(self, name)[rows] for name in _COLUMN_DTYPES}
+            ids=self.ids,
+            **{name: getattr(self, name)[rows] for name in _EVENT_COLUMNS},
+            **{name: getattr(self, name) for name in _TAIL_COLUMNS},
         )
 
     def __len__(self) -> int:
@@ -194,18 +210,14 @@ class TransferTable:
 
     def _records(self, lo: int, hi: int) -> Iterator[TransferRecord]:
         rows = slice(lo, hi)
-        kinds = np.array(KINDS, dtype=object)
+        tail = self.tail[rows]
+        kinds, coords, present = _KIND_NAMES[self.kinds[tail]], self.coords[tail], self.has_coord[tail]
         for ts, s, d, amount, sk, dk, sc, dc, sh, dh in zip(
             self.timestamp[rows].tolist(),
             self.ids[self.src[rows]].tolist(),
             self.ids[self.dst[rows]].tolist(),
             self.amount[rows].tolist(),
-            kinds[self.src_kind[rows]].tolist(),
-            kinds[self.dst_kind[rows]].tolist(),
-            self.src_coord[rows].tolist(),
-            self.dst_coord[rows].tolist(),
-            self.src_has_coord[rows].tolist(),
-            self.dst_has_coord[rows].tolist(),
+            *(col[:, side].tolist() for col in (kinds, coords, present) for side in (0, 1)),
         ):
             yield TransferRecord(
                 timestamp=ts,
@@ -221,16 +233,18 @@ class TransferTable:
     def __eq__(self, other):
         if not isinstance(other, TransferTable):
             return NotImplemented
-        names = ("amount", "timestamp", "src_kind", "dst_kind", "src_has_coord", "dst_has_coord")
         if not all(np.array_equal(a, b) for a, b in (
             (self.ids[self.src], other.ids[other.src]),
             (self.ids[self.dst], other.ids[other.dst]),
-            *((getattr(self, name), getattr(other, name)) for name in names),
+            (self.amount, other.amount),
+            (self.timestamp, other.timestamp),
+            (self.kinds[self.tail], other.kinds[other.tail]),
+            (self.has_coord[self.tail], other.has_coord[other.tail]),
         )):
             return False
-        return all(
-            np.array_equal(getattr(self, coord)[mask], getattr(other, coord)[mask], equal_nan=True)
-            for coord, mask in (("src_coord", self.src_has_coord), ("dst_coord", self.dst_has_coord))
+        present = self.has_coord[self.tail]
+        return np.array_equal(
+            self.coords[self.tail][present], other.coords[other.tail][present], equal_nan=True
         )
 
     __hash__ = None
@@ -272,9 +286,15 @@ class _Vocabulary:
         try:
             return np.fromiter(map(code_of.__getitem__, ids), dtype=np.int32, count=len(ids))
         except KeyError:
-            unseen = list(filterfalse(code_of.__contains__, dict.fromkeys(ids)))
-            code_of.update(zip(unseen, count(len(code_of))))
-            return self.codes(ids)
+            pass
+        codes = np.fromiter(map(code_of.get, ids, repeat(-1)), dtype=np.int32, count=len(ids))
+        missed = np.flatnonzero(codes < 0).tolist()
+        unseen = list(map(ids.__getitem__, missed))
+        code_of.update(zip(dict.fromkeys(unseen), count(len(code_of))))
+        codes[missed] = np.fromiter(
+            map(code_of.__getitem__, unseen), dtype=np.int32, count=len(missed)
+        )
+        return codes
 
     def noncanonical(self) -> np.ndarray:
         """Codes of the ids so far that are empty or padded with whitespace."""
@@ -289,27 +309,26 @@ class _Vocabulary:
         return np.array(list(self._code_of), dtype=object)
 
 
-def _record_columns(records: list[TransferRecord], vocab: _Vocabulary) -> dict:
-    """Table columns of records from :func:`_parse_line`, coding ids through ``vocab``.
+def _record_columns(records: list[TransferRecord], vocab: _Vocabulary, tails: _Tails) -> dict:
+    """Event columns of records from :func:`_parse_line`, coding ids through
+    ``vocab`` and adding a tail row per record to ``tails``.
 
     The parser has refused what a table cannot hold: an unknown kind, an
     amount outside int64 and a timestamp with a UTC offset.
     """
-    columns = {
+    ends = [(r.source_coord, r.destination_coord) for r in records]
+    coords = np.array(
+        [[(0.0, 0.0) if c is None else c for c in pair] for pair in ends], dtype=np.float64
+    ).reshape(-1, 2, 2)
+    kinds = [(_KIND_CODE[r.source_kind], _KIND_CODE[r.destination_kind]) for r in records]
+    has_coord = [[c is not None for c in pair] for pair in ends]
+    return {
         "src": vocab.codes([r.source for r in records]),
         "dst": vocab.codes([r.destination for r in records]),
-        "amount": [r.amount for r in records],
-        "timestamp": [r.timestamp for r in records],
-        "src_kind": [_KIND_CODE[r.source_kind] for r in records],
-        "dst_kind": [_KIND_CODE[r.destination_kind] for r in records],
+        "amount": np.array([r.amount for r in records], dtype=np.int64),
+        "timestamp": np.array([r.timestamp for r in records], dtype=TIME_DTYPE),
+        "tail": tails.append(kinds, coords, has_coord),
     }
-    for side, attr in (("src", "source_coord"), ("dst", "destination_coord")):
-        coords = [getattr(r, attr) for r in records]
-        columns[f"{side}_has_coord"] = [c is not None for c in coords]
-        columns[f"{side}_coord"] = np.array(
-            [(0.0, 0.0) if c is None else c for c in coords], dtype=np.float64
-        ).reshape(-1, 2)
-    return {name: np.asarray(columns[name], dtype=dtype) for name, dtype in _COLUMN_DTYPES.items()}
 
 
 @dataclass(frozen=True)
@@ -483,35 +502,44 @@ def _to_float(text: str) -> float | None:
 
 
 class _Tails:
-    """Kinds and coordinates of canonical lines, parsed once per distinct tail.
+    """The tail rows of a parse, and a memo that parses each distinct tail once.
 
     A tail is a line's text from ``source_kind`` to ``dest_lon``.  It is
     ok when both kinds are known and each coordinate pair is both empty or
     both parsed by float(), which ignores surrounding whitespace as the
     per-line parser's strip does; a coordinate is present when nonempty.
-    Tails repeat with their link, so the memo holds about one per link.
-    It starts over after a chunk leaves it above :meth:`bound`, four tails
-    per account of ``vocab`` plus :data:`_MEMO_SLACK`, which bounds it on
-    logs whose tails never repeat.
+    Each ok tail gets a tail row, and the memo maps its text to that row's
+    code; a tail that is not ok maps to -1.  Tails repeat with their link,
+    so the memo holds about one per link.  It starts over after a chunk
+    leaves it above :meth:`bound`, four tails per account of ``vocab`` plus
+    :data:`_MEMO_SLACK`, which bounds it on logs whose tails never repeat.
+    The rows it handed out stay: they are kept in parts, one per batch
+    added, and joined once by :meth:`table`.  A log whose tails never
+    repeat gets a row per transfer, 36 bytes each.
     """
 
     def __init__(self, vocab: _Vocabulary, delimiter: str):
         self._vocab = vocab
         self._delimiter = delimiter
-        self._start_over()
-
-    def _start_over(self):
         self._row_of: dict[str, int] = {}
-        self._kinds = np.empty((0, 2), dtype=np.int8)
-        self._coords = np.empty((0, 4))
-        self._present = np.empty((0, 2), dtype=bool)
-        self._ok = np.empty(0, dtype=bool)
+        self._parts: list[tuple[np.ndarray, ...]] = []
+        self._rows = 0
 
     def __len__(self) -> int:
         return len(self._row_of)
 
     def bound(self) -> int:
         return 4 * len(self._vocab) + _MEMO_SLACK
+
+    def append(self, kinds, coords, has_coord) -> np.ndarray:
+        """Codes of new tail rows holding these kinds, coordinates and masks."""
+        part = tuple(
+            np.asarray(col, dtype=_COLUMNS[name][0]).reshape(-1, *_COLUMNS[name][1])
+            for name, col in zip(_TAIL_COLUMNS, (kinds, coords, has_coord))
+        )
+        self._parts.append(part)
+        self._rows += len(part[0])
+        return np.arange(self._rows - len(part[0]), self._rows, dtype=np.int32)
 
     def _add(self, tails: list[str]) -> None:
         m = len(tails)
@@ -537,33 +565,33 @@ class _Tails:
             values[read] = [0.0 if v is None else v for v in floats]
         present, ok = present.reshape(4, m), ok.reshape(4, m)
         pair_ok = ok[0::2] & ok[1::2] & (present[0::2] == present[1::2])
-        self._kinds = np.concatenate([self._kinds, kinds])
-        self._coords = np.concatenate([self._coords, values.reshape(4, m).T])
-        self._present = np.concatenate([self._present, (present[0::2] & pair_ok).T])
-        self._ok = np.concatenate([self._ok, known & pair_ok.all(axis=0)])
-        self._row_of.update(zip(tails, count(len(self._row_of))))
+        ok = known & pair_ok.all(axis=0)
+        rows = np.full(m, -1, dtype=np.int32)
+        rows[ok] = self.append(
+            kinds[ok], values.reshape(2, 2, m).transpose(2, 0, 1)[ok], present[0::2].T[ok]
+        )
+        self._row_of.update(zip(tails, rows.tolist()))
 
-    def columns(self, tails: list[str]) -> tuple[dict, np.ndarray]:
-        """(kind and coordinate columns, ok) of the tails of a chunk's lines."""
+    def codes(self, tails: list[str]) -> np.ndarray:
+        """The tail-row codes of the tails of a chunk's lines, -1 where not ok."""
         row_of = self._row_of
-        rows = np.fromiter(map(row_of.get, tails, repeat(-1)), dtype=np.intp, count=len(tails))
-        missing = np.flatnonzero(rows < 0).tolist()
+        rows = np.fromiter(map(row_of.get, tails, repeat(-2)), dtype=np.int32, count=len(tails))
+        missing = np.flatnonzero(rows == -2).tolist()
         if missing:
             texts = list(map(tails.__getitem__, missing))
             self._add(list(dict.fromkeys(texts)))
             rows[missing] = np.fromiter(
-                map(row_of.__getitem__, texts), dtype=np.intp, count=len(texts)
+                map(row_of.__getitem__, texts), dtype=np.int32, count=len(texts)
             )
-        kinds, coords, present = self._kinds[rows], self._coords[rows], self._present[rows]
-        columns = {
-            "src_kind": kinds[:, 0], "dst_kind": kinds[:, 1],
-            "src_coord": coords[:, :2], "dst_coord": coords[:, 2:],
-            "src_has_coord": present[:, 0], "dst_has_coord": present[:, 1],
-        }
-        ok = self._ok[rows]
         if len(self) > self.bound():
-            self._start_over()
-        return columns, ok
+            self._row_of = {}
+        return rows
+
+    def table(self) -> dict:
+        """The tail columns of every row handed out, each joined once."""
+        self.append([], [], [])  # a part even when no row was handed out
+        parts, self._parts = self._parts, []
+        return {name: np.concatenate(col) for name, col in zip(_TAIL_COLUMNS, zip(*parts))}
 
 
 def _canonical_lines(chunk: list[str], text: str, delimiter: str):
@@ -632,7 +660,8 @@ def _canonical_chunk(
     src_codes = vocab.codes(strings(1, 2))
     dst_codes = vocab.codes(strings(2, 3))
     bad_ids = vocab.noncanonical()
-    columns, good = tails.columns(strings(4, 10))
+    tail = tails.codes(strings(4, 10))
+    good = tail >= 0
     stamps, good_time = _canonical_times(chars, starts[:, 0], bounds[:, 1] - starts[:, 0])
     values, good_amount = _canonical_amounts(chars, bounds[:, 4], bounds[:, 4] - starts[:, 3])
     good &= good_time & good_amount
@@ -640,7 +669,9 @@ def _canonical_chunk(
         good &= ~np.isin(src_codes, bad_ids) & ~np.isin(dst_codes, bad_ids)
 
     ok[ok] = good
-    columns.update(src=src_codes, dst=dst_codes, amount=values, timestamp=stamps)
+    columns = {
+        "src": src_codes, "dst": dst_codes, "amount": values, "timestamp": stamps, "tail": tail
+    }
     return {name: col[good] for name, col in columns.items()}, ok
 
 
@@ -664,12 +695,12 @@ def parse_log(
     chunk, lines of the canonical shape (see ``_canonical_chunk``) are
     validated column by column at the delimiter offsets of the chunk's
     code points.  Per line only the two ids and the tail are sliced out as
-    strings; ids are coded by the vocabulary, and the tail's kinds and
-    coordinates come from a bounded memo of the tails seen (see
-    ``_Tails``), so each distinct tail is parsed once.  Every other line
-    is read by ``csv`` and parsed by the per-line parser, so quoting, padding,
-    ``int()``-style amounts such as ``1_000``, and every rejection reason
-    behave as a plain per-line loop would.  A line whose timestamp has a
+    strings; ids are coded by the vocabulary, and the tail's row code
+    comes from a bounded memo of the tails seen (see ``_Tails``), so each
+    distinct tail is parsed once.  Every other line is read by ``csv`` and
+    parsed by the per-line parser, so quoting, padding, ``int()``-style
+    amounts such as ``1_000``, and every rejection reason behave as a
+    plain per-line loop would.  A line whose timestamp has a
     UTC offset, or whose amount exceeds the int64 range, is rejected with
     its own reason because the table cannot hold it.
     """
@@ -710,7 +741,7 @@ def parse_log(
         part = {name: col[taken[canonical]] for name, col in columns.items()}
         if records:
             # put the per-line records back among the column-wise ones
-            slow = _record_columns(records, vocab)
+            slow = _record_columns(records, vocab, tails)
             if part:
                 order = np.argsort(np.concatenate([np.flatnonzero(taken), at]), kind="stable")
                 slow = {name: np.concatenate([part[name], slow[name]])[order] for name in slow}
@@ -720,10 +751,10 @@ def parse_log(
     # column by column, each chunk's part dropped as it is merged, so the
     # parts and the table share one copy of the data plus one column
     merged = {
-        name: np.concatenate([p.pop(name) for p in parts_of] or [empty])
-        for name, empty in _record_columns([], vocab).items()
+        name: np.concatenate([p.pop(name) for p in parts_of] + [np.empty(0, _COLUMNS[name][0])])
+        for name in _EVENT_COLUMNS
     }
-    return TransferTable.from_codes(vocab.ids(), **merged), rejected
+    return TransferTable.from_codes(vocab.ids(), **merged, **tails.table()), rejected
 
 
 def filter_records(table: TransferTable, policy: FilterPolicy) -> TransferTable:
@@ -731,11 +762,12 @@ def filter_records(table: TransferTable, policy: FilterPolicy) -> TransferTable:
 
     When every transfer satisfies them, ``table`` itself is returned.
     """
-    keep = np.ones(len(table), dtype=bool)
+    keep_tail = np.ones(table.kinds.shape[0], dtype=bool)
     if policy.require_intra_bank:
-        keep &= (table.src_kind != _EXTERNAL) & (table.dst_kind != _EXTERNAL)
+        keep_tail &= (table.kinds != _EXTERNAL).all(axis=1)
     if policy.require_firm_both_ends:
-        keep &= (table.src_kind == _FIRM) & (table.dst_kind == _FIRM)
+        keep_tail &= (table.kinds == _FIRM).all(axis=1)
+    keep = keep_tail[table.tail]
     if policy.drop_self_loops:
         keep &= table.src != table.dst
     # tables are read-only, so sharing one is as safe as copying it
@@ -808,51 +840,32 @@ def _id_fields(names: Iterable[str]) -> np.ndarray:
     return np.array(list(map(_csv_field, names)), dtype=object)
 
 
-def _first_coords(table: TransferTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(accounts with a coordinate, ascending; rank of each one's first
-    endpoint with one; each account's first coordinate, (0, 0) without one).
+def _tail_texts(table: TransferTable) -> np.ndarray:
+    """``kind,kind,lat,lon,lat,lon\\n`` of each tail row a transfer uses.
 
-    Endpoints are ranked in event order, source before destination, as a
-    record loop visits them: the source of row k is 2k, its destination
-    2k + 1.
+    Each distinct coordinate value is formatted once, by ``repr`` (values
+    are told apart by their bits, so -0.0 is not 0.0), and a missing one as
+    an empty field; the rows are joined as one string and split at their
+    line breaks.
     """
-    n_ranks = 2 * len(table)
-    first = np.full(table.ids.size, n_ranks)  # past every rank
-    for side, (accounts, present) in enumerate(
-        ((table.src, table.src_has_coord), (table.dst, table.dst_has_coord))
-    ):
-        rows = np.flatnonzero(present)
-        np.minimum.at(first, accounts[rows], 2 * rows + side)
-    codes = np.flatnonzero(first < n_ranks)
-    first = first[codes]
-    row, side = np.divmod(first, 2)
-    ref = np.zeros((table.ids.size, 2))
-    ref[codes] = np.where(side[:, None] == 0, table.src_coord[row], table.dst_coord[row])
-    return codes, first, ref
-
-
-def _coordinate_text(table: TransferTable) -> list[np.ndarray]:
-    """Per-transfer ``lat,lon,`` source and ``lat,lon\\n`` destination text.
-
-    Each account's first coordinate is formatted once, by ``repr``; an
-    endpoint whose coordinate differs from it bit for bit is formatted on
-    its own, and a missing one is empty.
-    """
-    codes, _, ref = _first_coords(table)
-    ref_bits = ref.view(np.int64)
-    pairs = np.array([f"{lat!r},{lon!r}" for lat, lon in ref[codes].tolist()], dtype=object)
-    texts = []
-    for accounts, coords, present, end in (
-        (table.src, table.src_coord, table.src_has_coord, ","),
-        (table.dst, table.dst_coord, table.dst_has_coord, "\n"),
-    ):
-        per_account = np.empty(table.ids.size, dtype=object)
-        per_account[codes] = pairs + end
-        text = per_account[accounts]
-        text[~present] = "," + end
-        own = np.flatnonzero(present & (coords.view(np.int64) != ref_bits[accounts]).any(axis=1))
-        text[own] = [f"{lat!r},{lon!r}{end}" for lat, lon in coords[own].tolist()]
-        texts.append(text)
+    used = np.zeros(table.kinds.shape[0], dtype=bool)
+    used[table.tail] = True
+    rows = np.flatnonzero(used)
+    kind_pairs = np.array([f"{s},{d}," for s in KINDS for d in KINDS], dtype=object)
+    bits, at = np.unique(table.coords[rows].ravel().view(np.int64), return_inverse=True)
+    numbers = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    numbers = numbers[at].reshape(-1, 4)
+    numbers[~table.has_coord[rows].repeat(2, axis=1)] = ""
+    # nine tokens a row; the commas between coordinates are the tokens left
+    # at their default
+    tokens = [","] * (9 * rows.size)
+    kinds = table.kinds[rows]
+    tokens[0::9] = kind_pairs[kinds[:, 0] * len(KINDS) + kinds[:, 1]].tolist()
+    for k in range(4):
+        tokens[1 + 2 * k :: 9] = numbers[:, k].tolist()
+    tokens[8::9] = ["\n"] * rows.size
+    texts = np.empty(used.size, dtype=object)
+    texts[rows] = "".join(tokens).splitlines(keepends=True)
     return texts
 
 
@@ -867,14 +880,14 @@ def write_records(table: TransferTable, stream: IO[str]) -> None:
     """Emit transfers in the ingest log format, byte-stable for fixed input.
 
     Ids are written with csv quoting; an empty or whitespace-padded id
-    raises ValueError.  Account ids and coordinates are formatted once per
-    account, a timestamp as its day's ``YYYY-MM-DDT`` and its second's
-    ``HH:MM:SS`` from tables, and the lines of a chunk joined in one go.
+    raises ValueError.  Account ids are formatted once per account, kinds
+    and coordinates once per tail row, a timestamp as its day's
+    ``YYYY-MM-DDT`` and its second's ``HH:MM:SS`` from tables, and the
+    lines of a chunk joined in one go.
     """
     stream.write(",".join(COLUMNS) + "\n")
     ids = _id_fields(table.ids.tolist()) + ","
-    kinds = np.array([kind + "," for kind in KINDS], dtype=object)
-    src_coord, dst_coord = _coordinate_text(table)
+    tails = _tail_texts(table)
     clock = _clock_texts()
     for lo in range(0, len(table), CHUNK_LINES):
         rows = slice(lo, lo + CHUNK_LINES)
@@ -891,18 +904,15 @@ def write_records(table: TransferTable, stream: IO[str]) -> None:
                 table.timestamp[rows][fractional], unit="us"
             )
             clock_text[fractional] = ","
-        # ten tokens a line; the comma after the amount is the token left at
-        # its default
-        tokens = [","] * (10 * date_text.size)
-        tokens[0::10] = date_text.tolist()
-        tokens[1::10] = clock_text.tolist()
-        tokens[2::10] = ids[table.src[rows]].tolist()
-        tokens[3::10] = ids[table.dst[rows]].tolist()
-        tokens[4::10] = map(str, table.amount[rows].tolist())
-        tokens[6::10] = kinds[table.src_kind[rows]].tolist()
-        tokens[7::10] = kinds[table.dst_kind[rows]].tolist()
-        tokens[8::10] = src_coord[rows].tolist()
-        tokens[9::10] = dst_coord[rows].tolist()
+        # seven tokens a line; the comma after the amount is the token left
+        # at its default
+        tokens = [","] * (7 * date_text.size)
+        tokens[0::7] = date_text.tolist()
+        tokens[1::7] = clock_text.tolist()
+        tokens[2::7] = ids[table.src[rows]].tolist()
+        tokens[3::7] = ids[table.dst[rows]].tolist()
+        tokens[4::7] = map(str, table.amount[rows].tolist())
+        tokens[6::7] = tails[table.tail[rows]].tolist()
         stream.write("".join(tokens))
 
 
@@ -950,6 +960,11 @@ class _Table:
         self, stream: IO[str] | Iterable[str], header: tuple[str, ...], name: str,
         delimiter: str = ",",
     ):
+        if isinstance(stream, str):
+            raise TypeError(
+                f"{name}: got the str {stream[:60]!r}, a path where an open stream or lines "
+                "were expected; open the file and pass the stream"
+            )
         self.header = header
         self.name = name
         self.width = len(header)
@@ -1048,18 +1063,33 @@ def collect_node_coords(table: TransferTable) -> tuple[dict[str, tuple[float, fl
     differ (by float comparison, so nan never matches) from the first
     occurrence of the same account.
     """
-    codes, first, ref = _first_coords(table)
-    conflicts = 0
-    for side, (accounts, coords, present) in enumerate((
-        (table.src, table.src_coord, table.src_has_coord),
-        (table.dst, table.dst_coord, table.dst_has_coord),
-    )):
-        differs = present & (coords != ref[accounts]).any(axis=1)
-        differs[first[first % 2 == side] // 2] = False
-        conflicts += int(np.count_nonzero(differs))
+    # endpoints ranked in event order, source before destination, as a
+    # record loop visits them: the source of row k is 2k, its destination
+    # 2k + 1
+    n_ranks = 2 * len(table)
+    first = np.full(table.ids.size, n_ranks)  # past every rank
+    for side, accounts in enumerate((table.src, table.dst)):
+        rows = np.flatnonzero(table.has_coord[table.tail, side])
+        np.minimum.at(first, accounts[rows], 2 * rows + side)
+    codes = np.flatnonzero(first < n_ranks)
+    first = first[codes]
+    # each (lat, lon) pair viewed as one complex number, which compares
+    # unequal when either part does
+    points = table.coords.view(np.complex128)[..., 0]
+    ref = np.zeros(table.ids.size, dtype=np.complex128)
+    ref[codes] = points[table.tail[first // 2], first % 2]
+    # an account's first endpoint differs from itself only by a nan
+    conflicts = -int(np.count_nonzero(np.isnan(ref[codes])))
+    for lo in range(0, len(table), CHUNK_LINES):
+        rows = slice(lo, lo + CHUNK_LINES)
+        tail = table.tail[rows]
+        for side, accounts in enumerate((table.src[rows], table.dst[rows])):
+            differs = points[tail, side] != ref[accounts]
+            conflicts += int(np.count_nonzero(differs & table.has_coord[tail, side]))
     codes = codes[np.argsort(first)]
     names = table.ids[codes].tolist()
-    return dict(zip(names, map(tuple, ref[codes].tolist()))), conflicts
+    pairs = ref[codes].view(np.float64).reshape(-1, 2)
+    return dict(zip(names, map(tuple, pairs.tolist()))), conflicts
 
 
 def write_node_coords(coords: dict[str, tuple[float, float]], stream: IO[str]) -> None:

@@ -425,21 +425,27 @@ def generate(spec: ScenarioSpec) -> tuple[TransferTable, GroundTruth]:
     # so the edge index orders pairs, and lexsort is stable, so rows equal in
     # all three keys stay in edge order
     order = np.lexsort((amounts, edge_of, minutes))
-    src_arr, dst_arr = edge_arr[edge_of[order]].T
-    firm = np.zeros(n_events, dtype=np.int8)
-    present = np.ones(n_events, dtype=bool)
+    # one tail row per edge, so an event's edge index is its tail code; each
+    # column is dropped once sorted, and the minutes become microseconds in
+    # place
+    tail = edge_of[order].astype(np.int32)
+    del edge_of
+    amounts = amounts[order]
+    stamps = minutes[order]
+    del minutes, order
+    stamps *= 60_000_000
+    stamps += _WINDOW_START.astype(TIME_DTYPE).astype(np.int64)
+    src_of_edge, dst_of_edge = edge_arr.astype(np.int32).T
     records = TransferTable.from_codes(
         names,
-        src_arr,
-        dst_arr,
-        amount=amounts[order],
-        timestamp=(_WINDOW_START + minutes[order].astype("timedelta64[m]")).astype(TIME_DTYPE),
-        src_kind=firm,
-        dst_kind=firm,
-        src_coord=coords[src_arr],
-        dst_coord=coords[dst_arr],
-        src_has_coord=present,
-        dst_has_coord=present,
+        src_of_edge[tail],
+        dst_of_edge[tail],
+        amount=amounts,
+        timestamp=stamps.view(TIME_DTYPE),
+        tail=tail,
+        kinds=np.zeros((m, 2), dtype=np.int8),
+        coords=coords[edge_arr],
+        has_coord=np.ones((m, 2), dtype=bool),
     )
 
     truth = GroundTruth(

@@ -23,25 +23,26 @@ def node_name(i: int) -> str:
 
 
 def transfer_table(records) -> TransferTable:
-    """The table of TransferRecord rows, in order."""
+    """The table of TransferRecord rows, in order, with a tail row each."""
     records = list(records)
     ids = sorted({r.source for r in records} | {r.destination for r in records})
     code = {name: k for k, name in enumerate(ids)}
-    columns = {
-        "src": [code[r.source] for r in records],
-        "dst": [code[r.destination] for r in records],
-        "amount": [r.amount for r in records],
-        "timestamp": [r.timestamp for r in records],
-        "src_kind": [KINDS.index(r.source_kind) for r in records],
-        "dst_kind": [KINDS.index(r.destination_kind) for r in records],
-    }
-    for side, attr in (("src", "source_coord"), ("dst", "destination_coord")):
-        coords = [getattr(r, attr) for r in records]
-        columns[f"{side}_has_coord"] = [c is not None for c in coords]
-        columns[f"{side}_coord"] = np.array(
-            [(0.0, 0.0) if c is None else c for c in coords], dtype=np.float64
-        ).reshape(-1, 2)
-    return TransferTable(ids=ids, **columns)
+    ends = [(r.source_coord, r.destination_coord) for r in records]
+    return TransferTable(
+        ids=ids,
+        src=[code[r.source] for r in records],
+        dst=[code[r.destination] for r in records],
+        amount=[r.amount for r in records],
+        timestamp=[r.timestamp for r in records],
+        tail=np.arange(len(records)),
+        kinds=np.array(
+            [(KINDS.index(r.source_kind), KINDS.index(r.destination_kind)) for r in records]
+        ).reshape(-1, 2),
+        coords=np.array(
+            [[(0.0, 0.0) if c is None else c for c in pair] for pair in ends], dtype=np.float64
+        ).reshape(-1, 2, 2),
+        has_coord=np.array([[c is not None for c in pair] for pair in ends]).reshape(-1, 2),
+    )
 
 
 def link_table(links) -> FlowNetwork:

@@ -234,6 +234,18 @@ class TestDataErrors:
         assert (stats["nodes"], stats["links"]) == (2, 1)
         assert stats["flow"]["std"] == 0.0 and stats["flow"]["skewness"] is None
 
+    def test_ccdf_keeps_a_large_integer_flow(self, tmp_path):
+        # past 1e15 a float loses the low digits of a flow
+        out = tmp_path / "ws"
+        out.mkdir()
+        (out / "links.csv").write_text(
+            "source_id,destination_id,flow_yen,frequency\nF1,F2,1234567890123456789,1\n",
+            encoding="utf-8",
+        )
+        assert main(["stats", "--out", str(out)]) == 0
+        rows = (out / "ccdf_flow.tsv").read_text(encoding="utf-8").splitlines()
+        assert rows[1:] == ["1234567890123456789\t1.0"]
+
     def test_short_nodes_row(self, tmp_path, capsys):
         out = tmp_path / "ws"
         out.mkdir()

@@ -262,9 +262,15 @@ class TestTransferTable:
     def test_missing_coordinate_is_not_nan(self):
         nan = float("nan")
         table = transfer_table([_rec("a", "b", sc=(nan, nan))])
-        assert table.src_has_coord.tolist() == [True]
-        assert table.dst_has_coord.tolist() == [False]
+        assert table.has_coord[table.tail].tolist() == [[True, False]]
         assert list(table)[0].destination_coord is None
+
+    @pytest.mark.parametrize("tail", [-1, 1])
+    def test_tail_codes_must_index_the_tail_rows(self, tail):
+        table = transfer_table([_rec("a", "b")])
+        columns = {name: getattr(table, name) for name in ingest_module._COLUMNS}
+        with pytest.raises(ValueError, match="tail codes"):
+            ingest_module.TransferTable(ids=table.ids, **{**columns, "tail": [tail]})
 
     def test_tables_compare_across_vocabularies(self):
         records = [_rec("a", "b"), _rec("x", "y")]
@@ -513,7 +519,7 @@ def test_non_ascii_lines_are_read_at_their_offsets():
     assert canonical.tolist() == good
     src = [line.split(",")[1] for line, ok in zip(_RECURRING_TAILS, good) if ok]
     assert vocab.ids()[columns["src"]].tolist() == src
-    assert columns["src_coord"][:, 0].tolist() == [
+    assert tails.table()["coords"][columns["tail"], 0, 0].tolist() == [
         float(line.split(",")[6] or 0.0) for line, ok in zip(_RECURRING_TAILS, good) if ok
     ]
 
@@ -524,8 +530,8 @@ def test_tail_memo_stays_within_its_bound():
     sizes = []
 
     class Tails(ingest_module._Tails):
-        def columns(self, tails):
-            got = super().columns(tails)
+        def codes(self, tails):
+            got = super().codes(tails)
             sizes.append((len(self), self.bound()))
             return got
 
@@ -643,7 +649,10 @@ def test_record_steps_hold_about_one_copy_of_the_table(tmp_path):
     numpy reports its buffers to tracemalloc, so the counts repeat exactly.
     parse_log holds the chunk parts and its result, which share one copy
     of the data, one column being merged and one chunk's transients;
-    aggregate and collect_node_coords each add well under one copy.
+    aggregate and collect_node_coords each add a few dozen bytes per
+    transfer.  The per-transfer bounds are those the earlier table of 60
+    bytes per transfer, kinds and coordinates included, was held to; the
+    last one is parse_log's against the table of tail codes.
     """
     from moneyflow import generate, walnut_scenario, write_records
 
@@ -671,13 +680,99 @@ def test_record_steps_hold_about_one_copy_of_the_table(tmp_path):
         if not tracing:
             tracemalloc.stop()
     assert table == records
-    assert len(table) > 10 * ingest_module.CHUNK_LINES
-    table_bytes = sum(getattr(table, name).nbytes for name in ingest_module._COLUMN_DTYPES)
+    n = len(table)
+    assert n > 10 * ingest_module.CHUNK_LINES
+    per_event = {name: peak / n for name, peak in peaks.items()}
+    assert peaks["parse_log"] <= 120 * n + 6 * 2**20, per_event
+    assert peaks["aggregate"] <= 36 * n, per_event
+    assert peaks["collect_node_coords"] <= 36 * n, per_event
+    table_bytes = sum(col.nbytes for col in _columns(table).values())
     assert peaks["parse_log"] <= 2 * table_bytes + 6 * 2**20, peaks["parse_log"] / table_bytes
-    assert peaks["aggregate"] <= 0.6 * table_bytes, peaks["aggregate"] / table_bytes
-    assert peaks["collect_node_coords"] <= 0.6 * table_bytes, (
-        peaks["collect_node_coords"] / table_bytes
+
+
+def _columns(table):
+    return {name: getattr(table, name) for name in ingest_module._COLUMNS}
+
+
+def test_a_table_takes_28_bytes_per_transfer():
+    from moneyflow import generate, walnut_scenario, write_records
+
+    records, _ = generate(walnut_scenario(n_nodes=300, seed=1))
+    buf = io.StringIO()
+    write_records(records, buf)
+    parsed, _ = parse_log(io.StringIO(buf.getvalue()))
+    for table in (records, parsed, filter_records(parsed, FilterPolicy(drop_self_loops=False))):
+        events = sum(getattr(table, name).nbytes for name in ingest_module._EVENT_COLUMNS)
+        assert events == 28 * len(table)
+    # a tail row per link, and a parse finds each of them once
+    assert records.kinds.shape[0] == parsed.kinds.shape[0] == len(aggregate(records))
+
+
+def test_all_distinct_tails_cost_a_tail_row_per_transfer():
+    # the worst case: no tail repeats, so each transfer adds a tail row of
+    # 36 bytes to its own 28, while the memo still starts over
+    sizes = []
+
+    class Tails(ingest_module._Tails):
+        def codes(self, tails):
+            got = super().codes(tails)
+            sizes.append((len(self), self.bound()))
+            return got
+
+    lines = [_CANONICAL.replace("34.5,135.5", f"34.{k},135.{k}") for k in range(1, 301)]
+    with mock.patch.object(ingest_module, "CHUNK_LINES", 16), \
+            mock.patch.object(ingest_module, "_MEMO_SLACK", 20), \
+            mock.patch.object(ingest_module, "_Tails", Tails):
+        table, rejected = parse_log(lines)
+    assert rejected == [] and len(table) == 300
+    assert table.kinds.shape[0] == len(table)
+    assert sum(col.nbytes for col in _columns(table).values()) == 64 * len(table)
+    assert all(size <= bound for size, bound in sizes)
+    assert min(size for size, _ in sizes[1:]) < max(size for size, _ in sizes)  # it started over
+    assert table == transfer_table(_reference_parse(lines)[0])
+
+
+_tail_rows = st.lists(
+    st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS), st.none() | st.sampled_from(
+        [(34.5, 135.5), (0.0, -0.0), (-0.0, 0.0), (math.nan, 1.0), (34.5, -0.0)]
+    ), st.none() | st.sampled_from([(34.5, 135.5), (-0.0, 0.0), (1.0, math.nan)])),
+    min_size=1, max_size=6,
+)
+
+
+@given(_tail_rows, st.lists(st.tuples(
+    st.sampled_from(["F1", "F2", "F3"]), st.sampled_from(["F1", "F2", "F3"]),
+    st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=10**18 - 1),
+), max_size=30), st.integers(min_value=1, max_value=5))
+@settings(max_examples=200, deadline=None)
+def test_tail_rows_round_trip(rows, events, chunk_lines):
+    # transfers share tail rows, so an account meets conflicting
+    # coordinates; parsing the written log gives the same transfers
+    from moneyflow import write_records
+
+    ids = ["F1", "F2", "F3"]
+    table = ingest_module.TransferTable(
+        ids=ids,
+        src=[ids.index(s) for s, _, _, _ in events],
+        dst=[ids.index(d) for _, d, _, _ in events],
+        amount=[amount for _, _, _, amount in events],
+        timestamp=[datetime(2018, 1, 5, 10, k % 60) for k in range(len(events))],
+        tail=[k % len(rows) for _, _, k, _ in events],
+        kinds=[(KINDS.index(sk), KINDS.index(dk)) for sk, dk, _, _ in rows],
+        coords=[[c or (0.0, 0.0) for c in (sc, dc)] for _, _, sc, dc in rows],
+        has_coord=[[c is not None for c in (sc, dc)] for _, _, sc, dc in rows],
     )
+    buf = io.StringIO()
+    with mock.patch.object(ingest_module, "CHUNK_LINES", chunk_lines):
+        write_records(table, buf)
+        parsed, rejected = parse_log(io.StringIO(buf.getvalue()))
+        assert collect_node_coords(parsed)[1] == collect_node_coords(table)[1]
+    assert rejected == []
+    assert parsed == table
+    # the lines are canonical (amounts of at most 18 digits), so there is a
+    # row per distinct tail text, however the chunks fall
+    lines = buf.getvalue().splitlines()[1:]
+    assert parsed.kinds.shape[0] == len({line.split(",", 4)[4] for line in lines})
 
 
 _accounts = st.sampled_from(["F1", "F2", "F3", "F4"])
@@ -772,6 +867,15 @@ def test_node_coords_write_then_read_is_identity(coords):
     assert {k: tuple(map(repr, v)) for k, v in back.items()} == {
         k: tuple(map(repr, v)) for k, v in coords.items()
     }
+
+
+@pytest.mark.parametrize("read", [read_links, read_node_coords])
+def test_a_path_is_refused_where_lines_are_expected(read, tmp_path):
+    path = tmp_path / "links.csv"
+    with path.open("w", encoding="utf-8") as fh:
+        write_links(link_table([AggregatedLink("F1", "F2", 5, 1)]), fh)
+    with pytest.raises(TypeError, match="a path where an open stream or lines were expected"):
+        read(str(path))
 
 
 def test_node_coords_repeated_id_names_both_lines():
