@@ -36,7 +36,7 @@ def main() -> None:
     print(f"binned {gfm.included} events onto a {grid.k}x{grid.k} grid "
           f"({gfm.excluded} outside)")
 
-    fact = nmf(gfm, 7, seed=0)
+    fact = nmf(gfm, 7)
     print(f"d = {fact.d}, objective {fact.objective:.3f} "
           f"after {len(fact.history) - 1} iterations")
 

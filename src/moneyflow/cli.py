@@ -425,7 +425,7 @@ def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
             "check nodes.csv and --bounds"
         )
 
-    fact = nmf(gfm, args.nmf_d, seed=args.seed, max_iters=args.max_iters, tol=args.tol)
+    fact = nmf(gfm, args.nmf_d, max_iters=args.max_iters, tol=args.tol)
     loc = localization(fact, grid, radius_km=args.radius_km)
     sims = similarity_matrix(fact)
     counts = _sweep_row(fact, loc, sims)
@@ -461,7 +461,6 @@ def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
         "grid_k": grid.k,
         "bounds": list(args.bounds),
         "radius_km": args.radius_km,
-        "seed": args.seed,
         "objective": fact.objective,
         "iterations": fact.iterations,
         "hit_cap": fact.hit_cap,
@@ -486,7 +485,6 @@ def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
         "nmf_d": args.nmf_d,
         "bounds": list(args.bounds),
         "radius_km": args.radius_km,
-        "seed": args.seed,
         "max_iters": args.max_iters,
         "tol": args.tol,
         "d_range": list(args.nmf_d_range) if args.nmf_d_range else None,
@@ -495,7 +493,6 @@ def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
         sweep = d_sweep(
             gfm,
             args.nmf_d_range,
-            seed=args.seed,
             radius_km=args.radius_km,
             max_iters=args.max_iters,
             tol=args.tol,
@@ -879,7 +876,6 @@ def build_parser() -> _Parser:
         help="additionally sweep factor counts LO..HI into sweep.json",
     )
     p.add_argument("--radius-km", type=_finite_float(positive=False), default=10.0)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--max-iters", type=_int_at_least(1), default=500)
     p.add_argument(
         "--tol", type=_finite_float(positive=True), default=1e-12,

@@ -5,8 +5,8 @@ bounding box.  Cell (p, q) counts longitude step p and latitude step q,
 both 1-based, and flattens to m = p + (q - 1) K.  The cell-pair count
 alpha feeds a log-clamped matrix V_mn = ln(max{1, alpha}) whose rows are
 origin cells and columns destination cells.  Non-negative factorization
-V ~ W H (multiplicative Frobenius updates) yields paired patterns: column
-w_k of W lives on origin cells, row h_k of H on destination cells.
+V ~ W H (HALS from an NNDSVD start) yields paired patterns: column w_k
+of W lives on origin cells, row h_k of H on destination cells.
 
 Localization scores a pattern by the largest share of its mass inside a
 fixed-radius circle centered on any cell center (great-circle distance),
@@ -220,56 +220,76 @@ def _as_matrix(V) -> sp.csr_matrix | np.ndarray:
     return A
 
 
-def nmf(
-    V,
-    d: int,
-    seed: int = 0,
-    max_iters: int = 500,
-    tol: float = 1e-12,
-) -> NmfFactorization:
-    """Multiplicative-update NMF minimizing ||V - WH||_F^2.
+def _nndsvd(A, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """NNDSVD start (Boutsidis & Gallopoulos 2008): W^T and H from A's top d singular triplets.
 
-    The objective history includes the value before the first update and
-    after each full (H then W) iteration; it is non-increasing.  Stops
-    when the relative objective change drops below tol.  V may be a
-    GeoFlowMatrix, a scipy sparse matrix, or a dense array.
+    ARPACK starts from a fixed vector.  Each triplet keeps the larger of its
+    positive and negative parts, which fixes its sign.  A pair whose parts
+    are both zero, as past rank(A), starts at zero and HALS keeps it there.
+    """
+    from scipy.sparse.linalg import svds
+
+    Wt, H = np.zeros((d, A.shape[0])), np.zeros((d, A.shape[1]))
+    if A.max() == 0.0:  # ARPACK rejects a zero matrix; every pair starts at zero
+        return Wt, H
+    if d < min(A.shape):
+        U, s, Vt = svds(A, k=d, v0=np.ones(min(A.shape)))
+    else:  # ARPACK cannot reach d = min(A.shape)
+        dense = A if isinstance(A, np.ndarray) else A.toarray()
+        U, s, Vt = np.linalg.svd(dense, full_matrices=False)
+    for j, k in enumerate(np.argsort(-s, kind="stable")):  # largest singular value first
+        best = 0.0
+        for sign in (1.0, -1.0):
+            x, y = np.maximum(sign * U[:, k], 0.0), np.maximum(sign * Vt[k], 0.0)
+            nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+            if nx * ny > best:
+                best, scale = nx * ny, np.sqrt(s[k] * nx * ny)
+                Wt[j], H[j] = scale * x / nx, scale * y / ny
+    return Wt, H
+
+
+def _hals_rows(X: np.ndarray, XtV: np.ndarray, XtX: np.ndarray) -> None:
+    """Set each row of X in turn, in place, to its clamped least-squares
+    value given the rest; X, XtV, XtX is H, W^T V, W^T W or W^T, H V^T, H H^T."""
+    for k in range(X.shape[0]):
+        X[k] += (XtV[k] - XtX[k] @ X) / max(XtX[k, k], 1e-12)
+        np.maximum(X[k], 0.0, out=X[k])
+
+
+def nmf(V, d: int, max_iters: int = 500, tol: float = 1e-12) -> NmfFactorization:
+    """HALS NMF (Cichocki & Phan 2009) minimizing ||V - WH||_F^2 from an NNDSVD start.
+
+    Each iteration updates every row of H, then every column of W; the
+    start draws no random numbers.  The objective history includes the
+    value before the first update and after each iteration; it is
+    non-increasing.  Stops when the relative objective change drops below
+    tol.  V may be a GeoFlowMatrix, a scipy sparse matrix, or a dense array.
     """
     A = _as_matrix(V)
-    n_rows, n_cols = A.shape
-    if not 1 <= d <= min(n_rows, n_cols):
-        raise ValueError(f"d={d} outside 1..{min(n_rows, n_cols)}")
-    rng = np.random.default_rng(seed)
-    W = np.maximum(rng.uniform(size=(n_rows, d)), 1e-12)
-    H = np.maximum(rng.uniform(size=(d, n_cols)), 1e-12)
-    if not isinstance(A, np.ndarray):
-        norm_v2 = float(A.multiply(A).sum())
-    else:
-        norm_v2 = float((A * A).sum())
+    if not 1 <= d <= min(A.shape):
+        raise ValueError(f"d={d} outside 1..{min(A.shape)}")
+    Wt, H = _nndsvd(A, d)
+    norm_v2 = float((A.multiply(A) if not isinstance(A, np.ndarray) else A * A).sum())
 
-    def objective() -> float:
-        VHt = A @ H.T
-        cross = float(np.sum(W * VHt))
-        fit = float(np.sum((W.T @ W) * (H @ H.T)))
-        return norm_v2 - 2.0 * cross + fit
+    def objective(HVt: np.ndarray, HHt: np.ndarray) -> float:
+        # the W update's own products: two sparse products per iteration
+        return norm_v2 - 2.0 * float(np.sum(Wt * HVt)) + float(np.sum((Wt @ Wt.T) * HHt))
 
-    eps = 1e-12
-    history = [objective()]
+    history = [objective((A @ H.T).T, H @ H.T)]
     hit_cap = True
     for _ in range(max_iters):
-        WtV = (A.T @ W).T
-        H *= WtV / ((W.T @ W) @ H + eps)
-        VHt = A @ H.T
-        W *= VHt / (W @ (H @ H.T) + eps)
-        obj = objective()
-        history.append(obj)
-        if abs(history[-2] - obj) <= tol * max(1.0, abs(history[-2])):
+        _hals_rows(H, (A.T @ Wt.T).T, Wt @ Wt.T)
+        HVt, HHt = (A @ H.T).T, H @ H.T
+        _hals_rows(Wt, HVt, HHt)
+        history.append(objective(HVt, HHt))
+        if abs(history[-2] - history[-1]) <= tol * max(1.0, abs(history[-2])):
             hit_cap = False
             break
-    order = np.argsort(-W.sum(axis=0), kind="stable")
+    order = np.argsort(-Wt.sum(axis=1), kind="stable")
     return NmfFactorization(
         d=d,
-        W=np.ascontiguousarray(W[:, order]),
-        H=np.ascontiguousarray(H[order, :]),
+        W=np.ascontiguousarray(Wt[order].T),
+        H=H[order],
         objective=history[-1],
         history=tuple(history),
         iterations=len(history) - 1,
@@ -418,25 +438,20 @@ def _sweep_row(
 def d_sweep(
     gfm: GeoFlowMatrix,
     d_range: tuple[int, int],
-    seed: int = 0,
     radius_km: float = 10.0,
     max_iters: int = 500,
     tol: float = 1e-12,
 ) -> tuple[SweepRow, ...]:
     """Run nmf + localization + similarity for each d in [d_min, d_max].
 
-    Each d gets its own derived seed, so single-d runs reproduce sweep
-    rows exactly.
+    nmf draws no random numbers, so each row is the single-d run.
     """
     d_min, d_max = d_range
     if d_min < 1 or d_max < d_min:
         raise ValueError(f"invalid d range [{d_min}, {d_max}]")
     rows = []
     for d in range(d_min, d_max + 1):
-        sub_seed = int(
-            np.random.SeedSequence((seed, d)).generate_state(1, np.uint64)[0]
-        )
-        fact = nmf(gfm, d, seed=sub_seed, max_iters=max_iters, tol=tol)
+        fact = nmf(gfm, d, max_iters=max_iters, tol=tol)
         loc = localization(fact, gfm.grid, radius_km=radius_km)
         sims = similarity_matrix(fact)
         rows.append(_sweep_row(fact, loc, sims))

@@ -869,50 +869,47 @@ def _tail_texts(table: TransferTable) -> np.ndarray:
     return texts
 
 
-def _clock_texts() -> np.ndarray:
-    """``HH:MM:SS,`` at each second of a day."""
-    two = [f"{k:02}" for k in range(60)]
-    minutes = np.array([f"{h}:{m}:" for h in two[:24] for m in two], dtype=object)
-    return (minutes[:, None] + np.array([s + "," for s in two], dtype=object)).ravel()
-
-
 def write_records(table: TransferTable, stream: IO[str]) -> None:
     """Emit transfers in the ingest log format, byte-stable for fixed input.
 
     Ids are written with csv quoting; an empty or whitespace-padded id
     raises ValueError.  Account ids are formatted once per account, kinds
     and coordinates once per tail row, a timestamp as its day's
-    ``YYYY-MM-DDT`` and its second's ``HH:MM:SS`` from tables, and the
-    lines of a chunk joined in one go.
+    ``YYYY-MM-DDT``, its minute's ``HH:MM:`` and its second's ``SS`` from
+    tables, and the lines of a chunk joined in one go.
     """
     stream.write(",".join(COLUMNS) + "\n")
     ids = _id_fields(table.ids.tolist()) + ","
     tails = _tail_texts(table)
-    clock = _clock_texts()
+    two = [f"{k:02}" for k in range(60)]
+    minute_texts = np.array([f"{h}:{m}:" for h in two[:24] for m in two], dtype=object)
+    second_texts = np.array([s + "," for s in two], dtype=object)
     for lo in range(0, len(table), CHUNK_LINES):
         rows = slice(lo, lo + CHUNK_LINES)
         seconds, micros = np.divmod(table.timestamp[rows].view(np.int64), 1_000_000)
-        days, second_of_day = np.divmod(seconds, 86_400)
+        minutes, second = np.divmod(seconds, 60)
+        days, minute = np.divmod(minutes, 1440)
         day, at = np.unique(days, return_inverse=True)
         dates = [date + "T" for date in np.datetime_as_string(day.astype("datetime64[D]")).tolist()]
         date_text = np.array(dates, dtype=object)[at]
-        clock_text = clock[second_of_day]
+        minute_text, second_text = minute_texts[minute], second_texts[second]
         # datetime.isoformat() shows microseconds only when they are nonzero
         fractional = micros != 0
         if fractional.any():
             date_text[fractional] = np.datetime_as_string(
                 table.timestamp[rows][fractional], unit="us"
             )
-            clock_text[fractional] = ","
-        # seven tokens a line; the comma after the amount is the token left
+            minute_text[fractional], second_text[fractional] = "", ","
+        # eight tokens a line; the comma after the amount is the token left
         # at its default
-        tokens = [","] * (7 * date_text.size)
-        tokens[0::7] = date_text.tolist()
-        tokens[1::7] = clock_text.tolist()
-        tokens[2::7] = ids[table.src[rows]].tolist()
-        tokens[3::7] = ids[table.dst[rows]].tolist()
-        tokens[4::7] = map(str, table.amount[rows].tolist())
-        tokens[6::7] = tails[table.tail[rows]].tolist()
+        tokens = [","] * (8 * date_text.size)
+        tokens[0::8] = date_text.tolist()
+        tokens[1::8] = minute_text.tolist()
+        tokens[2::8] = second_text.tolist()
+        tokens[3::8] = ids[table.src[rows]].tolist()
+        tokens[4::8] = ids[table.dst[rows]].tolist()
+        tokens[5::8] = map(str, table.amount[rows].tolist())
+        tokens[7::8] = tails[table.tail[rows]].tolist()
         stream.write("".join(tokens))
 
 

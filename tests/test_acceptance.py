@@ -280,7 +280,7 @@ def test_acceptance_7_nmf_correctness():
         if k % 3 == 0:
             V[rng.random(V.shape) < 0.5] = 0.0
         d = int(rng.integers(1, min(rows, cols, 6) + 1))
-        fact = nmf(V, d, seed=k, max_iters=80)
+        fact = nmf(V, d, max_iters=80)
         h = np.array(fact.history)
         worst_rise = max(
             worst_rise, float((np.diff(h) / np.maximum(1.0, h[:-1])).max())
@@ -290,7 +290,7 @@ def test_acceptance_7_nmf_correctness():
     worst_rel = 0.0
     for d in (1, 2, 3, 4, 5):
         V = rng.random((12, d)) @ rng.random((d, 9))
-        fact = nmf(V, d, seed=d, max_iters=50_000, tol=1e-16)
+        fact = nmf(V, d, max_iters=50_000, tol=1e-16)
         rel = float(np.linalg.norm(V - fact.W @ fact.H) / np.linalg.norm(V))
         worst_rel = max(worst_rel, rel)
     rank_ok = worst_rel <= 1e-6
@@ -300,7 +300,7 @@ def test_acceptance_7_nmf_correctness():
     coords, _ = collect_node_coords(records)
     grid = GeoGrid(*DEFAULT_BOUNDS, k=40)
     gfm = bin_transfers(links, grid, coords=coords)
-    fact = nmf(gfm, 7, seed=0)
+    fact = nmf(gfm, 7)
     loc = localization(fact, grid, radius_km=10.0)
     sims = similarity_matrix(fact)
     pairs = sum(
@@ -326,6 +326,22 @@ def test_acceptance_7_nmf_correctness():
         f"{pairs} localized matched pairs (>=6), {scattered} scattered "
         f"destination (==1)",
     )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hub_factor_on_every_data_seed(seed):
+    """The paper's hub factor: one factor sends from a localized origin to
+    destinations scattered over the box, at default NMF settings."""
+    records, _ = generate(cities_scenario(3000, seed=seed, hub=True))
+    coords, _ = collect_node_coords(records)
+    grid = GeoGrid(*DEFAULT_BOUNDS, k=40)
+    fact = nmf(bin_transfers(aggregate(records), grid, coords=coords), 7)
+    loc = localization(fact, grid, radius_km=10.0)
+    scattered = [
+        i for i, r in enumerate(loc.destination) if r.gamma is None or r.gamma <= GAMMA_THRESHOLD
+    ]
+    assert len(scattered) == 1
+    assert (loc.origin[scattered[0]].gamma or 0.0) > GAMMA_THRESHOLD
 
 
 def test_acceptance_8_statistics_conservation():

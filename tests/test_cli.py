@@ -98,7 +98,7 @@ class TestUsage:
           for flag in ("--trials=0", "--trials=-1", "--seed=-1")),
         *(pytest.param(command, flag, id=f"{command}{flag}")
           for command, flag in (("synth", "--nodes=0"), ("synth", "--seed=-1"),
-                                ("nmf", "--seed=-1"), ("nmf", "--max-iters=0"))),
+                                ("nmf", "--max-iters=0"))),
         *(pytest.param(command, flag, id=f"{command}{flag}")
           for command, flag in (("synth", "--blocks=0"), ("synth", "--blocks=-2"),
                                 ("nmf", "--grid-k=0"), ("nmf", "--nmf-d=0"),
@@ -113,6 +113,13 @@ class TestUsage:
         out = tmp_path / "ws"
         assert main([command, "--out", str(out), flag]) == 1
         assert flag.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nmf_has_no_seed(self, tmp_path, capsys):
+        # the NMF start draws no random numbers, so there is nothing to seed
+        out = tmp_path / "ws"
+        assert main(["nmf", "--out", str(out), "--seed", "0"]) == 1
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, named", [
@@ -482,6 +489,7 @@ class TestArtifacts:
         assert len(summary["diagonal_similarity"]) == 3
         assert summary["iterations"] <= 200
         assert summary["hit_cap"] is False or summary["iterations"] == 200
+        assert "seed" not in summary
 
     def test_nmf_summary_records_a_cap_hit(self, ws, tmp_path):
         # one update cannot bring the relative change down to 1e-12
@@ -751,7 +759,7 @@ MANIFESTS = {
     "nmf": (
         {
             "bounds": [34.0, 35.0, 135.0, 136.0], "d_range": None, "grid_k": 20,
-            "max_iters": 200, "nmf_d": 3, "radius_km": 10.0, "seed": 0, "tol": 1e-12,
+            "max_iters": 200, "nmf_d": 3, "radius_km": 10.0, "tol": 1e-12,
         },
         ["links.csv", "nodes.csv"],
         ["H.txt", "V.txt", "W.txt"]
