@@ -302,13 +302,15 @@ def map_equation_value(net: FlowNetwork, labels, kind: str = "frequency") -> flo
 class _Search:
     """Search state of one walk, built once and shared by every restart.
 
-    Holds one list per node of (neighbour, flow) pairs: each node it links
-    to in either direction, ascending, with the flows both ways summed.
-    Also the per-node p/a/t/out-flow lists and the module state of the
-    all-singletons partition, so a restart only copies lists.
+    Holds the one adjacency that the node-mover and the scan read, a CSR:
+    nbr[ptr[v]:ptr[v + 1]] are the nodes v links to either way, ascending,
+    and flow the flows both ways summed; bounds, nbrs and flows are the
+    same as lists.  Also the per-node p/a/t/out-flow lists and the module
+    state of the all-singletons partition, so a restart only copies lists.
     """
 
-    __slots__ = ("walk", "adj", "p", "a", "t", "fout", "singletons")
+    __slots__ = ("walk", "ptr", "nbr", "flow", "bounds", "nbrs", "flows",
+                 "p", "a", "t", "fout", "singletons")
 
     def __init__(self, walk: Walk):
         n = walk.n
@@ -317,11 +319,11 @@ class _Search:
             np.concatenate((walk.src * n + walk.dst, walk.dst * n + walk.src)),
             return_inverse=True,
         )
-        flow = np.bincount(pos, weights=np.concatenate((walk.flow, walk.flow)))
-        head, tail = np.divmod(key, n)
-        pairs = list(zip(tail.tolist(), flow.tolist()))
-        bounds = np.searchsorted(head, np.arange(n + 1)).tolist()
-        self.adj = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        self.flow = np.bincount(pos, weights=np.concatenate((walk.flow, walk.flow)))
+        head, self.nbr = np.divmod(key, n)
+        self.ptr = np.searchsorted(head, np.arange(n + 1))
+        self.bounds, self.nbrs = self.ptr.tolist(), self.nbr.tolist()
+        self.flows = self.flow.tolist()
         self.p = walk.p.tolist()
         self.a = walk.a.tolist()
         self.t = walk.t.tolist()
@@ -367,23 +369,22 @@ def _flag_moves(
     (index n) when it shares its module.  The two deltas differ only by
     rounding, far below the _MIN_GAIN / 2 margin, so a node with no flag
     has no move that gains more than _MIN_GAIN.  Only the given blocks'
-    nodes, modules and links are read: they are packed side by side, each
-    block shifted down by the nodes of the blocks left out before it.
+    nodes, modules and CSR entries are read (each block's are one range):
+    they are packed side by side, each block shifted down by the nodes of
+    the blocks left out before it.
     """
-    walk = search.walk
+    walk, ptr = search.walk, search.ptr
     if blocks is None:
         blocks = range(walk.offsets.size - 1)
     blocks = np.asarray(blocks, dtype=np.int64)
     lo, hi = walk.offsets[blocks], walk.offsets[blocks + 1]
-    link_lo, link_hi = walk.link_offsets[blocks], walk.link_offsets[blocks + 1]
     nodes, shifts = _ranges(lo, hi)
-    links, _ = _ranges(link_lo, link_hi)
+    entries, _ = _ranges(ptr[lo], ptr[hi])
     n = nodes.size
     block = np.repeat(np.arange(blocks.size), hi - lo)
     shift = shifts[block]
-    link_shift = np.repeat(shifts, link_hi - link_lo)
-    src, dst = walk.src[links] - link_shift, walk.dst[links] - link_shift
-    flow = walk.flow[links]
+    head = np.repeat(np.arange(n), np.diff(ptr)[nodes])
+    nbr = search.nbr[entries] - shift[head]
     p, a, t = walk.p[nodes], walk.a[nodes], walk.t[nodes]
     # runs of adjacent blocks are read as one slice
     run = np.flatnonzero(lo[1:] != hi[:-1]) + 1
@@ -396,14 +397,12 @@ def _flag_moves(
     *sums, size = lists
     P, A, T, OUT, q, Lq, Lqp = (np.append(packed(x), 0.0) for x in sums)
     shared = packed(size)[lab] > 1
+    fout = packed(search.fout)
     # summed flow between each node and each module it links to, either way
-    key, pos = np.unique(
-        np.concatenate((src * n + lab[dst], dst * n + lab[src])), return_inverse=True
-    )
-    w = np.bincount(pos, weights=np.concatenate((flow, flow)))
+    key, pos = np.unique(head * n + lab[nbr], return_inverse=True)
+    w = np.bincount(pos, weights=search.flow[entries])
     v, beta = np.divmod(key, n)
     own = beta == lab[v]
-    fout = np.bincount(src, weights=flow, minlength=n)
     # each node leaves its module; a singleton leaves an empty one behind
     P_a1 = np.where(shared, P[lab] - p, 0.0)
     A_a1 = np.where(shared, A[lab] - a, 0.0)
@@ -466,23 +465,23 @@ def _local_moves(
     the exact evaluation and the scan cleared every other node, so the
     result is a local optimum.  Blocks share no link, so each block's
     moves and draws are those of a search of its walk alone.
-    A node's flow to and from each module is one pass over its neighbour
-    list, whose flows hold both directions, so the flow a move takes out
-    of or into a module is one lookup.  plogp(q_m), plogp(q_m + P_m) and
-    each block's plogp(q_tot) are cached and updated on each accepted
-    move, so a candidate costs three log2 calls (its new q_m, q_m + P_m
-    and q_tot).  Each delta adds the same terms in the same order as a
+    A node's flow to and from each module is one pass over its CSR row,
+    whose flows hold both directions, so the flow a move takes out of or
+    into a module is one lookup.  plogp(q_m), plogp(q_m + P_m) and each
+    block's plogp(q_tot) are cached and updated on each accepted move,
+    so a candidate costs three log2 calls (its new q_m, q_m + P_m and
+    q_tot).  Each delta adds the same terms in the same order as a
     full recomputation would, so the result does not depend on the
     caching.  Every accepted move strictly lowers its block's running
     value, which is appended to the block's history move by move.
     Returns the labels and the blocks' values.
     """
     n = search.walk.n
-    adj = search.adj
+    bounds, nbrs, flows = search.bounds, search.nbrs, search.flows
     p, a, t, fout = search.p, search.a, search.t, search.fout
-    bounds = search.walk.offsets.tolist()
+    offsets = search.walk.offsets.tolist()
     if blocks is None:
-        blocks = list(range(len(bounds) - 1))
+        blocks = list(range(len(offsets) - 1))
     if labels is None:
         lists, q_tots = search.singletons
         lab = list(range(n))
@@ -499,19 +498,19 @@ def _local_moves(
         frees = [[] for _ in blocks]
     else:
         empty = np.flatnonzero(np.bincount(labels, minlength=n) == 0)
-        cut = np.searchsorted(empty, bounds).tolist()
+        cut = np.searchsorted(empty, offsets).tolist()
         frees = [empty[cut[b]:cut[b + 1]][::-1].tolist() for b in blocks]
     queued = [False] * n
 
     def flagged_orders(live: list[int]) -> list[np.ndarray]:
         flags = _flag_moves(search, lab, state, q_tots, [blocks[i] for i in live])
-        cut = np.searchsorted(flags, bounds).tolist()
+        cut = np.searchsorted(flags, offsets).tolist()
         return [rngs[i].permutation(flags[cut[blocks[i]]:cut[blocks[i] + 1]]) for i in live]
 
     live = list(range(len(blocks)))
     if labels is None:
         orders = [
-            rngs[i].permutation(bounds[b + 1] - bounds[b]) + bounds[b]
+            rngs[i].permutation(offsets[b + 1] - offsets[b]) + offsets[b]
             for i, b in enumerate(blocks)
         ]
     else:
@@ -531,7 +530,8 @@ def _local_moves(
                 alpha = lab[v]
                 # flows are >= +0.0, so starting a sum at f equals 0.0 + f
                 fo: dict[int, float] = {}
-                for u, f in adj[v]:
+                lo, hi = bounds[v], bounds[v + 1]
+                for u, f in zip(nbrs[lo:hi], flows[lo:hi]):
                     m = lab[u]
                     if m in fo:
                         fo[m] += f
@@ -609,7 +609,7 @@ def _local_moves(
                 value += best_delta
                 history.append(value)
                 moved += 1
-                for u, _ in adj[v]:
+                for u in nbrs[lo:hi]:
                     if not queued[u] and lab[u] != beta:
                         queued[u] = True
                         queue.append(u)

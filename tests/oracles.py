@@ -386,6 +386,16 @@ class BatchMapEquation:
         )
 
 
+def neighbour_flows(n: int, src, dst, flow) -> list[dict[int, float]]:
+    """Per node, every node it links to in either direction, ascending,
+    mapped to f(v -> u) + f(u -> v), from one loop over the links."""
+    around: list[dict[int, float]] = [{} for _ in range(n)]
+    for s, d, f in zip(src, dst, flow):
+        around[s][d] = around[s].get(d, 0.0) + f
+        around[d][s] = around[d].get(s, 0.0) + f
+    return [dict(sorted(nbrs.items())) for nbrs in around]
+
+
 # ---------------------------------------------------------------------------
 # geography
 

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -57,6 +58,7 @@ from oracles import (
     all_partitions,
     dense_walk,
     map_equation_entropy,
+    neighbour_flows,
 )
 
 
@@ -547,9 +549,15 @@ def test_walk_block_index_brackets_nodes_and_links(union, seed):
     net, offsets = union
     walk = _block_walk(net, offsets, "frequency")
     _assert_brackets(walk)
-    # an aggregation of random modules within each block, some blocks left
-    # out, as _optimize_once cuts the blocks that merged
+    _assert_brackets(_aggregate_random_modules(walk, seed))
+
+
+def _aggregate_random_modules(walk, seed):
+    """An aggregation of random modules within each block, some blocks
+    left out, as _optimize_once cuts the blocks that merged: the flows
+    inside each module are dropped."""
     rng = np.random.default_rng(seed)
+    offsets = walk.offsets
     sizes = np.diff(offsets)
     module = offsets[walk.block] + rng.integers(0, sizes[walk.block])
     uniq, inv = np.unique(module, return_inverse=True)
@@ -560,7 +568,53 @@ def test_walk_block_index_brackets_nodes_and_links(union, seed):
     new = np.cumsum(kept) - 1
     sub_offsets = np.concatenate(([0], np.cumsum(counts[keep])))
     inv = np.where(kept[inv], new[inv], sub_offsets[-1])
-    _assert_brackets(_aggregate(walk, inv, sub_offsets, walk.node_term[keep]))
+    return _aggregate(walk, inv, sub_offsets, walk.node_term[keep])
+
+
+def _assert_adjacency_matches_oracle(walk):
+    search = _Search(walk)
+    want = neighbour_flows(walk.n, walk.src.tolist(), walk.dst.tolist(), walk.flow.tolist())
+    assert search.ptr.tolist() == [0, *accumulate(len(around) for around in want)]
+    assert search.nbr.tolist() == [u for around in want for u in around]
+    flows = np.array([f for around in want for f in around.values()], dtype=np.float64)
+    assert search.flow.tobytes() == flows.tobytes()
+    lists = search.ptr.tolist(), search.nbr.tolist(), search.flow.tolist()
+    assert (search.bounds, search.nbrs, search.flows) == lists
+
+
+@given(_block_unions(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_search_adjacency_matches_neighbour_dict_oracle(union, seed):
+    # the one CSR that the node-mover and the scan read: each node's
+    # neighbours either way once, ascending, with the two directions'
+    # flows summed.  A sum of two flows does not depend on their order,
+    # so it is compared bit for bit, on a union walk and on an aggregate
+    net, offsets = union
+    walk = _block_walk(net, offsets, "frequency")
+    _assert_adjacency_matches_oracle(walk)
+    _assert_adjacency_matches_oracle(_aggregate_random_modules(walk, seed))
+
+
+@given(_block_unions(), st.integers(0, 1), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_scan_of_some_blocks_matches_each_block_alone(union, first, seed):
+    # every other block, so no two blocks scanned are adjacent and their
+    # CSR entries are packed from ranges apart: the flags of each block,
+    # shifted back, are those of a scan of its walk alone
+    net, offsets = union
+    walk = _block_walk(net, offsets, "frequency")
+    sizes = np.diff(offsets)
+    rng = np.random.default_rng(seed)
+    labels = offsets[walk.block] + rng.integers(0, np.minimum(sizes, 4)[walk.block])
+    search = _Search(walk)
+    blocks = list(range(first, sizes.size, 2))
+    flags = _flag_moves(search, labels.tolist(), *search.modules(labels), blocks)
+    want = []
+    for b in blocks:
+        alone = _Search(_one_block(walk, b))
+        local = labels[offsets[b]:offsets[b + 1]] - offsets[b]
+        want += (_flag_moves(alone, local.tolist(), *alone.modules(local)) + offsets[b]).tolist()
+    assert flags.tolist() == want
 
 
 @given(_block_unions(), st.integers(0, 2**32 - 1))
