@@ -6,145 +6,64 @@ decomposition around the strongly connected core, Helmholtz splitting of
 net flows into potential-driven and circular parts, map-equation
 community hierarchies, and geographic origin-destination factorization.
 A seeded synthetic generator provides ground truth for all of it.
+
+Importing the package loads none of its modules: each public name, and
+each submodule, loads on first use (PEP 562).
 """
 
-from .bowtie import (
-    COMPONENT_NAMES,
-    BowtiePartition,
-    DistanceProfile,
-    classify_bowtie,
-    distance_profile,
-    strongly_connected_components,
-    weakly_connected_components,
-)
-from .community import (
-    CommunityReport,
-    CommunityTree,
-    community_report,
-    detect_communities,
-    flat_table,
-    map_equation_value,
-)
-from .geonmf import (
-    GeoFlowMatrix,
-    GeoGrid,
-    LocalizationResult,
-    NmfFactorization,
-    bin_transfers,
-    d_sweep,
-    haversine_km,
-    localization,
-    nmf,
-    similarity_matrix,
-)
-from .hodge import (
-    ConvergenceError,
-    HodgeDecomposition,
-    assemble_problem,
-    decompose,
-    hodge_decompose,
-    potential_histograms,
-    potential_vs_net,
-    solve_potentials,
-)
-from .ingest import (
-    FilterPolicy,
-    ParseError,
-    TransferRecord,
-    TransferTable,
-    aggregate,
-    collect_node_coords,
-    filter_records,
-    parse_log,
-    read_links,
-    read_node_coords,
-    write_links,
-    write_node_coords,
-)
-from .network import (
-    AggregatedLink,
-    DuplicateLinkError,
-    FlowNetwork,
-    build_network,
-    ccdf,
-    degree_correlation,
-    degree_stats,
-    net_flow_per_node,
-    summary,
-)
-from .synth import (
-    CitySpec,
-    GroundTruth,
-    ScenarioSpec,
-    blocks_scenario,
-    cities_scenario,
-    generate,
-    walnut_scenario,
-    write_records,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "AggregatedLink",
-    "BowtiePartition",
-    "CitySpec",
-    "COMPONENT_NAMES",
-    "CommunityReport",
-    "CommunityTree",
-    "ConvergenceError",
-    "DistanceProfile",
-    "DuplicateLinkError",
-    "FilterPolicy",
-    "FlowNetwork",
-    "GeoFlowMatrix",
-    "GeoGrid",
-    "GroundTruth",
-    "HodgeDecomposition",
-    "LocalizationResult",
-    "NmfFactorization",
-    "ParseError",
-    "ScenarioSpec",
-    "TransferRecord",
-    "TransferTable",
-    "aggregate",
-    "assemble_problem",
-    "bin_transfers",
-    "blocks_scenario",
-    "build_network",
-    "ccdf",
-    "cities_scenario",
-    "classify_bowtie",
-    "collect_node_coords",
-    "community_report",
-    "d_sweep",
-    "decompose",
-    "degree_correlation",
-    "degree_stats",
-    "detect_communities",
-    "distance_profile",
-    "filter_records",
-    "flat_table",
-    "generate",
-    "haversine_km",
-    "hodge_decompose",
-    "localization",
-    "map_equation_value",
-    "net_flow_per_node",
-    "nmf",
-    "parse_log",
-    "potential_histograms",
-    "potential_vs_net",
-    "read_links",
-    "read_node_coords",
-    "similarity_matrix",
-    "solve_potentials",
-    "strongly_connected_components",
-    "summary",
-    "walnut_scenario",
-    "weakly_connected_components",
-    "write_links",
-    "write_node_coords",
-    "write_records",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "bowtie": (
+        "COMPONENT_NAMES", "BowtiePartition", "DistanceProfile", "classify_bowtie",
+        "distance_profile", "strongly_connected_components", "weakly_connected_components",
+    ),
+    "cli": (),
+    "community": (
+        "CommunityReport", "CommunityTree", "community_report", "detect_communities",
+        "flat_table", "map_equation_value",
+    ),
+    "errors": ("ConvergenceError",),
+    "geonmf": (
+        "GeoFlowMatrix", "GeoGrid", "LocalizationResult", "NmfFactorization", "bin_transfers",
+        "d_sweep", "haversine_km", "localization", "nmf", "similarity_matrix",
+    ),
+    "hodge": (
+        "HodgeDecomposition", "assemble_problem", "decompose", "hodge_decompose",
+        "potential_histograms", "potential_vs_net", "solve_potentials",
+    ),
+    "ingest": (
+        "FilterPolicy", "ParseError", "TransferRecord", "TransferTable", "aggregate",
+        "collect_node_coords", "filter_records", "parse_log", "read_links", "read_node_coords",
+        "write_links", "write_node_coords",
+    ),
+    "network": (
+        "AggregatedLink", "DuplicateLinkError", "FlowNetwork", "build_network", "ccdf",
+        "degree_correlation", "degree_stats", "net_flow_per_node", "summary",
+    ),
+    "svgplot": (),
+    "synth": (
+        "CitySpec", "GroundTruth", "ScenarioSpec", "blocks_scenario", "cities_scenario",
+        "generate", "walnut_scenario", "write_records",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *sorted(_MODULE_OF, key=str.lower)]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

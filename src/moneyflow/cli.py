@@ -4,6 +4,7 @@ Each subcommand reads earlier artifacts from ``--out`` and writes its own
 next to them, plus a ``manifest_<name>.json`` recording the configuration
 and sha256 of every input and output.  Manifests carry no timestamps, so
 rerunning a subcommand on identical inputs reproduces them byte for byte.
+Each subcommand loads only the library modules it runs.
 
 Exit codes: 0 success, 1 usage error, 2 missing or invalid data,
 3 failed convergence.
@@ -18,52 +19,56 @@ import json
 import math
 import platform
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .bowtie import (
-    COMPONENT_NAMES,
-    BowtiePartition,
-    classify_bowtie,
-    distance_profile,
-)
-from .community import community_report, detect_communities, flat_table
-from .geonmf import (
-    DEFAULT_BOUNDS,
-    GAMMA_THRESHOLD,
-    SIMILARITY_THRESHOLD,
-    GeoGrid,
-    _sweep_row,
-    bin_transfers,
-    d_sweep,
-    localization,
-    nmf,
-    similarity_matrix,
-    write_matrix,
-    write_sparse_matrix,
-)
-from .hodge import ConvergenceError, hodge_decompose, potential_histograms, potential_vs_net
-from .ingest import (
-    FilterPolicy,
-    _csv_field,
-    _id_fields,
-    _Table,
-    _write_table,
-    aggregate,
-    collect_node_coords,
-    filter_records,
-    parse_log,
-    read_links,
-    read_node_coords,
-    write_links,
-    write_node_coords,
-)
-from .network import build_network, ccdf, degree_correlation, degree_stats, net_flow_per_node, summary
-from .svgplot import heatmap_svg, line_plot, step_histogram
-from .synth import blocks_scenario, cities_scenario, walnut_scenario, generate, write_records
+from .errors import ConvergenceError
+
+# the library names the stages call, by module.  A stage binds the names of
+# the modules it runs with _use, so that it loads no other analysis module.
+_NAMES = {
+    "bowtie": ("COMPONENT_NAMES", "BowtiePartition", "classify_bowtie", "distance_profile"),
+    "community": ("community_report", "detect_communities", "flat_table"),
+    "geonmf": (
+        "DEFAULT_BOUNDS", "GAMMA_THRESHOLD", "SIMILARITY_THRESHOLD", "GeoGrid", "_sweep_row",
+        "bin_transfers", "d_sweep", "localization", "nmf", "similarity_matrix", "write_matrix",
+        "write_sparse_matrix",
+    ),
+    "hodge": ("hodge_decompose", "potential_histograms", "potential_vs_net"),
+    "ingest": (
+        "FilterPolicy", "_csv_field", "_id_fields", "_Table", "_write_table", "aggregate",
+        "collect_node_coords", "filter_records", "parse_log", "read_links", "read_node_coords",
+        "write_links", "write_node_coords",
+    ),
+    "network": (
+        "build_network", "ccdf", "degree_correlation", "degree_stats", "net_flow_per_node",
+        "summary",
+    ),
+    "svgplot": ("heatmap_svg", "line_plot", "step_histogram"),
+    "synth": ("blocks_scenario", "cities_scenario", "walnut_scenario", "generate", "write_records"),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+
+def _use(*modules: str) -> None:
+    """Bind the names of ``modules`` as globals of this module.  A name
+    already set, such as a wrapper put in its place, is kept."""
+    bound = globals()
+    for module in modules:
+        lib = import_module(f".{module}", __package__)
+        for name in _NAMES[module]:
+            bound.setdefault(name, getattr(lib, name))
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _use(_MODULE_OF[name])
+    return globals()[name]
 
 
 class DataError(Exception):
@@ -210,6 +215,7 @@ def _compact_numbers(values: np.ndarray) -> list:
 
 
 def _cmd_synth(args, stage: _Stage) -> tuple[dict, str]:
+    _use("synth")
     nodes = args.nodes
     if nodes is None:
         nodes = {"walnut": 2000, "blocks": 240}.get(args.scenario, 3000)
@@ -239,6 +245,7 @@ def _cmd_synth(args, stage: _Stage) -> tuple[dict, str]:
 
 
 def _cmd_ingest(args, stage: _Stage) -> tuple[dict, str]:
+    _use("ingest")
     src = Path(args.input)
     if not src.is_file():
         raise DataError(f"input log not found: {src}")
@@ -295,6 +302,7 @@ def _cmd_ingest(args, stage: _Stage) -> tuple[dict, str]:
 
 
 def _cmd_stats(args, stage: _Stage) -> tuple[dict, str]:
+    _use("ingest", "network")
     net = stage.load_network()
     in_deg, out_deg, _ = degree_stats(net)
     flow = net.weights("flow")
@@ -323,6 +331,7 @@ def _cmd_stats(args, stage: _Stage) -> tuple[dict, str]:
 
 
 def _cmd_bowtie(args, stage: _Stage) -> tuple[dict, str]:
+    _use("bowtie", "ingest", "network")
     net = stage.load_network()
     part = classify_bowtie(net)
     profile = distance_profile(net, part)
@@ -356,6 +365,7 @@ def _cmd_bowtie(args, stage: _Stage) -> tuple[dict, str]:
 
 
 def _cmd_hodge(args, stage: _Stage) -> tuple[dict, str]:
+    _use("hodge", "ingest", "network")
     net = stage.load_network()
     decomp = hodge_decompose(net, kind=args.weight, tol=args.tol)
     corr = potential_vs_net(decomp.phi, net)
@@ -390,6 +400,7 @@ def _cmd_hodge(args, stage: _Stage) -> tuple[dict, str]:
 
 
 def _cmd_communities(args, stage: _Stage) -> tuple[dict, str]:
+    _use("community", "ingest", "network")
     net = stage.load_network()
     tree = detect_communities(
         net, seed=args.seed, trials=args.trials, kind=args.weight
@@ -412,12 +423,14 @@ def _cmd_communities(args, stage: _Stage) -> tuple[dict, str]:
 
 
 def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
+    _use("geonmf", "ingest", "svgplot")
     with open(stage.require("links.csv", "ingest"), "r", encoding="utf-8", newline="") as fh:
         links = read_links(fh)
     with open(stage.require("nodes.csv", "ingest"), "r", encoding="utf-8", newline="") as fh:
         coords = read_node_coords(fh)
 
-    grid = GeoGrid(*args.bounds, k=args.grid_k)
+    bounds = args.bounds or DEFAULT_BOUNDS
+    grid = GeoGrid(*bounds, k=args.grid_k)
     gfm = bin_transfers(links, grid, coords=coords)
     if gfm.included == 0:
         raise DataError(
@@ -437,7 +450,7 @@ def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
     for side, results in (("origin", loc.origin), ("destination", loc.destination)):
         for res in results:
             stem = f"heatmap_{side}_{res.index + 1:02d}"
-            rows = ["\t".join(repr(float(v)) for v in row) + "\n" for row in res.heatmap]
+            rows = ["\t".join(map(repr, row)) + "\n" for row in res.heatmap.tolist()]
             stage.write_text(f"{stem}.tsv", "".join(rows))
             stage.write_text(
                 f"{stem}.svg",
@@ -459,7 +472,7 @@ def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
     summary_obj = {
         "d": fact.d,
         "grid_k": grid.k,
-        "bounds": list(args.bounds),
+        "bounds": list(bounds),
         "radius_km": args.radius_km,
         "objective": fact.objective,
         "iterations": fact.iterations,
@@ -483,7 +496,7 @@ def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
     config = {
         "grid_k": args.grid_k,
         "nmf_d": args.nmf_d,
-        "bounds": list(args.bounds),
+        "bounds": list(bounds),
         "radius_km": args.radius_km,
         "max_iters": args.max_iters,
         "tol": args.tol,
@@ -593,6 +606,7 @@ def _read_summary(path: Path) -> dict:
 
 
 def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
+    _use("bowtie", "hodge", "ingest", "svgplot")
     needed = {
         "stats.json": "stats",
         **{f"ccdf_{stem}.tsv": "stats" for stem in CCDF_STEMS},
@@ -720,6 +734,7 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
 
 
 def _parse_bounds(text: str) -> tuple[float, float, float, float]:
+    _use("geonmf")
     parts = text.split(":")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(
@@ -882,7 +897,7 @@ def build_parser() -> _Parser:
         help="relative objective change that stops the updates",
     )
     p.add_argument(
-        "--bounds", type=_parse_bounds, default=DEFAULT_BOUNDS,
+        "--bounds", type=_parse_bounds, default=None,
         metavar="S:N:W:E", help="lat_min:lat_max:lon_min:lon_max",
     )
 

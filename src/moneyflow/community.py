@@ -43,7 +43,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .hodge import ConvergenceError
+from .errors import ConvergenceError
 from .network import FlowNetwork
 
 __all__ = [

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bowtie import COMPONENT_NAMES, GSCC, IN, OUT, OUTSIDE, TE, BowtiePartition, _components
+from .errors import ConvergenceError
 from .network import FlowNetwork, _pearson, degree_stats, net_flow_per_node
 
 # scipy.sparse is imported inside the functions that build sparse matrices,
@@ -49,14 +50,6 @@ _CG_ITER_PER_NODE = 20
 _CG_MIN_ITER = 100
 # equal-width bins of the potential histograms
 _POTENTIAL_BINS = 50
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative solve failed to reach the requested residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 @dataclass(frozen=True)

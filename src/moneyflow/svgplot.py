@@ -24,6 +24,8 @@ _MARGIN_B = 46.0
 _WIDTH = 640
 _HEIGHT = 460
 _HEATMAP_WIDTH = 520
+# per-channel change from white (255) to the darkest shade (#08306b)
+_SHADE_STEPS = np.array([8 - 255, 48 - 255, 107 - 255], dtype=np.float64)
 
 
 def _fmt(x: float) -> str:
@@ -208,13 +210,12 @@ def step_histogram(
     return "\n".join(parts)
 
 
-def _shade(frac: float) -> str:
-    """White through blue to near-black, clamped to [0, 1]."""
-    frac = min(1.0, max(0.0, frac))
-    r = int(round(255 + (8 - 255) * frac))
-    g = int(round(255 + (48 - 255) * frac))
-    b = int(round(255 + (107 - 255) * frac))
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _shades(frac: np.ndarray) -> list[list[str]]:
+    """Colors white through blue to near-black, fractions clamped to [0, 1];
+    each channel is rounded half to even, as round() does."""
+    channels = 255 + _SHADE_STEPS * np.clip(frac, 0.0, 1.0)[..., None]
+    codes = np.rint(channels).astype(np.int64) @ np.array([1 << 16, 1 << 8, 1])
+    return [[f"#{code:06x}" for code in row] for row in codes.tolist()]
 
 
 def heatmap_svg(
@@ -244,22 +245,28 @@ def heatmap_svg(
         f"{_escape(title)}</text>",
     ]
     x0, y0 = 20.0, 30.0
+    finite = np.isfinite(M)
+    frac = np.zeros_like(M)
+    if peak > 0:
+        frac[finite] = M[finite] / peak
+    fills = _shades(frac)
+    size = _fmt(cell_px)
+    xs = [x0 + j * cell_px for j in range(cols)]
+    x_texts = [_fmt(x) for x in xs]
     for i in range(rows):
         draw_i = rows - 1 - i if flip_rows else i
+        y = y0 + draw_i * cell_px
+        y_text = _fmt(y)
         for j in range(cols):
-            val = M[i, j]
-            frac = 0.0 if peak <= 0 or not np.isfinite(val) else val / peak
-            x = x0 + j * cell_px
-            y = y0 + draw_i * cell_px
             parts.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell_px)}" '
-                f'height="{_fmt(cell_px)}" fill="{_shade(frac)}"/>'
+                f'<rect x="{x_texts[j]}" y="{y_text}" width="{size}" '
+                f'height="{size}" fill="{fills[i][j]}"/>'
             )
             if annotate:
-                text = "nan" if not np.isfinite(val) else f"{val:.2f}"
-                color = "#ffffff" if frac > 0.55 else "#222222"
+                text = f"{M[i, j]:.2f}" if finite[i, j] else "nan"
+                color = "#ffffff" if frac[i, j] > 0.55 else "#222222"
                 parts.append(
-                    f'<text x="{_fmt(x + cell_px / 2)}" '
+                    f'<text x="{_fmt(xs[j] + cell_px / 2)}" '
                     f'y="{_fmt(y + cell_px / 2 + 3)}" text-anchor="middle" '
                     f'fill="{color}">{_escape(text)}</text>'
                 )

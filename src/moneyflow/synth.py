@@ -181,6 +181,10 @@ def _walnut_edges(spec: ScenarioSpec, rng, city_of: np.ndarray):
     sizes = [int(round(f * n)) for f in fracs]
     while sum(sizes) > n:
         sizes[sizes.index(max(sizes))] -= 1
+    # one node left over by the rounding, where the fractions ask for none
+    # outside the GWCC, joins the largest class
+    if n - sum(sizes) == 1 and round((1.0 - sum(fracs)) * n) == 0:
+        sizes[sizes.index(max(sizes))] += 1
     n_core, n_in, n_out, n_te = sizes
     n_outside = n - sum(sizes)
     if spec.gscc_frac > 0 and n_core < 2:

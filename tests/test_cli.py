@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import moneyflow
+from moneyflow import community as community_module
 from moneyflow import ingest as ingest_module
 from moneyflow.bowtie import COMPONENT_NAMES, classify_bowtie
 from moneyflow.cli import BOWTIE_COLUMNS, POTENTIAL_COLUMNS, main
@@ -417,6 +418,17 @@ class TestDataErrors:
         with pytest.raises(BrokenProcessPool):
             main(["communities", "--out", str(out), "--trials", "2"])
         assert multiprocessing.active_children() == []
+
+    def test_walk_that_does_not_converge_exits_3(self, ws, tmp_path, monkeypatch, capsys):
+        # the search raises moneyflow.errors.ConvergenceError, which main
+        # maps to exit 3 in a stage that never loads the Hodge module
+        out = tmp_path / "ws"
+        out.mkdir()
+        shutil.copy(ws / "links.csv", out)
+        monkeypatch.setattr(community_module, "_WALK_MAX_ITER", 1)
+        assert main(["communities", "--out", str(out), "--trials", "1"]) == 3
+        assert "stationary distribution did not converge" in capsys.readouterr().err
+        assert not (out / "communities.json").exists()
 
 
 class TestArtifacts:
@@ -900,16 +912,68 @@ def test_stages_call_the_traced_names(tmp_path, monkeypatch):
     assert calls == expected
 
 
+def _fresh(code, *argv):
+    """stdout of ``code`` run in a fresh interpreter with argv after it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(moneyflow.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    return out.stdout.splitlines()
+
+
+LOADED = "sorted(m for m in sys.modules if m.startswith('moneyflow'))"
+
+
 def test_cli_import_loads_no_scipy_sparse_or_stats():
     # the stages that need them import them; a fresh interpreter shows
-    # what importing the command line module alone loads
+    # what importing the command line module alone loads: of the package,
+    # the module and the exceptions that main maps to exit codes
     code = (
         "import sys, moneyflow.cli; "
         "print(sorted(m for m in sys.modules "
-        "if m.startswith(('scipy.sparse', 'scipy.stats'))))"
+        "if m.startswith(('scipy.sparse', 'scipy.stats')))); "
+        f"print({LOADED})"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(moneyflow.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    assert _fresh(code) == ["[]", str(["moneyflow", "moneyflow.cli", "moneyflow.errors"])]
+
+
+def test_package_import_loads_no_submodule():
+    assert _fresh(f"import sys, moneyflow; print({LOADED})") == ["['moneyflow']"]
+
+
+def test_public_names_resolve_on_first_use():
+    code = (
+        "import moneyflow, moneyflow.hodge\n"
+        "print(sorted(set(moneyflow.__all__) - set(dir(moneyflow))))\n"
+        "print([n for n in moneyflow.__all__ if not hasattr(moneyflow, n)])\n"
+        "print(moneyflow.ConvergenceError is moneyflow.hodge.ConvergenceError)\n"
+        "print(hasattr(moneyflow, 'no_such_name'))"
     )
-    assert out.stdout.strip() == "[]"
+    assert _fresh(code) == ["[]", "[]", "True", "False"]
+
+
+# the modules of the package each README stage loads besides cli and errors
+STAGE_MODULES = {
+    "synth": ("synth", "ingest", "network", "bowtie", "geonmf"),
+    "ingest": ("ingest", "network"),
+    "stats": ("ingest", "network"),
+    "bowtie": ("bowtie", "ingest", "network"),
+    "hodge": ("hodge", "bowtie", "ingest", "network"),
+    "communities": ("community", "ingest", "network"),
+    "nmf": ("geonmf", "svgplot", "ingest", "network"),
+    "report": ("bowtie", "hodge", "svgplot", "ingest", "network"),
+}
+
+
+def test_each_stage_loads_only_the_modules_it_runs(tmp_path):
+    code = (
+        "import sys\n"
+        "from moneyflow.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"print({LOADED})\n"
+        "sys.exit(code)"
+    )
+    for argv in pipeline_steps(tmp_path):
+        expected = ["moneyflow", "moneyflow.cli", "moneyflow.errors"]
+        expected += [f"moneyflow.{m}" for m in STAGE_MODULES[argv[0]]]
+        assert _fresh(code, *argv)[-1] == str(sorted(expected)), argv[0]

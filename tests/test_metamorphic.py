@@ -1,17 +1,27 @@
 """Metamorphic properties: transformations of the input whose effect on
 an analysis is known, checked without an oracle."""
 
+import csv
+import io
+
 import numpy as np
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moneyflow import (
+    FilterPolicy,
     aggregate,
     build_network,
     classify_bowtie,
+    collect_node_coords,
+    filter_records,
     generate,
     hodge_decompose,
+    parse_log,
     walnut_scenario,
+    write_links,
+    write_node_coords,
+    write_records,
 )
 from moneyflow.bowtie import COMPONENT_NAMES, IN, OUT
 from moneyflow.hodge import WEIGHT_KINDS
@@ -23,15 +33,31 @@ TOL = 1e-10
 
 def _walnut(n_nodes, seed):
     # 3% of the accounts outside the GWCC, in components of two or three
-    try:
-        records, _ = generate(walnut_scenario(n_nodes=n_nodes, seed=seed, te_frac=0.066))
-    except ValueError as err:
-        # a node count whose classes round to one node outside the GWCC,
-        # which the generator refuses
-        if "exactly one node outside" not in str(err):
-            raise
-        reject()
+    records, _ = generate(walnut_scenario(n_nodes=n_nodes, seed=seed, te_frac=0.066))
     return build_network(aggregate(records))
+
+
+def _log(n_nodes, seed):
+    """The header and the transfer lines of a walnut log."""
+    records, _ = generate(walnut_scenario(n_nodes=n_nodes, seed=seed))
+    text = io.StringIO()
+    write_records(records, text)
+    header, *lines = text.getvalue().splitlines(keepends=True)
+    return header, lines
+
+
+def _ingest(header, lines):
+    """links.csv and nodes.csv as ingest writes them from a log."""
+    parsed, rejected = parse_log(io.StringIO(header + "".join(lines)))
+    assert rejected == []
+    kept = filter_records(parsed, FilterPolicy())
+    coords, conflicts = collect_node_coords(kept)
+    # each account has one coordinate, so the first one seen is the only one
+    assert conflicts == 0
+    links, nodes = io.StringIO(), io.StringIO()
+    write_links(aggregate(kept), links)
+    write_node_coords(coords, nodes)
+    return links.getvalue(), nodes.getvalue()
 
 
 @given(st.integers(100, 300), st.integers(0, 2**32 - 1))
@@ -54,3 +80,33 @@ def test_reversing_every_link(n_nodes, seed):
                 getattr(back, part).toarray(), -getattr(fwd, part).toarray(),
                 rtol=0, atol=4.0 * atol,
             )
+
+
+@given(st.integers(100, 300), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_shuffling_the_log_lines(n_nodes, seed, shuffle_seed):
+    header, lines = _log(n_nodes, seed)
+    order = np.random.default_rng(shuffle_seed).permutation(len(lines))
+    assert _ingest(header, [lines[i] for i in order]) == _ingest(header, lines)
+
+
+@given(st.integers(100, 300), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=20, deadline=None)
+def test_splitting_one_transfer(n_nodes, seed, data):
+    # two transfers with the endpoints and time of one, their amounts
+    # summing to its amount: the link's flow stays, its frequency rises by 1
+    header, lines = _log(n_nodes, seed)
+    k = data.draw(st.integers(0, len(lines) - 1), label="transfer")
+    fields = lines[k].split(",")
+    amount = int(fields[3])
+    assume(amount >= 2)  # a log holds no zero amounts
+    part = data.draw(st.integers(1, amount - 1), label="part")
+    halves = [",".join([*fields[:3], str(a), *fields[4:]]) for a in (part, amount - part)]
+    links, nodes = _ingest(header, lines)
+    split_links, split_nodes = _ingest(header, lines[:k] + halves + lines[k + 1:])
+    assert split_nodes == nodes
+    rows = list(csv.reader(io.StringIO(links)))
+    bumped = [i for i, row in enumerate(rows) if row[:2] == fields[1:3]]
+    assert len(bumped) == 1
+    rows[bumped[0]][3] = str(int(rows[bumped[0]][3]) + 1)
+    assert list(csv.reader(io.StringIO(split_links))) == rows

@@ -314,6 +314,16 @@ class TestWalnutTruth:
             "outside_GWCC": 0,
         }
 
+    def test_every_node_count_generates(self):
+        # at 35 of these counts the default class shares round to one
+        # account short of the total; the largest class takes it, and the
+        # planted classes are still the ones the classifier finds
+        for n in range(100, 301):
+            records, truth = generate(walnut_scenario(n, seed=0))
+            counts = truth.component_counts
+            assert sum(counts.values()) == n and counts["outside_GWCC"] == 0, n
+            assert classify_bowtie(build_network(aggregate(records))).sizes == counts, n
+
     def test_skin_distances(self, walnut):
         _, records, truth = walnut
         net = build_network(aggregate(records))
@@ -500,7 +510,8 @@ class TestValidation:
             ScenarioSpec(n_nodes=50, community_blocks=(20, 20))
 
     def test_walnut_wiring_rails(self):
-        # a single node outside the GWCC cannot form a 2-3 node component
+        # fractions that ask for a single node outside the GWCC: it cannot
+        # form a 2-3 node component
         spec = walnut_scenario(
             n_nodes=11,
             gscc_frac=10 / 11,
