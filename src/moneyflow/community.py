@@ -22,13 +22,13 @@ the labels a search of its walk alone would give.  Level 1 is the same
 search with a single block.  The node-mover is queue-driven, as in
 Leiden's fast local move: a pass visits every node in random order and
 re-queues the neighbours of each node that moves.  When the queue
-empties, one vectorised scan scores every node's moves against the
-frozen module state, and only the nodes it flags are queued again; a
-block's search ends at a local optimum when the scan flags none of its
-nodes or a round of its flagged nodes moves nothing.  Blocks of at most
-_EXACT_MAX nodes skip both the power iteration and the search: their
-stationary vectors come from one batched dense solve and their
-partitions from scoring every set partition at once.
+empties, one vectorised scan scores the same moves as the node-mover,
+into a neighbour's module or an empty one, against the frozen module
+state; only the nodes it flags are queued again, and a block's search
+ends when it flags none of its nodes or a round of them moves nothing.
+Blocks of at most _EXACT_MAX nodes skip both the power iteration and
+the search: their stationary vectors come from one batched dense solve
+and their partitions from scoring every set partition at once.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ _WALK_TOL = 1e-14
 _WALK_MAX_ITER = 10_000
 # deepest community level: level-1 communities split down to level 5
 _MAX_DEPTH = 5
-# local-move rounds per call; the loop ends earlier at a local optimum
+# local-move rounds per call; the loop ends earlier when no candidate move gains
 _MAX_PASSES = 200
 _MIN_GAIN = 1e-12
 # blocks of at most this many nodes are solved directly and partitioned
@@ -359,8 +359,8 @@ def _flag_moves(
     q_tot: list[float],
     blocks: list[int] | None = None,
 ) -> np.ndarray:
-    """Nodes of the given blocks (all by default) whose best single move
-    lowers their block's value by more than _MIN_GAIN / 2, ascending.
+    """Nodes of the given blocks (all by default) whose best candidate
+    move lowers their block's value by more than _MIN_GAIN / 2, ascending.
 
     Scores every node's candidate modules at once against the module
     state lists (P, A, T, OUT, q, plogp q, plogp(q + P), size) and the
@@ -368,10 +368,10 @@ def _flag_moves(
     in- and out-neighbours other than its own, plus an empty module
     (index n) when it shares its module.  The two deltas differ only by
     rounding, far below the _MIN_GAIN / 2 margin, so a node with no flag
-    has no move that gains more than _MIN_GAIN.  Only the given blocks'
-    nodes, modules and CSR entries are read (each block's are one range):
-    they are packed side by side, each block shifted down by the nodes of
-    the blocks left out before it.
+    has no candidate move that gains more than _MIN_GAIN.  Only the given
+    blocks' nodes, modules and CSR entries are read (each block's are one
+    range): they are packed side by side, each block shifted down by the
+    nodes of the blocks left out before it.
     """
     walk, ptr = search.walk, search.ptr
     if blocks is None:
@@ -449,7 +449,7 @@ def _local_moves(
     blocks: list[int] | None = None,
 ) -> tuple[np.ndarray, list[float]]:
     """Greedy single-node moves in the given blocks (all by default) until
-    no single move gains over _MIN_GAIN.
+    no move into a neighbour's module or an empty one gains over _MIN_GAIN.
 
     rngs, values and histories belong to the blocks, in order; the other
     blocks keep their labels.  A block's round visits a queue of its
@@ -462,8 +462,8 @@ def _local_moves(
     of all blocks still moving finds an improving move for; so does the
     first round when labels are given.  A block stops when the scan flags
     none of its nodes, or when a round moves none: those nodes all failed
-    the exact evaluation and the scan cleared every other node, so the
-    result is a local optimum.  Blocks share no link, so each block's
+    the exact evaluation and the scan cleared every other node, so no
+    such move gains.  Blocks share no link, so each block's
     moves and draws are those of a search of its walk alone.
     A node's flow to and from each module is one pass over its CSR row,
     whose flows hold both directions, so the flow a move takes out of or

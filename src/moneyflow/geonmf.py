@@ -60,6 +60,7 @@ DEFAULT_BOUNDS = (34.0, 35.0, 135.0, 136.0)
 
 GAMMA_THRESHOLD = 0.23
 SIMILARITY_THRESHOLD = 0.9
+_SVD_EXTRA, _SVD_TOL, _SVD_MAX_ROUNDS = 10, 1e-13, 1000
 
 
 def haversine_km(lat1, lon1, lat2, lon2):
@@ -204,47 +205,46 @@ class NmfFactorization:
     hit_cap: bool
 
 
-def _as_matrix(V) -> sp.csr_matrix | np.ndarray:
+def _as_matrix(V) -> sp.csr_matrix:
     import scipy.sparse as sp
 
-    if isinstance(V, GeoFlowMatrix):
-        return V.V
-    A = V.tocsr().astype(np.float64) if sp.issparse(V) else np.asarray(V, dtype=np.float64)
+    A = V.V if isinstance(V, GeoFlowMatrix) else V if sp.issparse(V) else np.asarray(V, np.float64)
     if A.ndim != 2:
         raise ValueError("V must be a 2-d matrix")
-    entries = A.data if sp.issparse(A) else A
-    if not np.isfinite(entries).all():
+    A = sp.csr_matrix(A, dtype=np.float64)  # one form of V, whatever form it came in
+    if not np.isfinite(A.data).all():
         raise ValueError("V must be finite")
-    if (entries < 0).any():
+    if (A.data < 0).any():
         raise ValueError("V must be non-negative")
     return A
 
 
-def _nndsvd(A, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _nndsvd(A: sp.csr_matrix, d: int) -> tuple[np.ndarray, np.ndarray]:
     """NNDSVD start (Boutsidis & Gallopoulos 2008): W^T and H from A's top d singular triplets.
 
-    ARPACK starts from a fixed vector.  Each triplet keeps the larger of its
-    positive and negative parts, which fixes its sign.  A pair whose parts
-    are both zero, as past rank(A), starts at zero and HALS keeps it there.
+    Subspace iteration (Halko, Martinsson & Tropp 2011) on A's nonempty rows and columns from
+    d + _SVD_EXTRA DCT-II vectors, the first all ones, until every top-d residual |A^T u - s v|
+    is within _SVD_TOL of s_1, or for _SVD_MAX_ROUNDS rounds.  Each triplet keeps the larger of
+    its positive and negative parts; a pair whose parts are both zero, as past rank(A), is zero.
     """
-    from scipy.sparse.linalg import svds
-
+    rows, cols = np.flatnonzero(A.getnnz(axis=1)), np.flatnonzero(A.getnnz(axis=0))
+    B, n = A[rows][:, cols], cols.size
+    Q = np.cos(np.pi * np.outer(np.arange(n) + 0.5, np.arange(min(d + _SVD_EXTRA, *B.shape))) / n)
+    for _ in range(_SVD_MAX_ROUNDS):
+        Q = np.linalg.qr(Q)[0]
+        U, s, Zt = np.linalg.svd(B @ Q, full_matrices=False)
+        V, Q = Q @ Zt.T, B.T @ U  # B V = U diag(s); B^T U spans the next basis
+        if np.all(np.linalg.norm(Q[:, :d] - V[:, :d] * s[:d], axis=0) <= _SVD_TOL * s[:1]):
+            break
     Wt, H = np.zeros((d, A.shape[0])), np.zeros((d, A.shape[1]))
-    if A.max() == 0.0:  # ARPACK rejects a zero matrix; every pair starts at zero
-        return Wt, H
-    if d < min(A.shape):
-        U, s, Vt = svds(A, k=d, v0=np.ones(min(A.shape)))
-    else:  # ARPACK cannot reach d = min(A.shape)
-        dense = A if isinstance(A, np.ndarray) else A.toarray()
-        U, s, Vt = np.linalg.svd(dense, full_matrices=False)
-    for j, k in enumerate(np.argsort(-s, kind="stable")):  # largest singular value first
+    for k in range(min(d, s.size)):
         best = 0.0
         for sign in (1.0, -1.0):
-            x, y = np.maximum(sign * U[:, k], 0.0), np.maximum(sign * Vt[k], 0.0)
+            x, y = np.maximum(sign * U[:, k], 0.0), np.maximum(sign * V[:, k], 0.0)
             nx, ny = np.linalg.norm(x), np.linalg.norm(y)
             if nx * ny > best:
                 best, scale = nx * ny, np.sqrt(s[k] * nx * ny)
-                Wt[j], H[j] = scale * x / nx, scale * y / ny
+                Wt[k, rows], H[k, cols] = scale * x / nx, scale * y / ny
     return Wt, H
 
 
@@ -269,7 +269,7 @@ def nmf(V, d: int, max_iters: int = 500, tol: float = 1e-12) -> NmfFactorization
     if not 1 <= d <= min(A.shape):
         raise ValueError(f"d={d} outside 1..{min(A.shape)}")
     Wt, H = _nndsvd(A, d)
-    norm_v2 = float((A.multiply(A) if not isinstance(A, np.ndarray) else A * A).sum())
+    norm_v2 = float(A.multiply(A).sum())
 
     def objective(HVt: np.ndarray, HHt: np.ndarray) -> float:
         # the W update's own products: two sparse products per iteration

@@ -473,6 +473,37 @@ def grid_bin_counts(links, coords, bounds, k: int):
 
 
 # ---------------------------------------------------------------------------
+# NMF start
+
+
+def nndsvd_dense(V, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """NNDSVD start (Boutsidis & Gallopoulos 2008) from a full dense SVD.
+
+    Pair k is sqrt(s_k |x| |y|) times the unit vectors of x and y, the
+    non-negative parts of the k-th singular vectors taken with the sign
+    (+ on a tie) whose parts have the larger norm product; a pair whose
+    parts are both zero is zero.  Returns (W^T, H).
+    """
+    U, s, Vt = np.linalg.svd(np.asarray(V, dtype=np.float64), full_matrices=False)
+    Wt, H = np.zeros((d, U.shape[0])), np.zeros((d, Vt.shape[1]))
+    for k in range(d):
+        best = None
+        for sign in (1.0, -1.0):
+            x = [max(sign * float(u), 0.0) for u in U[:, k]]
+            y = [max(sign * float(v), 0.0) for v in Vt[k]]
+            nx = math.sqrt(math.fsum(a * a for a in x))
+            ny = math.sqrt(math.fsum(b * b for b in y))
+            if best is None or nx * ny > best[0]:
+                best = (nx * ny, x, y, nx, ny)
+        product, x, y, nx, ny = best
+        if product > 0.0:
+            scale = math.sqrt(float(s[k]) * product)
+            Wt[k] = [scale * a / nx for a in x]
+            H[k] = [scale * b / ny for b in y]
+    return Wt, H
+
+
+# ---------------------------------------------------------------------------
 # record layer
 
 

@@ -977,3 +977,17 @@ def test_each_stage_loads_only_the_modules_it_runs(tmp_path):
         expected = ["moneyflow", "moneyflow.cli", "moneyflow.errors"]
         expected += [f"moneyflow.{m}" for m in STAGE_MODULES[argv[0]]]
         assert _fresh(code, *argv)[-1] == str(sorted(expected)), argv[0]
+
+
+def test_nmf_stage_loads_no_sparse_linalg(ws, tmp_path):
+    # the NNDSVD start needs numpy QR and sparse products, no sparse solver
+    shutil.copytree(ws, tmp_path / "ws")
+    argv = next(a for a in pipeline_steps(tmp_path / "ws") if a[0] == "nmf")
+    code = (
+        "import sys\n"
+        "from moneyflow.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print([m for m in sys.modules if m.startswith('scipy.sparse.linalg')])\n"
+        "sys.exit(code)"
+    )
+    assert _fresh(code, *argv)[-1] == "[]"

@@ -24,7 +24,9 @@ from moneyflow.geonmf import (
     GAMMA_THRESHOLD,
     SIMILARITY_THRESHOLD,
     NmfFactorization,
+    _as_matrix,
     _circle_masses,
+    _nndsvd,
     read_matrix,
     read_sparse_matrix,
     write_matrix,
@@ -33,7 +35,7 @@ from moneyflow.geonmf import (
 from moneyflow.ingest import AggregatedLink
 
 from conftest import link_table
-from oracles import brute_localization, grid_bin_counts, haversine_reference
+from oracles import brute_localization, grid_bin_counts, haversine_reference, nndsvd_dense
 
 
 def fake_fact(W, H):
@@ -250,6 +252,30 @@ def test_binning_matches_per_link_oracle(links, coords, k):
     assert np.array_equal(gfm.V.toarray(), np.log(np.maximum(1.0, dense)))
 
 
+def _halving_v(shape, rank, empty=False):
+    """V = L diag(2^-k) R from uniform L and R: the top singular values stand well apart.
+
+    With empty, most entries of L and R and some whole rows and columns of V are zero.
+    """
+    rng = np.random.default_rng(rank)
+    L = rng.uniform(0.0, 1.0, size=(shape[0], rank)) * 0.5 ** np.arange(rank)
+    R = rng.uniform(0.0, 1.0, size=(rank, shape[1]))
+    if empty:
+        L[rng.random(L.shape) < 0.8] = 0.0
+        R[rng.random(R.shape) < 0.8] = 0.0
+        L[:10], R[:, 5:15] = 0.0, 0.0
+    return L @ R
+
+
+def _flat_v(shape, directions, decay):
+    """A constant plus orthonormal directions orthogonal to it, scaled decay^k, made >= 0."""
+    rng = np.random.default_rng(directions)
+    Uo, Vo = (np.linalg.qr(np.column_stack([np.ones(m), rng.standard_normal((m, directions))]))[0]
+              for m in shape)
+    S = (Uo[:, 1:] * decay ** np.arange(directions)) @ Vo[:, 1:].T
+    return S - S.min()
+
+
 class TestNmf:
     def test_objective_non_increasing(self, rng):
         for _ in range(10):
@@ -260,7 +286,7 @@ class TestNmf:
             assert np.all(np.diff(hist) <= slack)
             assert fact.objective == hist[-1]
 
-    # d = min(shape) starts from a dense SVD, since ARPACK cannot reach it
+    # (4, (4, 6)) takes d = min(shape): the start spans V's whole row space
     @pytest.mark.parametrize("d,shape,seed", [(2, (9, 7), 0), (3, (12, 10), 1),
                                               (5, (15, 11), 2), (4, (4, 6), 3)])
     def test_exact_rank_d_recovery(self, d, shape, seed):
@@ -284,12 +310,34 @@ class TestNmf:
         V = rng.uniform(0.0, 2.0, size=(9, 9))
         V[V < 1.0] = 0.0
         dense = nmf(V, d=3, max_iters=80, tol=0.0)
-        sparse = nmf(sp.csr_matrix(V), d=3, max_iters=80, tol=0.0)
-        assert sparse.objective == pytest.approx(dense.objective, rel=1e-8)
-        np.testing.assert_allclose(sparse.W, dense.W, rtol=1e-7, atol=1e-10)
+        # nmf holds V as one CSR, whatever form it came in
+        for form in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+            sparse = nmf(form(V), d=3, max_iters=80, tol=0.0)
+            assert np.array_equal(sparse.W, dense.W) and np.array_equal(sparse.H, dense.H)
+            assert sparse.history == dense.history
         # the start draws no random numbers: a second call repeats every bit
         again = nmf(sp.csr_matrix(V), d=3, max_iters=80, tol=0.0)
-        assert np.array_equal(again.W, sparse.W) and np.array_equal(again.H, sparse.H)
+        assert np.array_equal(again.W, dense.W) and np.array_equal(again.H, dense.H)
+
+    @pytest.mark.parametrize("V,d", [
+        (_halving_v((60, 45), 45), 5),
+        (_halving_v((12, 10), 10), 10),
+        (_halving_v((6, 9), 6), 6),
+        (_halving_v((1, 30), 1), 1),
+        (_halving_v((80, 70), 10, empty=True), 7),
+        # s_21 / s_10 = 0.85: 30 fixed rounds of iteration left this start ~1e-5 off
+        (_flat_v((80, 60), 40, 0.985), 10),
+    ], ids=["d-below-min", "d-min-tall", "d-min-wide", "one-row", "sparse-empty-lines",
+            "flat-spectrum"])
+    def test_start_matches_dense_svd_oracle(self, V, d):
+        Wt, H = _nndsvd(_as_matrix(V), d)
+        ref_Wt, ref_H = nndsvd_dense(V, d)
+        # pair k's norms multiply to s_k |x| |y|: the singular value it uses
+        used = np.linalg.norm(Wt, axis=1) * np.linalg.norm(H, axis=1)
+        ref = np.linalg.norm(ref_Wt, axis=1) * np.linalg.norm(ref_H, axis=1)
+        np.testing.assert_allclose(used, ref, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(Wt, ref_Wt, rtol=0.0, atol=1e-8 * np.abs(ref_Wt).max())
+        np.testing.assert_allclose(H, ref_H, rtol=0.0, atol=1e-8 * np.abs(ref_H).max())
 
     # HALS from the NNDSVD start reaches tol 1e-6 on this V after 70
     # updates, and tol 1e-12 after 189
