@@ -26,9 +26,9 @@ empties, one vectorised scan scores the same moves as the node-mover,
 into a neighbour's module or an empty one, against the frozen module
 state; only the nodes it flags are queued again, and a block's search
 ends when it flags none of its nodes or a round of them moves nothing.
-Blocks of at most _EXACT_MAX nodes skip both the power iteration and
-the search: their stationary vectors come from one batched dense solve
-and their partitions from scoring every set partition at once.
+Every block's stationary vector comes from the same packed power
+iteration; blocks of at most _EXACT_MAX nodes skip the search, and
+their partitions come from scoring every set partition at once.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ _MAX_DEPTH = 5
 # local-move rounds per call; the loop ends earlier when no candidate move gains
 _MAX_PASSES = 200
 _MIN_GAIN = 1e-12
-# blocks of at most this many nodes are solved directly and partitioned
-# exhaustively (Bell(8) = 4,140 set partitions)
+# blocks of at most this many nodes are partitioned exhaustively
+# (Bell(8) = 4,140 set partitions)
 _EXACT_MAX = 8
 # the most elements per array (256 KiB of float64) when blocks of one
 # size are scored together; a block of 7 or 8 nodes is scored alone
@@ -163,15 +163,13 @@ def _block_walk(net: FlowNetwork, offsets: np.ndarray, kind: str) -> Walk:
     """Stationary walks of the blocks of a disjoint union at once.
 
     Block b is union nodes offsets[b]:offsets[b + 1], and every block has
-    a link.  Blocks of at most _EXACT_MAX nodes take one batched dense
-    solve per size: each block's n x n step matrix, with one row of
-    step - I replaced by the normalisation sum(p) = 1.  The others
-    power-iterate together, one np.bincount of link steps per step, with
-    teleportation, normalisation and the L1 change summed per block by
-    np.add.reduceat, a lone block included; a block keeps the vector of
-    the step whose L1 change fell below _WALK_TOL.  Each step reads only
-    the blocks still iterating, packed side by side and packed again when
-    one converges.  Every per-node and per-block sum adds the same terms
+    a link.  All blocks, whatever their size, power-iterate together, one
+    np.bincount of link steps per step, with teleportation,
+    normalisation and the L1 change summed per block by np.add.reduceat,
+    a lone block included; a block keeps the vector of the step whose L1
+    change fell below _WALK_TOL.  Each step reads only the blocks still
+    iterating, packed side by side and packed again when one
+    converges.  Every per-node and per-block sum adds the same terms
     in the same order as for the block alone, so each block's walk is
     bit for bit the one :func:`build_walk` gives its subnetwork.
     """
@@ -186,27 +184,7 @@ def _block_walk(net: FlowNetwork, offsets: np.ndarray, kind: str) -> Walk:
     link_block = block[net.src]
     link_offsets = np.searchsorted(link_block, np.arange(sizes.size + 1))
     p = 1.0 / sizes[block]
-    small = sizes <= _EXACT_MAX
-    for size in np.unique(sizes[small]).tolist():
-        blocks = np.flatnonzero(sizes == size)
-        rank = np.full(sizes.size, -1)
-        rank[blocks] = np.arange(blocks.size)
-        links = np.flatnonzero(rank[link_block] >= 0)
-        first = offsets[link_block[links]]
-        node = offsets[blocks][:, None] + np.arange(size)
-        # step[b, j, i]: probability of stepping from i to j in block b
-        step = t[node][:, :, None] * tau_eff[node][:, None, :]
-        np.add.at(
-            step,
-            (rank[link_block[links]], net.dst[links] - first, net.src[links] - first),
-            (1.0 - TAU) * out_norm[links],
-        )
-        system = step - np.eye(size)
-        system[:, -1] = 1.0
-        rhs = np.zeros((blocks.size, size, 1))
-        rhs[:, -1] = 1.0
-        p[node] = np.linalg.solve(system, rhs)[:, :, 0]
-    live = np.flatnonzero(~small)
+    live = np.arange(sizes.size)
     steps = 0
     while live.size and steps < _WALK_MAX_ITER:
         span = sizes[live]

@@ -160,7 +160,7 @@ def bin_transfers(
     Links draw endpoint coordinates from ``coords``, looked up once per
     account, and count their full frequency.  Events with an endpoint out
     of bounds or without a coordinate are excluded and tallied.  Counts
-    are exact int64 sums over sorted cell pairs.
+    are exact int64 sums over each cell pair's links.
     """
     import scipy.sparse as sp
 
@@ -171,14 +171,10 @@ def bin_transfers(
     n = grid.n_cells
     ok = (src >= 0) & (dst >= 0)
     included, excluded = int(weight[ok].sum()), int(weight[~ok].sum())
-    key = src[ok] * n + dst[ok]
-    order = np.argsort(key, kind="stable")
-    keys, starts = np.unique(key[order], return_index=True)
-    vals = np.add.reduceat(weight[ok][order], starts) if keys.size else keys
-    rows, cols = keys // n, keys % n
-    alpha = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    logvals = np.log(np.maximum(1.0, vals.astype(np.float64)))
-    V = sp.csr_matrix((logvals, (rows, cols)), shape=(n, n))
+    alpha = sp.csr_matrix((weight[ok], (src[ok], dst[ok])), shape=(n, n))
+    alpha.sum_duplicates()
+    V = alpha.astype(np.float64)
+    np.log(np.maximum(1.0, V.data), out=V.data)
     V.eliminate_zeros()
     return GeoFlowMatrix(grid=grid, alpha=alpha, V=V, included=included, excluded=excluded)
 

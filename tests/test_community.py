@@ -353,7 +353,7 @@ def _one_block(walk, b):
 def test_block_walk_matches_each_walk_alone(union):
     # every per-block sum, a lone block's included, is one np.add.reduceat
     # over the block's range, so each block's walk is bit for bit its walk
-    # alone, whether it is solved directly or power-iterated
+    # alone, whatever its size
     net, offsets = union
     walk = _block_walk(net, offsets, "frequency")
     for b, sub in enumerate(_blocks_alone(net, offsets)):

@@ -2,6 +2,7 @@
 an analysis is known, checked without an oracle."""
 
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -14,6 +15,7 @@ from moneyflow import (
     build_network,
     classify_bowtie,
     collect_node_coords,
+    detect_communities,
     filter_records,
     generate,
     hodge_decompose,
@@ -110,3 +112,24 @@ def test_splitting_one_transfer(n_nodes, seed, data):
     assert len(bumped) == 1
     rows[bumped[0]][3] = str(int(rows[bumped[0]][3]) + 1)
     assert list(csv.reader(io.StringIO(split_links))) == rows
+
+
+@given(st.integers(100, 300), st.integers(0, 2**32 - 1), st.integers(2, 1000))
+@settings(max_examples=10, deadline=None)
+def test_scaling_every_amount(n_nodes, seed, c):
+    # amounts times an integer c: each link's flow is c times its flow and
+    # its frequency stays, so the flow potentials scale by c, and whatever
+    # reads only frequencies or links is unchanged bit for bit
+    records, _ = generate(walnut_scenario(n_nodes=n_nodes, seed=seed))
+    scaled = dataclasses.replace(records, amount=records.amount * c)
+    net, net_c = build_network(aggregate(records)), build_network(aggregate(scaled))
+    assert net_c.flow.tolist() == [f * c for f in net.flow.tolist()]
+    assert net_c.freq.tobytes() == net.freq.tobytes()
+    flow, flow_c = hodge_decompose(net, "flow", TOL), hodge_decompose(net_c, "flow", TOL)
+    np.testing.assert_allclose(flow_c.phi, c * flow.phi, rtol=1e-9)
+    freq, freq_c = hodge_decompose(net, "frequency", TOL), hodge_decompose(net_c, "frequency", TOL)
+    assert freq_c.phi.tobytes() == freq.phi.tobytes()
+    assert classify_bowtie(net_c).labels.tobytes() == classify_bowtie(net).labels.tobytes()
+    assert detect_communities(net_c, seed=seed, trials=1, kind="frequency") == detect_communities(
+        net, seed=seed, trials=1, kind="frequency"
+    )
