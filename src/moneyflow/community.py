@@ -28,7 +28,8 @@ state; only the nodes it flags are queued again, and a block's search
 ends when it flags none of its nodes or a round of them moves nothing.
 Every block's stationary vector comes from the same packed power
 iteration; blocks of at most _EXACT_MAX nodes skip the search, and
-their partitions come from scoring every set partition at once.
+their partitions come from scoring every set partition at once, by the
+same evaluator as every other value.
 """
 
 from __future__ import annotations
@@ -841,10 +842,12 @@ def _exact_partitions(walk: Walk) -> tuple[np.ndarray, np.ndarray, list[list[flo
     _EXACT_MAX nodes; ties keep the first row.
 
     Blocks of one size n are scored together against _set_partitions(n)
-    by np.bincount over (block, row, label) keys, so many blocks at a time
-    that no array passes _EXACT_CHUNK elements with up to n(n - 1) links a
-    block (an 8-node block passes it alone).  A block's history runs from
-    the all-singletons row (the last) to the best one.
+    by one :func:`_block_values` call on a walk with a copy of each block
+    labelled by each row, so a value is bit for bit :func:`_value_for` of
+    the block alone, with so many blocks at a time that no array passes
+    _EXACT_CHUNK elements with up to n(n - 1) links a block (an 8-node
+    block passes it alone).  A block's history runs from the
+    all-singletons row (the last) to the best one.
     """
     off, lstart = walk.offsets, walk.link_offsets
     sizes = np.diff(off)
@@ -858,34 +861,21 @@ def _exact_partitions(walk: Walk) -> tuple[np.ndarray, np.ndarray, list[list[flo
         step = max(1, _EXACT_CHUNK // (r * n * n))
         for bs in np.split(same, range(step, same.size, step)):
             k = bs.size
-            lk, _ = _ranges(lstart[bs], lstart[bs + 1])
-            lb = np.repeat(np.arange(k), lstart[bs + 1] - lstart[bs])
-            src, dst = walk.src[lk] - off[bs][lb], walk.dst[lk] - off[bs][lb]
-            node = off[bs][:, None] + np.arange(n)
-            keys = (np.arange(k)[:, None, None] * r + np.arange(r)[:, None]) * n + rows
-
-            def per_module(index: np.ndarray, weights: np.ndarray) -> np.ndarray:
-                weights = np.broadcast_to(weights, index.shape)
-                return np.bincount(
-                    index.ravel(), weights=weights.ravel(), minlength=k * r * n
-                ).reshape(k, r, n)
-
-            P = per_module(keys, walk.p[node][:, None, :])
-            A = per_module(keys, walk.a[node][:, None, :])
-            T = per_module(keys, walk.t[node][:, None, :])
-            ext = rows[:, src] != rows[:, dst]
-            OUT = per_module(
-                (lb * r + np.arange(r)[:, None]) * n + rows[:, src], walk.flow[lk] * ext
+            # copy c = j r + row of block bs[j] holds nodes c n:(c + 1) n
+            first = np.repeat(off[bs], r)
+            nodes, shifts = _ranges(first, first + n)
+            lo, hi = np.repeat(lstart[bs], r), np.repeat(lstart[bs + 1], r)
+            links, _ = _ranges(lo, hi)
+            shift = np.repeat(shifts, hi - lo)
+            copies = Walk(
+                n=k * r * n, p=walk.p[nodes], a=walk.a[nodes], t=walk.t[nodes],
+                src=walk.src[links] - shift, dst=walk.dst[links] - shift, flow=walk.flow[links],
+                node_term=np.repeat(walk.node_term[bs], r), offsets=np.arange(k * r + 1) * n,
             )
-            q = A * (1.0 - T) + OUT
-            scores = (
-                _plogp_vec(q.sum(axis=2))
-                - 2.0 * _plogp_vec(q).sum(axis=2)
-                + _plogp_vec(q + P).sum(axis=2)
-                - walk.node_term[bs][:, None]
-            )
+            rows_of = np.arange(k * r)[:, None] * n + np.tile(rows, (k, 1))
+            scores = _block_values(copies, rows_of.ravel(), k * r * n).reshape(k, r)
             best = np.argmin(scores, axis=1)
-            labels[node] = rows[best]
+            labels[off[bs][:, None] + np.arange(n)] = rows[best]
             values[bs] = scores[np.arange(k), best]
             for b, last, value in zip(bs.tolist(), scores[:, -1].tolist(), values[bs].tolist()):
                 histories[b] = [last, value]

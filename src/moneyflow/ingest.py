@@ -41,7 +41,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .network import AggregatedLink, FlowNetwork, _exact_ints
+from .network import INT64_MAX, AggregatedLink, FlowNetwork, _exact_ints
 
 __all__ = [
     "TransferRecord",
@@ -79,7 +79,6 @@ COLUMNS = (
     "dest_lon",
 )
 
-INT64_MAX = 2**63 - 1
 TIME_DTYPE = np.dtype("datetime64[us]")
 
 # Lines per parse chunk and rows per write or iteration chunk.  A parse

@@ -36,6 +36,8 @@ __all__ = [
     "degree_correlation",
 ]
 
+INT64_MAX = 2**63 - 1
+
 
 class DuplicateLinkError(ValueError):
     """An ordered pair appeared more than once in the link set."""
@@ -195,13 +197,18 @@ def degree_stats(net: FlowNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def net_flow_per_node(net: FlowNetwork, kind: str = "flow") -> np.ndarray:
-    """Per-node incoming minus outgoing weight, exact int64 arithmetic.
+    """Per-node incoming minus outgoing weight, exact.
 
+    Sums in int64 when no balance can pass INT64_MAX (the largest weight
+    times the link count does not), else in Python ints, an object array.
     Sums to zero over all nodes because every link contributes once with
     each sign.
     """
     w = net.weights(kind)
-    bal = np.zeros(net.n_nodes, dtype=np.int64)
+    wide = bool(w.size) and max(int(w.max()), -int(w.min())) * w.size > INT64_MAX
+    if wide:
+        w = w.astype(object)
+    bal = np.zeros(net.n_nodes, dtype=object if wide else np.int64)
     np.add.at(bal, net.dst, w)
     np.subtract.at(bal, net.src, w)
     return bal
@@ -294,32 +301,6 @@ def summary(values: Iterable[float] | np.ndarray) -> SummaryStats:
     )
 
 
-def _discordant_pairs(y: np.ndarray) -> int:
-    """Pairs i < j with y[i] > y[j], by bottom-up merging of sorted runs.
-
-    y holds non-negative ints.  At run width w, each element of a right
-    run counts the elements of its left run that exceed it with one
-    searchsorted over keys (pair index, value); the pair is then merged
-    by sorting the same keys.
-    """
-    n = y.size
-    stride = int(y.max()) + 1
-    pos = np.arange(n, dtype=np.int64)
-    vals = y.astype(np.int64)
-    dis = 0
-    width = 1
-    while width < n:
-        pair = pos // (2 * width)
-        keys = pair * stride + vals
-        right = (pos // width) % 2 == 1
-        left_keys = keys[~right]
-        at_most = np.searchsorted(left_keys, keys[right], side="right")
-        dis += int((width - (at_most - pair[right] * width)).sum())
-        vals = np.sort(keys) - pair * stride
-        width *= 2
-    return dis
-
-
 def _tie_pairs(counts: np.ndarray) -> int:
     """Pairs within groups of the given sizes."""
     return int((counts * (counts - 1) // 2).sum())
@@ -328,18 +309,25 @@ def _tie_pairs(counts: np.ndarray) -> int:
 def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
     """Kendall tau-b of two integer arrays from exact pair counts.
 
-    The final expression is scipy.stats.kendalltau's, so the value is the
-    same float; only the counting differs.
+    The pairs are counted from the contingency table of the distinct
+    values of x and y: a point in cell (a, b) is discordant with every
+    point ranked above a in x and below b in y.  For the degrees of a
+    network each side has at most sqrt(2 links) + 1 distinct values, so
+    the table stays small.  The final expression is scipy.stats.kendalltau's,
+    so the value is the same float; only the counting differs.
     """
-    # sorted by x, then y: a pair is discordant exactly when y strictly falls
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-    _, y_rank, y_counts = np.unique(y, return_inverse=True, return_counts=True)
-    dis = _discordant_pairs(y_rank[order])
-    run_starts = np.r_[True, (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]), True]
-    ntie = _tie_pairs(np.diff(np.flatnonzero(run_starts)))
-    xtie = _tie_pairs(np.unique(x, return_counts=True)[1])
-    ytie = _tie_pairs(y_counts)
+    xv, xi = np.unique(x, return_inverse=True)
+    yv, yi = np.unique(y, return_inverse=True)
+    nx, ny = xv.size, yv.size
+    table = np.bincount(xi * ny + yi, minlength=nx * ny).reshape(nx, ny)
+    # above[a, b]: the points in rows after a and columns before b, for
+    # every row a but the last
+    above = np.cumsum(table[:0:-1], axis=0)[::-1]
+    above = np.cumsum(above, axis=1) - above
+    dis = int((table[:-1] * above).sum())
+    ntie = _tie_pairs(table)
+    xtie = _tie_pairs(table.sum(axis=1))
+    ytie = _tie_pairs(table.sum(axis=0))
     size = x.size
     tot = size * (size - 1) // 2
     con_minus_dis = tot - xtie - ytie + ntie - 2 * dis

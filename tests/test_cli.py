@@ -209,6 +209,23 @@ class TestDataErrors:
             capsys.readouterr().err
         )
 
+    def test_net_flow_beyond_int64(self, tmp_path):
+        # each flow fits int64 but C's balance does not: hodge writes the
+        # exact value, and r(phi, net flow) is computed from it
+        big = 2**62 + 5
+        out = tmp_path / "ws"
+        out.mkdir()
+        (out / "links.csv").write_text(
+            f"source_id,destination_id,flow_yen,frequency\nA,C,{big},1\nB,C,{big},1\n",
+            encoding="utf-8",
+        )
+        assert main(["hodge", "--out", str(out)]) == 0
+        rows = (out / "hodge_potentials.csv").read_text(encoding="utf-8").splitlines()
+        net_flow = {row.split(",")[0]: int(row.split(",")[3]) for row in rows[1:]}
+        assert net_flow == {"A": -big, "B": -big, "C": 2 * big}
+        summary = json.loads((out / "hodge_summary.json").read_text())
+        assert summary["r_phi_net_flow"] == pytest.approx(-1.0)
+
     @pytest.mark.parametrize("command", ["stats", "ingest"])
     def test_field_over_csv_limit(self, tmp_path, command, capsys):
         # csv refuses a field past csv.field_size_limit(): invalid data

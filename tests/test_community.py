@@ -522,10 +522,15 @@ def test_batched_exact_pass_matches_each_block_and_the_optimum(union):
     subs = [sub for sub, keep in zip(_blocks_alone(net, offsets), small) if keep]
     for b, sub in enumerate(subs):
         lo, hi = walk.offsets[b], walk.offsets[b + 1]
-        alone, (value,), (history,) = _exact_partitions(_one_block(walk, b))
+        block = _one_block(walk, b)
+        alone, (value,), (history,) = _exact_partitions(block)
         assert labels[lo:hi].tolist() == alone.tolist()
         assert values[b] == value
         assert histories[b] == history
+        # scored by the one evaluator: bit for bit the block's own value,
+        # and the history starts where a seeded restart would
+        assert values[b] == _value_for(block, labels[lo:hi])
+        assert histories[b] == [_value_for(block, np.arange(hi - lo)), values[b]]
         batch = BatchMapEquation(*walk_inputs(sub), tau=0.15)
         best = float(batch.values(all_partitions(sub.n_nodes)).min())
         assert value == pytest.approx(best, abs=1e-9)

@@ -159,6 +159,15 @@ class TestDegrees:
             assert net_flow_per_node(net, "flow").sum() == 0
             assert net_flow_per_node(net, "frequency").sum() == 0
 
+    def test_net_flow_past_int64_is_exact(self):
+        # two links of 2**62 + 5 yen into one node: its balance is past
+        # int64, and is neither wrapped nor rounded
+        big = 2**62 + 5
+        net = net_from_edges(3, [(0, 2), (1, 2)], flows=[big, big])
+        assert net.flow.dtype == np.int64
+        assert net_flow_per_node(net, "flow").tolist() == [-big, -big, 2 * big]
+        assert net_flow_per_node(net, "frequency").dtype == np.int64
+
 
 class TestCcdf:
     @given(
