@@ -19,6 +19,7 @@ import json
 import math
 import platform
 import sys
+from dataclasses import asdict
 from importlib import import_module
 from pathlib import Path
 
@@ -373,7 +374,7 @@ def _cmd_hodge(args, stage: _Stage) -> tuple[dict, str]:
     ids = _id_fields(net.node_ids)
     columns = (ids, decomp.phi, corr.net_degree, corr.net_flow)
     stage.write_table("hodge_potentials.csv", POTENTIAL_COLUMNS, columns)
-    _, _, *flows = zip(*decomp.link_table(net))
+    flows = decomp.link_table(net).T
     stage.write_table("hodge_links.csv", HODGE_LINK_COLUMNS, (ids[net.src], ids[net.dst], *flows))
 
     total = float((decomp.problem.F.data ** 2).sum())
@@ -510,7 +511,7 @@ def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
             max_iters=args.max_iters,
             tol=args.tol,
         )
-        stage.write_json("sweep.json", [row.as_dict() for row in sweep])
+        stage.write_json("sweep.json", [asdict(row) for row in sweep])
 
     return config, (
         f"nmf: d={fact.d}, localized origin {counts.localized_origin}, "

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import log2
@@ -1150,16 +1150,7 @@ class CommunityReport:
 
     def as_dict(self) -> dict:
         return {
-            "levels": [
-                {
-                    "level": r.level,
-                    "communities": r.communities,
-                    "irreducible": r.irreducible,
-                    "accounts": r.accounts,
-                    "ratio": r.ratio,
-                }
-                for r in self.rows
-            ],
+            "levels": [asdict(r) for r in self.rows],
             "size_rank": [
                 {"rank": rank, "size": size} for rank, size in self.size_rank
             ],

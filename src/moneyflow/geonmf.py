@@ -397,18 +397,6 @@ class SweepRow:
     matched_pairs: int
     diagonal_similarity: tuple[float, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "objective": self.objective,
-            "gamma_origin": list(self.gamma_origin),
-            "gamma_destination": list(self.gamma_destination),
-            "localized_origin": self.localized_origin,
-            "localized_destination": self.localized_destination,
-            "matched_pairs": self.matched_pairs,
-            "diagonal_similarity": list(self.diagonal_similarity),
-        }
-
 
 def _sweep_row(
     fact: NmfFactorization,

@@ -169,14 +169,16 @@ class HodgeDecomposition:
         """Per-node divergence of the circular flow (near zero after a solve)."""
         return np.asarray(self.circular.sum(axis=1)).ravel()
 
-    def link_table(self, net: FlowNetwork) -> list[tuple[str, str, float, float, float]]:
-        """(source, destination, F, F_gradient, F_circular) per directed link."""
-        names = np.asarray(net.node_ids, dtype=object)
-        return list(zip(
-            names[net.src].tolist(), names[net.dst].tolist(),
-            *(np.asarray(m[net.src, net.dst]).ravel().tolist()
-              for m in (self.problem.F, self.gradient, self.circular)),
-        ))
+    def link_table(self, net: FlowNetwork) -> np.ndarray:
+        """F, F_gradient and F_circular per directed link, as float64 columns.
+
+        Row k is link k of ``net`` (``net.src[k]`` -> ``net.dst[k]``); the
+        array has shape ``(net.n_links, 3)``.
+        """
+        return np.column_stack([
+            np.asarray(m[net.src, net.dst]).ravel()
+            for m in (self.problem.F, self.gradient, self.circular)
+        ])
 
 
 def decompose(problem: HodgeProblem, phi: np.ndarray) -> HodgeDecomposition:

@@ -274,7 +274,6 @@ class _Vocabulary:
 
     def __init__(self):
         self._code_of: dict[str, int] = {}
-        self._checked = 0
         self._bad: list[int] = []
 
     def __len__(self) -> int:
@@ -289,19 +288,20 @@ class _Vocabulary:
         codes = np.fromiter(map(code_of.get, ids, repeat(-1)), dtype=np.int32, count=len(ids))
         missed = np.flatnonzero(codes < 0).tolist()
         unseen = list(map(ids.__getitem__, missed))
-        code_of.update(zip(dict.fromkeys(unseen), count(len(code_of))))
+        new = dict.fromkeys(unseen)
+        self._bad.extend(
+            code for code, name in enumerate(new, len(code_of)) if not name or name != name.strip()
+        )
+        code_of.update(zip(new, count(len(code_of))))
         codes[missed] = np.fromiter(
             map(code_of.__getitem__, unseen), dtype=np.int32, count=len(missed)
         )
         return codes
 
-    def noncanonical(self) -> np.ndarray:
-        """Codes of the ids so far that are empty or padded with whitespace."""
-        for name, code in islice(self._code_of.items(), self._checked, None):
-            if not name or name != name.strip():
-                self._bad.append(code)
-        self._checked = len(self._code_of)
-        return np.array(self._bad, dtype=np.int32)
+    def noncanonical(self) -> list[int]:
+        """Codes of the ids so far that are empty or padded with whitespace,
+        each noted once, when :meth:`codes` first adds it."""
+        return self._bad
 
     def ids(self) -> np.ndarray:
         """The ids seen so far, at their codes."""
@@ -435,7 +435,6 @@ class _ChunkedLines:
 _TS_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
 # Character positions of the digits of a YYYY-MM-DDTHH:MM:SS timestamp.
 _TS_DIGITS = np.array([k for k in range(19) if k not in _TS_SEPARATORS])
-_DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 # Place values of a right-aligned amount of up to 18 digits.
 _AMOUNT_PLACES = 10 ** np.arange(17, -1, -1, dtype=np.int64)
 
@@ -470,12 +469,11 @@ def _canonical_times(chars: np.ndarray, starts: np.ndarray, lengths: np.ndarray)
     month, day, hour, minute, second = (
         digits[:, k] * 10 + digits[:, k + 1] for k in range(4, 14, 2)
     )
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _DAYS_IN_MONTH[np.clip(month, 1, 12) - 1] + ((month == 2) & leap)
-    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
     ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
     months = np.where(ok, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
     stamps = months.astype("datetime64[D]") + np.where(ok, day - 1, 0)
+    ok &= stamps.astype("datetime64[M]") == months  # a day past the month's end rolls over
     seconds = np.where(ok, (hour * 60 + minute) * 60 + second, 0)
     return stamps.astype(TIME_DTYPE) + seconds.astype("timedelta64[s]"), ok
 
@@ -664,7 +662,7 @@ def _canonical_chunk(
     stamps, good_time = _canonical_times(chars, starts[:, 0], bounds[:, 1] - starts[:, 0])
     values, good_amount = _canonical_amounts(chars, bounds[:, 4], bounds[:, 4] - starts[:, 3])
     good &= good_time & good_amount
-    if bad_ids.size:
+    if bad_ids:
         good &= ~np.isin(src_codes, bad_ids) & ~np.isin(dst_codes, bad_ids)
 
     ok[ok] = good

@@ -676,12 +676,11 @@ def test_link_table_matches_reverse_key_lookup(union, seed, kind):
     flows, freqs = (rng.integers(1, top, len(edges)).tolist() for top in (10**6, 50))
     net = net_from_edges(net.n_nodes, edges, flows=flows, freqs=freqs)
     decomp = hodge_decompose(net, kind)
-    rows = decomp.link_table(net)
-    assert len(rows) == net.n_links
-    names = np.asarray(net.node_ids)
-    assert [r[:2] for r in rows] == list(zip(names[net.src].tolist(), names[net.dst].tolist()))
-    for column, expected in zip(list(zip(*rows))[2:], _link_table_by_reverse_key(decomp, net)):
-        assert np.array(column).tobytes() == expected.tobytes()
+    table = decomp.link_table(net)
+    assert table.shape == (net.n_links, 3)
+    assert table.dtype == np.float64
+    for column, expected in zip(table.T, _link_table_by_reverse_key(decomp, net)):
+        assert column.tobytes() == expected.tobytes()
 
 
 def test_block_walk_that_does_not_converge_raises(monkeypatch):

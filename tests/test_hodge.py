@@ -239,29 +239,28 @@ class TestLinkTable:
         freqs = rng.integers(1, 20, size=len(edges))
         net = net_from_edges(n, edges, freqs=freqs)
         decomp = hodge_decompose(net)
-        rows = decomp.link_table(net)
-        assert len(rows) == net.n_links
-        for src, dst, f_net, grad, circ in rows:
-            i = net.node_ids.index(src)
-            j = net.node_ids.index(dst)
-            assert f_net == pytest.approx(decomp.problem.F[i, j], abs=1e-12)
-            assert grad == pytest.approx(decomp.gradient[i, j], abs=1e-12)
-            assert circ == pytest.approx(f_net - grad, abs=1e-12)
+        table = decomp.link_table(net)
+        assert table.shape == (net.n_links, 3)
+        assert table.dtype == np.float64
+        for i, j, (f_net, grad, circ) in zip(net.src, net.dst, table):
+            assert f_net == decomp.problem.F[i, j]
+            assert grad == decomp.gradient[i, j]
+            assert circ == f_net - grad
 
     def test_one_way_and_mutual_links(self):
         # 0 <-> 1 is mutual (w = 2), 1 -> 2 one-way (w = 1)
         net = net_from_edges(3, [(0, 1), (1, 0), (1, 2)], freqs=[3, 1, 2])
         decomp = hodge_decompose(net)
         phi = decomp.phi
-        rows = decomp.link_table(net)
-        assert [r[:3] for r in rows] == [
-            ("n0000", "n0001", 2.0), ("n0001", "n0000", -2.0), ("n0001", "n0002", 2.0),
+        table = decomp.link_table(net)
+        # rows in link order
+        assert list(zip(net.src.tolist(), net.dst.tolist())) == [(0, 1), (1, 0), (1, 2)]
+        assert table[:, 0].tolist() == [2.0, -2.0, 2.0]
+        assert table[:, 1].tolist() == [
+            2.0 * (phi[0] - phi[1]), 2.0 * (phi[1] - phi[0]), 1.0 * (phi[1] - phi[2]),
         ]
-        assert rows[0][3] == 2.0 * (phi[0] - phi[1])
-        assert rows[1][3] == 2.0 * (phi[1] - phi[0])
-        assert rows[2][3] == 1.0 * (phi[1] - phi[2])
-        # Python floats, so the CLI's repr() writes plain numbers
-        assert all(type(v) is float for row in rows for v in row[2:])
+        # float64 columns, so the CLI's repr() writes plain numbers
+        assert table.dtype == np.float64
 
 
 class TestAgainstStructure:

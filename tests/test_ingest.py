@@ -489,6 +489,8 @@ def _log_lines(draw):
           _CANONICAL], 2, False)
 @example([_CANONICAL.replace("34.5,135.5", coords) for coords in
           ("nan, 1", " , ", "north,1", "1 ,\t2", "nan, 1", " , ", "north,1", "1 ,\t2")], 2, False)
+@example([_CANONICAL.replace("F1,F2", ids) for ids in
+          ("F1,F2", "F2,F1", " F9,F2", "F1,", "F3, F9", "F3,F1")], 2, False)
 @example(_RECURRING_TAILS, 1, False)
 @example(_RECURRING_TAILS, 2, False)
 @example(_RECURRING_TAILS, 3, False)
