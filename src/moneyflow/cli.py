@@ -26,43 +26,24 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
+from . import _MODULE_OF, __version__
 from .errors import ConvergenceError
 
-# the library names the stages call, by module.  A stage binds the names of
-# the modules it runs with _use, so that it loads no other analysis module.
-_NAMES = {
-    "bowtie": ("COMPONENT_NAMES", "BowtiePartition", "classify_bowtie", "distance_profile"),
-    "community": ("community_report", "detect_communities", "flat_table"),
-    "geonmf": (
-        "DEFAULT_BOUNDS", "GAMMA_THRESHOLD", "SIMILARITY_THRESHOLD", "GeoGrid", "_sweep_row",
-        "bin_transfers", "d_sweep", "localization", "nmf", "similarity_matrix", "write_matrix",
-        "write_sparse_matrix",
-    ),
-    "hodge": ("hodge_decompose", "potential_histograms", "potential_vs_net"),
-    "ingest": (
-        "FilterPolicy", "_csv_field", "_id_fields", "_Table", "_write_table", "aggregate",
-        "collect_node_coords", "filter_records", "parse_log", "read_links", "read_node_coords",
-        "write_links", "write_node_coords",
-    ),
-    "network": (
-        "build_network", "ccdf", "degree_correlation", "degree_stats", "net_flow_per_node",
-        "summary",
-    ),
-    "svgplot": ("heatmap_svg", "line_plot", "step_histogram"),
-    "synth": ("blocks_scenario", "cities_scenario", "walnut_scenario", "generate", "write_records"),
-}
-_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+# the private helpers a stage calls; every other name a stage binds is in
+# its module's __all__
+_HELPERS = ("_csv_field", "_id_fields", "_Table", "_write_table", "_sweep_row")
 
 
 def _use(*modules: str) -> None:
-    """Bind the names of ``modules`` as globals of this module.  A name
-    already set, such as a wrapper put in its place, is kept."""
+    """Bind the public names and helpers of ``modules`` as globals of this
+    module, so that a stage loads no other analysis module.  A name already
+    set, such as a wrapper put in its place, is kept."""
     bound = globals()
     for module in modules:
-        lib = import_module(f".{module}", __package__)
-        for name in _NAMES[module]:
-            bound.setdefault(name, getattr(lib, name))
+        lib = vars(import_module(f".{module}", __package__))
+        for name in (*lib["__all__"], *_HELPERS):
+            if name in lib:
+                bound.setdefault(name, lib[name])
 
 
 def __getattr__(name: str):
@@ -216,18 +197,7 @@ def _compact_numbers(values: np.ndarray) -> list:
 
 
 def _cmd_synth(args, stage: _Stage) -> tuple[dict, str]:
-    _use("synth")
-    nodes = args.nodes
-    if nodes is None:
-        nodes = {"walnut": 2000, "blocks": 240}.get(args.scenario, 3000)
-    if args.scenario == "walnut":
-        spec = walnut_scenario(n_nodes=nodes, seed=args.seed)
-    elif args.scenario == "blocks":
-        spec = blocks_scenario(
-            n_nodes=nodes, seed=args.seed, n_blocks=args.blocks, nested=args.nested
-        )
-    else:
-        spec = cities_scenario(n_nodes=nodes, seed=args.seed, hub=args.scenario == "full")
+    spec = args.spec  # built and checked with the flags
     records, truth = generate(spec)
 
     log_path = stage.output("synthetic_log.csv")
@@ -256,7 +226,8 @@ def _cmd_ingest(args, stage: _Stage) -> tuple[dict, str]:
         require_firm_both_ends=not args.keep_nonfirm,
         drop_self_loops=not args.keep_self_loops,
     )
-    with open(src, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig reads a leading byte-order mark, as Excel writes it, as nothing
+    with open(src, "r", encoding="utf-8-sig", newline="") as fh:
         records, rejected = parse_log(fh, delimiter=args.delimiter, strict=args.strict)
     kept = filter_records(records, policy)
     links = aggregate(kept)
@@ -451,8 +422,7 @@ def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
     for side, results in (("origin", loc.origin), ("destination", loc.destination)):
         for res in results:
             stem = f"heatmap_{side}_{res.index + 1:02d}"
-            rows = ["\t".join(map(repr, row)) + "\n" for row in res.heatmap.tolist()]
-            stage.write_text(f"{stem}.tsv", "".join(rows))
+            stage.write_table(f"{stem}.tsv", (), res.heatmap.T, "\t")
             stage.write_text(
                 f"{stem}.svg",
                 heatmap_svg(
@@ -918,12 +888,31 @@ def _factor_count_error(args) -> str | None:
     return None
 
 
+def _scenario(args):
+    """The spec the synth flags describe; ValueError when it cannot be wired."""
+    _use("synth")
+    size = {} if args.nodes is None else {"n_nodes": args.nodes}
+    if args.scenario == "blocks":
+        return blocks_scenario(seed=args.seed, n_blocks=args.blocks, nested=args.nested, **size)
+    if args.scenario == "walnut":
+        spec = walnut_scenario(seed=args.seed, **size)
+    else:
+        spec = cities_scenario(seed=args.seed, hub=args.scenario == "full", **size)
+    spec.walnut_sizes()
+    return spec
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "nmf" and (message := _factor_count_error(args)):
             parser.error(message)
+        if args.command == "synth":
+            try:
+                args.spec = _scenario(args)
+            except ValueError as exc:
+                parser.error(f"--scenario {args.scenario}: {exc}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

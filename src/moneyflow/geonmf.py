@@ -33,6 +33,8 @@ if TYPE_CHECKING:
 __all__ = [
     "EARTH_RADIUS_KM",
     "DEFAULT_BOUNDS",
+    "GAMMA_THRESHOLD",
+    "SIMILARITY_THRESHOLD",
     "GeoGrid",
     "GeoFlowMatrix",
     "NmfFactorization",
@@ -273,8 +275,9 @@ def nmf(V, d: int, max_iters: int = 500, tol: float = 1e-12) -> NmfFactorization
 
     history = [objective((A @ H.T).T, H @ H.T)]
     hit_cap = True
+    At = A.T
     for _ in range(max_iters):
-        _hals_rows(H, (A.T @ Wt.T).T, Wt @ Wt.T)
+        _hals_rows(H, (At @ Wt.T).T, Wt @ Wt.T)
         HVt, HHt = (A @ H.T).T, H @ H.T
         _hals_rows(Wt, HVt, HHt)
         history.append(objective(HVt, HHt))
@@ -444,12 +447,11 @@ def d_sweep(
 
 def write_matrix(path, M: np.ndarray) -> None:
     """Dense text export: one 'rows cols' header line, then rows of values."""
+    from .ingest import _write_table
+
     M = np.asarray(M, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            fh.write(" ".join(repr(float(x)) for x in row))
-            fh.write("\n")
+        _write_table(fh, tuple(map(str, M.shape)), M.T, " ")
 
 
 def read_matrix(path) -> np.ndarray:
@@ -464,12 +466,13 @@ def read_matrix(path) -> np.ndarray:
 
 def write_sparse_matrix(path, M: sp.spmatrix) -> None:
     """Triplet text export: 'rows cols nnz' header, then 'i j value' lines."""
+    from .ingest import _write_table
+
     coo = M.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    triplets = zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        fh.write("".join(f"{i} {j} {v!r}\n" for i, j, v in triplets))
+        header = tuple(map(str, (*coo.shape, coo.nnz)))
+        _write_table(fh, header, (coo.row[order], coo.col[order], coo.data[order]), " ")
 
 
 def read_sparse_matrix(path) -> sp.csr_matrix:

@@ -915,14 +915,15 @@ NODE_COLUMNS = ("node_id", "lat", "lon")
 
 
 def _write_table(stream: IO[str], header: tuple[str, ...], columns, delimiter: str = ",") -> None:
-    """Write ``header`` and a row per index of the equal-length ``columns``.
+    """Write ``header``, if any, and a row per index of the equal-length ``columns``.
 
     Fields print as ``str.format`` prints them, a float as its ``repr``;
     text must come quoted (:func:`_id_fields`, :func:`_csv_field`).  Rows
     are formatted :data:`CHUNK_LINES` at a time, by one map per chunk.
     """
-    stream.write(delimiter.join(header) + "\n")
-    row = delimiter.join(["{}"] * len(header)) + "\n"
+    if header:
+        stream.write(delimiter.join(header) + "\n")
+    row = delimiter.join(["{}"] * len(columns)) + "\n"
     for lo in range(0, len(columns[0]), CHUNK_LINES):
         rows = slice(lo, lo + CHUNK_LINES)
         part = [col[rows].tolist() if isinstance(col, np.ndarray) else col[rows] for col in columns]

@@ -117,6 +117,31 @@ class ScenarioSpec:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
+    def walnut_sizes(self) -> tuple[int, int, int, int, int]:
+        """Accounts in the GSCC, IN, OUT, TE and outside the GWCC, each fraction's
+        share of n_nodes rounded; ValueError when no walnut can be wired from them."""
+        n = self.n_nodes
+        fracs = (self.gscc_frac, self.in_frac, self.out_frac, self.te_frac)
+        sizes = [int(round(f * n)) for f in fracs]
+        while sum(sizes) > n:
+            sizes[sizes.index(max(sizes))] -= 1
+        # one node left over by the rounding, where the fractions ask for none
+        # outside the GWCC, joins the largest class
+        if n - sum(sizes) == 1 and round((1.0 - sum(fracs)) * n) == 0:
+            sizes[sizes.index(max(sizes))] += 1
+        n_core, n_in, n_out, n_te = sizes
+        n_outside = n - sum(sizes)
+        if self.gscc_frac > 0 and n_core < 2:
+            raise ValueError("GSCC fraction leaves fewer than 2 nodes; no cycle fits")
+        if n_core < 2:
+            raise ValueError("walnut wiring needs a core of at least 2 nodes")
+        if n_te > 0 and n_in == 0 and n_out == 0:
+            raise ValueError("tendrils need a nonempty IN or OUT side to hang from")
+        if n_outside == 1:
+            raise ValueError("exactly one node outside the GWCC cannot form a component; "
+                             "adjust fractions")
+        return n_core, n_in, n_out, n_te, n_outside
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -177,27 +202,7 @@ def _cdf(weights: np.ndarray) -> np.ndarray:
 def _walnut_edges(spec: ScenarioSpec, rng, city_of: np.ndarray):
     """Edges, skin distances and class sizes, nodes numbered class by class."""
     n = spec.n_nodes
-    fracs = (spec.gscc_frac, spec.in_frac, spec.out_frac, spec.te_frac)
-    sizes = [int(round(f * n)) for f in fracs]
-    while sum(sizes) > n:
-        sizes[sizes.index(max(sizes))] -= 1
-    # one node left over by the rounding, where the fractions ask for none
-    # outside the GWCC, joins the largest class
-    if n - sum(sizes) == 1 and round((1.0 - sum(fracs)) * n) == 0:
-        sizes[sizes.index(max(sizes))] += 1
-    n_core, n_in, n_out, n_te = sizes
-    n_outside = n - sum(sizes)
-    if spec.gscc_frac > 0 and n_core < 2:
-        raise ValueError("GSCC fraction leaves fewer than 2 nodes; no cycle fits")
-    if n_core < 2:
-        raise ValueError("walnut wiring needs a core of at least 2 nodes")
-    if n_te > 0 and n_in == 0 and n_out == 0:
-        raise ValueError("tendrils need a nonempty IN or OUT side to hang from")
-    if n_outside == 1:
-        raise ValueError(
-            "exactly one node outside the GWCC cannot form a component; "
-            "adjust fractions"
-        )
+    n_core, n_in, n_out, n_te, n_outside = sizes = spec.walnut_sizes()
 
     core = np.arange(n_core)
     in_lo, in_hi = n_core, n_core + n_in
@@ -274,7 +279,7 @@ def _walnut_edges(spec: ScenarioSpec, rng, city_of: np.ndarray):
     edges.update((i, i + 1) for i in range(outside_lo, n - 1, 2))
     if n_outside % 2:
         edges.add((n - 2, n - 1))
-    return edges, skin_distance, dict(zip(COMPONENT_NAMES, (*sizes, n_outside)))
+    return edges, skin_distance, dict(zip(COMPONENT_NAMES, sizes))
 
 
 def _block_edges(spec: ScenarioSpec, rng):

@@ -139,6 +139,22 @@ class TestUsage:
         assert f"argument {named}: 5 factors exceed the 4 cells of --grid-k 2" in err
         assert sorted(p.name for p in out.iterdir()) == ["links.csv", "nodes.csv"]
 
+    @pytest.mark.parametrize("flags, message", [
+        *(pytest.param(["--scenario", scenario, "--nodes", "2"], "fewer than 2 nodes",
+                       id=f"{scenario}-2") for scenario in ("walnut", "cities", "full")),
+        pytest.param(["--scenario", "blocks", "--nodes", "241"], "divide evenly", id="blocks-241"),
+        pytest.param(["--scenario", "blocks", "--blocks", "3", "--nested"], "pairs blocks",
+                     id="blocks-3-nested"),
+    ])
+    def test_refused_scenario_writes_nothing(self, tmp_path, capsys, flags, message):
+        # sizes the generator cannot wire are refused with the flags, before
+        # the first write, not as invalid data once generation fails
+        out = tmp_path / "ws"
+        assert main(["synth", "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"--scenario {flags[1]}: " in err and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("delimiter", [";;", "", '"', "\r", "\n"],
                              ids=["two-chars", "empty", "quote", "cr", "lf"])
     def test_ingest_delimiter_must_separate_csv_fields(self, tmp_path, delimiter, capsys):
@@ -187,12 +203,18 @@ class TestDataErrors:
         summary = json.loads((out / "ingest_summary.json").read_text())
         assert (summary["records_parsed"], summary["links"], summary["nodes"]) == (len(rows), 0, 0)
 
-    def test_invalid_scenario_parameters(self, tmp_path):
-        argv = [
-            "synth", "--out", str(tmp_path),
-            "--scenario", "blocks", "--nested", "--blocks", "3",
-        ]
-        assert main(argv) == 2
+    def test_byte_order_mark_is_not_part_of_the_header(self, ws, tmp_path):
+        # spreadsheet tools start a UTF-8 file with U+FEFF; the header line
+        # after it is still a header, and every table is the unmarked log's
+        log = tmp_path / "marked.csv"
+        log.write_bytes(b"\xef\xbb\xbf" + (ws / "synthetic_log.csv").read_bytes())
+        for flags in ([], ["--strict"]):
+            out = tmp_path / f"out{len(flags)}"
+            assert main(["ingest", "--out", str(out), "--input", str(log), *flags]) == 0
+            assert not (out / "rejected.csv").exists()
+            for name in ("links.csv", "nodes.csv"):
+                assert (out / name).read_bytes() == (ws / name).read_bytes()
+            assert json.loads((out / "ingest_summary.json").read_text())["records_rejected"] == 0
 
     def test_flow_beyond_int64(self, tmp_path, capsys):
         # two transfers of the largest int64 amount sum past int64: ingest

@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 
 from moneyflow import (
     FilterPolicy,
+    TransferTable,
     aggregate,
     build_network,
+    ccdf,
     classify_bowtie,
     collect_node_coords,
+    degree_stats,
     detect_communities,
     filter_records,
     generate,
     hodge_decompose,
+    map_equation_value,
     parse_log,
     walnut_scenario,
     write_links,
@@ -132,4 +136,83 @@ def test_scaling_every_amount(n_nodes, seed, c):
     assert classify_bowtie(net_c).labels.tobytes() == classify_bowtie(net).labels.tobytes()
     assert detect_communities(net_c, seed=seed, trials=1, kind="frequency") == detect_communities(
         net, seed=seed, trials=1, kind="frequency"
+    )
+
+
+def _renamed(records, names):
+    """The transfers of ``records`` with account ``records.ids[i]`` renamed
+    ``names[i]``."""
+    columns = {k: getattr(records, k) for k in ("amount", "timestamp", "tail", "kinds",
+                                                 "coords", "has_coord")}
+    return TransferTable.from_codes(names, records.src, records.dst, **columns)
+
+
+def _new_names(n, prefix, names_seed):
+    """n distinct ids, ascending: the prefix and nine digits."""
+    rng = np.random.default_rng(names_seed)
+    return [f"{prefix}{c:09d}" for c in np.sort(rng.choice(10**9, size=n, replace=False))]
+
+
+# a prefix of any characters keeps the order of the fixed-width digits after it
+PREFIXES = st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=4)
+
+
+@given(st.integers(100, 300), st.integers(0, 2**32 - 1), PREFIXES, st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_renaming_ids_in_their_order(n_nodes, seed, prefix, names_seed):
+    # the analyses read ids only through their sort order, so a renaming
+    # that keeps it changes nothing but the names, bit for bit
+    records, _ = generate(walnut_scenario(n_nodes=n_nodes, seed=seed, te_frac=0.066))
+    names = _new_names(len(records.ids), prefix, names_seed)
+    net = build_network(aggregate(records))
+    net_r = build_network(aggregate(_renamed(records, names)))
+    rename = dict(zip(records.ids.tolist(), names))
+    assert list(net_r.node_ids) == [rename[x] for x in net.node_ids]
+    for column in ("src", "dst", "flow", "freq"):
+        assert getattr(net_r, column).tobytes() == getattr(net, column).tobytes()
+    assert classify_bowtie(net_r).labels.tobytes() == classify_bowtie(net).labels.tobytes()
+    for kind in WEIGHT_KINDS:
+        phi, phi_r = hodge_decompose(net, kind, TOL).phi, hodge_decompose(net_r, kind, TOL).phi
+        assert phi_r.tobytes() == phi.tobytes()
+    tree = detect_communities(net, seed=seed, trials=1)
+    assert detect_communities(net_r, seed=seed, trials=1) == dataclasses.replace(
+        tree, node_ids=tuple(net_r.node_ids)
+    )
+
+
+@given(st.integers(100, 300), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_renaming_ids_out_of_their_order(n_nodes, seed, names_seed):
+    # a renaming that shuffles the id order renumbers the accounts: each
+    # keeps its bowtie class and, within the solve's tolerance, its
+    # potentials; distributions and the value of a partition do not move
+    records, _ = generate(walnut_scenario(n_nodes=n_nodes, seed=seed, te_frac=0.066))
+    names = _new_names(len(records.ids), "", names_seed)
+    names = [names[i] for i in np.random.default_rng(names_seed).permutation(len(names))]
+    net = build_network(aggregate(records))
+    net_r = build_network(aggregate(_renamed(records, names)))
+    rename = dict(zip(records.ids.tolist(), names))
+    position = {name: i for i, name in enumerate(net_r.node_ids)}
+    # account i of net is account moved[i] of net_r
+    moved = np.array([position[rename[x]] for x in net.node_ids])
+    assert sorted(moved.tolist()) == list(range(net.n_nodes))
+
+    assert classify_bowtie(net_r).labels[moved].tolist() == classify_bowtie(net).labels.tolist()
+    for values, values_r in (
+        (net.weights("flow"), net_r.weights("flow")),
+        (net.weights("frequency"), net_r.weights("frequency")),
+        *zip(degree_stats(net)[:2], degree_stats(net_r)[:2]),
+    ):
+        dist, dist_r = ccdf(values), ccdf(values_r)
+        assert dist_r.values.tobytes() == dist.values.tobytes()
+        assert dist_r.fractions.tobytes() == dist.fractions.tobytes()
+    for kind in WEIGHT_KINDS:
+        phi, phi_r = hodge_decompose(net, kind, TOL).phi, hodge_decompose(net_r, kind, TOL).phi
+        atol = TOL * max(1.0, float(np.abs(phi).max()))
+        np.testing.assert_allclose(phi_r[moved], phi, rtol=0, atol=atol)
+    labels = detect_communities(net, seed=seed, trials=1).top_labels()
+    labels_r = np.empty_like(labels)
+    labels_r[moved] = labels
+    np.testing.assert_allclose(
+        map_equation_value(net_r, labels_r), map_equation_value(net, labels), rtol=1e-12
     )
