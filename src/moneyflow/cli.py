@@ -348,8 +348,8 @@ def _cmd_hodge(args, stage: _Stage) -> tuple[dict, str]:
     flows = decomp.link_table(net).T
     stage.write_table("hodge_links.csv", HODGE_LINK_COLUMNS, (ids[net.src], ids[net.dst], *flows))
 
-    total = float((decomp.problem.F.data ** 2).sum())
-    circ = float((decomp.circular.data ** 2).sum())
+    total = float((decomp.problem.pair_flow ** 2).sum())
+    circ = float((decomp.pair_circular ** 2).sum())
     share = circ / total if total > 0 else None
     summary_obj = {
         "weight": args.weight,

@@ -446,19 +446,29 @@ def d_sweep(
 
 
 def write_matrix(path, M: np.ndarray) -> None:
-    """Dense text export: one 'rows cols' header line, then rows of values."""
+    """Dense text export: one 'rows cols' header line, then rows of values.
+
+    A matrix with no rows or no columns is its header line alone.
+    """
     from .ingest import _write_table
 
     M = np.asarray(M, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as fh:
-        _write_table(fh, tuple(map(str, M.shape)), M.T, " ")
+        # one column of no rows writes no line after the header
+        _write_table(fh, tuple(map(str, M.shape)), M.T if M.size else np.empty((1, 0)), " ")
 
 
 def read_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         rows, cols = int(header[0]), int(header[1])
-        M = np.loadtxt(fh, ndmin=2)
+        if rows and cols:
+            M = np.loadtxt(fh, ndmin=2)
+        elif fh.read().strip():
+            raise ValueError(f"matrix header {(rows, cols)} has no cells, but values follow")
+        else:
+            # loadtxt would read no lines as shape (0, 1), and warn
+            M = np.zeros((rows, cols))
     if M.shape != (rows, cols):
         raise ValueError(f"matrix shape {M.shape} does not match header {(rows, cols)}")
     return M

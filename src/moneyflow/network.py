@@ -3,8 +3,9 @@
 A :class:`FlowNetwork` is the link table: the accounts appearing in an
 aggregated link set, and the links as parallel arrays (source index,
 destination index, flow in yen, transfer frequency).  :func:`build_network`
-checks that a table is fit for analysis.  The adjacency is unweighted and
-self-loop free; both weights live on the link arrays.
+checks that a table is fit for analysis.  The graph analyses read the
+links unweighted and free of self-loops; both weights live on the link
+arrays.
 
 Statistics follow the population convention throughout: moments divide by
 n, skewness is m3 / m2^1.5 and kurtosis is the non-excess m4 / m2^2 (a
@@ -15,13 +16,9 @@ observed values with inclusive comparison, fraction(v) = P(x >= v).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "AggregatedLink",
@@ -113,14 +110,6 @@ class FlowNetwork:
 
     def __repr__(self) -> str:
         return f"FlowNetwork({self.n_links} links, {self.n_nodes} accounts)"
-
-    @cached_property
-    def adjacency(self) -> sp.csr_matrix:
-        """Unweighted adjacency A as an N x N float64 CSR matrix of ones."""
-        import scipy.sparse as sp
-
-        n = self.n_nodes
-        return sp.csr_matrix((np.ones(self.n_links), (self.src, self.dst)), shape=(n, n))
 
     def weights(self, kind: str) -> np.ndarray:
         """Per-link weight array B: 'flow' -> f_ij, 'frequency' -> g_ij."""
@@ -278,15 +267,18 @@ def summary(values: Iterable[float] | np.ndarray) -> SummaryStats:
         raise ValueError("summary requires at least 1 value")
     mean = float(arr.mean())
     centered = arr - mean
-    m2 = float(np.mean(centered**2))
+    square = centered * centered
+    m2 = float(np.mean(square))
     skew: float | None
     kurt: float | None
     if m2 == 0.0:
         skew = None
         kurt = None
     else:
-        m3 = float(np.mean(centered**3))
-        m4 = float(np.mean(centered**4))
+        # products, not powers: numpy's AVX-512 loop computes x**4 as
+        # (x x)(x x) and its baseline loop as ((x x) x) x
+        m3 = float(np.mean(square * centered))
+        m4 = float(np.mean(square * square))
         skew = m3 / m2**1.5
         kurt = m4 / m2**2
     return SummaryStats(
@@ -336,15 +328,19 @@ def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson r of two float64 arrays; nan below 2 values or at zero variance."""
+    """Pearson r of two float64 arrays; nan below 2 values or at zero variance.
+
+    The sums of products are ``np.sum`` reductions, not dot products, so no
+    BLAS kernel and hence no CPU-dependent summation order reaches r.
+    """
     if x.size < 2:
         return float("nan")
     sx = x - x.mean()
     sy = y - y.mean()
-    denom = np.sqrt(float(sx @ sx) * float(sy @ sy))
+    denom = np.sqrt(float(np.sum(sx * sx)) * float(np.sum(sy * sy)))
     if denom == 0.0:
         return float("nan")
-    return float(sx @ sy) / denom
+    return float(np.sum(sx * sy)) / denom
 
 
 def degree_correlation(net: FlowNetwork) -> tuple[float, float]:

@@ -595,10 +595,19 @@ class TestArtifacts:
 # sha256 of the analysis artifacts of the pipeline above; a change to
 # labels, distances, potentials or their formatting shows up here.  The
 # bowtie pins date from before the graph layer moved onto
-# scipy.sparse.csgraph; the statistics and Hodge pins were re-pinned when
-# the generator's schedule draws changed the link weights, which leave the
-# wiring, and so the bowtie, as it was.  The Hodge pins moved again when
-# the potentials came from library CG, which changes their last bits.  The
+# scipy.sparse.csgraph, and held when it moved to numpy kernels; the
+# statistics and Hodge pins were re-pinned when the generator's schedule
+# draws changed the link weights, which leave the wiring, and so the
+# bowtie, as it was.  The Hodge pins moved again when
+# the potentials came from library CG, which changes their last bits, and
+# again when a per-component CG in numpy replaced it: its inner products
+# are np.add.reduceat sums, where library CG's were BLAS dot products whose
+# summation order depends on the CPU's BLAS kernel.  stats.json was
+# re-pinned then too, when the degree Pearson r came to sum with np.sum,
+# not a BLAS dot product (r moved by 5 ulps), and the third and fourth
+# moments came from products, not powers, whose AVX-512 and baseline
+# loops multiply in different orders (one skewness and one kurtosis
+# moved in their last bits).  The
 # link table, node coordinates, ingest summary and binned V were pinned
 # before links became columns, which must leave them as they were.  The
 # flat community table and the four CCDF tables were pinned before every
@@ -614,12 +623,12 @@ ARTIFACT_SHA256 = {
     "nodes.csv": "35a720a56bcec92f01835455d2358069c4ddbd1eff16700abafdee7ddf29825d",
     "ingest_summary.json": "295369d8465d27db404a3315034d9ecbe9dadc8a84d161a44f44477f72f5c068",
     "V.txt": "2916d0d6562f9ccc60d23c68f5e4a362b2eace42d889529312f6cbf80483c37a",
-    "stats.json": "6399af04c60d5fd8f37764354f61eed0aab25e28f694082f8d27ec66f16466d8",
+    "stats.json": "e4669f05e9357ab9b5ad1e0afb15a848d339a35ef0a4f12b42fdc4160d78e150",
     "bowtie.csv": "012fe8a0ed9e31f17be15e57796752fc882950760a002df4d436bd26729417ba",
     "bowtie_summary.json": "2c5a898f3eed52cdc0bcf27ee8e5bcd31d4bc9ddf6371bcadf190d9178e64861",
-    "hodge_potentials.csv": "13bc7c61b5996184a6890a901dd0a319276faaaccfd487bcd4b1d6c6af5e77fa",
-    "hodge_summary.json": "6cf6f1ade51a21192a3d0a53718f84c219e729d289b35e2895e19cdae5020845",
-    "hodge_links.csv": "2808834e5f4db38aa1a0a30e6094c0dc2cb9d08c8fbece62b564bac64019b981",
+    "hodge_potentials.csv": "3503dc22129eab13e9565c9ae1183589a40a1557d061d48c83b32e6153ac29e9",
+    "hodge_summary.json": "500d2fe85f6c8a0ac8bf21bdf0b0c6e0a6e6bac7c3bac86f809c8be8d2e63884",
+    "hodge_links.csv": "4b8f7ac8a1908f6a2b2a8a97050e27751e4ce0e53ddc1a43e2fcd1da33877515",
     "communities_flat.csv": "6fbf805029752041ec3de5c0c7401dfd16bb0ab4442d9e4c02ec5ddf34a63d89",
     "ccdf_flow.tsv": "ec4d5ccb2c9e81e5264e2beb3f3ef331e692274eac0f6b165c1ca661712305f7",
     "ccdf_frequency.tsv": "e3130e80648cf8f17f5c60fd9fdd99904bba426c9b1aed31237d1b56de4f3834",
@@ -631,6 +640,30 @@ ARTIFACT_SHA256 = {
 @pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
 def test_pinned_artifact_hash(ws, name):
     assert hashlib.sha256((ws / name).read_bytes()).hexdigest() == ARTIFACT_SHA256[name]
+
+
+def _cpu_has_avx2() -> bool:
+    try:
+        return " avx2" in Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _cpu_has_avx2(), reason="OpenBLAS's Haswell kernel needs AVX2")
+def test_pins_hold_under_another_blas_kernel(tmp_path):
+    # numpy's OpenBLAS picks its kernel by CPU; no BLAS call may reach a
+    # pinned artifact, so forcing the AVX2 kernel must give the same bits
+    code = (
+        "import json, sys\n"
+        "from moneyflow.cli import main\n"
+        "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))"
+    )
+    _fresh(code, json.dumps(pipeline_steps(tmp_path)), OPENBLAS_CORETYPE="Haswell")
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ARTIFACT_SHA256
+    }
+    assert digests == ARTIFACT_SHA256
 
 
 # a log with a quoted id that holds a comma and three rejected lines, one
@@ -951,9 +984,10 @@ def test_stages_call_the_traced_names(tmp_path, monkeypatch):
     assert calls == expected
 
 
-def _fresh(code, *argv):
-    """stdout of ``code`` run in a fresh interpreter with argv after it."""
-    env = dict(os.environ, PYTHONPATH=str(Path(moneyflow.__file__).parents[1]))
+def _fresh(code, *argv, **env):
+    """stdout of ``code`` run in a fresh interpreter with argv after it and
+    the environment variables env set."""
+    env = dict(os.environ, PYTHONPATH=str(Path(moneyflow.__file__).parents[1]), **env)
     out = subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
     )
@@ -1030,3 +1064,18 @@ def test_nmf_stage_loads_no_sparse_linalg(ws, tmp_path):
         "sys.exit(code)"
     )
     assert _fresh(code, *argv)[-1] == "[]"
+
+
+def test_bowtie_and_hodge_stages_load_no_scipy_sparse(ws, tmp_path):
+    # the graph kernels and the Hodge solve run on numpy alone
+    shutil.copytree(ws, tmp_path / "ws")
+    code = (
+        "import sys\n"
+        "from moneyflow.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print([m for m in sys.modules if m.startswith('scipy.sparse')])\n"
+        "sys.exit(code)"
+    )
+    for argv in pipeline_steps(tmp_path / "ws"):
+        if argv[0] in ("bowtie", "hodge"):
+            assert _fresh(code, *argv)[-1] == "[]", argv[0]

@@ -585,6 +585,24 @@ class TestMatrixIO:
         back = read_matrix(path)
         np.testing.assert_array_equal(back, M)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 3), (3, 1)])
+    def test_dense_roundtrip_of_every_shape(self, tmp_path, rng, shape):
+        M = rng.normal(size=shape)
+        path = tmp_path / "m.txt"
+        write_matrix(path, M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = read_matrix(path)
+        assert back.shape == shape
+        np.testing.assert_array_equal(back, M)
+
+    @pytest.mark.parametrize("text", ["0 3\n1.0 2.0 3.0\n", "3 0\n1.0\n"])
+    def test_dense_values_after_an_empty_header(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no cells"):
+            read_matrix(path)
+
     def test_dense_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 2\n1.0 2.0\n3.0 4.0\n")

@@ -157,8 +157,8 @@ class TestSolve:
                 assert np.abs(decomp.phi[nodes] - phi_ref[nodes]).max() / scale < 1e-8
 
     def test_cg_counters_on_a_fixed_walnut(self):
-        # the iterations are counted by a callback, so phi is still the one
-        # solve_potentials returns, bit for bit
+        # hodge_decompose counts the iterations of the solve that
+        # solve_potentials runs, so phi is the same, bit for bit
         records, _ = generate(walnut_scenario(n_nodes=2000, seed=1))
         decomp = hodge_decompose(build_network(aggregate(records)))
         problem = decomp.problem
