@@ -285,7 +285,7 @@ class TestGraphKernels:
             edges += [(ring[i], ring[(i + 1) % length]) for i in range(length)]
             start += length
         assert_matches_oracle(n, edges)
-        labels, count = weakly_connected_components(network(n, edges))
+        _, count = weakly_connected_components(network(n, edges))
         assert count == 10 + n - start
 
     def test_equal_largest_classes_pivot_loses_the_tie(self):
