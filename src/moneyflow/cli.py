@@ -31,7 +31,9 @@ from .errors import ConvergenceError
 
 # the private helpers a stage calls; every other name a stage binds is in
 # its module's __all__
-_HELPERS = ("_csv_field", "_id_fields", "_Table", "_write_table", "_sweep_row")
+_HELPERS = (
+    "_csv_field", "_id_fields", "_read_columns", "_read_nodes", "_write_table", "_sweep_row"
+)
 
 
 def _use(*modules: str) -> None:
@@ -395,9 +397,8 @@ def _cmd_communities(args, stage: _Stage) -> tuple[dict, str]:
 
 
 def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
-    _use("geonmf", "ingest", "svgplot")
-    with open(stage.require("links.csv", "ingest"), "r", encoding="utf-8", newline="") as fh:
-        links = read_links(fh)
+    _use("geonmf", "ingest", "network", "svgplot")
+    links = stage.load_network()
     with open(stage.require("nodes.csv", "ingest"), "r", encoding="utf-8", newline="") as fh:
         coords = read_node_coords(fh)
 
@@ -490,13 +491,14 @@ def _cmd_nmf(args, stage: _Stage) -> tuple[dict, str]:
     )
 
 
-def _read_table(path: Path, header: tuple[str, ...], delimiter: str = ",") -> _Table:
-    """A table of an earlier stage; DataError when it holds no rows."""
+def _read_table(path: Path, header: tuple[str, ...], read, convert, delimiter: str = ","):
+    """The columns ``read`` (``_read_columns`` or ``_read_nodes``) makes of a
+    table of an earlier stage; DataError when it holds no rows."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        table = _Table(fh, header, str(path), delimiter)
-    if not table.fields:
+        columns = read(fh, header, str(path), convert, delimiter)
+    if not columns[0].size:
         raise DataError(f"{path} holds no rows")
-    return table
+    return columns
 
 
 def _is_number(value) -> bool:
@@ -594,26 +596,32 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
     # leaves no partial report behind
     ccdf = {}
     for stem in CCDF_STEMS:
-        table = _read_table(inputs[f"ccdf_{stem}.tsv"], CCDF_COLUMNS, "\t")
-        ccdf[stem] = [np.array(table.numbers(k, float)) for k in (0, 1)]
+        ccdf[stem] = _read_table(
+            inputs[f"ccdf_{stem}.tsv"], CCDF_COLUMNS, _read_columns,
+            lambda chunk: (chunk.numbers(0, float), chunk.numbers(1, float)), "\t",
+        )
     # join phi and walnut labels by sorted node id
-    pot = _read_table(inputs["hodge_potentials.csv"], POTENTIAL_COLUMNS)
-    comp = _read_table(inputs["bowtie.csv"], BOWTIE_COLUMNS)
-    pot_ids, comp_ids = pot.ids(), comp.ids()
+    pot_ids, phi = _read_table(
+        inputs["hodge_potentials.csv"], POTENTIAL_COLUMNS, _read_nodes,
+        lambda chunk: (chunk.numbers(1, float),),
+    )
+    code_of = {name: code for code, name in enumerate(COMPONENT_NAMES)}
+
+    def components(chunk):
+        names = chunk.columns[1]
+        unknown = next((row for row, name in enumerate(names) if name not in code_of), None)
+        if unknown is not None:
+            raise chunk.fault(unknown, f"unknown component {names[unknown]!r}")
+        return (np.array([code_of[name] for name in names], dtype=np.int8),)
+
+    comp_ids, labels = _read_table(inputs["bowtie.csv"], BOWTIE_COLUMNS, _read_nodes, components)
     if set(pot_ids) != set(comp_ids):
         raise DataError(
             "hodge_potentials.csv and bowtie.csv disagree on the node set; "
             "rerun both on the current links.csv"
         )
-    phi = np.array(pot.numbers(1, float))[np.argsort(np.array(pot_ids, dtype=object))]
-    code_of = {name: code for code, name in enumerate(COMPONENT_NAMES)}
-    for row, component in enumerate(comp.column(1)):
-        if component not in code_of:
-            raise DataError(
-                f"{comp.name} line {comp.line_of(row)}: unknown component {component!r}"
-            )
-    labels = np.array([code_of[c] for c in comp.column(1)], dtype=np.int8)
-    labels = labels[np.argsort(np.array(comp_ids, dtype=object))]
+    phi = phi[np.argsort(pot_ids)]
+    labels = labels[np.argsort(comp_ids)]
     part = BowtiePartition(labels=labels)
     stats_obj, walnut, hodge_obj, community, nmf_obj = map(
         _read_summary, (inputs[name] for name in _SUMMARIES)
@@ -628,29 +636,14 @@ def _cmd_report(args, stage: _Stage) -> tuple[dict, str]:
 
     rep_dir = stage.out / "report"
     rep_dir.mkdir(exist_ok=True)
-    for stem, label in (("flow", "flow [yen]"), ("frequency", "frequency")):
-        xs, ys = ccdf[stem]
-        stage.write_text(
-            f"report/ccdf_{stem}.svg",
-            line_plot(
-                [(stem, xs, ys)],
-                title=f"Link {stem} CCDF",
-                xlabel=label,
-                ylabel="P(X >= x)",
-            ),
-        )
-    deg_series = [
-        (stem.replace("_", " "), *ccdf[stem]) for stem in ("in_degree", "out_degree")
-    ]
-    stage.write_text(
-        "report/ccdf_degrees.svg",
-        line_plot(
-            deg_series,
-            title="Degree CCDF",
-            xlabel="degree",
-            ylabel="P(X >= x)",
-        ),
-    )
+    degrees = [(stem.replace("_", " "), *ccdf[stem]) for stem in ("in_degree", "out_degree")]
+    for stem, series, title, xlabel in (
+        ("flow", [("flow", *ccdf["flow"])], "Link flow CCDF", "flow [yen]"),
+        ("frequency", [("frequency", *ccdf["frequency"])], "Link frequency CCDF", "frequency"),
+        ("degrees", degrees, "Degree CCDF", "degree"),
+    ):
+        plot = line_plot(series, title=title, xlabel=xlabel, ylabel="P(X >= x)")
+        stage.write_text(f"report/ccdf_{stem}.svg", plot)
     if part.gwcc_size > 0:
         edges, counts = potential_histograms(phi, part)
         stage.write_text(

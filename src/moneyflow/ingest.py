@@ -6,36 +6,32 @@ The raw input is a delimited text file with one transfer per line:
     source_kind, destination_kind,
     source_lat, source_lon, dest_lat, dest_lon
 
-Coordinates may be empty.  Amounts are integer yen; a valid transfer moves
-at least 1 yen.  Transfers are held in a :class:`TransferTable`, one array
-per field over a sorted account-id vocabulary, so no step builds an object
-per event.  Kinds and coordinates repeat with each link, so the table
-holds them once per tail row and each transfer an int32 tail code: 28
-bytes per transfer, plus 36 per tail row.  :func:`parse_log` reads the
-log in chunks of lines.  Each chunk is joined into one string whose code
-points (one byte each for ASCII, UTF-32 otherwise) locate every
-delimiter.  Lines of the canonical shape the generator writes are read at
-those offsets: timestamp and amount digits straight from the code points,
-and only the two ids and the tail ``source_kind,...,dest_lon`` as
-strings.  Ids are coded through one vocabulary, and each distinct tail is
-parsed once into a tail row through a memo that holds about one tail per
-link and starts over past a bound, so its size follows links, not
-events.  Every other line goes through the per-line parser, which owns
-the rejection reasons, and gets a tail row of its own.  Filtering is a
-mask over the table; aggregation collapses all transfers of each ordered
-account pair (i, j) into a single link carrying the total flow and the
-transfer count.  Links are held in a :class:`~moneyflow.network.FlowNetwork`,
-the link table.
+Coordinates may be empty.  Amounts are integer yen; a valid transfer
+moves at least 1 yen.  Transfers are held in a :class:`TransferTable`,
+one array per field over a sorted account-id vocabulary, so no step
+builds an object per event.  Kinds and coordinates repeat with each
+link, so the table holds them once per tail row and each transfer an
+int32 tail code: 28 bytes per transfer, plus 36 per tail row.  The log
+and every table the stages pass on are read by one chunked reader,
+:func:`_read_chunks`: the plain lines of a chunk column by column, every
+other line by ``csv``.  Log lines of the canonical shape the generator
+writes are read at their delimiter offsets, and each distinct tail
+``source_kind,...,dest_lon`` is parsed once through a memo bounded by
+the links (:class:`_Tails`).  Filtering is a mask over the table;
+aggregation collapses all transfers of each ordered account pair (i, j)
+into a single link carrying the total flow and the transfer count.
+Links are held in a :class:`~moneyflow.network.FlowNetwork`, the link
+table.
 """
 
 from __future__ import annotations
 
 import csv
 import re
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime
+from functools import partial
 from itertools import chain, compress, count, islice, repeat
 from typing import IO, Iterable, Iterator
 
@@ -404,43 +400,11 @@ def _parse_line(parts: Sequence[str]) -> TransferRecord:
     )
 
 
-class _ChunkedLines:
-    """A stream's lines, taken a chunk at a time.
-
-    Iterating yields the rest of the current chunk from ``pos`` on, then
-    the stream itself, so a csv reader over it can continue a quoted
-    field past the end of a chunk.
-    """
-
-    def __init__(self, stream: Iterable[str]):
-        self._stream = iter(stream)
-        self.chunk: list[str] = []
-        self.pos = 0
-
-    def next_chunk(self, size: int) -> list[str]:
-        self.chunk = list(islice(self._stream, size))
-        self.pos = 0
-        return self.chunk
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> str:
-        if self.pos < len(self.chunk):
-            self.pos += 1
-            return self.chunk[self.pos - 1]
-        return next(self._stream)
-
-
 _TS_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
 # Character positions of the digits of a YYYY-MM-DDTHH:MM:SS timestamp.
 _TS_DIGITS = np.array([k for k in range(19) if k not in _TS_SEPARATORS])
 # Place values of a right-aligned amount of up to 18 digits.
 _AMOUNT_PLACES = 10 ** np.arange(17, -1, -1, dtype=np.int64)
-
-
-def _lengths(col: Sequence[str]) -> np.ndarray:
-    return np.fromiter(map(len, col), dtype=np.int64, count=len(col))
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -491,9 +455,10 @@ def _canonical_amounts(chars: np.ndarray, ends: np.ndarray, lengths: np.ndarray)
     return np.where(ok, values, 0), ok
 
 
-def _to_float(text: str) -> float | None:
+def _converted(text: str, convert: type = float):
+    """``convert(text)``, or None where it raises ValueError."""
     try:
-        return float(text)
+        return convert(text)
     except ValueError:
         return None
 
@@ -557,7 +522,7 @@ class _Tails:
         try:
             values[read] = list(map(float, filled))
         except ValueError:  # some coordinate text is not a number
-            floats = list(map(_to_float, filled))
+            floats = list(map(_converted, filled))
             ok[read] = [v is not None for v in floats]
             values[read] = [0.0 if v is None else v for v in floats]
         present, ok = present.reshape(4, m), ok.reshape(4, m)
@@ -591,17 +556,21 @@ class _Tails:
         return {name: np.concatenate(col) for name, col in zip(_TAIL_COLUMNS, zip(*parts))}
 
 
-def _canonical_lines(chunk: list[str], text: str, delimiter: str):
-    """(mask, bounds, code points) of the lines of 10 fields ending in their one line break.
+def _canonical_lines(chunk: list[str], delimiter: str, width: int):
+    """(mask, bounds, code points, text) of the plain lines of a chunk.
 
-    Such a line holds no quote or carriage return and no more characters
-    than csv's field size limit (csv refuses longer fields; such lines take
-    its path).  The checks run on the code points of the joined ``text``.
-    Row k of ``bounds`` holds, for the k-th such line, the offsets of the
-    character before its first field, of its nine delimiters and of its
-    line break, so field j spans ``bounds[k, j] + 1`` to ``bounds[k, j + 1]``.
+    A plain line has ``width`` (at least 2) fields, ends in its one line
+    break (a last line is given one) and holds no quote or carriage return
+    and no more characters than csv's field size limit (csv refuses longer
+    fields; such lines take its path).  ``text`` is the chunk joined.  Row
+    k of ``bounds`` holds, for the k-th plain line, the offsets of the
+    character before its first field, of its delimiters and of its line
+    break, so field j spans ``bounds[k, j] + 1`` to ``bounds[k, j + 1]``.
     """
-    lengths = _lengths(chunk)
+    if not chunk[-1].endswith("\n"):
+        chunk = chunk[:-1] + [chunk[-1] + "\n"]
+    text = "".join(chunk)
+    lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
     ends = np.cumsum(lengths)
     chars = _code_points(text)
 
@@ -612,8 +581,8 @@ def _canonical_lines(chunk: list[str], text: str, delimiter: str):
         return at, first, np.diff(first, append=at.size)  # each line ends where the next starts
 
     delimiters, first, count = occurrences(delimiter)
-    ok = (count == 9) & (lengths <= csv.field_size_limit())
-    # nine delimiters make a line nonempty, so ends - 1 is its last character
+    ok = (count == width - 1) & (lengths <= csv.field_size_limit())
+    # a delimiter makes a line nonempty, so ends - 1 is its last character
     last = chars[ends - 1] == ord("\n")
     ok &= last
     if np.count_nonzero(chars == ord("\n")) != np.count_nonzero(last):
@@ -622,11 +591,11 @@ def _canonical_lines(chunk: list[str], text: str, delimiter: str):
         if char in text:
             ok &= occurrences(char)[2] == 0
     picked = np.flatnonzero(ok)
-    bounds = np.empty((picked.size, 11), dtype=np.int64)
+    bounds = np.empty((picked.size, width + 1), dtype=np.int64)
     bounds[:, 0] = ends[picked] - lengths[picked] - 1
-    bounds[:, 1:10] = delimiters[first[picked, None] + np.arange(9)]
-    bounds[:, 10] = ends[picked] - 1
-    return ok, bounds, chars
+    bounds[:, 1:width] = delimiters[first[picked, None] + np.arange(width - 1)]
+    bounds[:, width] = ends[picked] - 1
+    return ok, bounds, chars, text
 
 
 def _canonical_chunk(
@@ -634,19 +603,16 @@ def _canonical_chunk(
 ) -> tuple[dict, np.ndarray]:
     """Columns of the canonical lines of a chunk, and the mask of those lines.
 
-    A canonical line has exactly 10 fields, no quote or carriage return,
-    no more characters than csv's field size limit, ids without
-    surrounding whitespace, an ASCII-digit amount, a naive
-    YYYY-MM-DDTHH:MM:SS timestamp, known kinds, and coordinates both
-    present or both empty.  Without quotes and line breaks, csv splits it
-    exactly at its delimiters.  The chunk is joined once and read at the
-    delimiter offsets: timestamp and amount digits from its code points,
-    and only the two ids and the tail (see :class:`_Tails`) as strings.
+    A canonical line is a plain line of 10 fields (see
+    :func:`_canonical_lines`) with ids without surrounding whitespace, an
+    ASCII-digit amount, a naive YYYY-MM-DDTHH:MM:SS timestamp, known kinds,
+    and coordinates both present or both empty.  Without quotes and line
+    breaks, csv splits it exactly at its delimiters.  The chunk is joined
+    once and read at the delimiter offsets: timestamp and amount digits
+    from its code points, and only the two ids and the tail (see
+    :class:`_Tails`) as strings.
     """
-    if not chunk[-1].endswith("\n"):
-        chunk = chunk[:-1] + [chunk[-1] + "\n"]  # a log without a final newline
-    text = "".join(chunk)
-    ok, bounds, chars = _canonical_lines(chunk, text, delimiter)
+    ok, bounds, chars, text = _canonical_lines(chunk, delimiter, len(COLUMNS))
     if bounds.size == 0:
         return {}, ok
     starts = bounds + 1
@@ -672,6 +638,61 @@ def _canonical_chunk(
     return {name: col[good] for name, col in columns.items()}, ok
 
 
+def _read_chunks(
+    stream: Iterable[str], delimiter: str, first: str, fast, slow
+) -> Iterator[tuple[dict, np.ndarray]]:
+    """The rows of a delimited text as columns, :data:`CHUNK_LINES` lines at a time.
+
+    ``fast(chunk)`` returns the columns (a dict of arrays) of the lines it
+    reads and their mask.  ``csv`` reads every other line, continuing a
+    quoted field past the chunk, and skips blank lines and a header on
+    line 1 (first field ``first``).  ``slow(rows)`` reads all the (line
+    number, fields) pairs csv keeps, as they come, and returns their
+    columns and the indices of the rows they hold.  Yields each chunk's
+    columns in line order and the physical line each row starts on.
+    """
+    stream = iter(stream)
+    before = done = 0  # the lines before the chunk, and those of it csv has read
+
+    def rows(todo: list[int], found: list[int]):  # of the chunk, its lines and reader
+        nonlocal done
+        for k in todo:
+            if k < done:
+                continue  # read already, inside a quoted field spanning lines
+            next(islice(lines, k - done, k - done), None)  # on to line k
+            read = reader.line_num
+            parts = next(reader)
+            done = k + reader.line_num - read  # past the chunk if a quote runs on
+            taken[k + 1 : done] = False
+            blank = not parts or (len(parts) == 1 and not parts[0].strip())
+            if not blank and not (before + k == 0 and parts[0].strip() == first):
+                found.append(k)
+                yield before + k + 1, parts
+
+    while chunk := list(islice(stream, CHUNK_LINES)):
+        # the chunk's lines, then the stream's: a quoted field may run on
+        lines = iter(chunk)
+        reader = csv.reader(chain(lines, stream), delimiter=delimiter)
+        columns, canonical = fast(chunk)
+        taken = canonical.copy()
+        if not before and taken[0] and chunk[0].partition(delimiter)[0].strip() == first:
+            taken[0] = False  # a header without quotes, for csv to skip
+        done, found = 0, []
+        slow_columns, kept = slow(rows(np.flatnonzero(~taken).tolist(), found))
+        at = np.flatnonzero(taken)
+        part = {name: col[taken[canonical]] for name, col in columns.items()}
+        if slow_columns:  # put the rows csv read back among the others
+            at = np.concatenate([at, np.array(found, dtype=np.int64)[kept]])
+            order = np.argsort(at, kind="stable")
+            at = at[order]
+            part = {
+                name: (np.concatenate([part[name], col]) if part else col)[order]
+                for name, col in slow_columns.items()
+            }
+        yield part, before + 1 + at
+        before += max(len(chunk), done)
+
+
 def parse_log(
     stream: IO[str] | Iterable[str],
     *,
@@ -687,64 +708,33 @@ def parse_log(
     Blank lines and a leading header line (first field "timestamp") are
     skipped silently.
 
-    Lines are read in chunks of :data:`CHUNK_LINES`, so any iterable of
-    lines works and the log is never held whole as strings.  Within a
-    chunk, lines of the canonical shape (see ``_canonical_chunk``) are
-    validated column by column at the delimiter offsets of the chunk's
-    code points.  Per line only the two ids and the tail are sliced out as
-    strings; ids are coded by the vocabulary, and the tail's row code
-    comes from a bounded memo of the tails seen (see ``_Tails``), so each
-    distinct tail is parsed once.  Every other line is read by ``csv`` and
-    parsed by the per-line parser, so quoting, padding, ``int()``-style
+    Lines are read by :func:`_read_chunks`, so any iterable of lines works
+    and the log is never held whole as strings.  Canonical lines (see
+    ``_canonical_chunk``) are read column by column; every other line by
+    ``csv`` and the per-line parser, so quoting, padding, ``int()``-style
     amounts such as ``1_000``, and every rejection reason behave as a
-    plain per-line loop would.  A line whose timestamp has a
-    UTC offset, or whose amount exceeds the int64 range, is rejected with
-    its own reason because the table cannot hold it.
+    plain per-line loop would.  A line whose timestamp has a UTC offset,
+    or whose amount exceeds the int64 range, is rejected with its own
+    reason because the table cannot hold it.
     """
-    lines = _ChunkedLines(stream)
-    reader = csv.reader(lines, delimiter=delimiter)
     vocab = _Vocabulary()
     tails = _Tails(vocab, delimiter)
-    parts_of: list[dict] = []
     rejected: list[RejectedLine] = []
-    before = 0  # the lines before the chunk
-    while chunk := lines.next_chunk(CHUNK_LINES):
-        columns, canonical = _canonical_chunk(chunk, delimiter, vocab, tails)
-        taken = canonical.copy()
-        records: list[TransferRecord] = []
-        at: list[int] = []
-        done = 0
-        for k in np.flatnonzero(~canonical).tolist():
-            if k < done:
-                continue  # read already, inside a quoted field spanning lines
-            line_no = before + k + 1
-            lines.pos = k
-            read = reader.line_num
-            parts = next(reader)
-            done = k + reader.line_num - read  # past the chunk if a quote runs on
-            taken[k + 1 : done] = False
-            if not parts or (len(parts) == 1 and not parts[0].strip()):
-                continue
-            if line_no == 1 and parts[0].strip() == "timestamp":
-                continue
+
+    def slow(rows) -> tuple[dict, list[int]]:
+        records, kept = [], []
+        for row, (line_no, parts) in enumerate(rows):
             try:
                 records.append(_parse_line(parts))
-                at.append(k)
+                kept.append(row)
             except ValueError as exc:
                 if strict:
                     raise ParseError(f"line {line_no}: {exc}") from exc
                 rejected.append(RejectedLine(line_no=line_no, reason=str(exc)))
-        before += max(len(chunk), done)
-        part = {name: col[taken[canonical]] for name, col in columns.items()}
-        if records:
-            # put the per-line records back among the column-wise ones
-            slow = _record_columns(records, vocab, tails)
-            if part:
-                order = np.argsort(np.concatenate([np.flatnonzero(taken), at]), kind="stable")
-                slow = {name: np.concatenate([part[name], slow[name]])[order] for name in slow}
-            part = slow
-        if part:
-            parts_of.append(part)
+        return (_record_columns(records, vocab, tails) if records else {}), kept
+
+    fast = partial(_canonical_chunk, delimiter=delimiter, vocab=vocab, tails=tails)
+    parts_of = [part for part, _ in _read_chunks(stream, delimiter, COLUMNS[0], fast, slow) if part]
     # column by column, each chunk's part dropped as it is merged, so the
     # parts and the table share one copy of the data plus one column
     merged = {
@@ -940,95 +930,105 @@ def write_links(net: FlowNetwork, stream: IO[str]) -> None:
     _write_table(stream, LINK_COLUMNS, (ids[net.src], ids[net.dst], net.flow, net.freq))
 
 
-class _Table:
-    """The fields of a delimited table in one flat list, row after row.
+@dataclass(frozen=True)
+class _Chunk:
+    """The rows of a chunk of a table: the field strings of each column, and
+    the line each row starts on, which a fault names."""
 
-    Blank lines and a first-line header are skipped; every other row must be
-    as wide as ``header``.  One flat list of strings, because rows kept as
-    lists would be tracked, and traversed, by every garbage collection while
-    the table is read.  The line each kept row starts on is kept, so that a
-    field that fails to convert can be reported with its line: a quoted field
-    may span lines, so rows and lines do not count alike.
-    """
+    name: str
+    header: tuple[str, ...]
+    columns: dict
+    lines: np.ndarray
 
-    def __init__(
-        self, stream: IO[str] | Iterable[str], header: tuple[str, ...], name: str,
-        delimiter: str = ",",
-    ):
-        if isinstance(stream, str):
-            raise TypeError(
-                f"{name}: got the str {stream[:60]!r}, a path where an open stream or lines "
-                "were expected; open the file and pass the stream"
-            )
-        self.header = header
-        self.name = name
-        self.width = len(header)
-        self._starts = array("q")
-        self.fields = list(chain.from_iterable(self._rows(stream, delimiter)))
+    def fault(self, row: int, what: str) -> ValueError:
+        return ValueError(f"{self.name} line {self.lines[row]}: {what}")
 
-    def _rows(self, stream, delimiter: str):
-        reader = csv.reader(stream, delimiter=delimiter)
-        keep = self._starts.append
-        end = 0  # the line the previous record ended on
-        for parts in reader:
-            start, end = end + 1, reader.line_num
-            if not parts or (len(parts) == 1 and not parts[0].strip()) or (
-                start == 1 and parts[0].strip() == self.header[0]
-            ):
-                continue
-            if len(parts) != self.width:
-                raise ValueError(
-                    f"{self.name} line {start}: expected {self.width} fields, got {len(parts)}"
-                )
-            keep(start)
-            yield parts
-
-    def column(self, k: int) -> list[str]:
-        return self.fields[k :: self.width]
-
-    def line_of(self, row: int) -> int:
-        """The line the ``row``-th row kept starts on, counting rows from 0."""
-        return self._starts[row]
-
-    def ids(self) -> list[str]:
-        """Column 0 stripped; ValueError names both lines of a repeated id."""
-        names = list(map(str.strip, self.column(0)))
-        if len(set(names)) < len(names):
-            first: dict[str, int] = {}
-            for row, name in enumerate(names):
-                if first.setdefault(name, row) != row:
-                    raise ValueError(
-                        f"{self.name} lines {self.line_of(first[name])} and {self.line_of(row)}: "
-                        f"{self.header[0]} {name!r} repeats"
-                    )
-        return names
+    def ids(self, k: int, vocab: _Vocabulary) -> np.ndarray:
+        """Column ``k`` stripped, as codes of ``vocab``."""
+        return vocab.codes(list(map(str.strip, self.columns[k])))
 
     def numbers(self, k: int, convert: type) -> list:
         """Column ``k`` read by ``convert`` (int or float); ValueError names the first bad field."""
-        col = self.column(k)
+        col = self.columns[k]
         try:
             return list(map(convert, col))
         except ValueError:
-            pass
-        for row, text in enumerate(col):
-            try:
-                convert(text)
-            except ValueError:
-                kind = "an integer" if convert is int else "a number"
-                raise ValueError(
-                    f"{self.name} line {self.line_of(row)}: "
-                    f"{self.header[k]} {text.strip()!r} is not {kind}"
-                ) from None
+            row = next(row for row, text in enumerate(col) if _converted(text, convert) is None)
+        kind = "an integer" if convert is int else "a number"
+        raise self.fault(row, f"{self.header[k]} {col[row].strip()!r} is not {kind}")
 
-    def weights(self, k: int) -> list[int]:
-        """Column ``k`` as integers of at least 1; ValueError names the first smaller one."""
-        values = self.numbers(k, int)
-        if min(values, default=1) < 1:
-            row = next(row for row, value in enumerate(values) if value < 1)
-            raise ValueError(
-                f"{self.name} line {self.line_of(row)}: {self.header[k]} {values[row]} is below 1"
-            )
+    def weights(self, k: int) -> np.ndarray:
+        """Column ``k`` as exact integers of at least 1; ValueError names the first smaller one."""
+        values = _exact_ints(self.numbers(k, int))
+        if (small := np.flatnonzero(values < 1)).size:
+            raise self.fault(small[0], f"{self.header[k]} {values[small[0]]} is below 1")
         return values
+
+
+def _read_columns(
+    stream: IO[str] | Iterable[str], header: tuple[str, ...], name: str, convert,
+    delimiter: str = ",",
+) -> list[np.ndarray]:
+    """The columns ``convert(chunk)`` makes of each :class:`_Chunk` of a
+    table, each joined over the chunks (an empty last chunk sets their dtypes).
+
+    Rows are read by :func:`_read_chunks`: a chunk of plain lines is split
+    by one ``str.split``, any other read by csv, and every row must be as
+    wide as ``header``.  Each chunk is converted as it arrives, so no field
+    string outlives it; the first chunk with a fault names it.
+    """
+    if isinstance(stream, str):
+        raise TypeError(
+            f"{name}: got the str {stream[:60]!r}, a path where an open stream or lines "
+            "were expected; open the file and pass the stream"
+        )
+    width = len(header)
+
+    def fields(texts: list[str]) -> dict:
+        return dict(enumerate(np.array(texts, dtype=object).reshape(-1, width).T))
+
+    def split(chunk: list[str]) -> tuple[dict, np.ndarray]:
+        plain, _, _, text = _canonical_lines(chunk, delimiter, width)
+        if not plain.all():
+            return {}, np.zeros_like(plain)
+        return fields(text[:-1].replace("\n", delimiter).split(delimiter)), plain
+
+    def read(rows) -> tuple[dict, slice]:
+        texts: list[str] = []
+        for line_no, parts in rows:
+            if len(parts) != width:
+                got = len(parts)
+                raise ValueError(f"{name} line {line_no}: expected {width} fields, got {got}")
+            texts += parts
+        return (fields(texts) if texts else {}), slice(None)
+
+    chunks = chain(_read_chunks(stream, delimiter, header[0], split, read), [({}, [])])
+    # a chunk without rows yields no columns
+    parts = [
+        convert(_Chunk(name, header, {**fields([]), **columns}, np.asarray(lines, dtype=np.int64)))
+        for columns, lines in chunks
+    ]
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
+def _read_nodes(stream, header: tuple[str, ...], name: str, convert, delimiter: str = ","):
+    """The stripped ids of a table keyed by its first column, in row order,
+    then the columns of :func:`_read_columns`; ValueError names both lines
+    of the first repeated id."""
+    vocab = _Vocabulary()
+    codes, lines, *columns = _read_columns(
+        stream, header, name, lambda chunk: (chunk.ids(0, vocab), chunk.lines, *convert(chunk)),
+        delimiter,
+    )
+    names = vocab.ids()
+    if names.size < codes.size:
+        # codes are dense in first-seen order, so up to the first repeat row k has code k
+        row = int(np.flatnonzero(codes != np.arange(codes.size))[0])
+        first = codes[row]
+        raise ValueError(
+            f"{name} lines {lines[first]} and {lines[row]}: {header[0]} {names[first]!r} repeats"
+        )
+    return [names, *columns]
 
 
 def read_links(stream: IO[str] | Iterable[str]) -> FlowNetwork:
@@ -1036,19 +1036,22 @@ def read_links(stream: IO[str] | Iterable[str]) -> FlowNetwork:
 
     Blank lines and a first-line header are skipped and every field is
     stripped.  Raises ValueError on a line without four fields, a
-    non-integer weight or one below 1 (naming its line), or a frequency
-    beyond int64; a flow beyond int64 reads back exactly.
+    non-integer weight, one below 1 or a frequency beyond int64, naming
+    its line; a flow beyond int64 reads back exactly.
     """
-    table = _Table(stream, LINK_COLUMNS, "link table")
     vocab = _Vocabulary()
-    src, dst = (vocab.codes(list(map(str.strip, table.column(k)))) for k in (0, 1))
+
+    def convert(chunk: _Chunk) -> tuple[np.ndarray, ...]:
+        src, dst = (chunk.ids(k, vocab) for k in (0, 1))
+        flow, freq = (chunk.weights(k) for k in (2, 3))
+        if freq.dtype == object:
+            row = next(row for row, value in enumerate(freq.tolist()) if value > INT64_MAX)
+            raise chunk.fault(row, f"frequency {freq[row]} exceeds the int64 range")
+        return src, dst, flow, freq
+
+    src, dst, flow, freq = _read_columns(stream, LINK_COLUMNS, "link table", convert)
     ids, src, dst = _compact(vocab.ids(), src, dst)
-    flow, freq = map(table.weights, (2, 3))
-    try:
-        freq = np.array(freq, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("link table: a frequency exceeds the int64 range") from None
-    return FlowNetwork(tuple(ids.tolist()), src, dst, _exact_ints(flow), freq)
+    return FlowNetwork(tuple(ids.tolist()), src, dst, flow, freq)
 
 
 def collect_node_coords(table: TransferTable) -> tuple[dict[str, tuple[float, float]], int]:
@@ -1104,6 +1107,7 @@ def read_node_coords(stream: IO[str] | Iterable[str]) -> dict[str, tuple[float, 
     a line without three fields or with a coordinate that is not a number,
     naming the line, and on a repeated node_id, naming both lines.
     """
-    table = _Table(stream, NODE_COLUMNS, "node table")
-    lat, lon = (table.numbers(k, float) for k in (1, 2))
-    return dict(zip(table.ids(), zip(lat, lon)))
+    names, lat, lon = _read_nodes(
+        stream, NODE_COLUMNS, "node table", lambda chunk: [chunk.numbers(k, float) for k in (1, 2)]
+    )
+    return dict(zip(names.tolist(), zip(lat.tolist(), lon.tolist())))

@@ -8,10 +8,12 @@ and :func:`link_table` turn those rows into the package's column tables.
 
 from __future__ import annotations
 
+import io
 import os
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from moneyflow import AggregatedLink, FlowNetwork, TransferTable, build_network
 from moneyflow.ingest import KINDS
@@ -163,3 +165,59 @@ def workers_die(monkeypatch) -> None:
 
     monkeypatch.setattr(community, "_cpus", lambda: 2)
     monkeypatch.setattr(community, "_optimize_once", dies_in_a_worker)
+
+
+# ids a table must quote (a comma, a quote, line breaks) or that are not
+# ASCII, among plain ones
+TABLE_IDS = ("ACME, Inc", 'say "hi"', "two\nlines", "cr\rlf", "草加 Sōka", "F1", "F2", "F3")
+
+
+def _quoted(field: str) -> str:
+    return '"' + field.replace('"', '""') + '"'
+
+
+@st.composite
+def table_lines(draw, header, rows, delimiter=","):
+    """The physical lines of a delimited table of ``rows`` (field texts).
+
+    The header line is at times left out; fields are quoted where csv
+    needs it and at times where it does not; blank lines fall between
+    lines, lines end in LF or CRLF, and the last line at times has no line
+    break.  No blank line comes first, so a header stays on line 1.
+    """
+    texts = []
+    lead = [header] if draw(st.integers(0, 3)) else []
+    for k, row in enumerate(lead + list(rows)):
+        if k and draw(st.integers(0, 4)) == 0:
+            texts.append(draw(st.sampled_from(["\n", "  \n", "\r\n"])))
+        fields = [
+            _quoted(f) if any(c in f for c in f'"\r\n{delimiter}') or draw(st.integers(0, 5)) == 0
+            else f
+            for f in row
+        ]
+        texts.append(delimiter.join(fields) + draw(st.sampled_from(["\n", "\n", "\r\n"])))
+    if texts and draw(st.booleans()):
+        texts[-1] = texts[-1].rstrip("\r\n")
+    return io.StringIO("".join(texts), newline="").readlines()
+
+
+@st.composite
+def faulty_rows(draw, rows, faults):
+    """``rows`` with at most one fault of ``faults`` put into a drawn row:
+    a (column, text) pair sets a field, "short" drops the last field,
+    "long" adds one, and "repeat" adds a copy of the row, its first field
+    padded with a space; None puts no fault."""
+    fault = draw(st.sampled_from(faults))
+    if fault is None or not rows:
+        return rows
+    k = draw(st.integers(0, len(rows) - 1))
+    rows = [list(row) for row in rows]
+    if fault == "short":
+        rows[k] = rows[k][:-1]
+    elif fault == "long":
+        rows[k] = rows[k] + ["7"]
+    elif fault == "repeat":
+        rows.append([" " + rows[k][0]] + rows[k][1:])
+    else:
+        rows[k][fault[0]] = fault[1]
+    return rows

@@ -7,6 +7,7 @@ library.  Tests freeze expectations against these.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import deque
 
@@ -545,3 +546,32 @@ def coordinate_fields(records) -> list[list[str]]:
             row += ["", ""] if point is None else [repr(point[0]), repr(point[1])]
         fields.append(row)
     return fields
+
+
+# ---------------------------------------------------------------------------
+# delimited tables
+
+
+def table_rows(lines, header, name: str, delimiter: str = ",") -> list[tuple[int, list[str]]]:
+    """(line, fields) of each row of a delimited table, by a plain csv loop.
+
+    A row starts on the physical line after the one the previous record
+    ended on, since a quoted field may span lines.  Blank lines are
+    skipped, and so is line 1 when its first field, stripped, is the
+    header's.  A row of another width than ``header`` raises ValueError
+    naming its line.
+    """
+    reader = csv.reader(lines, delimiter=delimiter)
+    rows, end = [], 0
+    for fields in reader:
+        start, end = end + 1, reader.line_num
+        if not fields or (len(fields) == 1 and not fields[0].strip()):
+            continue
+        if start == 1 and fields[0].strip() == header[0]:
+            continue
+        if len(fields) != len(header):
+            raise ValueError(
+                f"{name} line {start}: expected {len(header)} fields, got {len(fields)}"
+            )
+        rows.append((start, fields))
+    return rows

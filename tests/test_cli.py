@@ -1,7 +1,9 @@
 """End-to-end checks of the command line pipeline, run in process."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -15,6 +17,7 @@ from itertools import chain
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,14 +26,16 @@ import moneyflow
 from moneyflow import community as community_module
 from moneyflow import ingest as ingest_module
 from moneyflow.bowtie import COMPONENT_NAMES, classify_bowtie
-from moneyflow.cli import BOWTIE_COLUMNS, POTENTIAL_COLUMNS, main
+from moneyflow.cli import BOWTIE_COLUMNS, CCDF_COLUMNS, POTENTIAL_COLUMNS, main
 from moneyflow.community import detect_communities, flat_table
 from moneyflow.geonmf import read_matrix
 from moneyflow.hodge import hodge_decompose
-from moneyflow.ingest import COLUMNS, _Table, read_links, write_links
+from moneyflow.ingest import COLUMNS, _read_columns, _read_nodes, read_links, write_links
 from moneyflow.network import AggregatedLink, build_network, degree_stats, net_flow_per_node
+from moneyflow.svgplot import line_plot
 
-from conftest import link_table, workers_die
+from conftest import TABLE_IDS, faulty_rows, link_table, table_lines, workers_die
+from oracles import table_rows
 
 
 def pipeline_steps(out):
@@ -292,6 +297,25 @@ class TestDataErrors:
         assert main(["stats", "--out", str(out)]) == 0
         rows = (out / "ccdf_flow.tsv").read_text(encoding="utf-8").splitlines()
         assert rows[1:] == ["1234567890123456789\t1.0"]
+
+    @pytest.mark.parametrize("rows, message", [
+        (["F1,F2,5,1", "F2,F1,3,1", "F1,F2,7,2"], "duplicate link 'F1' -> 'F2'"),
+        (["F1,F2,5,1", "F2,F2,7,2"], "self-loop link 'F2' -> itself"),
+        ([], "{out}/links.csv contains no links"),
+    ], ids=["repeated-pair", "self-loop", "no-links"])
+    def test_nmf_refuses_the_link_tables_the_other_stages_refuse(
+        self, tmp_path, capsys, rows, message
+    ):
+        out = tmp_path / "ws"
+        out.mkdir()
+        header = "source_id,destination_id,flow_yen,frequency"
+        (out / "links.csv").write_text("".join(f"{row}\n" for row in [header, *rows]))
+        (out / "nodes.csv").write_text("node_id,lat,lon\nF1,34.5,135.5\nF2,34.6,135.6\n")
+        for argv in (["stats"], ["nmf", "--grid-k", "2", "--nmf-d", "1"]):
+            assert main([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"moneyflow {argv[0]}: error: {message.format(out=out)}\n"
+        assert not list(out.glob("manifest_*.json"))
 
     def test_short_nodes_row(self, tmp_path, capsys):
         out = tmp_path / "ws"
@@ -666,6 +690,40 @@ def test_pins_hold_under_another_blas_kernel(tmp_path):
     assert digests == ARTIFACT_SHA256
 
 
+def _dispatched_simd() -> set[str]:
+    """The CPU feature groups numpy picks its SIMD kernels among at import."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return set(__cpu_dispatch__)
+
+
+_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+@pytest.mark.skipif(
+    not {*_AVX512.split(), "X86_V3"} <= _dispatched_simd(),
+    reason="numpy was built without the x86-64-v3 and v4 kernels",
+)
+@pytest.mark.parametrize("disabled", [_AVX512, f"{_AVX512} X86_V3"], ids=["no-avx512", "no-avx2"])
+def test_pins_hold_under_reduced_simd_dispatch(tmp_path, disabled):
+    # numpy picks its SIMD kernels by CPU; with the AVX-512 kernels, and
+    # then the AVX2 ones too, disabled, the pinned artifacts must keep
+    # their bits, as on a CPU without them
+    code = (
+        "import json, sys\n"
+        "from moneyflow.cli import main\n"
+        "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))"
+    )
+    _fresh(code, json.dumps(pipeline_steps(tmp_path)), NPY_DISABLE_CPU_FEATURES=disabled)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ARTIFACT_SHA256
+    }
+    assert digests == ARTIFACT_SHA256
+
+
 # a log with a quoted id that holds a comma and three rejected lines, one
 # reason holding a comma and one a quote
 MIXED_LOG = (
@@ -725,9 +783,15 @@ def test_tables_do_not_depend_on_the_chunk_size(ws, tmp_path):
         assert (out / name).read_bytes() == (ws / name).read_bytes(), name
 
 
-def _read_back(path: Path, header) -> _Table:
+def _read_back(path: Path, header, read=_read_nodes) -> list:
+    """The columns of a table as field strings; ``_read_nodes`` reads the ids
+    itself and puts them first."""
+    skip = 1 if read is _read_nodes else 0
     with open(path, encoding="utf-8", newline="") as fh:
-        return _Table(fh, header, path.name)
+        columns = read(fh, header, path.name, lambda chunk: [
+            chunk.columns[k] for k in range(skip, len(header))
+        ])
+    return [col.tolist() for col in columns]
 
 
 # ids with commas, quotes, line breaks and non-ASCII text among any others
@@ -758,19 +822,138 @@ def test_node_tables_write_then_read_is_identity(weights):
             net = build_network(read_links(fh))
         names = list(net.node_ids)
 
-        comp = _read_back(out / "bowtie.csv", BOWTIE_COLUMNS)
-        assert comp.ids() == names
-        assert comp.column(1) == [COMPONENT_NAMES[k] for k in classify_bowtie(net).labels]
+        comp_ids, comp = _read_back(out / "bowtie.csv", BOWTIE_COLUMNS)
+        assert comp_ids == names
+        assert comp == [COMPONENT_NAMES[k] for k in classify_bowtie(net).labels]
 
-        pot = _read_back(out / "hodge_potentials.csv", POTENTIAL_COLUMNS)
-        assert pot.ids() == names
-        assert pot.numbers(1, float) == hodge_decompose(net).phi.tolist()
-        assert pot.numbers(2, int) == degree_stats(net)[2].tolist()
-        assert pot.numbers(3, int) == net_flow_per_node(net).tolist()
+        pot_ids, *pot = _read_back(out / "hodge_potentials.csv", POTENTIAL_COLUMNS)
+        assert pot_ids == names
+        assert list(map(float, pot[0])) == hodge_decompose(net).phi.tolist()
+        assert list(map(int, pot[1])) == degree_stats(net)[2].tolist()
+        assert list(map(int, pot[2])) == net_flow_per_node(net).tolist()
 
         header, *rows = flat_table(detect_communities(net, seed=0, trials=1))
-        flat = _read_back(out / "communities_flat.csv", tuple(header))
-        assert flat.fields == list(chain.from_iterable(rows))
+        flat = _read_back(out / "communities_flat.csv", tuple(header), _read_columns)
+        assert list(chain.from_iterable(zip(*flat))) == list(chain.from_iterable(rows))
+
+
+# the report inputs a test of its table reads keeps as the pipeline wrote them
+_REPORT_INPUTS = (
+    "stats.json", "bowtie_summary.json", "hodge_summary.json", "community_report.json",
+    "nmf_summary.json", "ccdf_frequency.tsv", "ccdf_in_degree.tsv", "ccdf_out_degree.tsv",
+)
+
+
+def _report_reference(tables):
+    """(mean potential per walnut class, flow CCDF) of report's three tables,
+    read by a plain csv loop; ValueError with report's message on a fault.
+
+    ``tables`` maps each file to its (path, header, delimiter, lines), in
+    the order report reads them.
+    """
+    read = {}
+    for name, (path, header, delimiter, lines) in tables.items():
+        rows = table_rows(lines, header, str(path), delimiter)
+        if not rows:
+            raise ValueError(f"{path} holds no rows")
+        for k in (0, 1) if name == "ccdf_flow.tsv" else (1,):
+            for line, fields in rows:
+                if name == "bowtie.csv" and fields[1] not in COMPONENT_NAMES:
+                    raise ValueError(f"{path} line {line}: unknown component {fields[1]!r}")
+                if name != "bowtie.csv":
+                    try:
+                        float(fields[k])
+                    except ValueError:
+                        raise ValueError(
+                            f"{path} line {line}: {header[k]} {fields[k].strip()!r} is not a number"
+                        ) from None
+        if name != "ccdf_flow.tsv":
+            first = {}
+            for line, fields in rows:
+                node = fields[0].strip()
+                if first.setdefault(node, line) != line:
+                    raise ValueError(
+                        f"{path} lines {first[node]} and {line}: node_id {node!r} repeats"
+                    )
+        read[name] = [fields for _, fields in rows]
+    phi = {f[0].strip(): float(f[1]) for f in read["hodge_potentials.csv"]}
+    component = {f[0].strip(): f[1] for f in read["bowtie.csv"]}
+    if set(phi) != set(component):
+        raise ValueError(
+            "hodge_potentials.csv and bowtie.csv disagree on the node set; "
+            "rerun both on the current links.csv"
+        )
+    nodes = sorted(phi)
+    values = np.array([phi[node] for node in nodes])
+    labels = np.array([component[node] for node in nodes], dtype=object)
+    means = {name: float(values[labels == name].mean()) if (labels == name).any() else None
+             for name in COMPONENT_NAMES[:4]}
+    ccdf = [np.array([float(f[k]) for f in read["ccdf_flow.tsv"]]) for k in (0, 1)]
+    return means, ccdf
+
+
+# values a stage writes: whole CCDF values, fractions and potentials in
+# steps of 1e-3 (a span of potentials far below their size would stall the
+# figures' tick loop)
+_milli = st.integers(min_value=1, max_value=1000).map(lambda k: k / 1000)
+
+
+@given(st.data(), st.integers(min_value=1, max_value=5))
+@settings(max_examples=150, deadline=None)
+def test_report_reads_its_tables_as_a_csv_loop_does(ws, data, chunk_lines):
+    # ids that need quoting, an id equal to the header's first field, blank
+    # lines, CRLF, no final newline and at most one fault in one table
+    nodes = data.draw(st.lists(st.sampled_from(TABLE_IDS + ("node_id",)), min_size=1, max_size=6,
+                               unique=True))
+    phi = data.draw(st.lists(st.integers(-10**6, 10**6).map(lambda k: k / 1000),
+                             min_size=len(nodes), max_size=len(nodes)))
+    labels = data.draw(st.lists(st.sampled_from(COMPONENT_NAMES), min_size=len(nodes),
+                                max_size=len(nodes)))
+    ccdf = data.draw(st.lists(st.tuples(st.integers(1, 10**9).map(float), _milli),
+                              min_size=1, max_size=6))
+    faulty = data.draw(
+        st.sampled_from([None, "ccdf_flow.tsv", "hodge_potentials.csv", "bowtie.csv"])
+    )
+    rows = {
+        "ccdf_flow.tsv": (CCDF_COLUMNS, "\t", [[repr(v), repr(f)] for v, f in ccdf],
+                          [None, (0, "x"), (1, ""), "short", "long"]),
+        "hodge_potentials.csv": (
+            POTENTIAL_COLUMNS, ",", [[n, repr(p), "0", "0"] for n, p in zip(nodes, phi)],
+            [None, (1, "x"), "short", "long", "repeat"],
+        ),
+        "bowtie.csv": (
+            BOWTIE_COLUMNS, ",", [[n, c] for n, c in data.draw(st.permutations(
+                list(zip(nodes, labels))
+            ))],
+            [None, (1, "CORE"), (1, " GSCC"), "short", "long", "repeat"],
+        ),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for name in _REPORT_INPUTS:
+            shutil.copy(ws / name, out)
+        tables = {}
+        for name, (header, delimiter, table, faults) in rows.items():
+            if name == faulty:
+                table = data.draw(faulty_rows(table, faults))
+            lines = data.draw(table_lines(header, table, delimiter))
+            (out / name).write_text("".join(lines), encoding="utf-8", newline="")
+            tables[name] = (out / name, header, delimiter, lines)
+        err = io.StringIO()
+        with mock.patch.object(ingest_module, "CHUNK_LINES", chunk_lines), \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["report", "--out", tmp])
+        try:
+            means, (xs, ys) = _report_reference(tables)
+        except ValueError as exc:
+            assert (code, err.getvalue()) == (2, f"moneyflow report: error: {exc}\n")
+            return
+        assert code == 0, err.getvalue()
+        report = json.loads((out / "report" / "report.json").read_text(encoding="utf-8"))
+        assert report["hodge"]["mean_potential"] == means
+        plot = line_plot([("flow", xs, ys)], title="Link flow CCDF", xlabel="flow [yen]",
+                         ylabel="P(X >= x)")
+        assert (out / "report" / "ccdf_flow.svg").read_text(encoding="utf-8") == plot
 
 
 def test_id_with_comma_survives_every_stage(tmp_path):
@@ -978,9 +1161,8 @@ def test_stages_call_the_traced_names(tmp_path, monkeypatch):
         counting("link_table", HodgeDecomposition.link_table),
     )
     run_pipeline(tmp_path)
-    # links.csv is read by the five stages after ingest; nmf bins it
-    # without building a network
-    expected = dict.fromkeys(calls, 1) | {"read_links": 5, "build_network": 4}
+    # links.csv is read, and built into a network, by the five stages after ingest
+    expected = dict.fromkeys(calls, 1) | {"read_links": 5, "build_network": 5}
     assert calls == expected
 
 

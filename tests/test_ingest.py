@@ -25,10 +25,10 @@ from moneyflow import (
     write_node_coords,
 )
 from moneyflow import ingest as ingest_module
-from moneyflow.ingest import KINDS, RejectedLine, _parse_line
+from moneyflow.ingest import KINDS, LINK_COLUMNS, NODE_COLUMNS, RejectedLine, _parse_line
 
-from conftest import link_table, transfer_table
-from oracles import coordinate_fields, first_coordinates
+from conftest import TABLE_IDS, faulty_rows, link_table, table_lines, transfer_table
+from oracles import coordinate_fields, first_coordinates, table_rows
 
 
 def _rec(src, dst, amount=100, skind="firm", dkind="firm", ts=None, sc=None, dc=None):
@@ -896,3 +896,142 @@ def test_node_coords_repeated_id_names_both_lines():
 def test_node_coords_field_count(text):
     with pytest.raises(ValueError, match="expected 3 fields"):
         read_node_coords(io.StringIO(text))
+
+
+# ---------------------------------------------------------------------------
+# The chunked table readers against a plain csv loop
+
+
+def _link_reference(rows):
+    """The links of table_rows' rows, read a column at a time over the
+    whole table: the flow column's first fault, then the frequency
+    column's, each naming its line."""
+    for k, label in ((2, "flow_yen"), (3, "frequency")):
+        for line, fields in rows:
+            try:
+                value = int(fields[k])
+            except ValueError:
+                raise ValueError(
+                    f"link table line {line}: {label} {fields[k].strip()!r} is not an integer"
+                ) from None
+            if value < 1:
+                raise ValueError(f"link table line {line}: {label} {value} is below 1")
+    for line, fields in rows:
+        if int(fields[3]) > 2**63 - 1:
+            raise ValueError(
+                f"link table line {line}: frequency {int(fields[3])} exceeds the int64 range"
+            )
+    return [AggregatedLink(f[0].strip(), f[1].strip(), int(f[2]), int(f[3])) for _, f in rows]
+
+
+def _node_reference(rows):
+    """The coordinates of table_rows' rows: the first fault of the latitude
+    column, then of the longitude column, then the first repeated id."""
+    for k, label in ((1, "lat"), (2, "lon")):
+        for line, fields in rows:
+            try:
+                float(fields[k])
+            except ValueError:
+                raise ValueError(
+                    f"node table line {line}: {label} {fields[k].strip()!r} is not a number"
+                ) from None
+    first = {}
+    for line, fields in rows:
+        name = fields[0].strip()
+        if first.setdefault(name, line) != line:
+            raise ValueError(f"node table lines {first[name]} and {line}: node_id {name!r} repeats")
+    return {f[0].strip(): (float(f[1]), float(f[2])) for _, f in rows}
+
+
+# at most one fault a table: (column, text) put into one row, or a row cut
+# short, made longer or repeated
+_LINK_FAULTS = [None, (2, "x"), (3, "1.5"), (2, "0"), (3, "-3"), (3, str(2**63)), "short", "long"]
+_NODE_FAULTS = [None, (1, "abc"), (2, ""), "short", "long", "repeat"]
+_table_ids = st.sampled_from(TABLE_IDS + ("source_id", "node_id", " F1 "))
+
+
+def _read_as_reference(read, reference, lines, header, name, chunk_lines):
+    """(what ``read`` returns, what ``reference`` makes of the csv loop's
+    rows) at ``chunk_lines`` lines a chunk; (None, None) once both raised
+    the same ValueError."""
+    try:
+        expected = reference(table_rows(list(lines), header, name))
+    except ValueError as exc:
+        with mock.patch.object(ingest_module, "CHUNK_LINES", chunk_lines), \
+                pytest.raises(ValueError) as got:
+            read(iter(lines))
+        assert str(got.value) == str(exc)
+        return None, None
+    with mock.patch.object(ingest_module, "CHUNK_LINES", chunk_lines):
+        return read(iter(lines)), expected
+
+
+_LINK_ROWS = st.lists(st.tuples(
+    _table_ids, _table_ids,
+    st.integers(min_value=1, max_value=2**70).map(str) | st.sampled_from([" 5", "1_000", "+3"]),
+    st.integers(min_value=1, max_value=2**63 - 1).map(str),
+), max_size=10)
+_QUOTED_IDS_ACROSS_CHUNKS = [
+    "source_id,destination_id,flow_yen,frequency\n", 'F1,"two\n', 'lines",5,1\n', "\n",
+    '"ACME, Inc","say ""hi""",7,2\n', "source_id,F2,3,1\n", 'F2,"cr\r', 'lf",4,1\n',
+]
+
+
+@given(_LINK_ROWS.flatmap(lambda rows: faulty_rows(rows, _LINK_FAULTS)).flatmap(
+    lambda rows: table_lines(LINK_COLUMNS, rows)
+), st.integers(min_value=1, max_value=5))
+@example(_QUOTED_IDS_ACROSS_CHUNKS, 1)
+@example(_QUOTED_IDS_ACROSS_CHUNKS, 2)
+@example(_QUOTED_IDS_ACROSS_CHUNKS[:-1] + ['lf",4,1'], 3)
+@example(_QUOTED_IDS_ACROSS_CHUNKS + ["\n", "F3,F1,9,x\n"], 2)
+@example(["\n", "F1,F2,5,1\n", "source_id,F1,2,1\n", "F2,F1,x,1\n"], 3)
+@settings(max_examples=300, deadline=None)
+def test_link_table_reads_as_a_csv_loop_does(lines, chunk_lines):
+    net, expected = _read_as_reference(
+        read_links, _link_reference, lines, LINK_COLUMNS, "link table", chunk_lines
+    )
+    if net is not None:
+        assert list(net) == expected
+        ends = {link.source for link in expected} | {link.destination for link in expected}
+        assert net.node_ids == tuple(sorted(ends))
+
+
+_NODE_ROWS = st.lists(
+    st.tuples(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+              st.floats(width=32).map(repr) | st.sampled_from([" 1.5 ", "1e-05", "-0.0"])),
+    max_size=9,
+).flatmap(lambda coords: st.lists(
+    _table_ids, min_size=len(coords), max_size=len(coords), unique_by=str.strip
+).map(lambda names: [(name, *pair) for name, pair in zip(names, coords)]))
+
+
+@given(_NODE_ROWS.flatmap(lambda rows: faulty_rows(rows, _NODE_FAULTS)).flatmap(
+    lambda rows: table_lines(NODE_COLUMNS, rows)
+), st.integers(min_value=1, max_value=5))
+@example(["node_id,lat,lon\n", '"two\n', 'lines",1.0,2.0\n', "node_id,3.0,4.0\n",
+          '"cr\r', 'lf",5.0,6.0\n', "two\n"], 2)
+@example(["node_id,lat,lon\n", '"two\n', 'lines",1.0,2.0\n', "\n", "F1,3.0\n"], 1)
+@settings(max_examples=300, deadline=None)
+def test_node_table_reads_as_a_csv_loop_does(lines, chunk_lines):
+    coords, expected = _read_as_reference(
+        read_node_coords, _node_reference, lines, NODE_COLUMNS, "node table", chunk_lines
+    )
+    if coords is not None:
+        assert repr(list(coords.items())) == repr(list(expected.items()))
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 2, 3])
+def test_a_header_past_line_1_is_data(chunk_lines):
+    text = "\nsource_id,destination_id,flow_yen,frequency\nA,B,5,1\n"
+    with mock.patch.object(ingest_module, "CHUNK_LINES", chunk_lines), pytest.raises(
+        ValueError, match=r"^link table line 2: flow_yen 'flow_yen' is not an integer$"
+    ):
+        read_links(io.StringIO(text))
+
+
+def test_a_frequency_past_int64_names_its_line():
+    text = "source_id,destination_id,flow_yen,frequency\nA,B,5,1\n\nB,A,5,9223372036854775808\n"
+    with pytest.raises(ValueError, match=(
+        r"^link table line 4: frequency 9223372036854775808 exceeds the int64 range$"
+    )):
+        read_links(io.StringIO(text))
